@@ -26,36 +26,41 @@ from .rng import stream
 _CHUNK = 1024
 
 
-def _chunks(total: int) -> list[tuple[int, int]]:
-    return [(lo, min(_CHUNK, total - lo)) for lo in range(0, total, _CHUNK)]
-
-
-def _map_chunks(fn, args, total: int, workers: int) -> list:
-    """Run fn(*args, start, count) over trial chunks, serially or in a pool."""
-    parts = _chunks(total)
+def _run_all(fn, calls: list[tuple], workers: int) -> list:
+    """fn(*c) for every argument tuple c, serially or in a process pool."""
     if workers <= 1:
-        return [fn(*args, lo, cnt) for lo, cnt in parts]
+        return [fn(*c) for c in calls]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args, lo, cnt) for lo, cnt in parts]
+        futures = [pool.submit(fn, *c) for c in calls]
         return [f.result() for f in futures]
+
+
+def _trial_chunks(head: tuple, total: int) -> list[tuple]:
+    """Argument tuples (*head, start, count) covering trials 0..total-1."""
+    return [(*head, lo, min(_CHUNK, total - lo)) for lo in range(0, total, _CHUNK)]
+
+
+def _level_size_chunk(seed: int, levels: int, start: int, count: int) -> Counter:
+    """Histogram of (level, size) pairs over the spine samples of the trials."""
+    hist: Counter = Counter()
+    for i in range(start, start + count):
+        hist.update(enumerate(branching.sample_spine_forest(stream(seed, i), levels).level_sizes))
+    return hist
+
+
+def _level_size_histogram(args) -> Counter:
+    hist: Counter = Counter()
+    calls = _trial_chunks((args.seed, args.levels), args.trials)
+    for part in _run_all(_level_size_chunk, calls, args.workers):
+        hist.update(part)
+    return hist
 
 
 # -- sample -------------------------------------------------------------------
 
 
-def _sample_chunk(seed: int, levels: int, start: int, count: int) -> Counter:
-    hist: Counter = Counter()
-    for i in range(start, start + count):
-        sf = branching.sample_spine_forest(stream(seed, i), levels)
-        for n, k in enumerate(sf.level_sizes):
-            hist[(n, k)] += 1
-    return hist
-
-
 def cmd_sample(args) -> ExperimentReport:
-    hist: Counter = Counter()
-    for part in _map_chunks(_sample_chunk, (args.seed, args.levels), args.trials, args.workers):
-        hist.update(part)
+    hist = _level_size_histogram(args)
     if args.save > 0:
         base = resolve_output(args.out, f"sample_seed{args.seed}", args.format)
         for i in range(args.save):
@@ -77,16 +82,6 @@ def cmd_sample(args) -> ExperimentReport:
 # -- stats --------------------------------------------------------------------
 
 
-def _stats_chunk(seed: int, levels: int, start: int, count: int) -> Counter:
-    hist: Counter = Counter()
-    for i in range(start, start + count):
-        sf = branching.sample_spine_forest(stream(seed, i), levels)
-        sizes = sf.level_sizes
-        for n in range(1, levels + 1):
-            hist[(n, sizes[n])] += 1
-    return hist
-
-
 def tv_distance_to_level_law(counts: dict[int, int], n: int, trials: int) -> float:
     """Total-variation distance between an empirical level-size histogram and
     the exact conditioned level-size law."""
@@ -101,9 +96,7 @@ def tv_distance_to_level_law(counts: dict[int, int], n: int, trials: int) -> flo
 
 
 def cmd_stats(args) -> ExperimentReport:
-    hist: Counter = Counter()
-    for part in _map_chunks(_stats_chunk, (args.seed, args.levels), args.trials, args.workers):
-        hist.update(part)
+    hist = _level_size_histogram(args)
     check_levels = sorted({1, min(3, args.levels), args.levels})
     rows = []
     for n in check_levels:
@@ -145,20 +138,12 @@ def cmd_ising_scan(args) -> ExperimentReport:
     if betas is None or betas == [None]:
         raise ValueError("ising-scan needs --beta or --beta-grid")
     bcs = ["plus", "minus"] if args.bc == "both" else [args.bc]
-    tasks = [(b, bc) for b in betas for bc in bcs]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [
-                pool.submit(_scan_point, args.seed, args.levels, b, bc,
-                            args.sweeps, args.replicas, args.burn_in)
-                for b, bc in tasks
-            ]
-            rows = [f.result() for f in futures]
-    else:
-        rows = [
-            _scan_point(args.seed, args.levels, b, bc, args.sweeps, args.replicas, args.burn_in)
-            for b, bc in tasks
-        ]
+    calls = [
+        (args.seed, args.levels, b, bc, args.sweeps, args.replicas, args.burn_in)
+        for b in betas
+        for bc in bcs
+    ]
+    rows = _run_all(_scan_point, calls, args.workers)
     return ExperimentReport(
         "ising-scan",
         {
@@ -216,23 +201,17 @@ def cmd_contours(args) -> ExperimentReport:
 # -- percolation --------------------------------------------------------------
 
 
-def _reach_chunk(levels: int, beta: float, seed: int, start: int, count: int) -> int:
-    return sum(
-        1 for i in range(start, start + count)
-        if percolation._reach_trial(levels, beta, seed, i)
-    )
-
-
 def cmd_percolation(args) -> ExperimentReport:
     betas = args.beta_grid if args.beta_grid else [args.beta]
     if betas == [None]:
         raise ValueError("percolation needs --beta or --beta-grid")
     rows = []
     for levels in args.levels_list:
-        for beta in betas:
-            hits = sum(
-                _map_chunks(_reach_chunk, (levels, beta, args.seed), args.trials, args.workers)
-            )
+        # one coupled pass over the beta grid: each beta's hits equal a run
+        # of that beta alone, since all betas threshold the same uniforms
+        calls = _trial_chunks((levels, betas, args.seed), args.trials)
+        parts = _run_all(percolation.reach_hits, calls, args.workers)
+        for beta, hits in zip(betas, map(sum, zip(*parts))):
             est = percolation.ReachEstimate(beta, levels, args.trials, hits)
             rows.append((beta, levels, args.trials, hits, est.estimate, est.stderr))
     return ExperimentReport(
@@ -340,12 +319,36 @@ def cmd_oracle(args) -> ExperimentReport:
 # -- argument plumbing ---------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
+def _beta(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite beta >= 0, got {text!r}")
+    return value
+
+
 def _beta_grid(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    return [_beta(x) for x in text.split(",") if x.strip()]
 
 
 def _levels_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    levels = [_positive_int(x) for x in text.split(",") if x.strip()]
+    if not levels:
+        raise argparse.ArgumentTypeError("expected at least one level")
+    return levels
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,60 +359,61 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, trials_default=1000):
-        p.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
-        p.add_argument("--trials", type=int, default=trials_default)
+        p.add_argument("--seed", type=_nonnegative_int, default=0, help="master seed (64-bit)")
+        p.add_argument("--trials", type=_positive_int, default=trials_default)
         p.add_argument("--out", type=str, default=None, help="output path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("sample", help="sample triangulations and level-size histograms")
     common(p)
-    p.add_argument("--levels", "--n", "-n", type=int, default=5)
-    p.add_argument("--save", type=int, default=0, help="save this many sampled triangulations")
+    p.add_argument("--levels", "--n", "-n", type=_positive_int, default=5)
+    p.add_argument("--save", type=_nonnegative_int, default=0,
+                   help="save this many sampled triangulations")
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("stats", help="level-size law goodness of fit")
     common(p, trials_default=100000)
-    p.add_argument("--levels", "--n", "-n", type=int, default=5)
+    p.add_argument("--levels", "--n", "-n", type=_positive_int, default=5)
     p.add_argument("--threshold", type=float, default=0.015)
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("ising-scan", help="root magnetization over a beta grid")
     common(p)
-    p.add_argument("--levels", "--n", "-n", type=int, default=10)
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--levels", "--n", "-n", type=_positive_int, default=10)
+    p.add_argument("--beta", type=_beta, default=None)
     p.add_argument("--beta-grid", type=_beta_grid, default=None)
     p.add_argument("--bc", choices=("plus", "minus", "both"), default="both")
     p.add_argument("--sweeps", type=int, default=2000)
-    p.add_argument("--replicas", type=int, default=2)
-    p.add_argument("--burn-in", type=int, default=1000)
+    p.add_argument("--replicas", type=_positive_int, default=2)
+    p.add_argument("--burn-in", type=_nonnegative_int, default=1000)
     p.set_defaults(fn=cmd_ising_scan)
 
     p = sub.add_parser("contours", help="enumerate winding contours and the contour series")
     common(p)
-    p.add_argument("--levels", "--n", "-n", type=int, default=3)
+    p.add_argument("--levels", "--n", "-n", type=_positive_int, default=3)
     p.add_argument("--width-cap", type=int, default=4)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--beta", type=_beta, default=1.0)
+    p.add_argument("--max-len", type=_positive_int, default=None)
     p.set_defaults(fn=cmd_contours)
 
     p = sub.add_parser("percolation", help="annealed open-cluster reach estimates")
     common(p, trials_default=10000)
     p.add_argument("--levels", type=_levels_list, dest="levels_list", default=[10, 30])
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--beta", type=_beta, default=None)
     p.add_argument("--beta-grid", type=_beta_grid, default=None)
     p.set_defaults(fn=cmd_percolation)
 
     p = sub.add_parser("surgery-selftest", help="insert/collapse roundtrips and reconstruction")
     common(p)
-    p.add_argument("--attempts", type=int, default=20000)
+    p.add_argument("--attempts", type=_positive_int, default=20000)
     p.set_defaults(fn=cmd_surgery_selftest)
 
     p = sub.add_parser("oracle", help="exact enumeration cross-checks")
     common(p)
-    p.add_argument("--levels", "--n", "-n", type=int, default=2)
+    p.add_argument("--levels", "--n", "-n", type=_positive_int, default=2)
     p.add_argument("--width-cap", type=int, default=4)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=_beta, default=1.0)
     p.set_defaults(fn=cmd_oracle)
     return parser
 
@@ -419,11 +423,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.fn(args)
+        path = resolve_output(args.out, f"{report.command}_seed{args.seed}", args.format)
+        report.write(path, args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    path = resolve_output(args.out, f"{report.command}_seed{args.seed}", args.format)
-    report.write(path, args.format)
     print(f"{report.command}: {len(report.rows)} rows -> {path}")
     if report.summary:
         print(f"summary: {report.summary}")

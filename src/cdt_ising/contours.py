@@ -194,14 +194,7 @@ def below_vertices(t: Triangulation, contour: Contour) -> set[tuple[int, int]]:
                 continue
             seen.add(other)
             stack.append(other)
-    offsets = t.level_offsets
-    out = set()
-    for flat in seen:
-        level = 0
-        while offsets[level + 1] <= flat:
-            level += 1
-        out.add((level, flat - offsets[level]))
-    return out
+    return {t.vertex_at(flat) for flat in seen}
 
 
 def flip_inside(t: Triangulation, state: SpinState, contour: Contour) -> SpinState:

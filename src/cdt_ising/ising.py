@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .rng import stream
-from .triangulation import Triangulation
+from .triangulation import FreeGraph, Triangulation
 
 MAX_EXACT_SPINS = 22
 _CHUNK = 1 << 18
@@ -70,62 +69,14 @@ class SpinState:
         return cls(spins, boundary_vector(t, bc), beta)
 
 
-@dataclass(frozen=True)
-class _EdgeTable:
-    n_free: int
-    ia: np.ndarray  # internal non-loop edges, flat free indices
-    ib: np.ndarray
-    n_loops: int
-    bv: np.ndarray  # boundary edges: free endpoint
-    bpos: np.ndarray  # boundary edges: top-level position
-    neighbors: tuple[tuple[int, ...], ...]  # per free vertex, free neighbors with multiplicity
-    bc_slots: tuple[tuple[int, ...], ...]  # per free vertex, boundary positions with multiplicity
-
-
-@lru_cache(maxsize=128)
-def _edge_table(t: Triangulation) -> _EdgeTable:
-    top = t.top_level
-    n_free = sum(t.level_sizes[:-1])
-    ia: list[int] = []
-    ib: list[int] = []
-    loops = 0
-    bv: list[int] = []
-    bpos: list[int] = []
-    nbrs: list[list[int]] = [[] for _ in range(n_free)]
-    bslots: list[list[int]] = [[] for _ in range(n_free)]
-    for key in t.primal_edges():
-        kind, lvl, _ = key
-        (la, pa), (lb, pb) = t.primal_edge_endpoints(key)
-        if kind == "h" and la == top:
-            continue  # horizontal edges inside the boundary circle
-        a = t.flat_index(la, pa)
-        b = t.flat_index(lb, pb)
-        if lb == top:
-            bv.append(a)
-            bpos.append(pb)
-            bslots[a].append(pb)
-        elif a == b:
-            loops += 1
-        else:
-            ia.append(a)
-            ib.append(b)
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-    return _EdgeTable(
-        n_free,
-        np.array(ia, dtype=np.int64),
-        np.array(ib, dtype=np.int64),
-        loops,
-        np.array(bv, dtype=np.int64),
-        np.array(bpos, dtype=np.int64),
-        tuple(tuple(x) for x in nbrs),
-        tuple(tuple(x) for x in bslots),
-    )
+def _edge_table(t: Triangulation) -> FreeGraph:
+    """The interior/boundary edge split the Hamiltonian sums over."""
+    return t.free_graph
 
 
 def energy(t: Triangulation, state: SpinState) -> float:
     """H(sigma | boundary) under the ferromagnetic convention."""
-    et = _edge_table(t)
+    et = t.free_graph
     s = np.asarray(state.spins, dtype=np.int64)
     if s.shape != (et.n_free,):
         raise ValueError(f"state must assign a spin to all {et.n_free} free vertices")
@@ -139,7 +90,7 @@ def energy(t: Triangulation, state: SpinState) -> float:
 
 def edge_count(t: Triangulation) -> int:
     """Edges entering the Hamiltonian: internal (loops included) plus boundary."""
-    et = _edge_table(t)
+    et = t.free_graph
     return len(et.ia) + et.n_loops + len(et.bv)
 
 
@@ -156,7 +107,7 @@ class GibbsExact:
     """Exhaustive Gibbs distribution over the 2^n free spin configurations."""
 
     def __init__(self, t: Triangulation, beta: float, bc) -> None:
-        et = _edge_table(t)
+        et = t.free_graph
         if et.n_free > MAX_EXACT_SPINS:
             raise ValueError(
                 f"{et.n_free} free spins exceed the exact-enumeration cap {MAX_EXACT_SPINS}"
@@ -255,7 +206,7 @@ def glauber_sweep(t: Triangulation, state: SpinState, rng: np.random.Generator) 
     Boundary spins are never updated.  Each single-site update draws from the
     exact conditional, so detailed balance holds update by update.
     """
-    et = _edge_table(t)
+    et = t.free_graph
     bc = state.boundary
     bc_base = [int(sum(int(bc[p]) for p in et.bc_slots[v])) for v in range(et.n_free)]
     spins = [int(x) for x in state.spins]
@@ -292,7 +243,7 @@ def root_plus_probability(
     """
     if sweeps < batches:
         raise ValueError("need at least one sweep per batch")
-    et = _edge_table(t)
+    et = t.free_graph
     bc_vec = boundary_vector(t, bc)
     bc_base = [int(sum(int(bc_vec[p]) for p in et.bc_slots[v])) for v in range(et.n_free)]
     batch_size = sweeps // batches

@@ -10,13 +10,18 @@ every trial.
 Marks cover levels 0..top-1 of a triangulation sampled one level deeper than
 the reach horizon, so every marked vertex has a full degree; the root uses
 d = d_up + 2 (its self-loop supplies the two horizontal slots).
+
+The graph tables live on the triangulation: marks use
+``Triangulation.mark_degrees``, and the open-cluster search and the path
+checks use ``Triangulation.neighbors``.  All annealed estimators run their
+trials through ``reach_hits``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -34,27 +39,9 @@ def open_probability(degree: int, beta: float) -> float:
     return math.tanh(beta * degree)
 
 
-@lru_cache(maxsize=128)
-def _mark_degrees(t: Triangulation) -> tuple[int, ...]:
+def _mark_degrees(t: Triangulation) -> np.ndarray:
     """Percolation degree of every vertex on levels 0..top-1, flat order."""
-    degs: list[int] = [len(t.fans[0][0]) + 2]  # root: up-edges plus self-loop
-    for n in range(1, t.top_level):
-        for p in range(t.level_sizes[n]):
-            d = t.vertex_degree(n, p)
-            degs.append(d.total)
-    return tuple(degs)
-
-
-@lru_cache(maxsize=128)
-def _simple_adjacency(t: Triangulation) -> tuple[tuple[int, ...], ...]:
-    """Deduplicated vertex adjacency among levels 0..top-1 (loops dropped)."""
-    n_marked = sum(t.level_sizes[:-1])
-    adj: list[set[int]] = [set() for _ in range(n_marked)]
-    for key, nbrs in zip(range(n_marked), t.primal_adjacency):
-        for _, other in nbrs:
-            if other != key and other < n_marked:
-                adj[key].add(other)
-    return tuple(tuple(sorted(s)) for s in adj)
+    return t.mark_degrees
 
 
 @dataclass(frozen=True)
@@ -70,14 +57,14 @@ class OpenSet:
 
 def sample_open_set(t: Triangulation, beta: float, rng: np.random.Generator) -> OpenSet:
     """Mark vertex v open with probability tanh(beta * d_v), independently."""
-    degs = np.array(_mark_degrees(t), dtype=np.float64)
+    degs = t.mark_degrees
     marks = rng.random(len(degs)) < np.tanh(beta * degs)
     return OpenSet(float(beta), marks)
 
 
 def open_set_from_uniforms(t: Triangulation, beta: float, uniforms: np.ndarray) -> OpenSet:
     """Open set from pre-drawn uniforms; shared uniforms couple different betas."""
-    degs = np.array(_mark_degrees(t), dtype=np.float64)
+    degs = t.mark_degrees
     if uniforms.shape != degs.shape:
         raise ValueError("need one uniform per marked vertex")
     return OpenSet(float(beta), uniforms < np.tanh(beta * degs))
@@ -100,16 +87,9 @@ def max_open_reach(t: Triangulation, open_set: OpenSet) -> ReachResult:
     root = 0
     if not open_set.marks[root]:
         return ReachResult(0, None)
-    adj = _simple_adjacency(t)
-    offsets = t.level_offsets
+    adj = t.neighbors
     marks = open_set.marks
-
-    def level_of(flat: int) -> int:
-        lvl = 0
-        while offsets[lvl + 1] <= flat:
-            lvl += 1
-        return lvl
-
+    n_marked = len(marks)
     parent = {root: None}
     queue = [root]
     best = root
@@ -118,10 +98,10 @@ def max_open_reach(t: Triangulation, open_set: OpenSet) -> ReachResult:
         nxt = []
         for v in queue:
             for u in adj[v]:
-                if u in parent or not marks[u]:
+                if u >= n_marked or u in parent or not marks[u]:
                     continue
                 parent[u] = v
-                lvl = level_of(u)
+                lvl = t.vertex_at(u)[0]
                 if lvl > best_level:
                     best_level = lvl
                     best = u
@@ -133,8 +113,7 @@ def max_open_reach(t: Triangulation, open_set: OpenSet) -> ReachResult:
         path.append(v)
         v = parent[v]
     path.reverse()
-    verts = tuple((level_of(f), f - offsets[level_of(f)]) for f in path)
-    return ReachResult(best_level, verts)
+    return ReachResult(best_level, tuple(t.vertex_at(f) for f in path))
 
 
 @dataclass(frozen=True)
@@ -154,11 +133,26 @@ class ReachEstimate:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
-def _reach_trial(levels: int, beta: float, seed: int, trial: int) -> bool:
-    rng = stream(seed, trial)
-    t = forest_to_triangulation(sample_spine_forest(rng, levels + 1))
-    opens = sample_open_set(t, beta, rng)
-    return max_open_reach(t, opens).reach >= levels
+def reach_hits(
+    levels: int, betas: Sequence[float], seed: int, start: int, count: int
+) -> list[int]:
+    """Per beta, how many of the trials start..start+count-1 reach ``levels``.
+
+    Trial i draws everything from ``stream(seed, i)``: a triangulation one
+    level past the horizon (so all marked degrees are defined), then one
+    uniform per marked vertex.  Every beta thresholds the same uniforms, so
+    within a trial the reach indicator is monotone in beta, and the result
+    does not depend on how trials are split into chunks.
+    """
+    hits = [0] * len(betas)
+    for i in range(start, start + count):
+        rng = stream(seed, i)
+        t = forest_to_triangulation(sample_spine_forest(rng, levels + 1))
+        uniforms = rng.random(len(t.mark_degrees))
+        for j, beta in enumerate(betas):
+            if max_open_reach(t, open_set_from_uniforms(t, beta, uniforms)).reach >= levels:
+                hits[j] += 1
+    return hits
 
 
 def annealed_reach_probability(
@@ -166,13 +160,12 @@ def annealed_reach_probability(
 ) -> ReachEstimate:
     """Fraction of trials whose root cluster reaches the target level.
 
-    Each trial draws a fresh triangulation (one level past the horizon, so
-    all marked degrees are defined) and fresh marks; trial RNG streams are
-    keyed by the trial index, so the result is independent of scheduling.
+    Each trial draws a fresh triangulation and fresh marks (see
+    ``reach_hits``); trial RNG streams are keyed by the trial index.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    hits = sum(1 for i in range(trials) if _reach_trial(levels, beta, seed, i))
+    (hits,) = reach_hits(levels, [beta], seed, 0, trials)
     return ReachEstimate(float(beta), levels, trials, hits)
 
 
@@ -183,17 +176,12 @@ def annealed_reach_curve(
 
     Within one trial every beta sees the same triangulation and the same
     uniform draws, so the per-trial reach indicator is monotone in beta and
-    the estimates are exactly nondecreasing.
+    the estimates are exactly nondecreasing.  Each estimate equals
+    ``annealed_reach_probability`` at its beta.
     """
-    hits = [0] * len(betas)
-    for i in range(trials):
-        rng = stream(seed, i)
-        t = forest_to_triangulation(sample_spine_forest(rng, levels + 1))
-        uniforms = rng.random(sum(t.level_sizes[:-1]))
-        for j, beta in enumerate(betas):
-            opens = open_set_from_uniforms(t, beta, uniforms)
-            if max_open_reach(t, opens).reach >= levels:
-                hits[j] += 1
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    hits = reach_hits(levels, betas, seed, 0, trials)
     return [ReachEstimate(float(b), levels, trials, h) for b, h in zip(betas, hits)]
 
 
@@ -201,23 +189,12 @@ def annealed_reach_curve(
 
 
 def _check_path(t: Triangulation, path) -> list[int]:
-    adj = _vertex_adjacency(t)
+    adj = t.neighbors
     flat = [t.flat_index(lvl, pos) for lvl, pos in path]
     for a, b in zip(flat, flat[1:]):
         if b not in adj[a]:
             raise ValueError(f"consecutive path vertices {a} and {b} are not adjacent")
     return flat
-
-
-@lru_cache(maxsize=128)
-def _vertex_adjacency(t: Triangulation) -> tuple[frozenset[int], ...]:
-    """Deduplicated adjacency over all levels (self-loops ignored)."""
-    adj: list[set[int]] = [set() for _ in range(t.vertex_count)]
-    for v, nbrs in enumerate(t.primal_adjacency):
-        for _, other in nbrs:
-            if other != v:
-                adj[v].add(other)
-    return tuple(frozenset(s) for s in adj)
 
 
 def is_locally_geodesic(t: Triangulation, path) -> bool:
@@ -229,7 +206,7 @@ def is_locally_geodesic(t: Triangulation, path) -> bool:
     flat = _check_path(t, path)
     if len(set(flat)) != len(flat):
         return False
-    adj = _vertex_adjacency(t)
+    adj = t.neighbors
     index = {v: i for i, v in enumerate(flat)}
     for i, v in enumerate(flat):
         for u in adj[v]:
@@ -245,7 +222,7 @@ def shortcut_to_locally_geodesic(t: Triangulation, path) -> list[tuple[int, int]
     Every vertex of the output lay on the input path, so openness of the
     input vertices carries over; the output is never longer.
     """
-    adj = _vertex_adjacency(t)
+    adj = t.neighbors
     flat = _check_path(t, path)
     changed = True
     while changed:
@@ -261,15 +238,7 @@ def shortcut_to_locally_geodesic(t: Triangulation, path) -> list[tuple[int, int]
                 flat = flat[: i + 1] + flat[best:]
                 changed = True
                 break
-    offsets = t.level_offsets
-
-    def unflatten(f: int) -> tuple[int, int]:
-        lvl = 0
-        while offsets[lvl + 1] <= f:
-            lvl += 1
-        return (lvl, f - offsets[lvl])
-
-    return [unflatten(f) for f in flat]
+    return [t.vertex_at(f) for f in flat]
 
 
 MAX_PATH_LENGTH = 12
@@ -282,7 +251,7 @@ def count_salg_paths(t: Triangulation, length: int) -> int:
         raise ValueError("path length must be >= 0")
     if length > MAX_PATH_LENGTH:
         raise ValueError(f"exhaustive search capped at length {MAX_PATH_LENGTH}")
-    adj = _vertex_adjacency(t)
+    adj = t.neighbors
     root = 0
     count = 0
     # a prefix of a locally geodesic path is locally geodesic, so prefixes

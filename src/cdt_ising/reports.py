@@ -54,7 +54,8 @@ class ExperimentReport:
             "rows": [list(r) for r in self.rows],
             "summary": self.summary,
         }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        Path(path).write_text(text + "\n")
 
     def write(self, path: Path | str, fmt: str) -> None:
         if fmt == "csv":

@@ -28,7 +28,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .percolation import is_locally_geodesic
-from .triangulation import Triangulation
+from .triangulation import Triangulation, _down_slot_entries, _rotate_fans
 
 Vertex = tuple[int, int]
 
@@ -42,25 +42,6 @@ def _thaw(t: Triangulation) -> tuple[list[int], list[list[list[int]]]]:
 
 def _freeze(sizes: list[int], fans: list[list[list[int]]]) -> Triangulation:
     return Triangulation(sizes, fans)
-
-
-def _down_slot_entries(
-    fans: list[list[list[int]]], sizes: list[int], level: int, pos: int
-) -> list[tuple[int, int]]:
-    """Ordered (lower vertex, fan entry index) slots of (level, pos): parent
-    first, then fan-start arrivals in cyclic order after the parent."""
-    k_bot = sizes[level - 1]
-    parent = None
-    starts = []
-    for i, fan in enumerate(fans[level - 1]):
-        if fan[0] == pos:
-            starts.append((i, 0))
-        for idx in range(1, len(fan)):
-            if fan[idx] == pos:
-                parent = (i, idx)
-    assert parent is not None
-    starts.sort(key=lambda s: (s[0] - parent[0]) % k_bot)
-    return [parent] + starts
 
 
 def _insert_one(
@@ -129,19 +110,6 @@ def _collapse_one(sizes: list[int], fans: list[list[list[int]]], level: int, pos
             elif q > pos + 1:
                 fan[idx] = q - 1
     sizes[level] -= 1
-
-
-def _rotate_level_inplace(
-    sizes: list[int], fans: list[list[list[int]]], level: int, shift: int
-) -> None:
-    k = sizes[level]
-    shift %= k
-    if shift == 0:
-        return
-    fans[level - 1] = [[(q + shift) % k for q in fan] for fan in fans[level - 1]]
-    if level < len(sizes) - 1:
-        old = fans[level]
-        fans[level] = [old[(i - shift) % k] for i in range(k)]
 
 
 # -- public surgery operations ------------------------------------------------
@@ -246,7 +214,7 @@ def collapse_horizontal_edge(t: Triangulation, level: int, left_pos: int) -> Tri
         raise ValueError("edge position out of range")
     sizes, fans = _thaw(t)
     if left_pos == k - 1:
-        _rotate_level_inplace(sizes, fans, level, 1)
+        _rotate_fans(sizes, fans, level, 1)
         left_pos = 0
     _collapse_one(sizes, fans, level, left_pos)
     return _freeze(sizes, fans)
@@ -368,9 +336,9 @@ def path_neighborhood(t: Triangulation, path) -> PathNeighborhood:
 
 def _slot_count(t: Triangulation, v: Vertex, side: str) -> int:
     if side == "u":
-        return len(t.fans[v[0]][v[1]]) if v[0] < t.top_level else 0
+        return t.vertex_degree(*v).up or 0
     if side == "d":
-        return len(t.down_slots(*v)) if v[0] > 0 else 0
+        return t.vertex_degree(*v).down or 0
     return 1
 
 
@@ -542,7 +510,7 @@ def randomized_reconstruction(
             k = sizes[lvl]
             p %= k
             if p == k - 1:
-                _rotate_level_inplace(sizes, fans, lvl, 1)
+                _rotate_fans(sizes, fans, lvl, 1)
                 _remap_walk(walk, lvl, lambda q, k=k: (q + 1) % k)
                 p = 0
             _collapse_one(sizes, fans, lvl, p)

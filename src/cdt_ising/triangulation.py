@@ -19,14 +19,24 @@ forest <-> triangulation maps mutually inverse.
 Multigraph corner cases are real and intended: a level with a single vertex
 has a horizontal self-loop, and a strip over a single vertex produces a pair
 of parallel diagonal edges.
+
+The derived graph tables live on the instance, each built once in one pass
+over ``fans`` and cached.  They address vertices by flat id (``flat_index``,
+inverted by ``vertex_at``): ``degree_split`` (up/down edge counts),
+``neighbors`` (distinct neighbours), ``free_graph`` (interior and boundary
+edges of levels 0..top-1, where Ising spins and percolation marks live),
+``mark_degrees`` (total degrees there) and ``primal_adjacency`` (edge keys).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence, Union
+
+import numpy as np
 
 from .branching import LevelForest, SpineForest, offspring_pmf
 
@@ -52,6 +62,26 @@ class VertexDegree:
     down: int | None
     total: int | None
     boundary: bool
+
+
+@dataclass(frozen=True)
+class FreeGraph:
+    """Edges of the free vertices: levels 0..top-1, flat ids 0..n_free-1.
+
+    Edges among free vertices are interior (self-loops only counted);
+    diagonal edges into the top level are boundary edges, and horizontal
+    edges inside the top level are left out: the edges of the Ising
+    Hamiltonian under a frozen top level.
+    """
+
+    n_free: int
+    ia: np.ndarray  # interior non-loop edges, flat free indices
+    ib: np.ndarray
+    n_loops: int
+    bv: np.ndarray  # boundary edges: free endpoint
+    bpos: np.ndarray  # boundary edges: top-level position
+    neighbors: tuple[tuple[int, ...], ...]  # per free vertex, free neighbors with multiplicity
+    bc_slots: tuple[tuple[int, ...], ...]  # per free vertex, boundary positions with multiplicity
 
 
 @dataclass(frozen=True)
@@ -177,53 +207,121 @@ class Triangulation:
     def out_degree(self, level: int, pos: int) -> int:
         return len(self.fans[level][pos]) - 1
 
-    def up_neighbors(self, level: int, pos: int) -> tuple[int, ...]:
-        """Upper endpoints of the up-edges of (level, pos), fan-start first."""
-        return self.fans[level][pos]
-
-    @cached_property
-    def _down_slots(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-        # _down_slots[n-1][p] lists (lower vertex, fan entry index) of the
-        # downward edges of (n, p): parent first, then fan-start arrivals in
-        # cyclic order after the parent.
-        tables = []
-        for n in range(1, self.top_level + 1):
-            k_bot = self.level_sizes[n - 1]
-            k_top = self.level_sizes[n]
-            parent: list[tuple[int, int] | None] = [None] * k_top
-            starts: dict[int, list[tuple[int, int]]] = {p: [] for p in range(k_top)}
-            for i, fan in enumerate(self.fans[n - 1]):
-                starts[fan[0]].append((i, 0))
-                for idx in range(1, len(fan)):
-                    parent[fan[idx]] = (i, idx)
-            table = []
-            for p in range(k_top):
-                par = parent[p]
-                assert par is not None  # blocks tile the level
-                closers = sorted(starts[p], key=lambda s: (s[0] - par[0]) % k_bot)
-                table.append(tuple([par] + closers))
-            tables.append(tuple(table))
-        return tuple(tables)
+    def vertex_at(self, flat: int) -> tuple[int, int]:
+        """(level, pos) of a flat vertex id; the inverse of ``flat_index``."""
+        level = bisect_right(self.level_offsets, flat) - 1
+        return level, flat - self.level_offsets[level]
 
     def down_slots(self, level: int, pos: int) -> tuple[tuple[int, int], ...]:
         """Ordered downward edge slots of (level, pos); the parent comes first."""
         if level < 1:
             raise ValueError("level-0 vertices have no downward edges")
-        return self._down_slots[level - 1][pos]
-
-    def down_neighbors(self, level: int, pos: int) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.down_slots(level, pos))
+        return tuple(_down_slot_entries(self.fans, self.level_sizes, level, pos))
 
     def parent(self, level: int, pos: int) -> int:
         """Lower endpoint of the leftmost downward edge of (level, pos)."""
         return self.down_slots(level, pos)[0][0]
 
     def vertex_degree(self, level: int, pos: int) -> VertexDegree:
-        up = len(self.fans[level][pos]) if level < self.top_level else None
-        down = len(self.down_slots(level, pos)) if level > 0 else None
+        ups, downs = self.degree_split
+        v = self.flat_index(level, pos)
+        up = ups[v] if level < self.top_level else None
+        down = downs[v] if level > 0 else None
         if up is None or down is None:
             return VertexDegree(up, down, None, True)
         return VertexDegree(up, down, up + down + 2, False)
+
+    # -- derived graph tables ----------------------------------------------
+
+    @cached_property
+    def degree_split(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(up, down) edge counts per flat vertex id; a missing side counts 0.
+
+        Up edges are the fan: its fan-start plus the children.  Down edges
+        are the parent edge plus one edge per fan-start arriving from below.
+        """
+        offs = self.level_offsets
+        up = [0] * self.vertex_count
+        down = [0] + [1] * (self.vertex_count - 1)
+        for n, strip in enumerate(self.fans):
+            base, above = offs[n], offs[n + 1]
+            for i, fan in enumerate(strip):
+                up[base + i] = len(fan)
+                down[above + fan[0]] += 1
+        return tuple(up), tuple(down)
+
+    def _edge_pairs(self) -> Iterator[tuple[int, int]]:
+        """Flat endpoints of every edge in ``primal_edges`` order, loops included;
+        a diagonal edge starts at its lower end."""
+        offs = self.level_offsets
+        for n, k in enumerate(self.level_sizes):
+            for c in range(k):
+                yield offs[n] + c, offs[n] + (c + 1) % k
+        for n, strip in enumerate(self.fans):
+            for i, fan in enumerate(strip):
+                for q in fan:
+                    yield offs[n] + i, offs[n + 1] + q
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per flat vertex id: its distinct neighbours in increasing order.
+
+        Self-loops are dropped and parallel edges count once.
+        """
+        adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
+        for a, b in self._edge_pairs():
+            if a != b:
+                adj[a].add(b)
+                adj[b].add(a)
+        return tuple(tuple(sorted(s)) for s in adj)
+
+    @cached_property
+    def free_graph(self) -> FreeGraph:
+        n_free = self.level_offsets[self.top_level]
+        ia: list[int] = []
+        ib: list[int] = []
+        loops = 0
+        bv: list[int] = []
+        bpos: list[int] = []
+        nbrs: list[list[int]] = [[] for _ in range(n_free)]
+        bslots: list[list[int]] = [[] for _ in range(n_free)]
+        for a, b in self._edge_pairs():
+            if a >= n_free:
+                continue  # horizontal edges inside the boundary circle
+            if b >= n_free:
+                bv.append(a)
+                bpos.append(b - n_free)
+                bslots[a].append(b - n_free)
+            elif a == b:
+                loops += 1
+            else:
+                ia.append(a)
+                ib.append(b)
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+        return FreeGraph(
+            n_free,
+            np.array(ia, dtype=np.int64),
+            np.array(ib, dtype=np.int64),
+            loops,
+            np.array(bv, dtype=np.int64),
+            np.array(bpos, dtype=np.int64),
+            tuple(tuple(x) for x in nbrs),
+            tuple(tuple(x) for x in bslots),
+        )
+
+    @cached_property
+    def mark_degrees(self) -> np.ndarray:
+        """Total degree up + down + 2 of every free vertex, in flat order.
+
+        The free vertices are those of ``free_graph``; the root has no down
+        edges, and its self-loop supplies the 2.
+        """
+        ups, downs = self.degree_split
+        n_free = self.level_offsets[self.top_level]
+        degs = np.add(ups[:n_free], downs[:n_free]) + 2
+        degs.flags.writeable = False  # shared by every caller
+        return degs
 
     # -- triangles, edges, dual graph -------------------------------------
 
@@ -261,43 +359,20 @@ class Triangulation:
     def triangles(self, strip: int) -> tuple[Triangle, ...]:
         return self._strip_triangles[strip]
 
-    @cached_property
-    def _fan_edges(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        # _fan_edges[n][f] = (lower vertex, entry index, upper vertex) of the
-        # f-th diagonal edge of strip n in planar order.
-        out = []
-        for n in range(self.top_level):
-            edges = []
-            for i, fan in enumerate(self.fans[n]):
-                for idx, t in enumerate(fan):
-                    edges.append((i, idx, t))
-            out.append(tuple(edges))
-        return tuple(out)
-
-    def primal_edge_endpoints(self, key: PrimalKey) -> tuple[tuple[int, int], tuple[int, int]]:
-        kind, n, x = key
-        if kind == "h":
-            k = self.level_sizes[n]
-            return (n, x), (n, (x + 1) % k)
-        i, _, t = self._fan_edges[n][x]
-        return (n, i), (n + 1, t)
-
     def primal_edges(self) -> Iterator[PrimalKey]:
         """All edges: horizontals of every level, diagonals of every strip."""
         for n, k in enumerate(self.level_sizes):
             for c in range(k):
                 yield ("h", n, c)
-        for n in range(self.top_level):
-            for f in range(len(self._fan_edges[n])):
+        for n, strip in enumerate(self.fans):
+            for f in range(sum(len(fan) for fan in strip)):
                 yield ("d", n, f)
 
     @cached_property
     def primal_adjacency(self) -> tuple[tuple[tuple[PrimalKey, int], ...], ...]:
         """Per flat vertex id: (edge key, other endpoint flat id), loops included."""
         adj: list[list[tuple[PrimalKey, int]]] = [[] for _ in range(self.vertex_count)]
-        for key in self.primal_edges():
-            (la, pa), (lb, pb) = self.primal_edge_endpoints(key)
-            a, b = self.flat_index(la, pa), self.flat_index(lb, pb)
+        for key, (a, b) in zip(self.primal_edges(), self._edge_pairs()):
             adj[a].append((key, b))
             if b != a:
                 adj[b].append((key, a))
@@ -409,17 +484,47 @@ def rotate_level(t: Triangulation, level: int, shift: int) -> Triangulation:
     """Relabel positions q -> (q + shift) mod k at one level (same triangulation)."""
     if not 1 <= level <= t.top_level:
         raise ValueError("only levels above the root can be rotated")
-    k = t.level_sizes[level]
-    shift %= k
-    fans = [list(strip) for strip in t.fans]
-    fans[level - 1] = [tuple((q + shift) % k for q in fan) for fan in fans[level - 1]]
-    if level < t.top_level:
-        old = fans[level]
-        rotated: list = [None] * k
-        for i in range(k):
-            rotated[(i + shift) % k] = old[i]
-        fans[level] = rotated
+    fans = list(t.fans)
+    _rotate_fans(t.level_sizes, fans, level, shift)
     return Triangulation(t.level_sizes, fans)
+
+
+def _rotate_fans(sizes: Sequence[int], fans: list, level: int, shift: int) -> None:
+    """Rotate one level's labels by ``shift`` in a list of strips, in place.
+
+    The strip below gets retargeted fans and the strip above (if any) its
+    fans reordered; untouched fans are kept as they are, lists or tuples.
+    """
+    k = sizes[level]
+    shift %= k
+    if shift == 0:
+        return
+    fans[level - 1] = [[(q + shift) % k for q in fan] for fan in fans[level - 1]]
+    if level < len(sizes) - 1:
+        old = fans[level]
+        fans[level] = [old[(i - shift) % k] for i in range(k)]
+
+
+def _down_slot_entries(fans, sizes: Sequence[int], level: int, pos: int) -> list[tuple[int, int]]:
+    """Ordered (lower vertex, fan entry index) slots of (level, pos): parent
+    first, then fan-start arrivals in cyclic order after the parent.
+
+    When the parent's fan wraps all the way round onto (level, pos), the
+    parent's own fan-start edge is the last arrival, not the first.  Works on
+    the tuples of a ``Triangulation`` and on thawed lists alike.
+    """
+    k_bot = sizes[level - 1]
+    parent = None
+    starts = []
+    for i, fan in enumerate(fans[level - 1]):
+        if fan[0] == pos:
+            starts.append((i, 0))
+        for idx in range(1, len(fan)):
+            if fan[idx] == pos:
+                parent = (i, idx)
+    assert parent is not None  # blocks tile the level
+    starts.sort(key=lambda s: (s[0] - parent[0]) % k_bot or k_bot)
+    return [parent] + starts
 
 
 # -- serialization ---------------------------------------------------------

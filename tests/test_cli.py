@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from cdt_ising.cli import main
+from cdt_ising.reports import ExperimentReport
 
 
 def data_rows(path) -> list[str]:
@@ -117,6 +120,21 @@ def test_percolation_worker_invariance(tmp_path):
     assert data_rows(a) == data_rows(b)
 
 
+def test_percolation_grid_equals_per_beta_runs(tmp_path):
+    grid = tmp_path / "grid.csv"
+    main(["percolation", "--levels", "4,7", "--beta-grid", "0.05,0.1,0.3", "--trials", "150",
+          "--seed", "21", "--out", str(grid)])
+    single = []
+    for beta in ("0.05", "0.1", "0.3"):
+        out = tmp_path / f"b{beta}.csv"
+        main(["percolation", "--levels", "4,7", "--beta", beta, "--trials", "150",
+              "--seed", "21", "--out", str(out)])
+        single.append(data_rows(out)[1:])
+    # grid rows run level by level, betas inside
+    per_level = [row for level in zip(*single) for row in level]
+    assert data_rows(grid)[1:] == per_level
+
+
 def test_csv_json_mirror(tmp_path):
     csv_path = tmp_path / "m.csv"
     json_path = tmp_path / "m.json"
@@ -160,3 +178,56 @@ def test_output_dir_env(tmp_path, monkeypatch):
     rc = main(["oracle", "--levels", "1", "--width-cap", "2"])
     assert rc == 0
     assert (tmp_path / "oracle_seed0.csv").exists()
+
+
+def rejected(capsys, *argv) -> str:
+    """Run the CLI expecting argparse to reject the arguments; return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_stats_rejects_zero_trials(tmp_path, capsys):
+    err = rejected(capsys, "stats", "--trials", "0", "--out", str(tmp_path / "x.csv"))
+    assert "--trials" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_percolation_rejects_negative_beta(tmp_path, capsys):
+    err = rejected(capsys, "percolation", "--beta", "-1", "--trials", "5",
+                   "--out", str(tmp_path / "x.csv"))
+    assert "--beta" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_percolation_rejects_zero_levels(tmp_path, capsys):
+    err = rejected(capsys, "percolation", "--levels", "0", "--beta", "0.1", "--trials", "5",
+                   "--out", str(tmp_path / "x.csv"))
+    assert "--levels" in err
+
+
+def test_rejects_zero_workers(tmp_path, capsys):
+    err = rejected(capsys, "sample", "--workers", "0", "--out", str(tmp_path / "x.csv"))
+    assert "--workers" in err
+
+
+def test_rejects_negative_seed(tmp_path, capsys):
+    err = rejected(capsys, "sample", "--seed", "-1", "--out", str(tmp_path / "x.csv"))
+    assert "--seed" in err
+
+
+def test_contours_rejects_empty_length_cap(tmp_path, capsys):
+    err = rejected(capsys, "contours", "--max-len", "0", "--out", str(tmp_path / "x.csv"))
+    assert "--max-len" in err
+
+
+def test_contours_rejects_nan_beta(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    err = rejected(capsys, "contours", "--beta", "nan", "--format", "json", "--out", str(out))
+    assert "--beta" in err
+    assert not out.exists()
+    # and a report never writes NaN, which is not JSON
+    report = ExperimentReport("contours", {"beta": float("nan")}, ("x",), [(1.0,)])
+    with pytest.raises(ValueError):
+        report.to_json(out)

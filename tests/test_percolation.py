@@ -147,6 +147,14 @@ def test_annealed_reach_curve_monotone_in_beta():
     assert estimates == sorted(estimates)  # exact under shared-uniform coupling
 
 
+def test_single_beta_equals_coupled_curve():
+    betas = [0.02, 0.05, 0.1, 0.2, 0.4]
+    for levels in (5, 10):
+        curve = annealed_reach_curve(levels, betas, 60, seed=81)
+        for beta, est in zip(betas, curve):
+            assert annealed_reach_probability(levels, beta, 60, seed=81) == est
+
+
 def test_open_set_from_uniforms_couples():
     t = CHAIN4
     u = stream(80, 0).random(sum(t.level_sizes[:-1]))

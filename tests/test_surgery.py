@@ -98,6 +98,19 @@ def test_roundtrip_all_enumerated():
     assert failures == 0
 
 
+def test_roundtrip_level_two_enumerated():
+    # at a vertex whose parent's fan wraps onto it, the parent's own fan-start
+    # edge is the last down slot; ordering it first broke these round trips
+    sites = 0
+    for t, _ in enumerate_triangulations(3, 3):
+        for pos in range(t.level_sizes[2]):
+            for site in insertion_sites(t, 2, pos):
+                res = insert_pairs(t, Insertion(2, pos, ((site.up_slot, site.down_slot),)))
+                assert collapse_run(res.triangulation, *res.new_horizontal_run) == t
+                sites += 1
+    assert sites == 3891
+
+
 def test_tenfold_insert_and_undo():
     t = forest_to_triangulation(((2,), (4, 1), (1,) * 5))
     d = t.vertex_degree(1, 0)
@@ -170,9 +183,7 @@ def test_encoding_injective_within_host():
         t = forest_to_triangulation(sample_spine_forest(stream(92, i), 4))
         seen = {}
         # depth-first over self-avoiding geodesic paths up to length 3
-        from cdt_ising.percolation import _vertex_adjacency
-
-        adj = _vertex_adjacency(t)
+        adj = t.neighbors
         offsets = t.level_offsets
 
         def unflatten(f):

@@ -4,6 +4,8 @@ exhaustive enumeration."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdt_ising.branching import sample_spine_forest
 from cdt_ising.rng import stream
@@ -93,6 +95,45 @@ def test_up_degree_sums_count_strip_triangles():
         for n in range(t.top_level):
             s = sum(len(t.fans[n][i_]) for i_ in range(t.level_sizes[n]))
             assert s == t.level_sizes[n] + t.level_sizes[n + 1]
+
+
+def brute_force_tables(t: Triangulation):
+    """Degree split, distinct neighbours and loop-doubled degrees, read off
+    the edge-keyed ``primal_adjacency``."""
+    level_of = [n for n, k in enumerate(t.level_sizes) for _ in range(k)]
+    up, down, nbrs, total = [], [], [], []
+    for v, edges in enumerate(t.primal_adjacency):
+        others = [level_of[o] for _, o in edges]
+        up.append(others.count(level_of[v] + 1))
+        down.append(others.count(level_of[v] - 1))
+        nbrs.append(tuple(sorted({o for _, o in edges if o != v})))
+        total.append(len(edges) + sum(1 for _, o in edges if o == v))
+    return tuple(up), tuple(down), tuple(nbrs), total
+
+
+@pytest.mark.parametrize("levels", [5, 31])
+def test_graph_tables_match_primal_adjacency(levels):
+    for i in range(10):
+        t = forest_to_triangulation(sample_spine_forest(stream(25, levels, i), levels))
+        up, down, nbrs, total = brute_force_tables(t)
+        assert t.degree_split == (up, down)
+        assert t.neighbors == nbrs
+        n_free = t.vertex_count - t.level_sizes[-1]
+        assert t.mark_degrees.tolist() == total[:n_free]
+        for v in range(t.vertex_count):
+            level, pos = t.vertex_at(v)
+            assert t.flat_index(level, pos) == v and 0 <= pos < t.level_sizes[level]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), levels=st.integers(1, 6), data=st.data())
+def test_rotate_level_inverse_and_canonical(seed, levels, data):
+    t = forest_to_triangulation(sample_spine_forest(stream(seed), levels))
+    level = data.draw(st.integers(1, levels))
+    shift = data.draw(st.integers(-3 * t.level_sizes[level], 3 * t.level_sizes[level]))
+    r = rotate_level(t, level, shift)
+    assert r.canonical_key == t.canonical_key
+    assert rotate_level(r, level, -shift) == t
 
 
 def test_roundtrip_and_sumdeg_random():
