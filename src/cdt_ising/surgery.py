@@ -336,9 +336,9 @@ def path_neighborhood(t: Triangulation, path) -> PathNeighborhood:
 
 def _slot_count(t: Triangulation, v: Vertex, side: str) -> int:
     if side == "u":
-        return t.vertex_degree(*v).up or 0
+        return len(t.fans[v[0]][v[1]]) if v[0] < t.top_level else 0
     if side == "d":
-        return t.vertex_degree(*v).down or 0
+        return t.degree_split[1][t.flat_index(*v)]  # 0 on level 0
     return 1
 
 
