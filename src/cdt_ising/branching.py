@@ -7,6 +7,12 @@ vertex carries an independent pair of finite-subtree lists, one list on each
 side of the spine child.  Truncating everything at a finite height gives the
 ``SpineForest`` sampled here.
 
+``sample_spine_forest`` draws that tree level by level: per level, the
+spine's (left, right) side-child counts, then one batch of Geom(1/2) child
+counts for the whole level in planar order.  The per-tree sampler
+``sample_gw_tree`` draws single unconditioned trees generation by
+generation.
+
 Two exact laws are exposed for validation:
 
 * ``psi_n(n, s)``: generating function of the generation-n population of the
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -123,20 +130,6 @@ class FiniteTree:
             tuple(heights[v] for v in order),
         )
 
-    @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        """Preorder adjacency: children[i] lists child ids of node i."""
-        kids: list[list[int]] = [[] for _ in self.out_degrees]
-        stack = [(0, self.out_degrees[0])]
-        for i in range(1, len(self.out_degrees)):
-            while stack[-1][1] == 0:
-                stack.pop()
-            parent, remaining = stack[-1]
-            kids[parent].append(i)
-            stack[-1] = (parent, remaining - 1)
-            stack.append((i, self.out_degrees[i]))
-        return tuple(tuple(c) for c in kids)
-
     @property
     def node_count(self) -> int:
         return len(self.out_degrees)
@@ -182,65 +175,72 @@ def sample_gw_tree(rng: np.random.Generator, height_cap: int) -> FiniteTree:
 class SpineForest:
     """The survive-forever tree truncated at height ``levels``.
 
-    One spine vertex per level 0..levels.  ``left[i]`` / ``right[i]`` are the
-    finite trees hanging off spine vertex i, rooted at level i+1, to the left
-    and right of the spine child, each truncated at absolute height ``levels``.
+    ``out_degrees[n][i]`` is the child count of the i-th vertex at level n,
+    n = 0..levels-1, in planar order; the children of vertex i occupy
+    consecutive positions at level n+1, as in ``LevelForest``.
+    ``spine_positions[n]`` is the planar position of the spine vertex at
+    level n = 0..levels.  ``left[i]`` / ``right[i]`` are the finite trees
+    hanging off spine vertex i, rooted at level i+1, to the left and right of
+    the spine child, each truncated at absolute height ``levels``; they are
+    derived on first access.
     """
 
     levels: int
-    left: tuple[tuple[FiniteTree, ...], ...]
-    right: tuple[tuple[FiniteTree, ...], ...]
+    out_degrees: tuple[tuple[int, ...], ...]
+    spine_positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.levels < 1:
             raise ValueError("need at least one level")
-        if len(self.left) != self.levels or len(self.right) != self.levels:
-            raise ValueError("need one attachment pair per spine vertex 0..levels-1")
+        if len(self.out_degrees) != self.levels or len(self.spine_positions) != self.levels + 1:
+            raise ValueError("need out-degrees for levels 0..levels-1 and a spine position per level")
 
     def spine_child_count(self, i: int) -> int:
-        return len(self.left[i]) + 1 + len(self.right[i])
+        return self.out_degrees[i][self.spine_positions[i]]
 
     @cached_property
-    def _flat(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
-        # Nodes per level in planar (left-to-right) order.  Entry is either the
-        # spine marker or a (tree, node) pair.
-        out: list[tuple[int, ...]] = []
-        spine_pos = [0]
-        entries: list[tuple] = [("s",)]
-        sizes = [1]
-        for lvl in range(self.levels):
-            degs: list[int] = []
-            nxt: list[tuple] = []
-            for e in entries:
-                if e[0] == "s":
-                    lt = self.left[lvl]
-                    rt = self.right[lvl]
-                    degs.append(len(lt) + 1 + len(rt))
-                    nxt.extend(("t", t, 0) for t in lt)
-                    spine_pos.append(len(nxt))
-                    nxt.append(("s",))
-                    nxt.extend(("t", t, 0) for t in rt)
-                else:
-                    _, tree, node = e
-                    kids = tree.children[node]
-                    degs.append(len(kids))
-                    nxt.extend(("t", tree, c) for c in kids)
-            out.append(tuple(degs))
-            entries = nxt
-            sizes.append(len(entries))
-        return tuple(out), tuple(sizes), tuple(spine_pos)
-
-    @property
     def level_sizes(self) -> tuple[int, ...]:
-        return self._flat[1]
-
-    @property
-    def spine_positions(self) -> tuple[int, ...]:
-        """Planar position of the spine vertex at each level 0..levels."""
-        return self._flat[2]
+        return (1, *map(sum, self.out_degrees))
 
     def to_forest(self) -> "LevelForest":
-        return LevelForest(self._flat[0])
+        return LevelForest(self.out_degrees)
+
+    @cached_property
+    def _sides(self) -> tuple[tuple[tuple[FiniteTree, ...], ...], tuple[tuple[FiniteTree, ...], ...]]:
+        # first child position of every vertex, per level
+        firsts = [list(accumulate(d[:-1], initial=0)) for d in self.out_degrees]
+
+        def subtree(level: int, pos: int) -> FiniteTree:
+            degs: list[int] = []
+            heights: list[int] = []
+            stack = [(level, pos)]
+            while stack:
+                n, i = stack.pop()
+                d = self.out_degrees[n][i] if n < self.levels else 0
+                degs.append(d)
+                heights.append(n - level)
+                if d:
+                    s = firsts[n][i]
+                    stack.extend((n + 1, c) for c in range(s + d - 1, s - 1, -1))
+            return FiniteTree(tuple(degs), tuple(heights))
+
+        lefts = []
+        rights = []
+        for i in range(self.levels):
+            s = firsts[i][self.spine_positions[i]]
+            child = self.spine_positions[i + 1]
+            lefts.append(tuple(subtree(i + 1, c) for c in range(s, child)))
+            end = s + self.spine_child_count(i)
+            rights.append(tuple(subtree(i + 1, c) for c in range(child + 1, end)))
+        return tuple(lefts), tuple(rights)
+
+    @property
+    def left(self) -> tuple[tuple[FiniteTree, ...], ...]:
+        return self._sides[0]
+
+    @property
+    def right(self) -> tuple[tuple[FiniteTree, ...], ...]:
+        return self._sides[1]
 
 
 @dataclass(frozen=True)
@@ -284,24 +284,33 @@ class LevelForest:
 
 
 def sample_spine_forest(rng: np.random.Generator, levels: int) -> SpineForest:
-    """Sample the conditioned tree up to ``levels``, spine plus side trees.
+    """Sample the conditioned tree up to ``levels``, one level at a time.
 
-    At each spine vertex the number of left and right side trees are two
-    independent Geom(1/2) draws; with the spine child in between, the total
-    child count k = left + 1 + right is size-biased geometric and the spine
-    child position is uniform among the k children, as required.  Side trees
-    are independent unconditioned trees truncated at absolute height
-    ``levels``.  Draw order per spine vertex: left count, right count, left
-    trees, right trees (pinned for reproducibility).
+    At each level n = 0..levels-1 the spine vertex draws its left and right
+    side-child counts as two independent Geom(1/2) variables, and every
+    other vertex draws its child count from Geom(1/2).  The spine's total
+    k = left + 1 + right is then size-biased geometric and its child sits
+    uniformly among the k children, at (children of the vertices left of
+    the spine) + left.  The non-spine vertices of a level are the roots and
+    inner nodes of independent unconditioned side trees, so this is the law
+    of the spine plus side trees truncated at height ``levels``.
+
+    Draw order per level n (pinned for reproducibility): the spine pair
+    ``rng.geometric(0.5, size=2)``, then one ``rng.geometric(0.5, size=k_n)``
+    batch in planar order, whose entry at the spine position is replaced by
+    the spine's total.
     """
     if levels < 1:
         raise ValueError("need at least one level")
-    lefts: list[tuple[FiniteTree, ...]] = []
-    rights: list[tuple[FiniteTree, ...]] = []
-    for i in range(levels):
-        n_left = int(rng.geometric(0.5)) - 1
-        n_right = int(rng.geometric(0.5)) - 1
-        cap = levels - (i + 1)
-        lefts.append(tuple(sample_gw_tree(rng, cap) for _ in range(n_left)))
-        rights.append(tuple(sample_gw_tree(rng, cap) for _ in range(n_right)))
-    return SpineForest(levels, tuple(lefts), tuple(rights))
+    out: list[tuple[int, ...]] = []
+    spine = [0]
+    k = 1
+    for _ in range(levels):
+        p = spine[-1]
+        left, right = (rng.geometric(0.5, size=2) - 1).tolist()
+        degs = (rng.geometric(0.5, size=k) - 1).tolist()
+        degs[p] = left + 1 + right
+        spine.append(sum(degs[:p]) + left)
+        out.append(tuple(degs))
+        k = sum(degs)
+    return SpineForest(levels, tuple(out), tuple(spine))

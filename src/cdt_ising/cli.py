@@ -340,6 +340,22 @@ def _beta(text: str) -> float:
     return value
 
 
+def _threshold(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and 0 < value <= 1):
+        raise argparse.ArgumentTypeError(f"expected a threshold in (0, 1], got {text!r}")
+    return value
+
+
+def _width_cap(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= triangulation.MAX_ENUM_WIDTH:
+        raise argparse.ArgumentTypeError(
+            f"expected a width cap in 1..{triangulation.MAX_ENUM_WIDTH}, got {text!r}"
+        )
+    return value
+
+
 def _beta_grid(text: str) -> list[float]:
     return [_beta(x) for x in text.split(",") if x.strip()]
 
@@ -358,33 +374,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials_default=1000):
+    def common(p, trials=None, workers=False):
+        """Flags every subcommand takes, plus --trials (with this default)
+        and --workers where the subcommand uses them."""
         p.add_argument("--seed", type=_nonnegative_int, default=0, help="master seed (64-bit)")
-        p.add_argument("--trials", type=_positive_int, default=trials_default)
+        if trials is not None:
+            p.add_argument("--trials", type=_positive_int, default=trials)
         p.add_argument("--out", type=str, default=None, help="output path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--workers", type=_positive_int, default=1)
+        if workers:
+            p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("sample", help="sample triangulations and level-size histograms")
-    common(p)
+    common(p, trials=1000, workers=True)
     p.add_argument("--levels", "--n", "-n", type=_positive_int, default=5)
     p.add_argument("--save", type=_nonnegative_int, default=0,
                    help="save this many sampled triangulations")
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("stats", help="level-size law goodness of fit")
-    common(p, trials_default=100000)
+    common(p, trials=100000, workers=True)
     p.add_argument("--levels", "--n", "-n", type=_positive_int, default=5)
-    p.add_argument("--threshold", type=float, default=0.015)
+    p.add_argument("--threshold", type=_threshold, default=0.015)
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("ising-scan", help="root magnetization over a beta grid")
-    common(p)
+    common(p, workers=True)
     p.add_argument("--levels", "--n", "-n", type=_positive_int, default=10)
     p.add_argument("--beta", type=_beta, default=None)
     p.add_argument("--beta-grid", type=_beta_grid, default=None)
     p.add_argument("--bc", choices=("plus", "minus", "both"), default="both")
-    p.add_argument("--sweeps", type=int, default=2000)
+    p.add_argument("--sweeps", type=_positive_int, default=2000)
     p.add_argument("--replicas", type=_positive_int, default=2)
     p.add_argument("--burn-in", type=_nonnegative_int, default=1000)
     p.set_defaults(fn=cmd_ising_scan)
@@ -392,13 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contours", help="enumerate winding contours and the contour series")
     common(p)
     p.add_argument("--levels", "--n", "-n", type=_positive_int, default=3)
-    p.add_argument("--width-cap", type=int, default=4)
+    p.add_argument("--width-cap", type=_width_cap, default=4)
     p.add_argument("--beta", type=_beta, default=1.0)
     p.add_argument("--max-len", type=_positive_int, default=None)
     p.set_defaults(fn=cmd_contours)
 
     p = sub.add_parser("percolation", help="annealed open-cluster reach estimates")
-    common(p, trials_default=10000)
+    common(p, trials=10000, workers=True)
     p.add_argument("--levels", type=_levels_list, dest="levels_list", default=[10, 30])
     p.add_argument("--beta", type=_beta, default=None)
     p.add_argument("--beta-grid", type=_beta_grid, default=None)
@@ -412,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact enumeration cross-checks")
     common(p)
     p.add_argument("--levels", "--n", "-n", type=_positive_int, default=2)
-    p.add_argument("--width-cap", type=int, default=4)
+    p.add_argument("--width-cap", type=_width_cap, default=4)
     p.add_argument("--beta", type=_beta, default=1.0)
     p.set_defaults(fn=cmd_oracle)
     return parser

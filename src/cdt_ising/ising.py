@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import stream
-from .triangulation import FreeGraph, Triangulation
+from .triangulation import Triangulation
 
 MAX_EXACT_SPINS = 22
 _CHUNK = 1 << 18
@@ -67,11 +67,6 @@ class SpinState:
         n = sum(t.level_sizes[:-1])
         spins = (2 * rng.integers(0, 2, size=n) - 1).astype(np.int8)
         return cls(spins, boundary_vector(t, bc), beta)
-
-
-def _edge_table(t: Triangulation) -> FreeGraph:
-    """The interior/boundary edge split the Hamiltonian sums over."""
-    return t.free_graph
 
 
 def energy(t: Triangulation, state: SpinState) -> float:

@@ -39,11 +39,6 @@ def open_probability(degree: int, beta: float) -> float:
     return math.tanh(beta * degree)
 
 
-def _mark_degrees(t: Triangulation) -> np.ndarray:
-    """Percolation degree of every vertex on levels 0..top-1, flat order."""
-    return t.mark_degrees
-
-
 @dataclass(frozen=True)
 class OpenSet:
     """Independent open/closed marks on levels 0..top-1 of a triangulation."""

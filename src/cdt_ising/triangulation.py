@@ -150,7 +150,7 @@ class Triangulation:
     ) -> None:
         self.level_sizes: tuple[int, ...] = tuple(int(k) for k in level_sizes)
         self.fans: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
-            tuple(tuple(int(t) for t in fan) for fan in strip) for strip in fans
+            tuple(tuple(map(int, fan)) for fan in strip) for strip in fans
         )
         self._validate()
 
@@ -170,9 +170,13 @@ class Triangulation:
             for i, fan in enumerate(strip):
                 if not fan:
                     raise ValueError("every vertex has at least its fan-start edge")
-                for a, b in zip(fan, fan[1:]):
-                    if (a + 1) % k_top != b:
-                        raise ValueError(f"fan of vertex ({n},{i}) is not contiguous")
+                s = fan[0]
+                # a fan inside 0..k_top-1 is contiguous iff it is its own range;
+                # anything else (wrapping or malformed) takes the modular check
+                if not (0 <= s and s + len(fan) <= k_top and fan == tuple(range(s, s + len(fan)))):
+                    for a, b in zip(fan, fan[1:]):
+                        if (a + 1) % k_top != b:
+                            raise ValueError(f"fan of vertex ({n},{i}) is not contiguous")
                 nxt = strip[(i + 1) % k_bot]
                 if fan[-1] != nxt[0]:
                     raise ValueError(f"fans of strip {n} do not tile the upper level")
@@ -456,7 +460,11 @@ def forest_to_triangulation(forest: ForestLike) -> Triangulation:
         strip = []
         s = 0
         for d in degs:
-            strip.append(tuple(q % k_top for q in range(s, s + d + 1)))
+            end = s + d + 1
+            if end <= k_top:
+                strip.append(tuple(range(s, end)))
+            else:  # the last fans reach k_top, which wraps to 0
+                strip.append(tuple(q % k_top for q in range(s, end)))
             s += d
         fans.append(tuple(strip))
     return Triangulation(sizes, tuple(fans))

@@ -194,9 +194,7 @@ def test_06_glauber_against_exact():
     # detailed balance, exhaustively, on a <= 10 vertex instance
     small = forest_to_triangulation(((2,), (1, 2)))
     gs = gibbs_exact(small, 0.9, "minus")
-    from cdt_ising.ising import _edge_table
-
-    et = _edge_table(small)
+    et = small.free_graph
     db_err = 0.0
     for c in range(2 ** gs.n_free):
         spins = np.array([1 if (c >> v) & 1 else -1 for v in range(gs.n_free)], dtype=np.int8)

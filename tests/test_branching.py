@@ -204,6 +204,64 @@ def test_spine_forest_level_size_law():
     assert tv < 0.03
 
 
+def test_spine_child_position_uniform_given_child_count():
+    # P(spine child is the j-th of k children) = 1/k, pooled over levels
+    counts: dict[int, Counter] = {k: Counter() for k in (1, 2, 3, 4)}
+    for i in range(5000):
+        sf = sample_spine_forest(stream(31, i), 4)
+        for n in range(4):
+            p = sf.spine_positions[n]
+            k = sf.spine_child_count(n)
+            if k in counts:
+                first = sum(sf.out_degrees[n][:p])
+                counts[k][sf.spine_positions[n + 1] - first] += 1
+    for k, c in counts.items():
+        total = sum(c.values())
+        assert set(c) <= set(range(k))
+        for j in range(k):
+            se = (1 / k * (1 - 1 / k) / total) ** 0.5
+            assert abs(c[j] / total - 1 / k) <= 4 * se + 1e-12
+
+
+def test_non_spine_out_degrees_are_geometric():
+    # P(0) = 1/2 and mean 1 (variance 2) for every vertex off the spine
+    degs = []
+    for i in range(400):
+        sf = sample_spine_forest(stream(32, i), 8)
+        for n, lst in enumerate(sf.out_degrees):
+            p = sf.spine_positions[n]
+            degs.extend(lst[:p] + lst[p + 1:])
+    degs = np.array(degs)
+    m = len(degs)
+    assert m > 10000
+    assert abs(np.mean(degs == 0) - 0.5) < 4 * (0.25 / m) ** 0.5
+    assert abs(degs.mean() - 1.0) < 4 * (2.0 / m) ** 0.5
+
+
+def test_spine_forest_level_20_size_law():
+    # TV to the conditioned law at n = 20, against E[TV] + a McDiarmid
+    # margin at false-alarm probability 1e-4
+    n_level, trials = 20, 10000
+    counts = Counter(
+        sample_spine_forest(stream(33, i), n_level).level_sizes[n_level] for i in range(trials)
+    )
+    pmf = {k: level_size_pmf(n_level, k) for k in range(1, max(counts) + 2000)}
+    tv = 0.5 * sum(abs(counts.get(k, 0) / trials - p) for k, p in pmf.items())
+    expected = 0.5 * sum((p * (1 - p) / trials) ** 0.5 for p in pmf.values())
+    assert tv < expected + (np.log(1e4) / (2 * trials)) ** 0.5
+
+
+def test_side_trees_cover_the_forest():
+    for i in range(60):
+        for levels in (1, 2, 7, 15):
+            sf = sample_spine_forest(stream(34, i), levels)
+            trees = sum(t.node_count for side in (sf.left, sf.right) for lst in side for t in lst)
+            assert levels + 1 + trees == sum(sf.level_sizes)
+            for n in range(levels):
+                assert len(sf.left[n]) + 1 + len(sf.right[n]) == sf.spine_child_count(n)
+                assert all(t.max_height <= levels - n - 1 for t in sf.left[n] + sf.right[n])
+
+
 def test_level_forest_rejects_bad_input():
     with pytest.raises(ValueError):
         LevelForest(((2,), (0, 0)))  # empty level above

@@ -231,3 +231,32 @@ def test_contours_rejects_nan_beta(tmp_path, capsys):
     report = ExperimentReport("contours", {"beta": float("nan")}, ("x",), [(1.0,)])
     with pytest.raises(ValueError):
         report.to_json(out)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("stats", "--threshold", "nan"), "--threshold"),
+    (("ising-scan", "--beta", "0.1", "--sweeps", "0"), "--sweeps"),
+    (("contours", "--width-cap", "0"), "--width-cap"),
+    (("oracle", "--width-cap", "-1"), "--width-cap"),
+])
+def test_rejects_out_of_range_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x.csv"
+    err = rejected(capsys, *argv, "--out", str(out))
+    assert flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("contours", "--trials", "5"),
+    ("contours", "--workers", "2"),
+    ("oracle", "--trials", "5"),
+    ("oracle", "--workers", "2"),
+    ("surgery-selftest", "--trials", "5"),
+    ("surgery-selftest", "--workers", "2"),
+    ("ising-scan", "--beta", "0.1", "--trials", "5"),
+])
+def test_rejects_flag_the_subcommand_ignores(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    err = rejected(capsys, *argv, "--out", str(out))
+    assert "unrecognized arguments" in err
+    assert not out.exists()

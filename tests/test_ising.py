@@ -150,9 +150,7 @@ def test_glauber_detailed_balance_exact():
     g = gibbs_exact(t, beta, "minus")
     et_bc = g.boundary
     n = g.n_free
-    from cdt_ising.ising import _edge_table
-
-    et = _edge_table(t)
+    et = t.free_graph
     for c in range(2**n):
         spins = np.array([1 if (c >> v) & 1 else -1 for v in range(n)], dtype=np.int8)
         for v in range(n):

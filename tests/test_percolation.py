@@ -18,7 +18,6 @@ from cdt_ising.percolation import (
     open_set_from_uniforms,
     sample_open_set,
     shortcut_to_locally_geodesic,
-    _mark_degrees,
 )
 from cdt_ising.rng import stream
 from cdt_ising.triangulation import forest_to_triangulation
@@ -73,7 +72,7 @@ def test_sample_open_set_beta_zero_all_closed():
 def test_sample_open_set_frequency():
     # all marked degrees equal 4 or 6 on the chain; compare frequencies
     t = CHAIN4
-    degs = _mark_degrees(t)
+    degs = t.mark_degrees
     beta = 0.12
     rng = stream(72)
     hits = np.zeros(len(degs))

@@ -151,6 +151,92 @@ def test_roundtrip_enumerated():
         assert sum_deg_plus_one(t) == t.triangle_count
 
 
+@st.composite
+def out_degree_lists(draw):
+    """Per-level out-degree lists of a forest with one root and no empty level."""
+    lists = []
+    k = 1
+    for _ in range(draw(st.integers(1, 5))):
+        degs = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+        if sum(degs) == 0:
+            degs[draw(st.integers(0, k - 1))] = 1
+        lists.append(tuple(degs))
+        k = sum(degs)
+    return tuple(lists)
+
+
+def modular_fans(lists) -> tuple:
+    """Reference codec: vertex i's fan is S_i..S_{i+1} reduced mod k_top."""
+    fans = []
+    for n, degs in enumerate(lists):
+        k_top = sum(degs)
+        starts = [sum(degs[:i]) for i in range(len(degs))]
+        fans.append(tuple(tuple(q % k_top for q in range(s, s + d + 1))
+                          for s, d in zip(starts, degs)))
+    return tuple(fans)
+
+
+def seed_validation_error(sizes, fans) -> str | None:
+    """Reference validator: the first error of the per-entry modular check."""
+    for n, strip in enumerate(fans):
+        k_bot, k_top = sizes[n], sizes[n + 1]
+        if len(strip) != k_bot:
+            return f"strip {n} needs {k_bot} fans"
+        if sum(len(f) - 1 for f in strip) != k_top:
+            return f"strip {n} out-degrees must sum to {k_top}"
+        for i, fan in enumerate(strip):
+            for a, b in zip(fan, fan[1:]):
+                if (a + 1) % k_top != b:
+                    return f"fan of vertex ({n},{i}) is not contiguous"
+            if fan[-1] != strip[(i + 1) % k_bot][0]:
+                return f"fans of strip {n} do not tile the upper level"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(lists=out_degree_lists())
+def test_codec_roundtrip_on_arbitrary_forests(lists):
+    t = forest_to_triangulation(lists)
+    assert t.fans == modular_fans(lists)
+    assert triangulation_to_forest(t).out_degrees == lists
+
+
+@settings(max_examples=300, deadline=None)
+@given(lists=out_degree_lists(), data=st.data())
+def test_single_entry_perturbation_rejected_like_seed_validator(lists, data):
+    t = forest_to_triangulation(lists)
+    fans = [[list(fan) for fan in strip] for strip in t.fans]
+    n = data.draw(st.integers(0, t.top_level - 1))
+    i = data.draw(st.integers(0, len(fans[n]) - 1))
+    j = data.draw(st.integers(0, len(fans[n][i]) - 1))
+    k_top = t.level_sizes[n + 1]
+    old = fans[n][i][j]
+    # shifts by multiples of k_top keep the entry's residue: only the
+    # modular and tiling checks can tell those apart
+    new = data.draw(
+        st.integers(-2 * k_top - 1, 3 * k_top + 1).filter(lambda v: v != old)
+        | st.integers(-2, 2).filter(bool).map(lambda m: old + m * k_top)
+    )
+    fans[n][i][j] = new
+    expected = seed_validation_error(t.level_sizes, fans)
+    assert expected is not None
+    with pytest.raises(ValueError) as exc:
+        Triangulation(t.level_sizes, fans)
+    assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("sizes, fans", [
+    ((1, 3), [[(-2, -1, 0, 1)]]),  # negative entries that form a range
+    ((1, 2, 3), [[(0, 1, 0)], [(-2, -1, 0), (0, 1)]]),
+    ((1, 2), [[(1, 2, 3)]]),  # a range past k_top
+    ((1, 2, 2), [[(0, 1, 0)], [(0, 1), (1, 2)]]),
+])
+def test_malformed_fans_rejected_like_seed_validator(sizes, fans):
+    with pytest.raises(ValueError) as exc:
+        Triangulation(sizes, fans)
+    assert str(exc.value) == seed_validation_error(sizes, fans)
+
+
 def test_parent_is_leftmost_down_slot():
     t = forest_to_triangulation(((2,), (1, 1)))
     # both level-1 vertices hang off the root
