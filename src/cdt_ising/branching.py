@@ -277,11 +277,6 @@ class LevelForest:
     def levels(self) -> int:
         return len(self.out_degrees)
 
-    def child_range(self, n: int, i: int) -> tuple[int, int]:
-        """Half-open position range of the children of vertex (n, i) at level n+1."""
-        start = sum(self.out_degrees[n][:i])
-        return start, start + self.out_degrees[n][i]
-
 
 def sample_spine_forest(rng: np.random.Generator, levels: int) -> SpineForest:
     """Sample the conditioned tree up to ``levels``, one level at a time.

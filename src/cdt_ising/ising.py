@@ -143,12 +143,6 @@ class GibbsExact:
     def prob_of(self, spins: np.ndarray) -> float:
         return float(self.probs[self._config_index(spins)])
 
-    def ratio(self, spins_a: np.ndarray, spins_b: np.ndarray) -> float:
-        """Exact probability ratio P(a)/P(b) via the energy difference."""
-        ha = energy(self.t, SpinState(np.asarray(spins_a, dtype=np.int8), self.boundary, self.beta))
-        hb = energy(self.t, SpinState(np.asarray(spins_b, dtype=np.int8), self.boundary, self.beta))
-        return math.exp(-self.beta * (ha - hb))
-
     def marginal_plus(self, level: int, pos: int) -> float:
         v = self.t.flat_index(level, pos)
         m = len(self.probs)

@@ -17,11 +17,16 @@ geodesic path, and ``randomized_reconstruction`` is the random walk that
 undoes them: at each arrival it picks one of (insert_count + 2) options --
 the (insert_count + 1) placements of a horizontal-run contraction next to the
 current vertex, or nothing.
+
+Two private routines carry the graph work on a triangulation's tuples and on
+thawed lists alike.  ``_slots`` lists a vertex's edge slots by side; the path
+encoding, the embedding, the insertion sites and the walk's steps all read it.
+``_collapse_run`` collapses a horizontal run in place; ``collapse_run``,
+``collapse_horizontal_edge`` and the reconstruction walk all run it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -38,10 +43,6 @@ Vertex = tuple[int, int]
 
 def _thaw(t: Triangulation) -> tuple[list[int], list[list[list[int]]]]:
     return list(t.level_sizes), [[list(f) for f in strip] for strip in t.fans]
-
-
-def _freeze(sizes: list[int], fans: list[list[list[int]]]) -> Triangulation:
-    return Triangulation(sizes, fans)
 
 
 def _insert_one(
@@ -112,6 +113,50 @@ def _collapse_one(sizes: list[int], fans: list[list[list[int]]], level: int, pos
     sizes[level] -= 1
 
 
+def _remap_walk(walk: list[Vertex], level: int, f) -> None:
+    for i, (lvl, pos) in enumerate(walk):
+        if lvl == level:
+            walk[i] = (lvl, f(pos))
+
+
+def _collapse_run(
+    sizes: list[int], fans: list, level: int, start: int, count: int, walk: list[Vertex]
+) -> None:
+    """Collapse ``count`` consecutive horizontal edges from ``start``, in place.
+
+    The wrap edge is collapsed after rotating the level by one, so the merged
+    vertex and the rest of the run start at position 0.  Vertices of ``walk``
+    follow every relabeling.
+    """
+    p = start
+    for _ in range(count):
+        k = sizes[level]
+        p %= k
+        if p == k - 1:
+            _rotate_fans(sizes, fans, level, 1)
+            _remap_walk(walk, level, lambda q, k=k: (q + 1) % k)
+            p = 0
+        _collapse_one(sizes, fans, level, p)
+        _remap_walk(walk, level, lambda q, p=p: p if q == p + 1 else (q - 1 if q > p + 1 else q))
+
+
+def _slots(sizes, fans, v: Vertex) -> dict[str, list[Vertex]]:
+    """Edge-slot targets of ``v`` by side, with multiplicity, in slot order.
+
+    "u": the fan, empty on the top level; "d": the down slots, parent first,
+    empty on level 0; "r" and "l": the horizontal neighbours (a self-loop
+    gives ``v`` itself on both sides).
+    """
+    lvl, pos = v
+    k = sizes[lvl]
+    return {
+        "u": [(lvl + 1, q) for q in fans[lvl][pos]] if lvl < len(sizes) - 1 else [],
+        "d": [(lvl - 1, i) for i, _ in _down_slot_entries(fans, sizes, lvl, pos)] if lvl else [],
+        "r": [(lvl, (pos + 1) % k)],
+        "l": [(lvl, (pos - 1) % k)],
+    }
+
+
 # -- public surgery operations ------------------------------------------------
 
 
@@ -129,21 +174,14 @@ def insertion_sites(t: Triangulation, level: int, pos: int) -> list[InsertionSit
     Slots, not neighbor identities, enumerate the sites: parallel edges give
     distinct sites.
     """
-    deg = t.vertex_degree(level, pos)
-    if deg.boundary:
+    if t.vertex_degree(level, pos).boundary:
         raise ValueError("insertions need an internal vertex")
-    fan = t.fans[level][pos]
-    down = t.down_slots(level, pos)
+    s = _slots(t.level_sizes, t.fans, (level, pos))
     return [
-        InsertionSite(iu, jd, (level + 1, fan[iu]), (level - 1, down[jd][0]))
-        for iu in range(len(fan))
-        for jd in range(len(down))
+        InsertionSite(iu, jd, up, down)
+        for iu, up in enumerate(s["u"])
+        for jd, down in enumerate(s["d"])
     ]
-
-
-def multi_insertion_count(side_size: int, k: int) -> int:
-    """Nondecreasing slot k-tuples from one side: C(side_size + k - 1, k)."""
-    return math.comb(side_size + k - 1, k)
 
 
 @dataclass(frozen=True)
@@ -195,7 +233,7 @@ def insert_pairs(t: Triangulation, insertion: Insertion) -> InsertResult:
     sizes, fans = _thaw(t)
     for iu, jd in sorted(insertion.pairs, reverse=True):
         _insert_one(sizes, fans, level, pos, iu, jd)
-    return InsertResult(_freeze(sizes, fans), level, pos + 1, len(insertion.pairs))
+    return InsertResult(Triangulation(sizes, fans), level, pos + 1, len(insertion.pairs))
 
 
 def collapse_horizontal_edge(t: Triangulation, level: int, left_pos: int) -> Triangulation:
@@ -205,44 +243,26 @@ def collapse_horizontal_edge(t: Triangulation, level: int, left_pos: int) -> Tri
     wrap-around edge is collapsed after a relabeling rotation, so the result
     may differ from the "same" collapse by a rotation (compare canonically).
     """
-    if not 1 <= level <= t.top_level - 1:
-        raise ValueError("collapse needs strips on both sides of the level")
-    k = t.level_sizes[level]
-    if k < 2:
-        raise ValueError("cannot collapse a self-loop")
-    if not 0 <= left_pos < k:
+    if 1 <= level < t.top_level and not 0 <= left_pos < t.level_sizes[level]:
         raise ValueError("edge position out of range")
-    sizes, fans = _thaw(t)
-    if left_pos == k - 1:
-        _rotate_fans(sizes, fans, level, 1)
-        left_pos = 0
-    _collapse_one(sizes, fans, level, left_pos)
-    return _freeze(sizes, fans)
+    return collapse_run(t, level, left_pos, 1)
 
 
 def collapse_run(t: Triangulation, level: int, start: int, count: int) -> Triangulation:
     """Collapse ``count`` consecutive horizontal edges starting at ``start``.
 
-    Fails (ValueError) when the level is too small: collapsing k edges needs
-    at least k+1 vertices on the level.
+    Valid for 1 <= level <= top-1.  Fails (ValueError) when the level is too
+    small: collapsing k edges needs at least k+1 vertices on the level.
     """
+    if not 1 <= level < t.top_level:
+        raise ValueError("collapse needs strips on both sides of the level")
     if count < 1:
         raise ValueError("need at least one edge")
     if t.level_sizes[level] < count + 1:
         raise ValueError("level too small for the requested run")
-    out = t
-    pos = start
-    for _ in range(count):
-        k = out.level_sizes[level]
-        pos %= k
-        if pos == k - 1:
-            # collapsing the wrap edge rotates labels; the remaining run then
-            # starts at the merged vertex, which lands at position 0
-            out = collapse_horizontal_edge(out, level, pos)
-            pos = 0
-        else:
-            out = collapse_horizontal_edge(out, level, pos)
-    return out
+    sizes, fans = _thaw(t)
+    _collapse_run(sizes, fans, level, start, count, [])
+    return Triangulation(sizes, fans)
 
 
 # -- path neighborhoods and the modification map ------------------------------
@@ -276,45 +296,12 @@ class PathNeighborhood:
         return tuple(out)
 
 
-def _edge_slot(t: Triangulation, frm: Vertex, to: Vertex) -> tuple[str, int]:
-    """Smallest slot at ``frm`` leading to ``to``: up/down slots by index,
-    horizontal right/left otherwise."""
-    lf, pf = frm
-    lt, pt = to
-    if lt == lf + 1:
-        fan = t.fans[lf][pf]
-        for idx, q in enumerate(fan):
-            if q == pt:
-                return ("u", idx)
-    elif lt == lf - 1:
-        for idx, (i, _) in enumerate(t.down_slots(lf, pf)):
-            if i == pt:
-                return ("d", idx)
-    elif lt == lf:
-        k = t.level_sizes[lf]
-        if pt == (pf + 1) % k:
-            return ("r", 0)
-        if pt == (pf - 1) % k:
-            return ("l", 0)
-    raise ValueError(f"{to} is not adjacent to {frm}")
-
-
-def _slot_target(t: Triangulation, frm: Vertex, slot: tuple[str, int]) -> Vertex:
-    side, idx = slot
-    lvl, pos = frm
-    if side == "u":
-        return (lvl + 1, t.fans[lvl][pos][idx])
-    if side == "d":
-        return (lvl - 1, t.down_slots(lvl, pos)[idx][0])
-    k = t.level_sizes[lvl]
-    if side == "r":
-        return (lvl, (pos + 1) % k)
-    return (lvl, (pos - 1) % k)
-
-
-def _split_of(t: Triangulation, v: Vertex) -> tuple[int | None, int | None]:
-    d = t.vertex_degree(*v)
-    return (d.up, d.down)
+def _edge_slot(slots: dict[str, list[Vertex]], to: Vertex) -> tuple[str, int]:
+    """Smallest slot leading to ``to``, on the first side that reaches it."""
+    for side, targets in slots.items():
+        if to in targets:
+            return (side, targets.index(to))
+    raise ValueError(f"{to} is not adjacent")
 
 
 def path_neighborhood(t: Triangulation, path) -> PathNeighborhood:
@@ -324,22 +311,16 @@ def path_neighborhood(t: Triangulation, path) -> PathNeighborhood:
         raise ValueError("paths start at the root")
     if not is_locally_geodesic(t, path):
         raise ValueError("path is not self-avoiding locally geodesic")
-    splits = tuple(_split_of(t, v) for v in path)
+    slots = [_slots(t.level_sizes, t.fans, v) for v in path]
+    # only a boundary level has an empty up or down side
+    splits = tuple((len(s["u"]) or None, len(s["d"]) or None) for s in slots)
     entries: list[tuple[str, int] | None] = [None]
     exits: list[tuple[str, int] | None] = []
-    for a, b in zip(path, path[1:]):
-        exits.append(_edge_slot(t, a, b))
-        entries.append(_edge_slot(t, b, a))
+    for j in range(len(path) - 1):
+        exits.append(_edge_slot(slots[j], path[j + 1]))
+        entries.append(_edge_slot(slots[j + 1], path[j]))
     exits.append(None)
     return PathNeighborhood(path, splits, tuple(entries), tuple(exits))
-
-
-def _slot_count(t: Triangulation, v: Vertex, side: str) -> int:
-    if side == "u":
-        return len(t.fans[v[0]][v[1]]) if v[0] < t.top_level else 0
-    if side == "d":
-        return t.degree_split[1][t.flat_index(*v)]  # 0 on level 0
-    return 1
 
 
 def embed(pn: PathNeighborhood, t: Triangulation) -> tuple[Vertex, ...] | None:
@@ -351,20 +332,21 @@ def embed(pn: PathNeighborhood, t: Triangulation) -> tuple[Vertex, ...] | None:
     cur: Vertex = (0, 0)
     trace = [cur]
     for j in range(len(pn.path)):
-        if _split_of(t, cur) != pn.splits[j]:
+        s = _slots(t.level_sizes, t.fans, cur)
+        if (len(s["u"]) or None, len(s["d"]) or None) != pn.splits[j]:
             return None
         entry = pn.entries[j]
         if entry is not None:
-            if entry[1] >= _slot_count(t, cur, entry[0]):
-                return None
-            if _slot_target(t, cur, entry) != trace[-2]:
+            targets = s[entry[0]]
+            if entry[1] >= len(targets) or targets[entry[1]] != trace[-2]:
                 return None
         exit_ = pn.exits[j]
         if exit_ is None:
             break
-        if exit_[1] >= _slot_count(t, cur, exit_[0]):
+        targets = s[exit_[0]]
+        if exit_[1] >= len(targets):
             return None
-        cur = _slot_target(t, cur, exit_)
+        cur = targets[exit_[1]]
         trace.append(cur)
     if len(set(trace)) != len(trace):
         return None
@@ -446,23 +428,6 @@ class ReconstructionResult:
     contractions: tuple[tuple[int, int, int], ...]  # (level, start, count) performed
 
 
-def _neighbor_slots_raw(
-    sizes: list[int], fans: list[list[list[int]]], v: Vertex
-) -> list[Vertex]:
-    """Neighbor list with edge multiplicity: up and down slots plus the two
-    horizontal sides (a self-loop contributes its vertex twice)."""
-    lvl, pos = v
-    out: list[Vertex] = []
-    if lvl < len(sizes) - 1:
-        out.extend((lvl + 1, q) for q in fans[lvl][pos])
-    if lvl > 0:
-        out.extend((lvl - 1, i) for i, _ in _down_slot_entries(fans, sizes, lvl, pos))
-    k = sizes[lvl]
-    out.append((lvl, (pos + 1) % k))
-    out.append((lvl, (pos - 1) % k))
-    return out
-
-
 def randomized_reconstruction(
     t_prime: Triangulation,
     reference: Triangulation,
@@ -491,7 +456,7 @@ def randomized_reconstruction(
         return ReconstructionResult(False, tuple(walk), None, tuple(contractions))
 
     for _ in range(steps):
-        slots = _neighbor_slots_raw(sizes, fans, cur)
+        slots = [w for side in _slots(sizes, fans, cur).values() for w in side]
         cur = slots[int(rng.integers(0, len(slots)))]
         walk.append(cur)
         choice = int(rng.integers(0, count + 2))
@@ -503,30 +468,13 @@ def randomized_reconstruction(
             return fail()
         start %= sizes[lvl]
         contractions.append((lvl, start, count))
-        # collapse the run edge by edge, tracking the walk positions and the
-        # current vertex through merges and shifts
-        p = start
-        for _ in range(count):
-            k = sizes[lvl]
-            p %= k
-            if p == k - 1:
-                _rotate_fans(sizes, fans, lvl, 1)
-                _remap_walk(walk, lvl, lambda q, k=k: (q + 1) % k)
-                p = 0
-            _collapse_one(sizes, fans, lvl, p)
-            _remap_walk(walk, lvl, lambda q, p=p: p if q == p + 1 else (q - 1 if q > p + 1 else q))
+        _collapse_run(sizes, fans, lvl, start, count, walk)
         cur = walk[-1]
     if tuple(walk) != ref_path:
         return fail()
-    result = _freeze(sizes, fans)
+    result = Triangulation(sizes, fans)
     ok = result.canonical_key == reference.canonical_key
     return ReconstructionResult(ok, tuple(walk), result, tuple(contractions))
-
-
-def _remap_walk(walk: list[Vertex], level: int, f) -> None:
-    for i, (lvl, pos) in enumerate(walk):
-        if lvl == level:
-            walk[i] = (lvl, f(pos))
 
 
 def reconstruction_probability_bound(degrees, count: int = INSERT_COUNT) -> float:

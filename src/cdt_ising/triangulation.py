@@ -216,8 +216,13 @@ class Triangulation:
         level = bisect_right(self.level_offsets, flat) - 1
         return level, flat - self.level_offsets[level]
 
+    def _check_vertex(self, level: int, pos: int) -> None:
+        if not (0 <= level <= self.top_level and 0 <= pos < self.level_sizes[level]):
+            raise ValueError(f"no vertex ({level}, {pos}) in levels {self.level_sizes}")
+
     def down_slots(self, level: int, pos: int) -> tuple[tuple[int, int], ...]:
         """Ordered downward edge slots of (level, pos); the parent comes first."""
+        self._check_vertex(level, pos)
         if level < 1:
             raise ValueError("level-0 vertices have no downward edges")
         return tuple(_down_slot_entries(self.fans, self.level_sizes, level, pos))
@@ -227,6 +232,7 @@ class Triangulation:
         return self.down_slots(level, pos)[0][0]
 
     def vertex_degree(self, level: int, pos: int) -> VertexDegree:
+        self._check_vertex(level, pos)
         ups, downs = self.degree_split
         v = self.flat_index(level, pos)
         up = ups[v] if level < self.top_level else None

@@ -4,6 +4,8 @@ randomized reconstruction walk."""
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cdt_ising.rng import stream
 from cdt_ising.surgery import (
@@ -16,7 +18,6 @@ from cdt_ising.surgery import (
     insert_pairs,
     insertion_sites,
     modified_indices,
-    multi_insertion_count,
     path_neighborhood,
     randomized_reconstruction,
     reconstruction_probability_bound,
@@ -25,7 +26,9 @@ from cdt_ising.branching import sample_spine_forest
 from cdt_ising.triangulation import (
     enumerate_triangulations,
     forest_to_triangulation,
+    rotate_level,
 )
+from test_triangulation import out_degree_lists
 
 
 def vertex_degree_map(t):
@@ -51,12 +54,6 @@ def test_insertion_sites_product_count():
         assert len(sites) == d.up * d.down
     with pytest.raises(ValueError):
         insertion_sites(t, 0, 0)
-
-
-def test_multi_insertion_count():
-    assert multi_insertion_count(4, 10) == math.comb(13, 10)
-    # ordered-with-repeats dominates strictly increasing selections
-    assert multi_insertion_count(12, 10) >= math.comb(12, 10)
 
 
 def test_insertion_validates_ordering():
@@ -120,6 +117,45 @@ def test_tenfold_insert_and_undo():
     assert collapse_run(res.triangulation, *res.new_horizontal_run) == t
 
 
+def internal_vertex(data, t):
+    level = data.draw(st.integers(1, t.top_level - 1))
+    return level, data.draw(st.integers(0, t.level_sizes[level] - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lists=out_degree_lists(), data=st.data())
+def test_insert_then_collapse_restores_arbitrary_triangulation(lists, data):
+    t = forest_to_triangulation(lists)
+    assume(t.top_level >= 2)
+    level, pos = internal_vertex(data, t)
+    d = t.vertex_degree(level, pos)
+    k = data.draw(st.integers(1, 3))
+    ups = sorted(data.draw(st.lists(st.integers(0, d.up - 1), min_size=k, max_size=k)))
+    downs = sorted(data.draw(st.lists(st.integers(0, d.down - 1), min_size=k, max_size=k)))
+    res = insert_pairs(t, Insertion(level, pos, tuple(zip(ups, downs))))
+    assert res.triangulation.triangle_count == t.triangle_count + 2 * k
+    assert collapse_run(res.triangulation, *res.new_horizontal_run) == t
+
+
+@settings(max_examples=200, deadline=None)
+@given(lists=out_degree_lists(), data=st.data())
+def test_collapse_run_matches_single_edge_collapses(lists, data):
+    t = forest_to_triangulation(lists)
+    assume(t.top_level >= 2)
+    level, _ = internal_vertex(data, t)
+    k = t.level_sizes[level]
+    assume(k >= 2)
+    count = data.draw(st.integers(1, min(3, k - 1)))
+    # the last two starts run through the wrap edge (k-1, 0)
+    for start in {data.draw(st.integers(0, k - 1)), k - count, k - 1}:
+        # reference: relabel so the run starts at 0, then collapse its first
+        # edge count times
+        ref = rotate_level(t, level, -start)
+        for _ in range(count):
+            ref = collapse_horizontal_edge(ref, level, 0)
+        assert collapse_run(t, level, start, count).canonical_key == ref.canonical_key
+
+
 def test_collapse_decreases_f_by_two():
     t = forest_to_triangulation(((3,), (1, 2, 0), (2, 1, 1)))
     for pos in range(t.level_sizes[1]):
@@ -139,6 +175,16 @@ def test_collapse_guards():
         collapse_horizontal_edge(t2, 1, 5)
     with pytest.raises(ValueError):
         collapse_run(t2, 1, 0, 2)  # needs k >= count+1
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: insertion_sites(t, 1, 5),
+    lambda t: collapse_run(t, 5, 0, 1),
+], ids=["insertion_sites", "collapse_run"])
+def test_surgery_rejects_missing_vertex_or_level(call):
+    t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
+    with pytest.raises(ValueError):
+        call(t)
 
 
 def test_collapse_then_reinsert_closure():
@@ -184,24 +230,17 @@ def test_encoding_injective_within_host():
         seen = {}
         # depth-first over self-avoiding geodesic paths up to length 3
         adj = t.neighbors
-        offsets = t.level_offsets
-
-        def unflatten(f):
-            lvl = 0
-            while offsets[lvl + 1] <= f:
-                lvl += 1
-            return (lvl, f - offsets[lvl])
-
         stack = [[0]]
         while stack:
             flat_path = stack.pop()
-            path = [unflatten(f) for f in flat_path]
+            path = [t.vertex_at(f) for f in flat_path]
             try:
                 pn = path_neighborhood(t, path)
             except ValueError:
                 continue
             key = (pn.splits, pn.entries, pn.exits)
             assert seen.setdefault(key, tuple(path)) == tuple(path)
+            assert embed(pn, t) == tuple(path)
             if len(flat_path) <= 3:
                 for u in adj[flat_path[-1]]:
                     if u not in flat_path:

@@ -237,6 +237,14 @@ def test_malformed_fans_rejected_like_seed_validator(sizes, fans):
     assert str(exc.value) == seed_validation_error(sizes, fans)
 
 
+@pytest.mark.parametrize("level, pos", [(1, 5), (1, -1), (4, 0), (-1, 0)])
+@pytest.mark.parametrize("query", ["vertex_degree", "down_slots"])
+def test_vertex_queries_reject_missing_vertex(query, level, pos):
+    t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
+    with pytest.raises(ValueError):
+        getattr(t, query)(level, pos)
+
+
 def test_parent_is_leftmost_down_slot():
     t = forest_to_triangulation(((2,), (1, 1)))
     # both level-1 vertices hang off the root
@@ -259,6 +267,15 @@ def test_serialization_roundtrip():
         text = to_text(t)
         assert from_text(text) == t
         assert to_text(from_text(text)) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(lists=out_degree_lists(), data=st.data())
+def test_text_roundtrip_gives_canonical_form(lists, data):
+    t = forest_to_triangulation(lists)
+    for level in range(1, t.top_level + 1):
+        t = rotate_level(t, level, data.draw(st.integers(0, t.level_sizes[level] - 1)))
+    assert from_text(to_text(t)) == t.canonical()
 
 
 def test_serialization_rejects_malformed():
