@@ -16,19 +16,28 @@ intervals partition the original wedge.
 geodesic path, and ``randomized_reconstruction`` is the random walk that
 undoes them: at each arrival it picks one of (insert_count + 2) options --
 the (insert_count + 1) placements of a horizontal-run contraction next to the
-current vertex, or nothing.
+current vertex, or nothing.  An attempt's result is a function of its draws,
+so each modified triangulation keeps a branch table of the walks run on it:
+repeated attempts replay a finished branch from its draws, results are
+shared frozen objects, and the table lives as long as the triangulation.
+``reconstruction_success_probability`` enumerates every branch for the exact
+success probability.
 
 Two private routines carry the graph work on a triangulation's tuples and on
 thawed lists alike.  ``_slots`` lists a vertex's edge slots by side; the path
 encoding, the embedding, the insertion sites and the walk's steps all read it.
 ``_collapse_run`` collapses a horizontal run in place; ``collapse_run``,
 ``collapse_horizontal_edge`` and the reconstruction walk all run it.
+``_walk`` is the reconstruction walk with its draws supplied by a callback;
+the branch table and the exact enumeration both drive it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import Callable
 
 import numpy as np
 
@@ -243,19 +252,20 @@ def collapse_horizontal_edge(t: Triangulation, level: int, left_pos: int) -> Tri
     wrap-around edge is collapsed after a relabeling rotation, so the result
     may differ from the "same" collapse by a rotation (compare canonically).
     """
-    if 1 <= level < t.top_level and not 0 <= left_pos < t.level_sizes[level]:
-        raise ValueError("edge position out of range")
     return collapse_run(t, level, left_pos, 1)
 
 
 def collapse_run(t: Triangulation, level: int, start: int, count: int) -> Triangulation:
     """Collapse ``count`` consecutive horizontal edges starting at ``start``.
 
-    Valid for 1 <= level <= top-1.  Fails (ValueError) when the level is too
-    small: collapsing k edges needs at least k+1 vertices on the level.
+    Valid for 1 <= level <= top-1 and 0 <= start < k, the level's size; the
+    run may pass the wrap edge (k-1, 0).  Fails (ValueError) when the level
+    is too small: collapsing k edges needs at least k+1 vertices on the level.
     """
     if not 1 <= level < t.top_level:
         raise ValueError("collapse needs strips on both sides of the level")
+    if not 0 <= start < t.level_sizes[level]:
+        raise ValueError("edge position out of range")
     if count < 1:
         raise ValueError("need at least one edge")
     if t.level_sizes[level] < count + 1:
@@ -428,6 +438,59 @@ class ReconstructionResult:
     contractions: tuple[tuple[int, int, int], ...]  # (level, start, count) performed
 
 
+# The draws of one attempt, in order: per step the slot taken (out of the
+# current vertex's slot count), then the option (out of count + 2).
+Draws = tuple[int, ...]
+
+
+def _walk(
+    t_prime: Triangulation,
+    reference_key,
+    ref_path: tuple[Vertex, ...],
+    count: int,
+    pick: Callable[[Draws, int], int],
+) -> tuple[Draws, ReconstructionResult]:
+    """The reconstruction walk with its draws supplied by ``pick``.
+
+    ``pick(prefix, n)`` returns a draw in range(n) given the draws made so
+    far.  The result is a function of the draws alone; they are returned
+    with it.
+    """
+    steps = len(ref_path) - 1
+    cur: Vertex = (0, 0)
+    walk: list[Vertex] = [cur]
+    sizes, fans = _thaw(t_prime)
+    contractions: list[tuple[int, int, int]] = []
+    draws: Draws = ()
+
+    def fail() -> tuple[Draws, ReconstructionResult]:
+        return draws, ReconstructionResult(False, tuple(walk), None, tuple(contractions))
+
+    for _ in range(steps):
+        slots = [w for side in _slots(sizes, fans, cur).values() for w in side]
+        slot = pick(draws, len(slots))
+        draws += (slot,)
+        cur = slots[slot]
+        walk.append(cur)
+        choice = pick(draws, count + 2)
+        draws += (choice,)
+        if choice == count + 1:
+            continue  # do nothing
+        lvl, pos = cur
+        start = pos - count + choice
+        if not 1 <= lvl <= len(sizes) - 2 or sizes[lvl] < count + 1:
+            return fail()
+        start %= sizes[lvl]
+        contractions.append((lvl, start, count))
+        _collapse_run(sizes, fans, lvl, start, count, walk)
+        cur = walk[-1]
+    if tuple(walk) != ref_path:
+        return fail()
+    result = Triangulation(sizes, fans)
+    ok = result.canonical_key == reference_key
+    return draws, ReconstructionResult(ok, tuple(walk), result, tuple(contractions))
+
+
 def randomized_reconstruction(
     t_prime: Triangulation,
     reference: Triangulation,
@@ -444,37 +507,73 @@ def randomized_reconstruction(
     abort the attempt.  The attempt succeeds when the walk (with positions
     tracked through the contractions) equals the reference path and the
     rebuilt triangulation equals the reference.
+
+    The result is a function of the draws, so each branch runs once: a
+    branch table on ``t_prime``, keyed by (reference canonical key, path,
+    count), maps every draw prefix met at a step boundary to the next step's
+    slot count or to the finished result.  An attempt makes the same
+    ``rng.integers`` calls in the same order as the plain walk; only a
+    branch not yet in the table runs the walk.  Results are shared frozen
+    objects (their ``triangulation`` too), and a branch table lives as long
+    as its ``t_prime``, growing with the distinct branches met.
     """
     ref_path = tuple((int(l), int(p)) for l, p in reference_path)
-    steps = len(ref_path) - 1
-    cur: Vertex = (0, 0)
-    walk: list[Vertex] = [cur]
-    sizes, fans = _thaw(t_prime)
-    contractions: list[tuple[int, int, int]] = []
+    branches = t_prime.__dict__.setdefault("_reconstruction_branches", {})
+    table = branches.setdefault((reference.canonical_key, ref_path, count), {})
+    draws: Draws = ()
+    node = table.get(draws)
+    while isinstance(node, int):  # the slot count of the next step
+        draws += (int(rng.integers(0, node)), int(rng.integers(0, count + 2)))
+        node = table.get(draws)
+    if node is not None:
+        return node
+    known = draws
 
-    def fail() -> ReconstructionResult:
-        return ReconstructionResult(False, tuple(walk), None, tuple(contractions))
+    def pick(prefix: Draws, n: int) -> int:
+        if len(prefix) < len(known):
+            return known[len(prefix)]
+        if len(prefix) % 2 == 0:
+            table[prefix] = n
+        return int(rng.integers(0, n))
 
-    for _ in range(steps):
-        slots = [w for side in _slots(sizes, fans, cur).values() for w in side]
-        cur = slots[int(rng.integers(0, len(slots)))]
-        walk.append(cur)
-        choice = int(rng.integers(0, count + 2))
-        if choice == count + 1:
-            continue  # do nothing
-        lvl, pos = cur
-        start = pos - count + choice
-        if not 1 <= lvl <= len(sizes) - 2 or sizes[lvl] < count + 1:
-            return fail()
-        start %= sizes[lvl]
-        contractions.append((lvl, start, count))
-        _collapse_run(sizes, fans, lvl, start, count, walk)
-        cur = walk[-1]
-    if tuple(walk) != ref_path:
-        return fail()
-    result = Triangulation(sizes, fans)
-    ok = result.canonical_key == reference.canonical_key
-    return ReconstructionResult(ok, tuple(walk), result, tuple(contractions))
+    draws, node = _walk(t_prime, reference.canonical_key, ref_path, count, pick)
+    table[draws] = node
+    return node
+
+
+def reconstruction_success_probability(
+    t_prime: Triangulation,
+    reference: Triangulation,
+    reference_path,
+    count: int = INSERT_COUNT,
+) -> float:
+    """The exact per-attempt success probability of ``randomized_reconstruction``.
+
+    Enumerates every branch of the walk, (slot count) x (count + 2) per
+    step, and sums the weights of the successful ones; a step weighs
+    1 / (slot count * (count + 2)).  One walk runs per branch, and branches
+    multiply along the path, so this suits small fixtures.
+    """
+    ref_path = tuple((int(l), int(p)) for l, p in reference_path)
+    wins: list[float] = []
+    pending: list[Draws] = [()]
+    while pending:
+        forced = pending.pop()
+        weight = 1.0
+
+        def pick(prefix: Draws, n: int) -> int:
+            # follow ``forced``, then take 0 and leave the siblings for later
+            nonlocal weight
+            weight /= n
+            if len(prefix) < len(forced):
+                return forced[len(prefix)]
+            pending.extend(prefix + (v,) for v in range(1, n))
+            return 0
+
+        _, result = _walk(t_prime, reference.canonical_key, ref_path, count, pick)
+        if result.success:
+            wins.append(weight)
+    return math.fsum(wins)
 
 
 def reconstruction_probability_bound(degrees, count: int = INSERT_COUNT) -> float:

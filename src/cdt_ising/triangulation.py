@@ -206,6 +206,7 @@ class Triangulation:
         return tuple(offs)
 
     def flat_index(self, level: int, pos: int) -> int:
+        self._check_vertex(level, pos)
         return self.level_offsets[level] + pos
 
     def out_degree(self, level: int, pos: int) -> int:
@@ -232,7 +233,6 @@ class Triangulation:
         return self.down_slots(level, pos)[0][0]
 
     def vertex_degree(self, level: int, pos: int) -> VertexDegree:
-        self._check_vertex(level, pos)
         ups, downs = self.degree_split
         v = self.flat_index(level, pos)
         up = ups[v] if level < self.top_level else None

@@ -8,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cdt_ising.branching import sample_spine_forest
 from cdt_ising.contours import (
@@ -20,6 +22,8 @@ from cdt_ising.contours import (
 from cdt_ising.ising import SpinState, energy, gibbs_exact
 from cdt_ising.rng import stream
 from cdt_ising.triangulation import Triangulation, forest_to_triangulation
+
+from test_triangulation import out_degree_lists
 
 
 # -- independent oracle -------------------------------------------------------
@@ -218,6 +222,27 @@ def test_flip_inside_matches_gibbs_ratio():
                 ratio = g.prob_of(sigma) / g.prob_of(minus)
                 expected = math.exp(-2.0 * beta * c.length)
                 assert abs(ratio - expected) <= 1e-12 * expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(lists=out_degree_lists(), data=st.data())
+def test_flip_inside_properties(lists, data):
+    # drop top levels until the triangulation is small enough to enumerate
+    while len(lists) > 1 and sum(map(sum, lists)) > 12:
+        lists = lists[:-1]
+    t = forest_to_triangulation(lists)
+    contours = enumerate_contours(t, n_max=8).contours
+    assume(contours)
+    c = data.draw(st.sampled_from(contours))
+    n_free = sum(t.level_sizes[:-1])
+    spins = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n_free, max_size=n_free))
+    state = SpinState(np.array(spins, dtype=np.int8), np.ones(t.level_sizes[-1], dtype=np.int8), 0.5)
+    flipped = flip_inside(t, state, c)
+    assert np.array_equal(flip_inside(t, flipped, c).spins, state.spins)
+    changed = set(np.flatnonzero(flipped.spins != state.spins).tolist())
+    assert changed == {t.flat_index(lvl, pos) for lvl, pos in below_vertices(t, c)}
+    plus = SpinState.constant(t, 1, "plus", 0.5)
+    assert energy(t, flip_inside(t, plus, c)) - energy(t, plus) == 2 * c.length
 
 
 def test_inversion_map_injective():

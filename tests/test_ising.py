@@ -99,6 +99,14 @@ def test_gibbs_prob_of_and_marginals_consistent():
     assert abs(marg - g.root_plus()) < 1e-12
 
 
+@pytest.mark.parametrize("level, pos", [(1, 5), (1, 2)])
+def test_marginal_rejects_missing_vertex(level, pos):
+    # (1, 2) would be the flat id of (2, 0), and (1, 5) one of a boundary vertex
+    g = gibbs_exact(forest_to_triangulation(((2,), (1, 2), (1, 1, 1))), 0.5, "plus")
+    with pytest.raises(ValueError):
+        g.marginal_plus(level, pos)
+
+
 def test_conditional_spin_prob():
     assert conditional_spin_prob(0, 1.3) == 0.5
     assert conditional_spin_prob(5, 0.0) == 0.5

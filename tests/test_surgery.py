@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from cdt_ising.rng import stream
 from cdt_ising.surgery import (
+    INSERT_COUNT,
     Insertion,
+    ReconstructionResult,
+    _collapse_run,
+    _slots,
+    _thaw,
     apply_modification,
     collapse_horizontal_edge,
     collapse_run,
@@ -21,9 +26,11 @@ from cdt_ising.surgery import (
     path_neighborhood,
     randomized_reconstruction,
     reconstruction_probability_bound,
+    reconstruction_success_probability,
 )
 from cdt_ising.branching import sample_spine_forest
 from cdt_ising.triangulation import (
+    Triangulation,
     enumerate_triangulations,
     forest_to_triangulation,
     rotate_level,
@@ -44,6 +51,8 @@ FIXTURE = forest_to_triangulation(((2,), (5, 1), (1,) * 6))
 FIX_PATH = path_neighborhood(FIXTURE, [(0, 0), (1, 0)])
 FIX_PLAN = {1: ((5,) * 10, (1,) * 10)}
 FIX_MOD = apply_modification(FIXTURE, FIX_PATH, FIX_PLAN, threshold=8, count=10)
+CHAIN = forest_to_triangulation(((1,),) * 4)
+CHAIN_PATH = ((0, 0), (1, 0), (2, 0), (3, 0))
 
 
 def test_insertion_sites_product_count():
@@ -180,7 +189,9 @@ def test_collapse_guards():
 @pytest.mark.parametrize("call", [
     lambda t: insertion_sites(t, 1, 5),
     lambda t: collapse_run(t, 5, 0, 1),
-], ids=["insertion_sites", "collapse_run"])
+    lambda t: collapse_run(t, 1, 7, 1),
+    lambda t: collapse_run(t, 1, -3, 1),
+], ids=["insertion_sites", "collapse_run", "collapse_run_start_past_level", "collapse_run_negative_start"])
 def test_surgery_rejects_missing_vertex_or_level(call):
     t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
     with pytest.raises(ValueError):
@@ -313,6 +324,100 @@ def test_reconstruction_frequency_beats_bound():
     se = math.sqrt(max(freq * (1 - freq), 1e-12) / attempts)
     assert freq >= bound - 3 * se
     assert freq > 0
+    exact = reconstruction_success_probability(FIX_MOD, FIXTURE, FIX_PATH.path)
+    assert abs(freq - exact) <= 4 * math.sqrt(exact * (1 - exact) / attempts)
+
+
+@pytest.mark.parametrize("t_prime, reference, path", [
+    (FIX_MOD, FIXTURE, FIX_PATH.path),
+    (CHAIN, CHAIN, CHAIN_PATH),
+], ids=["modified", "chain"])
+def test_exact_success_probability_beats_bound(t_prime, reference, path):
+    exact = reconstruction_success_probability(t_prime, reference, path)
+    assert exact >= reconstruction_probability_bound(path_neighborhood(reference, path).degrees())
+
+
+def test_exact_success_probability_of_chain():
+    # each step takes one of the two parallel edges upward, out of 4 slots at
+    # the root and 6 above it, then does nothing: every contraction on a
+    # one-vertex level aborts
+    exact = reconstruction_success_probability(CHAIN, CHAIN, CHAIN_PATH)
+    assert exact == pytest.approx((2 / 4) * (2 / 6) * (2 / 6) / 12**3, rel=1e-12)
+
+
+def plain_reconstruction(t_prime, reference, reference_path, rng, count=INSERT_COUNT):
+    """Reference: the reconstruction walk drawing straight from ``rng``, with
+    no branch table."""
+    ref_path = tuple((int(l), int(p)) for l, p in reference_path)
+    cur = (0, 0)
+    walk = [cur]
+    sizes, fans = _thaw(t_prime)
+    contractions = []
+
+    def fail():
+        return ReconstructionResult(False, tuple(walk), None, tuple(contractions))
+
+    for _ in range(len(ref_path) - 1):
+        slots = [w for side in _slots(sizes, fans, cur).values() for w in side]
+        cur = slots[int(rng.integers(0, len(slots)))]
+        walk.append(cur)
+        choice = int(rng.integers(0, count + 2))
+        if choice == count + 1:
+            continue
+        lvl, pos = cur
+        start = pos - count + choice
+        if not 1 <= lvl <= len(sizes) - 2 or sizes[lvl] < count + 1:
+            return fail()
+        start %= sizes[lvl]
+        contractions.append((lvl, start, count))
+        _collapse_run(sizes, fans, lvl, start, count, walk)
+        cur = walk[-1]
+    if tuple(walk) != ref_path:
+        return fail()
+    result = Triangulation(sizes, fans)
+    ok = result.canonical_key == reference.canonical_key
+    return ReconstructionResult(ok, tuple(walk), result, tuple(contractions))
+
+
+def _fixture_calls():
+    return [(FIX_MOD, FIXTURE, FIX_PATH.path, 10), (CHAIN, CHAIN, CHAIN_PATH, 10)] * 1500
+
+
+def _count_two_calls():
+    calls = []
+    for i in range(20):
+        t = forest_to_triangulation(sample_spine_forest(stream(96, i), 6))
+        wider = insert_pairs(t, Insertion(1, 0, ((0, 0), (0, 0)))).triangulation
+        path = ((0, 0), (1, 0), (2, t.fans[1][0][0]))
+        calls += [(wider, t, path, 2), (t, t, path, 2)] * 60
+    return calls
+
+
+def _two_reference_calls():
+    # one path, so only the reference tells the two tables apart
+    return [(FIX_MOD, FIXTURE, FIX_PATH.path, 10), (FIX_MOD, FIX_MOD, FIX_PATH.path, 10)] * 1500
+
+
+def _copy_calls():
+    copy = Triangulation(FIX_MOD.level_sizes, FIX_MOD.fans)
+    assert copy == FIX_MOD and copy is not FIX_MOD
+    return [(FIX_MOD, FIXTURE, FIX_PATH.path, 10), (copy, FIXTURE, FIX_PATH.path, 10)] * 1500
+
+
+@pytest.mark.parametrize("calls", [_fixture_calls, _count_two_calls, _two_reference_calls, _copy_calls],
+                         ids=["fixtures", "count_two", "two_references", "equal_copy"])
+def test_branch_table_matches_plain_walk(calls):
+    # the same draws in the same order from one shared stream; dataclass
+    # equality compares success, walk, rebuilt triangulation and contractions
+    memo_rng, plain_rng = stream(97), stream(97)
+    successes = 0
+    for t_prime, reference, path, count in calls():
+        got = randomized_reconstruction(t_prime, reference, path, memo_rng, count)
+        want = plain_reconstruction(t_prime, reference, path, plain_rng, count)
+        assert got == want
+        successes += got.success
+    assert successes > 0
+    assert memo_rng.random() == plain_rng.random()
 
 
 def test_reconstruction_success_rebuilds_reference():

@@ -238,7 +238,7 @@ def test_malformed_fans_rejected_like_seed_validator(sizes, fans):
 
 
 @pytest.mark.parametrize("level, pos", [(1, 5), (1, -1), (4, 0), (-1, 0)])
-@pytest.mark.parametrize("query", ["vertex_degree", "down_slots"])
+@pytest.mark.parametrize("query", ["vertex_degree", "down_slots", "flat_index"])
 def test_vertex_queries_reject_missing_vertex(query, level, pos):
     t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
     with pytest.raises(ValueError):
