@@ -138,12 +138,6 @@ class FiniteTree:
     def max_height(self) -> int:
         return max(self.heights)
 
-    def level_sizes(self) -> list[int]:
-        sizes = [0] * (self.max_height + 1)
-        for h in self.heights:
-            sizes[h] += 1
-        return sizes
-
 
 def sample_gw_tree(rng: np.random.Generator, height_cap: int) -> FiniteTree:
     """Sample an unconditioned Geom(1/2) tree, generation by generation.

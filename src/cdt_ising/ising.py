@@ -144,7 +144,10 @@ class GibbsExact:
         return float(self.probs[self._config_index(spins)])
 
     def marginal_plus(self, level: int, pos: int) -> float:
+        """P(spin at (level, pos) is +); a top-level spin is the boundary's."""
         v = self.t.flat_index(level, pos)
+        if v >= self.n_free:
+            return float(self.boundary[v - self.n_free] > 0)
         m = len(self.probs)
         total = 0.0
         for lo in range(0, m, _CHUNK):
@@ -156,17 +159,6 @@ class GibbsExact:
 
     def root_plus(self) -> float:
         return self.marginal_plus(0, 0)
-
-    def event_prob(self, predicate) -> float:
-        """Probability of {predicate(spins) is True}; predicate maps an int8
-        configuration vector to bool.  Walks all configurations."""
-        n = self.n_free
-        total = 0.0
-        for c in range(len(self.probs)):
-            spins = np.array([1 if (c >> v) & 1 else -1 for v in range(n)], dtype=np.int8)
-            if predicate(spins):
-                total += float(self.probs[c])
-        return total
 
 
 def gibbs_exact(t: Triangulation, beta: float, bc) -> GibbsExact:

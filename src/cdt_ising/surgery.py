@@ -7,10 +7,12 @@ immediately to the right of v, the two chosen neighbors each gain exactly one
 edge, and the triangle count grows by 2.  Collapsing the fresh horizontal
 edge undoes the insertion exactly.
 
-A k-fold insertion applies k slot pairs at the same vertex; with both slot
-lists nondecreasing (repeats allowed) the insertions are applied from the
-largest slots down, producing a horizontal chain of k new vertices whose fan
-intervals partition the original wedge.
+A k-fold insertion applies k slot pairs at the same vertex.  With both slot
+lists nondecreasing (repeats allowed) it has a closed form: the k up slots
+cut the vertex's fan into k+1 consecutive pieces and the k down slots cut
+its down edges likewise, producing a horizontal chain of k new vertices
+whose fan intervals partition the original wedge.  The result equals k
+elementary insertions applied from the largest slots down.
 
 ``apply_modification`` performs such insertions along an embedded locally
 geodesic path, and ``randomized_reconstruction`` is the random walk that
@@ -23,18 +25,21 @@ shared frozen objects, and the table lives as long as the triangulation.
 ``reconstruction_success_probability`` enumerates every branch for the exact
 success probability.
 
-Two private routines carry the graph work on a triangulation's tuples and on
-thawed lists alike.  ``_slots`` lists a vertex's edge slots by side; the path
-encoding, the embedding, the insertion sites and the walk's steps all read it.
-``_collapse_run`` collapses a horizontal run in place; ``collapse_run``,
-``collapse_horizontal_edge`` and the reconstruction walk all run it.
-``_walk`` is the reconstruction walk with its draws supplied by a callback;
-the branch table and the exact enumeration both drive it.
+Private routines carry the graph work.  ``_slots`` lists a vertex's edge
+slots by side, on a triangulation's tuples and on thawed lists alike; the
+path encoding, the embedding, the insertion sites and the walk's steps all
+read it.  On thawed lists, ``_insert_run`` makes a k-fold insertion in one
+pass (``insert_pairs`` and ``apply_modification`` run it), and
+``_collapse_run`` collapses a horizontal run in one pass (``collapse_run``,
+``collapse_horizontal_edge`` and the reconstruction walk run it).  ``_walk``
+is the reconstruction walk with its draws supplied by a callback; the branch
+table and the exact enumeration both drive it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable
@@ -54,78 +59,38 @@ def _thaw(t: Triangulation) -> tuple[list[int], list[list[list[int]]]]:
     return list(t.level_sizes), [[list(f) for f in strip] for strip in t.fans]
 
 
-def _insert_one(
-    sizes: list[int], fans: list[list[list[int]]], level: int, pos: int, iu: int, jd: int
+def _insert_run(
+    sizes: list[int],
+    fans: list[list[list[int]]],
+    level: int,
+    pos: int,
+    pairs: tuple[tuple[int, int], ...],
 ) -> None:
-    """Elementary insertion at (level, pos) with up slot iu and down slot jd.
+    """k-fold insertion at (level, pos) with nondecreasing (up, down) slot pairs.
 
-    The new vertex lands at position pos+1; it takes the up slots iu..end
-    (the slot-iu edge is duplicated) and the down slots jd..end (likewise).
+    The new vertices land at pos+1..pos+k.  With ups u_1..u_k, vertex pos+j
+    takes the up fan slots u_j..u_{j+1} (u_0 = 0, u_{k+1} = the last slot),
+    so a chosen up edge is shared by two neighbouring fans.  A down slot of
+    rank r becomes the edges to pos+a..pos+b, a = #{down < r} and
+    b = #{down <= r}: one edge, or a run of duplicates when r was chosen.
     """
-    fan_v = fans[level][pos]
-    if not 0 <= iu < len(fan_v):
-        raise ValueError(f"up slot {iu} out of range")
+    ups = [iu for iu, _ in pairs]
+    downs = [jd for _, jd in pairs]
+    fan = fans[level][pos]
     down = _down_slot_entries(fans, sizes, level, pos)
-    if not 0 <= jd < len(down):
-        raise ValueError(f"down slot {jd} out of range")
-
-    # split the up fan between v and the new vertex
-    fans[level].insert(pos + 1, fan_v[iu:])
-    fans[level][pos] = fan_v[: iu + 1]
-
-    # renumber the lower strip: entries beyond pos shift right; entries at pos
-    # with slot rank > jd move to the new vertex; the slot-jd edge duplicates
-    slot_rank = {entry: r for r, entry in enumerate(down)}
+    for iu, jd in pairs:
+        if not (0 <= iu < len(fan) and 0 <= jd < len(down)):
+            raise ValueError(f"slot pair ({iu}, {jd}) out of range for degree split")
+    k = len(pairs)
+    cuts = [0, *ups, len(fan) - 1]
+    fans[level][pos:pos + 1] = [fan[a:b + 1] for a, b in zip(cuts, cuts[1:])]
     below = fans[level - 1]
-    for i, fan in enumerate(below):
-        for idx, q in enumerate(fan):
-            if q > pos:
-                fan[idx] = q + 1
-            elif q == pos and slot_rank.get((i, idx), -1) > jd:
-                fan[idx] = pos + 1
-    owner_i, owner_idx = down[jd]
-    below[owner_i].insert(owner_idx + 1, pos + 1)
-    sizes[level] += 1
-
-
-def _collapse_one(sizes: list[int], fans: list[list[list[int]]], level: int, pos: int) -> None:
-    """Collapse the horizontal edge (pos, pos+1): merge pos+1 into pos.
-
-    Requires pos+1 < k (callers rotate the wrap edge away first).
-    """
-    k = sizes[level]
-    assert pos + 1 < k
-    # merge up fans; the shared fan boundary is the apex of the removed triangle
-    fan_v, fan_w = fans[level][pos], fans[level][pos + 1]
-    assert fan_v[-1] == fan_w[0], "fans must share their boundary"
-    fans[level][pos] = fan_v + fan_w[1:]
-    del fans[level][pos + 1]
-    # lower strip: delete the duplicate edge under the removed triangle, then
-    # retarget pos+1 to pos and shift everything beyond
-    below = fans[level - 1]
-    removed = False
-    for fan in below:
-        for idx in range(len(fan) - 1):
-            if fan[idx] == pos and fan[idx + 1] == pos + 1:
-                del fan[idx + 1]
-                removed = True
-                break
-        if removed:
-            break
-    assert removed, "no triangle below the collapsed edge"
-    for fan in below:
-        for idx, q in enumerate(fan):
-            if q == pos + 1:
-                fan[idx] = pos
-            elif q > pos + 1:
-                fan[idx] = q - 1
-    sizes[level] -= 1
-
-
-def _remap_walk(walk: list[Vertex], level: int, f) -> None:
-    for i, (lvl, pos) in enumerate(walk):
-        if lvl == level:
-            walk[i] = (lvl, f(pos))
+    for i, lower in enumerate(below):
+        below[i] = [q + k if q > pos else q for q in lower]
+    # right to left, so that a widened entry leaves the indices before it valid
+    for (i, idx), r in sorted(((entry, r) for r, entry in enumerate(down)), reverse=True):
+        below[i][idx:idx + 1] = range(pos + bisect_left(downs, r), pos + bisect_right(downs, r) + 1)
+    sizes[level] += k
 
 
 def _collapse_run(
@@ -133,20 +98,33 @@ def _collapse_run(
 ) -> None:
     """Collapse ``count`` consecutive horizontal edges from ``start``, in place.
 
-    The wrap edge is collapsed after rotating the level by one, so the merged
-    vertex and the rest of the run start at position 0.  Vertices of ``walk``
-    follow every relabeling.
+    The run's vertices start..start+count merge into ``start``.  A run past
+    the wrap edge (k-1, 0) is first relabelled to start at position 0, so
+    the merged vertex lands at 0.  In the strip below, the edge to q under
+    each removed triangle (q-1, q) is dropped; then one map relabels the
+    level, in the fans and in ``walk`` alike.
     """
-    p = start
-    for _ in range(count):
-        k = sizes[level]
-        p %= k
-        if p == k - 1:
-            _rotate_fans(sizes, fans, level, 1)
-            _remap_walk(walk, level, lambda q, k=k: (q + 1) % k)
-            p = 0
-        _collapse_one(sizes, fans, level, p)
-        _remap_walk(walk, level, lambda q, p=p: p if q == p + 1 else (q - 1 if q > p + 1 else q))
+    k = sizes[level]
+    start %= k
+    if start + count >= k:
+        _rotate_fans(sizes, fans, level, -start)
+        walk[:] = [(lvl, (p - start) % k if lvl == level else p) for lvl, p in walk]
+        start = 0
+    end = start + count
+    # labels up to start stay, the run's take start, the rest move down by count
+    relabel = [*range(start + 1), *[start] * count, *range(start + 1, k - count)]
+    run = fans[level][start:end + 1]
+    assert all(a[-1] == b[0] for a, b in zip(run, run[1:])), "fans must share their boundary"
+    fans[level][start:end + 1] = [run[0] + [q for f in run[1:] for q in f[1:]]]
+    below = fans[level - 1]
+    edges = sum(map(len, below))
+    for i, lower in enumerate(below):
+        # drop the edge to q under each removed triangle (q-1, q)
+        below[i] = [relabel[q] for a, q in zip((None, *lower), lower)
+                    if not (a == q - 1 and start < q <= end)]
+    assert sum(map(len, below)) == edges - count, "no triangle below a collapsed edge"
+    walk[:] = [(lvl, relabel[p] if lvl == level else p) for lvl, p in walk]
+    sizes[level] -= count
 
 
 def _slots(sizes, fans, v: Vertex) -> dict[str, list[Vertex]]:
@@ -233,15 +211,10 @@ def insert_pairs(t: Triangulation, insertion: Insertion) -> InsertResult:
     original triangulation exactly.
     """
     level, pos = insertion.level, insertion.pos
-    deg = t.vertex_degree(level, pos)
-    if deg.boundary:
+    if t.vertex_degree(level, pos).boundary:
         raise ValueError("insertions need an internal vertex")
-    for iu, jd in insertion.pairs:
-        if not (0 <= iu < deg.up and 0 <= jd < deg.down):
-            raise ValueError(f"slot pair ({iu}, {jd}) out of range for degree split")
     sizes, fans = _thaw(t)
-    for iu, jd in sorted(insertion.pairs, reverse=True):
-        _insert_one(sizes, fans, level, pos, iu, jd)
+    _insert_run(sizes, fans, level, pos, insertion.pairs)
     return InsertResult(Triangulation(sizes, fans), level, pos + 1, len(insertion.pairs))
 
 
@@ -392,7 +365,8 @@ def apply_modification(
     up-slot and down-slot tuples.  Modifications are applied from the far end
     of the path toward the root; slot tuples refer to the vertex's slots at
     application time, and positions of path vertices are remapped as earlier
-    insertions stretch their levels.
+    insertions stretch their levels.  The insertions share one set of thawed
+    fans, and only the result is built and validated.
     """
     trace = embed(pn, t)
     if trace is None:
@@ -401,7 +375,7 @@ def apply_modification(
     if sorted(plans) != eligible:
         raise ValueError(f"plans must cover exactly the eligible indices {eligible}")
     shifts: dict[int, list[tuple[int, int]]] = {}  # level -> [(pos, amount)]
-    out = t
+    sizes, fans = _thaw(t)
     for j in reversed(eligible):
         ups, downs = plans[j]
         if len(ups) != count or len(downs) != count:
@@ -410,10 +384,9 @@ def apply_modification(
         for at, amount in shifts.get(lvl, []):
             if pos > at:
                 pos += amount
-        ins = Insertion(lvl, pos, tuple(zip(sorted(ups), sorted(downs))))
-        out = insert_pairs(out, ins).triangulation
+        _insert_run(sizes, fans, lvl, pos, tuple(zip(sorted(ups), sorted(downs))))
         shifts.setdefault(lvl, []).append((pos, count))
-    return out
+    return Triangulation(sizes, fans)
 
 
 def enumerate_plans(t: Triangulation, vertex: Vertex, count: int):

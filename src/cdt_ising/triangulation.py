@@ -127,11 +127,6 @@ class DualGraph:
     def degree(self, tri: TriRef) -> int:
         return len(self.adjacency[tri])
 
-    def angular_position(self, tri: TriRef) -> float:
-        """Winding coordinate of a triangle around its strip, in [0, 2*pi)."""
-        strip, t = tri
-        return 2.0 * math.pi * (t + 0.5) / self.strip_sizes[strip]
-
 
 class Triangulation:
     """Immutable rooted Lorentzian triangulation of S^1 x [0, N].
@@ -214,6 +209,8 @@ class Triangulation:
 
     def vertex_at(self, flat: int) -> tuple[int, int]:
         """(level, pos) of a flat vertex id; the inverse of ``flat_index``."""
+        if not 0 <= flat < self.level_offsets[-1]:
+            raise ValueError(f"no vertex with flat id {flat} in levels {self.level_sizes}")
         level = bisect_right(self.level_offsets, flat) - 1
         return level, flat - self.level_offsets[level]
 

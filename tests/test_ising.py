@@ -90,13 +90,15 @@ def test_minus_boundary_pulls_root_down():
 def test_gibbs_prob_of_and_marginals_consistent():
     g = gibbs_exact(WIDE, 0.7, "minus")
     total = 0.0
+    root_plus = 0.0
     n = g.n_free
     for c in range(2**n):
         spins = np.array([1 if (c >> v) & 1 else -1 for v in range(n)], dtype=np.int8)
         total += g.prob_of(spins)
+        if spins[0] > 0:
+            root_plus += g.prob_of(spins)
     assert abs(total - 1.0) < 1e-12
-    marg = g.event_prob(lambda s: s[0] > 0)
-    assert abs(marg - g.root_plus()) < 1e-12
+    assert abs(root_plus - g.root_plus()) < 1e-12
 
 
 @pytest.mark.parametrize("level, pos", [(1, 5), (1, 2)])
@@ -105,6 +107,13 @@ def test_marginal_rejects_missing_vertex(level, pos):
     g = gibbs_exact(forest_to_triangulation(((2,), (1, 2), (1, 1, 1))), 0.5, "plus")
     with pytest.raises(ValueError):
         g.marginal_plus(level, pos)
+
+
+@pytest.mark.parametrize("bc", ["plus", "minus", (1, -1, 1)])
+def test_marginal_of_boundary_vertex_is_its_fixed_spin(bc):
+    t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
+    g = gibbs_exact(t, 0.5, bc)
+    assert [g.marginal_plus(3, p) for p in range(3)] == [float(s > 0) for s in g.boundary]
 
 
 def test_conditional_spin_prob():

@@ -1,6 +1,7 @@
 """Tests for insertions, collapses, path-neighborhood modifications, and the
 randomized reconstruction walk."""
 
+import copy
 import math
 
 import pytest
@@ -31,11 +32,102 @@ from cdt_ising.surgery import (
 from cdt_ising.branching import sample_spine_forest
 from cdt_ising.triangulation import (
     Triangulation,
+    _down_slot_entries,
+    _rotate_fans,
     enumerate_triangulations,
     forest_to_triangulation,
     rotate_level,
 )
 from test_triangulation import out_degree_lists
+
+
+# -- reference surgery: one edge at a time --------------------------------------
+
+
+def reference_insert_one(sizes, fans, level, pos, iu, jd):
+    """Elementary insertion at (level, pos) with up slot iu and down slot jd.
+
+    The new vertex lands at position pos+1; it takes the up slots iu..end
+    (the slot-iu edge is duplicated) and the down slots jd..end (likewise).
+    """
+    fan_v = fans[level][pos]
+    down = _down_slot_entries(fans, sizes, level, pos)
+    fans[level].insert(pos + 1, fan_v[iu:])
+    fans[level][pos] = fan_v[: iu + 1]
+    # entries beyond pos shift right; entries at pos with slot rank > jd move
+    # to the new vertex; the slot-jd edge duplicates
+    slot_rank = {entry: r for r, entry in enumerate(down)}
+    below = fans[level - 1]
+    for i, fan in enumerate(below):
+        for idx, q in enumerate(fan):
+            if q > pos:
+                fan[idx] = q + 1
+            elif q == pos and slot_rank.get((i, idx), -1) > jd:
+                fan[idx] = pos + 1
+    owner_i, owner_idx = down[jd]
+    below[owner_i].insert(owner_idx + 1, pos + 1)
+    sizes[level] += 1
+
+
+def reference_insert_pairs(t, insertion):
+    """A k-fold insertion as k elementary ones, from the largest slots down."""
+    level, pos = insertion.level, insertion.pos
+    deg = t.vertex_degree(level, pos)
+    assert not deg.boundary
+    assert all(0 <= iu < deg.up and 0 <= jd < deg.down for iu, jd in insertion.pairs)
+    sizes, fans = _thaw(t)
+    for iu, jd in sorted(insertion.pairs, reverse=True):
+        reference_insert_one(sizes, fans, level, pos, iu, jd)
+    return Triangulation(sizes, fans)
+
+
+def reference_collapse_one(sizes, fans, level, pos):
+    """Collapse the horizontal edge (pos, pos+1) with pos+1 < k: merge pos+1 into pos."""
+    fan_v, fan_w = fans[level][pos], fans[level][pos + 1]
+    assert fan_v[-1] == fan_w[0]
+    fans[level][pos] = fan_v + fan_w[1:]
+    del fans[level][pos + 1]
+    # delete the edge under the removed triangle, then retarget pos+1 to pos
+    # and shift everything beyond
+    below = fans[level - 1]
+    removed = False
+    for fan in below:
+        for idx in range(len(fan) - 1):
+            if fan[idx] == pos and fan[idx + 1] == pos + 1:
+                del fan[idx + 1]
+                removed = True
+                break
+        if removed:
+            break
+    assert removed
+    for fan in below:
+        for idx, q in enumerate(fan):
+            if q == pos + 1:
+                fan[idx] = pos
+            elif q > pos + 1:
+                fan[idx] = q - 1
+    sizes[level] -= 1
+
+
+def reference_remap_walk(walk, level, f):
+    for i, (lvl, pos) in enumerate(walk):
+        if lvl == level:
+            walk[i] = (lvl, f(pos))
+
+
+def reference_collapse_run(sizes, fans, level, start, count, walk):
+    """``count`` single-edge collapses; the wrap edge is collapsed after
+    rotating the level by one."""
+    p = start
+    for _ in range(count):
+        k = sizes[level]
+        p %= k
+        if p == k - 1:
+            _rotate_fans(sizes, fans, level, 1)
+            reference_remap_walk(walk, level, lambda q, k=k: (q + 1) % k)
+            p = 0
+        reference_collapse_one(sizes, fans, level, p)
+        reference_remap_walk(walk, level, lambda q, p=p: p if q == p + 1 else (q - 1 if q > p + 1 else q))
 
 
 def vertex_degree_map(t):
@@ -141,7 +233,10 @@ def test_insert_then_collapse_restores_arbitrary_triangulation(lists, data):
     k = data.draw(st.integers(1, 3))
     ups = sorted(data.draw(st.lists(st.integers(0, d.up - 1), min_size=k, max_size=k)))
     downs = sorted(data.draw(st.lists(st.integers(0, d.down - 1), min_size=k, max_size=k)))
-    res = insert_pairs(t, Insertion(level, pos, tuple(zip(ups, downs))))
+    insertion = Insertion(level, pos, tuple(zip(ups, downs)))
+    res = insert_pairs(t, insertion)
+    # exact sizes and fans, labels included
+    assert res.triangulation == reference_insert_pairs(t, insertion)
     assert res.triangulation.triangle_count == t.triangle_count + 2 * k
     assert collapse_run(res.triangulation, *res.new_horizontal_run) == t
 
@@ -163,6 +258,14 @@ def test_collapse_run_matches_single_edge_collapses(lists, data):
         for _ in range(count):
             ref = collapse_horizontal_edge(ref, level, 0)
         assert collapse_run(t, level, start, count).canonical_key == ref.canonical_key
+        # exact sizes, fans and walk against single-edge collapses, with a
+        # walk holding every vertex of every level
+        sizes, fans = _thaw(t)
+        walk = [(n, p) for n, size in enumerate(sizes) for p in range(size)]
+        want = copy.deepcopy((sizes, fans, walk))
+        reference_collapse_run(*want[:2], level, start, count, want[2])
+        _collapse_run(sizes, fans, level, start, count, walk)
+        assert (sizes, fans, walk) == want
 
 
 def test_collapse_decreases_f_by_two():
@@ -191,7 +294,10 @@ def test_collapse_guards():
     lambda t: collapse_run(t, 5, 0, 1),
     lambda t: collapse_run(t, 1, 7, 1),
     lambda t: collapse_run(t, 1, -3, 1),
-], ids=["insertion_sites", "collapse_run", "collapse_run_start_past_level", "collapse_run_negative_start"])
+    lambda t: insert_pairs(t, Insertion(1, 0, ((2, 0),))),
+    lambda t: insert_pairs(t, Insertion(1, 0, ((0, 0), (0, 2)))),
+], ids=["insertion_sites", "collapse_run", "collapse_run_start_past_level", "collapse_run_negative_start",
+        "insert_pairs_up_slot_past_fan", "insert_pairs_down_slot_past_edges"])
 def test_surgery_rejects_missing_vertex_or_level(call):
     t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
     with pytest.raises(ValueError):
@@ -305,6 +411,36 @@ def test_apply_modification_two_vertices():
         plans[j] = ((d.up - 1,) * 2, (d.down - 1,) * 2)
     out = apply_modification(t, pn, plans, threshold=5, count=2)
     assert out.triangle_count == t.triangle_count + 2 * 2 * 2
+
+
+@pytest.mark.parametrize("host_index", [0, 88])
+def test_apply_modification_matches_elementary_insertions(host_index):
+    # every plan of criterion 9c on two of its hosts (88 is the base itself)
+    count = 10
+    base = forest_to_triangulation(((2,), (3, 1), (1,) * 4))
+    pn = path_neighborhood(base, [(0, 0), (1, 0)])
+    hosts = [h for h, _ in enumerate_triangulations(3, 4) if embed(pn, h) is not None]
+    host = hosts[host_index]
+    assert host_index != 88 or host == base
+    level, pos = embed(pn, host)[1]
+    for ups, downs in enumerate_plans(host, (level, pos), count):
+        out = apply_modification(host, pn, {1: (ups, downs)}, threshold=8, count=count)
+        assert out == reference_insert_pairs(host, Insertion(level, pos, tuple(zip(ups, downs))))
+
+
+def test_apply_modification_matches_chained_insertions_on_one_level():
+    # two eligible path vertices on level 2; the far one, (2, 2), goes first
+    # and pushes the near one, (2, 3), to position 3 + count
+    count = 2
+    t = forest_to_triangulation(((2,), (3, 1), (3, 3, 3, 3)))
+    pn = path_neighborhood(t, [(0, 0), (1, 1), (2, 3), (2, 2)])
+    assert modified_indices(pn, threshold=6) == [2, 3]
+    for near in enumerate_plans(t, (2, 3), count):
+        for far in enumerate_plans(t, (2, 2), count):
+            out = apply_modification(t, pn, {2: near, 3: far}, threshold=6, count=count)
+            ref = reference_insert_pairs(t, Insertion(2, 2, tuple(zip(*far))))
+            ref = reference_insert_pairs(ref, Insertion(2, 3 + count, tuple(zip(*near))))
+            assert out == ref
 
 
 def test_reconstruction_trivial_success():

@@ -237,12 +237,18 @@ def test_malformed_fans_rejected_like_seed_validator(sizes, fans):
     assert str(exc.value) == seed_validation_error(sizes, fans)
 
 
-@pytest.mark.parametrize("level, pos", [(1, 5), (1, -1), (4, 0), (-1, 0)])
-@pytest.mark.parametrize("query", ["vertex_degree", "down_slots", "flat_index"])
-def test_vertex_queries_reject_missing_vertex(query, level, pos):
+@pytest.mark.parametrize("query, args", [
+    *(pytest.param(query, (level, pos), id=f"{query}-{level}-{pos}")
+      for query in ("vertex_degree", "down_slots", "flat_index")
+      for level, pos in ((1, 5), (1, -1), (4, 0), (-1, 0))),
+    # flat ids one past either end of the 9 vertices
+    pytest.param("vertex_at", (-1,), id="vertex_at--1"),
+    pytest.param("vertex_at", (9,), id="vertex_at-9"),
+])
+def test_vertex_queries_reject_missing_vertex(query, args):
     t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
     with pytest.raises(ValueError):
-        getattr(t, query)(level, pos)
+        getattr(t, query)(*args)
 
 
 def test_parent_is_leftmost_down_slot():
@@ -317,14 +323,6 @@ def test_dual_degrees():
                 assert deg == 2  # sits on the top circle
             else:
                 assert deg == 3
-
-
-def test_dual_angular_positions():
-    t = forest_to_triangulation(((2,), (1, 1)))
-    dual = t.dual
-    angles = [dual.angular_position(v) for v in dual.vertices if v[0] == 0]
-    assert all(0 <= a < 2 * math.pi for a in angles)
-    assert len(set(angles)) == len(angles)
 
 
 def test_enumerate_minimal_class():
