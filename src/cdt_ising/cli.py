@@ -135,7 +135,7 @@ def _scan_point(seed: int, levels: int, beta: float, bc: str, sweeps: int,
 
 def cmd_ising_scan(args) -> ExperimentReport:
     betas = args.beta_grid if args.beta_grid else [args.beta]
-    if betas is None or betas == [None]:
+    if betas == [None]:
         raise ValueError("ising-scan needs --beta or --beta-grid")
     bcs = ["plus", "minus"] if args.bc == "both" else [args.bc]
     calls = [
@@ -401,8 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ising-scan", help="root magnetization over a beta grid")
     common(p, workers=True)
     p.add_argument("--levels", "--n", "-n", type=_positive_int, default=10)
-    p.add_argument("--beta", type=_beta, default=None)
-    p.add_argument("--beta-grid", type=_beta_grid, default=None)
+    beta = p.add_mutually_exclusive_group()  # a grid would silently drop --beta
+    beta.add_argument("--beta", type=_beta, default=None)
+    beta.add_argument("--beta-grid", type=_beta_grid, default=None)
     p.add_argument("--bc", choices=("plus", "minus", "both"), default="both")
     p.add_argument("--sweeps", type=_positive_int, default=2000)
     p.add_argument("--replicas", type=_positive_int, default=2)
@@ -420,8 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("percolation", help="annealed open-cluster reach estimates")
     common(p, trials=10000, workers=True)
     p.add_argument("--levels", type=_levels_list, dest="levels_list", default=[10, 30])
-    p.add_argument("--beta", type=_beta, default=None)
-    p.add_argument("--beta-grid", type=_beta_grid, default=None)
+    beta = p.add_mutually_exclusive_group()  # a grid would silently drop --beta
+    beta.add_argument("--beta", type=_beta, default=None)
+    beta.add_argument("--beta-grid", type=_beta_grid, default=None)
     p.set_defaults(fn=cmd_percolation)
 
     p = sub.add_parser("surgery-selftest", help="insert/collapse roundtrips and reconstruction")

@@ -8,11 +8,16 @@ over the top level.  The Hamiltonian is ferromagnetic,
 
 summed over all edges among free vertices (horizontal self-loops contribute
 the constant -1) plus the diagonal edges from the last free level into the
-boundary.  Horizontal edges inside the boundary level are excluded.
+boundary.  Horizontal edges inside the boundary level are excluded.  The
+boundary spins act as a per-vertex field: field_v sums the boundary spins
+joined to v, counted with multiplicity, so
 
-Provides an exhaustive exact distribution for small systems, the single-site
-heat-bath conditional, sequential Glauber sweeps, and a seeded Monte Carlo
-estimator for the root magnetization under +- boundary conditions.
+    H = -n_loops - sum_v field_v sigma_v - sum_{interior (a, b)} sigma_a sigma_b.
+
+Provides an exhaustive exact distribution for small systems (H evaluated once
+over one +-1 array of length 2^n per free spin, without chunking), the
+single-site heat-bath conditional, sequential Glauber sweeps, and a seeded
+Monte Carlo estimator for the root magnetization under +- boundary conditions.
 """
 
 from __future__ import annotations
@@ -23,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import stream
-from .triangulation import Triangulation
+from .triangulation import FreeGraph, Triangulation
 
 MAX_EXACT_SPINS = 22
-_CHUNK = 1 << 18
 
 
 def boundary_vector(t: Triangulation, bc) -> np.ndarray:
@@ -69,33 +73,59 @@ class SpinState:
         return cls(spins, boundary_vector(t, bc), beta)
 
 
+def _checked_spins(t: Triangulation, state: SpinState) -> list[int]:
+    """The state's spins as a list, after checking that the state fits ``t``."""
+    shapes = (np.shape(state.spins), np.shape(state.boundary))
+    if shapes != ((t.free_graph.n_free,), (t.level_sizes[-1],)):
+        raise ValueError(f"spin and boundary shapes {shapes} do not fit levels {t.level_sizes}")
+    values = np.asarray(state.spins).tolist()
+    if not set(values) <= {-1, 1}:
+        raise ValueError("spins must be +-1")
+    return values
+
+
+def _boundary_field(fg: FreeGraph, boundary: np.ndarray) -> np.ndarray:
+    """Per free vertex, the sum of the boundary spins joined to it by an edge."""
+    field = np.bincount(fg.bv, weights=boundary[fg.bpos], minlength=fg.n_free)
+    return field.astype(np.int64)
+
+
+def _hamiltonian(fg: FreeGraph, field: np.ndarray, spins: np.ndarray) -> np.ndarray:
+    """H elementwise over ``spins``, which holds one +-1 array per free vertex."""
+    h = np.full(spins.shape[1:], -fg.n_loops, dtype=np.int64)
+    for v in np.flatnonzero(field):
+        h -= field[v] * spins[v]
+    for a, b in zip(fg.ia.tolist(), fg.ib.tolist()):
+        h -= spins[a] * spins[b]
+    return h
+
+
 def energy(t: Triangulation, state: SpinState) -> float:
     """H(sigma | boundary) under the ferromagnetic convention."""
-    et = t.free_graph
-    s = np.asarray(state.spins, dtype=np.int64)
-    if s.shape != (et.n_free,):
-        raise ValueError(f"state must assign a spin to all {et.n_free} free vertices")
-    if not np.all(np.abs(s) == 1):
-        raise ValueError("spins must be +-1")
-    bc = np.asarray(state.boundary, dtype=np.int64)
-    h = -(s[et.ia] * s[et.ib]).sum() - et.n_loops
-    h -= (s[et.bv] * bc[et.bpos]).sum()
-    return float(h)
-
-
-def edge_count(t: Triangulation) -> int:
-    """Edges entering the Hamiltonian: internal (loops included) plus boundary."""
-    et = t.free_graph
-    return len(et.ia) + et.n_loops + len(et.bv)
+    spins = np.array(_checked_spins(t, state), dtype=np.int8)
+    field = _boundary_field(t.free_graph, np.asarray(state.boundary))
+    return float(_hamiltonian(t.free_graph, field, spins[:, None])[0])
 
 
 def conditional_spin_prob(s_sum: float, beta: float) -> float:
     """Heat-bath probability of +1 given the signed sum of neighboring spins.
 
     exp(beta*S) / (exp(beta*S) + exp(-beta*S)); the ferromagnetic mirror of
-    the single-site conditional.
+    the single-site conditional.  Where exp(-2*beta*S) overflows the result
+    is 0.0, its exact float value.
     """
-    return 1.0 / (1.0 + math.exp(-2.0 * beta * s_sum))
+    try:
+        return 1.0 / (1.0 + math.exp(-2.0 * beta * s_sum))
+    except OverflowError:
+        return 0.0
+
+
+def _all_configurations(n: int) -> np.ndarray:
+    """Row v is spin v over the 2^n configurations: +1 where bit v of the index is set."""
+    spins = np.empty((n, 1 << n), dtype=np.int8)
+    for v in range(n):
+        spins[v].reshape(-1, 2, 1 << v)[:] = np.array([[-1], [1]], dtype=np.int8)
+    return spins
 
 
 class GibbsExact:
@@ -110,28 +140,14 @@ class GibbsExact:
         self.t = t
         self.beta = float(beta)
         self.boundary = boundary_vector(t, bc)
-        self._et = et
-        n = et.n_free
-        m = 1 << n
-        energies = np.empty(m, dtype=np.float64)
-        bc64 = self.boundary.astype(np.int64)
-        for lo in range(0, m, _CHUNK):
-            hi = min(lo + _CHUNK, m)
-            idx = np.arange(lo, hi, dtype=np.uint64)[:, None]
-            bits = (idx >> np.arange(n, dtype=np.uint64)) & 1
-            sp = (2 * bits.astype(np.int64)) - 1
-            h = -(sp[:, et.ia] * sp[:, et.ib]).sum(axis=1) - et.n_loops
-            h = h - (sp[:, et.bv] * bc64[et.bpos]).sum(axis=1)
-            energies[lo:hi] = h
-        self.energies = energies
-        logw = -self.beta * energies
+        self.n_free = et.n_free
+        field = _boundary_field(et, self.boundary)
+        energies = _hamiltonian(et, field, _all_configurations(et.n_free))
+        self.energies = energies.astype(np.float64)
+        logw = -self.beta * self.energies
         logw -= logw.max()
         w = np.exp(logw)
         self.probs = w / w.sum()
-
-    @property
-    def n_free(self) -> int:
-        return self._et.n_free
 
     def _config_index(self, spins: np.ndarray) -> int:
         s = np.asarray(spins)
@@ -148,14 +164,7 @@ class GibbsExact:
         v = self.t.flat_index(level, pos)
         if v >= self.n_free:
             return float(self.boundary[v - self.n_free] > 0)
-        m = len(self.probs)
-        total = 0.0
-        for lo in range(0, m, _CHUNK):
-            hi = min(lo + _CHUNK, m)
-            idx = np.arange(lo, hi, dtype=np.uint64)
-            mask = ((idx >> np.uint64(v)) & 1).astype(bool)
-            total += float(self.probs[lo:hi][mask].sum())
-        return total
+        return float(self.probs.reshape(-1, 2, 1 << v)[:, 1].sum())
 
     def root_plus(self) -> float:
         return self.marginal_plus(0, 0)
@@ -168,16 +177,19 @@ def gibbs_exact(t: Triangulation, beta: float, bc) -> GibbsExact:
 def _sweep_inplace(
     spins: list[int],
     neighbors: tuple[tuple[int, ...], ...],
-    bc_base: list[int],
+    field: list[int],
     beta: float,
     uniforms: np.ndarray,
 ) -> None:
     exp = math.exp
     for v in range(len(spins)):
-        s = bc_base[v]
+        s = field[v]
         for j in neighbors[v]:
             s += spins[j]
-        p = 1.0 / (1.0 + exp(-2.0 * beta * s))
+        try:
+            p = 1.0 / (1.0 + exp(-2.0 * beta * s))
+        except OverflowError:  # as in conditional_spin_prob
+            p = 0.0
         spins[v] = 1 if uniforms[v] < p else -1
 
 
@@ -188,10 +200,9 @@ def glauber_sweep(t: Triangulation, state: SpinState, rng: np.random.Generator) 
     exact conditional, so detailed balance holds update by update.
     """
     et = t.free_graph
-    bc = state.boundary
-    bc_base = [int(sum(int(bc[p]) for p in et.bc_slots[v])) for v in range(et.n_free)]
-    spins = [int(x) for x in state.spins]
-    _sweep_inplace(spins, et.neighbors, bc_base, state.beta, rng.random(et.n_free))
+    spins = _checked_spins(t, state)
+    field = _boundary_field(et, state.boundary).tolist()
+    _sweep_inplace(spins, et.neighbors, field, state.beta, rng.random(et.n_free))
     return SpinState(np.array(spins, dtype=np.int8), state.boundary.copy(), state.beta)
 
 
@@ -226,35 +237,27 @@ def root_plus_probability(
         raise ValueError("need at least one sweep per batch")
     et = t.free_graph
     bc_vec = boundary_vector(t, bc)
-    bc_base = [int(sum(int(bc_vec[p]) for p in et.bc_slots[v])) for v in range(et.n_free)]
+    field = _boundary_field(et, bc_vec).tolist()
     batch_size = sweeps // batches
     used = batch_size * batches
     all_means: list[float] = []
     for r in range(replicas):
         rng = stream(seed, r)
         if init == "aligned":
-            fill = 1 if bc_vec.sum() >= 0 else -1
-            spins = [fill] * et.n_free
+            spins = [1 if bc_vec.sum() >= 0 else -1] * et.n_free
         elif init == "random":
             spins = [1 if x else -1 for x in rng.integers(0, 2, size=et.n_free)]
         else:
             raise ValueError(f"unknown init {init!r}")
         for _ in range(burn_in):
-            _sweep_inplace(spins, et.neighbors, bc_base, beta, rng.random(et.n_free))
-        acc = 0
-        taken = 0
-        for _ in range(used):
-            _sweep_inplace(spins, et.neighbors, bc_base, beta, rng.random(et.n_free))
-            acc += 1 if spins[0] > 0 else 0
-            taken += 1
-            if taken == batch_size:
-                all_means.append(acc / batch_size)
-                acc = 0
-                taken = 0
+            _sweep_inplace(spins, et.neighbors, field, beta, rng.random(et.n_free))
+        for _ in range(batches):
+            acc = 0
+            for _ in range(batch_size):
+                _sweep_inplace(spins, et.neighbors, field, beta, rng.random(et.n_free))
+                acc += spins[0] > 0
+            all_means.append(acc / batch_size)
     means = np.array(all_means)
     estimate = float(means.mean())
-    if len(means) > 1:
-        stderr = float(means.std(ddof=1) / math.sqrt(len(means)))
-    else:
-        stderr = float("nan")
+    stderr = float(means.std(ddof=1) / math.sqrt(len(means))) if len(means) > 1 else math.nan
     return RootEstimate(estimate, stderr, used, replicas, tuple(means))

@@ -46,9 +46,6 @@ class OpenSet:
     beta: float
     marks: np.ndarray  # bool, flat over marked levels
 
-    def is_open(self, flat: int) -> bool:
-        return bool(self.marks[flat])
-
 
 def sample_open_set(t: Triangulation, beta: float, rng: np.random.Generator) -> OpenSet:
     """Mark vertex v open with probability tanh(beta * d_v), independently."""

@@ -69,9 +69,10 @@ class FreeGraph:
     """Edges of the free vertices: levels 0..top-1, flat ids 0..n_free-1.
 
     Edges among free vertices are interior (self-loops only counted);
-    diagonal edges into the top level are boundary edges, and horizontal
-    edges inside the top level are left out: the edges of the Ising
-    Hamiltonian under a frozen top level.
+    diagonal edges into the top level are boundary edges, stored once as the
+    parallel arrays ``bv``/``bpos`` (one entry per edge, so multiplicity is
+    kept), and horizontal edges inside the top level are left out: the edges
+    of the Ising Hamiltonian under a frozen top level.
     """
 
     n_free: int
@@ -81,7 +82,6 @@ class FreeGraph:
     bv: np.ndarray  # boundary edges: free endpoint
     bpos: np.ndarray  # boundary edges: top-level position
     neighbors: tuple[tuple[int, ...], ...]  # per free vertex, free neighbors with multiplicity
-    bc_slots: tuple[tuple[int, ...], ...]  # per free vertex, boundary positions with multiplicity
 
 
 @dataclass(frozen=True)
@@ -291,14 +291,12 @@ class Triangulation:
         bv: list[int] = []
         bpos: list[int] = []
         nbrs: list[list[int]] = [[] for _ in range(n_free)]
-        bslots: list[list[int]] = [[] for _ in range(n_free)]
         for a, b in self._edge_pairs():
             if a >= n_free:
                 continue  # horizontal edges inside the boundary circle
             if b >= n_free:
                 bv.append(a)
                 bpos.append(b - n_free)
-                bslots[a].append(b - n_free)
             elif a == b:
                 loops += 1
             else:
@@ -314,7 +312,6 @@ class Triangulation:
             np.array(bv, dtype=np.int64),
             np.array(bpos, dtype=np.int64),
             tuple(tuple(x) for x in nbrs),
-            tuple(tuple(x) for x in bslots),
         )
 
     @cached_property

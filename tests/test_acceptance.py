@@ -200,7 +200,7 @@ def test_06_glauber_against_exact():
         spins = np.array([1 if (c >> v) & 1 else -1 for v in range(gs.n_free)], dtype=np.int8)
         for v in range(gs.n_free):
             s_sum = sum(int(spins[j]) for j in et.neighbors[v]) + sum(
-                int(gs.boundary[p]) for p in et.bc_slots[v]
+                int(gs.boundary[p]) for a, p in zip(et.bv, et.bpos) if a == v
             )
             p_plus = conditional_spin_prob(s_sum, 0.9)
             flipped = spins.copy()

@@ -82,6 +82,16 @@ def test_ising_scan_beta_zero(tmp_path):
         assert abs(est - 0.5) < max(4 * se, 0.05)
 
 
+def test_ising_scan_survives_exp_overflow(tmp_path):
+    # at beta=200 a minus neighbourhood sends exp(-2*beta*S) past the float range
+    out = tmp_path / "scan.csv"
+    rc = main(["ising-scan", "--levels", "3", "--beta", "200", "--bc", "minus",
+               "--out", str(out)])
+    assert rc == 0
+    header, row = data_rows(out)
+    assert row.split(",")[:3] == ["200.0", "minus", "0.0"]
+
+
 def test_ising_scan_requires_beta(tmp_path):
     rc = main(["ising-scan", "--levels", "3", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
@@ -238,6 +248,8 @@ def test_contours_rejects_nan_beta(tmp_path, capsys):
     (("ising-scan", "--beta", "0.1", "--sweeps", "0"), "--sweeps"),
     (("contours", "--width-cap", "0"), "--width-cap"),
     (("oracle", "--width-cap", "-1"), "--width-cap"),
+    (("percolation", "--beta", "0.9", "--beta-grid", "0.1", "--trials", "5"), "--beta-grid"),
+    (("ising-scan", "--beta", "0.9", "--beta-grid", "0.1"), "--beta-grid"),
 ])
 def test_rejects_out_of_range_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "x.csv"

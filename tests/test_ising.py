@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdt_ising.ising import (
     SpinState,
     boundary_vector,
     conditional_spin_prob,
-    edge_count,
     energy,
     gibbs_exact,
     glauber_sweep,
@@ -17,6 +18,8 @@ from cdt_ising.ising import (
 )
 from cdt_ising.rng import stream
 from cdt_ising.triangulation import forest_to_triangulation
+
+from test_triangulation import out_degree_lists
 
 
 CHAIN = forest_to_triangulation(((1,), (1,)))  # spins on levels 0..1, boundary above
@@ -26,7 +29,8 @@ WIDE = forest_to_triangulation(((2,), (1, 2)))  # 3 free spins
 def test_all_plus_energy_is_minus_edge_count():
     for t in (CHAIN, WIDE):
         st = SpinState.constant(t, 1, "plus", 1.0)
-        assert energy(t, st) == -edge_count(t)
+        et = t.free_graph
+        assert energy(t, st) == -(len(et.ia) + et.n_loops + len(et.bv))
 
 
 def test_single_flip_energy_change():
@@ -50,6 +54,14 @@ def test_energy_rejects_bad_state():
     bad.spins[0] = 0
     with pytest.raises(ValueError):
         energy(CHAIN, bad)
+    # a boundary shorter or longer than the top level
+    wide_st = SpinState.constant(WIDE, 1, "plus", 1.0)  # boundary of length 3
+    for boundary in (wide_st.boundary[:2], np.ones(4, dtype=np.int8)):
+        with pytest.raises(ValueError):
+            energy(WIDE, SpinState(wide_st.spins, boundary, 1.0))
+    # a state of a larger triangulation
+    with pytest.raises(ValueError):
+        glauber_sweep(CHAIN, wide_st, stream(30))
 
 
 def test_boundary_vector_forms():
@@ -116,6 +128,34 @@ def test_marginal_of_boundary_vertex_is_its_fixed_spin(bc):
     assert [g.marginal_plus(3, p) for p in range(3)] == [float(s > 0) for s in g.boundary]
 
 
+@settings(max_examples=50, deadline=None)
+@given(lists=out_degree_lists(), data=st.data())
+def test_gibbs_exact_matches_energy_under_mixed_boundary(lists, data):
+    # drop top levels until at most 12 spins are free
+    while len(lists) > 1 and 1 + sum(map(sum, lists[:-1])) > 12:
+        lists = lists[:-1]
+    t = forest_to_triangulation(lists)
+    k_top = t.level_sizes[-1]
+    bc = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=k_top, max_size=k_top))
+    beta = data.draw(st.floats(0.0, 2.0))
+    g = gibbs_exact(t, beta, bc)
+    n = g.n_free
+    index = np.arange(2**n)
+    # reference: every edge summed directly, the boundary read through bv/bpos
+    et = t.free_graph
+    s = 2 * ((index[:, None] >> np.arange(n)) & 1) - 1
+    interior = (s[:, et.ia] * s[:, et.ib]).sum(axis=1)
+    boundary = (s[:, et.bv] * g.boundary[et.bpos]).sum(axis=1)
+    assert np.array_equal(g.energies, -et.n_loops - interior - boundary)
+    for c in range(2**n):
+        spins = np.array([1 if (c >> v) & 1 else -1 for v in range(n)], dtype=np.int8)
+        assert g.energies[c] == energy(t, SpinState(spins, g.boundary, beta))
+    for v in range(n):
+        level, pos = t.vertex_at(v)
+        expected = g.probs[(index >> v) & 1 == 1].sum()
+        assert abs(g.marginal_plus(level, pos) - expected) < 1e-12
+
+
 def test_conditional_spin_prob():
     assert conditional_spin_prob(0, 1.3) == 0.5
     assert conditional_spin_prob(5, 0.0) == 0.5
@@ -123,6 +163,16 @@ def test_conditional_spin_prob():
         for beta in (0.1, 0.5):
             tv = conditional_spin_prob(d, beta) - conditional_spin_prob(-d, beta)
             assert abs(tv - math.tanh(beta * d)) < 1e-12
+
+
+def test_heat_bath_at_exp_overflow():
+    # exp(-2*beta*S) overflows; the exact float limit is p = 0
+    assert conditional_spin_prob(-400, 1.0) == 0.0
+    assert conditional_spin_prob(400, 1.0) == 1.0
+    state = glauber_sweep(WIDE, SpinState.constant(WIDE, -1, "minus", 200.0), stream(35))
+    assert (state.spins == -1).all()
+    est = root_plus_probability(WIDE, 200.0, "minus", sweeps=64, replicas=1, seed=36)
+    assert est.estimate == 0.0
 
 
 def test_glauber_deterministic_under_frozen_stream():
@@ -172,7 +222,7 @@ def test_glauber_detailed_balance_exact():
         spins = np.array([1 if (c >> v) & 1 else -1 for v in range(n)], dtype=np.int8)
         for v in range(n):
             s_sum = sum(int(spins[j]) for j in et.neighbors[v]) + sum(
-                int(et_bc[p]) for p in et.bc_slots[v]
+                int(et_bc[p]) for a, p in zip(et.bv, et.bpos) if a == v
             )
             p_plus = conditional_spin_prob(s_sum, beta)
             flipped = spins.copy()
