@@ -153,6 +153,8 @@ class GibbsExact:
         s = np.asarray(spins)
         if s.shape != (self.n_free,):
             raise ValueError("configuration has the wrong length")
+        if not (np.abs(s) == 1).all():
+            raise ValueError("spins must be +-1")
         bits = (s > 0).astype(np.uint64)
         return int((bits << np.arange(self.n_free, dtype=np.uint64)).sum())
 
@@ -235,6 +237,10 @@ def root_plus_probability(
     """
     if sweeps < batches:
         raise ValueError("need at least one sweep per batch")
+    if replicas < 1:
+        raise ValueError(f"need at least one replica, got {replicas}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     et = t.free_graph
     bc_vec = boundary_vector(t, bc)
     field = _boundary_field(et, bc_vec).tolist()

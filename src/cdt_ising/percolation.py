@@ -11,23 +11,33 @@ Marks cover levels 0..top-1 of a triangulation sampled one level deeper than
 the reach horizon, so every marked vertex has a full degree; the root uses
 d = d_up + 2 (its self-loop supplies the two horizontal slots).
 
-The graph tables live on the triangulation: marks use
-``Triangulation.mark_degrees``, and the open-cluster search and the path
-checks use ``Triangulation.neighbors``.  All annealed estimators run their
-trials through ``reach_hits``.
+The single-instance API works on a ``Triangulation``: marks use
+``Triangulation.mark_degrees``, and ``max_open_reach`` and the path checks
+use ``Triangulation.neighbors``.
+
+All annealed estimators run their trials through ``reach_hits``, which never
+builds a triangulation.  Its search reads the out-degree lists directly and
+builds a level's tables (fan starts, degrees, one tanh vector per beta) only
+when the search first touches that level, and it stops at the first open
+vertex on the target level.  The draws are those of the full build: the
+depth-(levels+1) forest first, then one uniform per marked vertex in flat
+order, so each trial's verdict equals ``max_open_reach`` on
+``forest_to_triangulation`` of the same forest with the same uniforms.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .branching import sample_spine_forest
 from .rng import stream
-from .triangulation import Triangulation, forest_to_triangulation
+from .triangulation import Triangulation
 
 
 def open_probability(degree: int, beta: float) -> float:
@@ -125,25 +135,117 @@ class ReachEstimate:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
+def _root_cluster_reaches(
+    out_degrees: Sequence[Sequence[int]],
+    uniforms: np.ndarray,
+    betas: Sequence[float],
+    levels: int,
+) -> list[bool]:
+    """Per beta, whether the root's open cluster reaches level ``levels``.
+
+    ``out_degrees`` lists levels 0..levels of a forest (one level past the
+    horizon may follow) and ``uniforms`` holds one draw per vertex of those
+    levels in flat order; vertex v is open iff its uniform is below
+    tanh(beta * d_v), as in ``open_set_from_uniforms``.
+
+    With S the out-degree prefix sums of level n, (n, p) is joined to its
+    horizontal pair, to the fan S_p..S_{p+1} (mod k_{n+1}) above and to the
+    lower vertices whose fan covers p; position 0 also collects the trailing
+    fans that end on S = k_n.  Its degree is up + down + 2 = d_p + a_p + 4,
+    with a_p the fan starts arriving at p, and d_0 + 3 at the root.
+    """
+    sizes = [len(d) for d in out_degrees[: levels + 1]]
+    offsets = list(accumulate(sizes, initial=0))
+    starts: dict[int, list[int]] = {}
+    degrees: dict[int, np.ndarray] = {}
+
+    def fan_starts(n: int) -> list[int]:
+        if n not in starts:
+            starts[n] = list(accumulate(out_degrees[n], initial=0))
+        return starts[n]
+
+    def degree(n: int) -> np.ndarray:
+        if n not in degrees:
+            up = np.array(out_degrees[n])
+            if n == 0:
+                degrees[n] = up + 3
+            else:
+                arriving = np.array(fan_starts(n - 1)[:-1]) % sizes[n]
+                degrees[n] = up + np.bincount(arriving, minlength=sizes[n]) + 4
+        return degrees[n]
+
+    verdicts = []
+    for beta in betas:
+        open_at: dict[int, list[bool]] = {}
+
+        def is_open(n: int, p: int) -> bool:
+            if n not in open_at:
+                u = uniforms[offsets[n] : offsets[n + 1]]
+                open_at[n] = (u < np.tanh(beta * degree(n))).tolist()
+            return open_at[n][p]
+
+        verdicts.append(_search(levels, sizes, fan_starts, is_open))
+    return verdicts
+
+
+def _search(levels, sizes, fan_starts, is_open) -> bool:
+    """Depth-first search of the root's open cluster, up-fans popped first."""
+    if not is_open(0, 0) or levels == 0:
+        return levels == 0
+    seen = {(0, 0)}
+    stack = [(0, 0)]
+    while stack:
+        for v in _neighbours(*stack.pop(), sizes, fan_starts):
+            if v not in seen:
+                seen.add(v)
+                if is_open(*v):
+                    if v[0] == levels:
+                        return True
+                    stack.append(v)
+    return False
+
+
+def _neighbours(n: int, p: int, sizes, fan_starts) -> list[tuple[int, int]]:
+    """(level, pos) neighbours of (n, p) below the top level, read from the
+    fan starts: horizontal pair, lower fans covering p, then the up fan.
+    Parallel edges may repeat a neighbour."""
+    k = sizes[n]
+    nbrs = [(n, (p - 1) % k), (n, (p + 1) % k)] if k > 1 else []
+    if n > 0:
+        s = fan_starts(n - 1)
+        lo = max(bisect_left(s, p) - 1, 0)
+        hi = min(bisect_right(s, p), len(s) - 1)
+        nbrs.extend((n - 1, i) for i in range(lo, hi))
+        if p == 0:  # fans ending on S = k_n wrap onto position 0
+            nbrs.extend((n - 1, i) for i in range(bisect_left(s, k) - 1, len(s) - 1))
+    s = fan_starts(n)
+    k_up = sizes[n + 1]
+    nbrs.extend((n + 1, q % k_up) for q in range(s[p], s[p + 1] + 1))
+    return nbrs
+
+
 def reach_hits(
     levels: int, betas: Sequence[float], seed: int, start: int, count: int
 ) -> list[int]:
     """Per beta, how many of the trials start..start+count-1 reach ``levels``.
 
-    Trial i draws everything from ``stream(seed, i)``: a triangulation one
-    level past the horizon (so all marked degrees are defined), then one
-    uniform per marked vertex.  Every beta thresholds the same uniforms, so
-    within a trial the reach indicator is monotone in beta, and the result
-    does not depend on how trials are split into chunks.
+    Trial i draws everything from ``stream(seed, i)``: a forest one level
+    past the horizon (so all marked degrees are defined), then one
+    ``rng.random`` batch with a uniform per marked vertex, in flat order.
+    Every beta thresholds the same uniforms, so within a trial the reach
+    indicator is monotone in beta, and the result does not depend on how
+    trials are split into chunks.  The verdicts come from a lazy search of
+    the out-degree lists that builds no ``Triangulation`` and equals
+    ``max_open_reach(t, open_set_from_uniforms(t, beta, uniforms)).reach >=
+    levels`` on ``t = forest_to_triangulation(forest)``.
     """
     hits = [0] * len(betas)
     for i in range(start, start + count):
         rng = stream(seed, i)
-        t = forest_to_triangulation(sample_spine_forest(rng, levels + 1))
-        uniforms = rng.random(len(t.mark_degrees))
-        for j, beta in enumerate(betas):
-            if max_open_reach(t, open_set_from_uniforms(t, beta, uniforms)).reach >= levels:
-                hits[j] += 1
+        forest = sample_spine_forest(rng, levels + 1)
+        uniforms = rng.random(sum(forest.level_sizes[:-1]))
+        for j, hit in enumerate(_root_cluster_reaches(forest.out_degrees, uniforms, betas, levels)):
+            hits[j] += hit
     return hits
 
 

@@ -113,6 +113,15 @@ def test_gibbs_prob_of_and_marginals_consistent():
     assert abs(root_plus - g.root_plus()) < 1e-12
 
 
+@pytest.mark.parametrize("spins", [np.zeros(3), [5, 5, 5], [1, -1, 0.5], [1, np.nan, -1]])
+def test_prob_of_rejects_spins_that_are_not_pm1(spins):
+    # read as s > 0, each of these would alias a +-1 configuration
+    g = gibbs_exact(WIDE, 0.7, "minus")
+    with pytest.raises(ValueError):
+        g.prob_of(spins)
+    assert g.prob_of([1.0, -1.0, 1.0]) == g.prob_of(np.array([1, -1, 1], dtype=np.int8))
+
+
 @pytest.mark.parametrize("level, pos", [(1, 5), (1, 2)])
 def test_marginal_rejects_missing_vertex(level, pos):
     # (1, 2) would be the flat id of (2, 0), and (1, 5) one of a boundary vertex
@@ -244,6 +253,16 @@ def test_root_plus_probability_matches_exact():
     g = gibbs_exact(WIDE, beta, "minus")
     est = root_plus_probability(WIDE, beta, "minus", sweeps=20000, replicas=2, seed=8)
     assert abs(est.estimate - g.root_plus()) < 3 * est.stderr + 1e-3
+
+
+def test_root_plus_probability_rejects_no_replicas():
+    with pytest.raises(ValueError):
+        root_plus_probability(WIDE, 0.5, "minus", sweeps=64, replicas=0, seed=9, burn_in=0)
+
+
+def test_root_plus_probability_rejects_negative_burn_in():
+    with pytest.raises(ValueError):
+        root_plus_probability(WIDE, 0.5, "minus", sweeps=64, replicas=1, seed=9, burn_in=-1)
 
 
 def test_root_plus_probability_deterministic():

@@ -1,14 +1,21 @@
 """Tests for degree-dependent site percolation and locally geodesic paths."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_triangulation import out_degree_lists
 
+from cdt_ising import percolation
 from cdt_ising.branching import sample_spine_forest
 from cdt_ising.ising import conditional_spin_prob
 from cdt_ising.percolation import (
     OpenSet,
+    _neighbours,
+    _root_cluster_reaches,
     annealed_reach_curve,
     annealed_reach_probability,
     count_salg_paths,
@@ -16,11 +23,12 @@ from cdt_ising.percolation import (
     max_open_reach,
     open_probability,
     open_set_from_uniforms,
+    reach_hits,
     sample_open_set,
     shortcut_to_locally_geodesic,
 )
 from cdt_ising.rng import stream
-from cdt_ising.triangulation import forest_to_triangulation
+from cdt_ising.triangulation import Triangulation, forest_to_triangulation
 
 
 def count_self_avoiding_paths(t, length: int) -> int:
@@ -152,6 +160,81 @@ def test_single_beta_equals_coupled_curve():
         curve = annealed_reach_curve(levels, betas, 60, seed=81)
         for beta, est in zip(betas, curve):
             assert annealed_reach_probability(levels, beta, 60, seed=81) == est
+
+
+def full_build_verdicts(out_degrees, uniforms, betas, levels) -> list[bool]:
+    """Reference for the lazy search: the open cluster on the whole
+    triangulation of the forest, marked from the same uniforms."""
+    t = forest_to_triangulation(out_degrees)
+    return [max_open_reach(t, open_set_from_uniforms(t, b, uniforms)).reach >= levels for b in betas]
+
+
+@pytest.mark.parametrize(
+    "levels, betas, trials",
+    [
+        (5, [1.0], 120),
+        (10, [0.02, 0.05, 0.1, 0.2], 200),  # criterion 7b's grid
+        (30, [0.05, 0.2, 1.0], 40),
+    ],
+)
+def test_lazy_reach_matches_full_build(levels, betas, trials):
+    # each trial draws as reach_hits does: the forest, then one uniform batch
+    hits = [0] * len(betas)
+    for i in range(trials):
+        rng = stream(84, i)
+        forest = sample_spine_forest(rng, levels + 1)
+        uniforms = rng.random(sum(forest.level_sizes[:-1]))
+        got = _root_cluster_reaches(forest.out_degrees, uniforms, betas, levels)
+        assert got == full_build_verdicts(forest.out_degrees, uniforms, betas, levels), i
+        hits = [h + g for h, g in zip(hits, got)]
+    assert reach_hits(levels, betas, 84, 0, trials) == hits
+
+
+@settings(max_examples=150, deadline=None)
+@given(lists=out_degree_lists(), seed=st.integers(0, 2**32 - 1))
+@example(lists=((1,), (1,), (1,)), seed=0)  # one-vertex levels
+@example(lists=((3,), (0, 0, 3), (2, 0, 0)), seed=1)  # zero runs, fans wrapping onto 0
+@example(lists=((2,), (0, 2), (1, 0)), seed=2)
+def test_lazy_reach_matches_full_build_on_any_forest(lists, seed):
+    # every horizon below the top: a path to level L first crosses level L
+    # from below, so the cluster cut at L decides reach >= L
+    uniforms = np.random.default_rng(seed).random(sum(len(d) for d in lists))
+    betas = [0.1, 0.2, 0.35, 1.0]
+    for levels in range(len(lists)):
+        assert _root_cluster_reaches(lists, uniforms, betas, levels) == full_build_verdicts(
+            lists, uniforms, betas, levels
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(lists=out_degree_lists())
+@example(lists=((1,), (1,), (1,)))
+@example(lists=((3,), (0, 0, 3), (2, 0, 0)))
+@example(lists=((2,), (0, 2), (1, 0)))
+def test_lazy_neighbours_match_triangulation(lists):
+    t = forest_to_triangulation(lists)
+    starts = [list(accumulate(d, initial=0)) for d in lists]
+    for n in range(t.top_level):
+        for p in range(t.level_sizes[n]):
+            want = {t.vertex_at(u) for u in t.neighbors[t.flat_index(n, p)]}
+            assert set(_neighbours(n, p, t.level_sizes, starts.__getitem__)) == want
+
+
+def test_reach_hits_pinned_at_criterion_7b():
+    # the counts of the full-triangulation trial loop this search replaced
+    assert reach_hits(10, [0.02, 0.05, 0.1, 0.2], 1009, 0, 2000) == [0, 27, 665, 1494]
+
+
+def test_annealed_reach_builds_no_triangulation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the annealed reach hot path built a triangulation")
+
+    monkeypatch.setattr(percolation, "forest_to_triangulation", refuse, raising=False)
+    monkeypatch.setattr(Triangulation, "__init__", refuse)
+    monkeypatch.setattr(Triangulation, "neighbors", property(refuse))
+    monkeypatch.setattr(Triangulation, "mark_degrees", property(refuse))
+    est = annealed_reach_probability(30, 0.2, 20, seed=85)
+    assert est.trials == 20
 
 
 def test_open_set_from_uniforms_couples():
