@@ -18,12 +18,20 @@ Provides an exhaustive exact distribution for small systems (H evaluated once
 over one +-1 array of length 2^n per free spin, without chunking), the
 single-site heat-bath conditional, sequential Glauber sweeps, and a seeded
 Monte Carlo estimator for the root magnetization under +- boundary conditions.
+
+``glauber_sweep`` and ``root_plus_probability`` share one heat-bath kernel.
+A sweep draws one ``rng.random(n_free)`` batch and visits the free vertices
+in flat order.  The local field s at a site is an integer with |s| <= W =
+``FreeGraph.max_degree``, so the kernel reads p(+1) from a table of
+``conditional_spin_prob(s, beta)`` for s in -W..W, built once per beta and
+W; ``conditional_spin_prob`` stays the only definition of p.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,21 +81,41 @@ class SpinState:
         return cls(spins, boundary_vector(t, bc), beta)
 
 
-def _checked_spins(t: Triangulation, state: SpinState) -> list[int]:
-    """The state's spins as a list, after checking that the state fits ``t``."""
-    shapes = (np.shape(state.spins), np.shape(state.boundary))
-    if shapes != ((t.free_graph.n_free,), (t.level_sizes[-1],)):
+_PM1 = frozenset((-1, 1))
+
+
+def _checked_lists(
+    t: Triangulation, spins: np.ndarray, boundary: np.ndarray
+) -> tuple[list[int], list[int]]:
+    """The spins and the boundary as lists of ints, after checking that they fit ``t``."""
+    if spins.shape != (t.free_graph.n_free,) or boundary.shape != (t.level_sizes[-1],):
+        shapes = (spins.shape, boundary.shape)
         raise ValueError(f"spin and boundary shapes {shapes} do not fit levels {t.level_sizes}")
-    values = np.asarray(state.spins).tolist()
-    if not set(values) <= {-1, 1}:
+    s, b = spins.tolist(), boundary.tolist()
+    if not _PM1.issuperset(s):
         raise ValueError("spins must be +-1")
-    return values
+    if not _PM1.issuperset(b):
+        raise ValueError("boundary spins must be +-1")
+    # a float 1.0 passes as +-1 but cannot index the heat-bath table
+    if spins.dtype.kind not in "bi":
+        s = [int(x) for x in s]
+    if boundary.dtype.kind not in "bi":
+        b = [int(x) for x in b]
+    return s, b
 
 
-def _boundary_field(fg: FreeGraph, boundary: np.ndarray) -> np.ndarray:
-    """Per free vertex, the sum of the boundary spins joined to it by an edge."""
-    field = np.bincount(fg.bv, weights=boundary[fg.bpos], minlength=fg.n_free)
-    return field.astype(np.int64)
+def _boundary_field(fg: FreeGraph, boundary: list[int], offset: int = 0) -> list[int]:
+    """Per free vertex, ``offset`` plus the sum of the boundary spins joined to it."""
+    field = [offset] * fg.n_free
+    for v, p in zip(fg.bv.tolist(), fg.bpos.tolist()):
+        field[v] += boundary[p]
+    return field
+
+
+def _checked_beta(beta: float) -> float:
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    return beta
 
 
 def _hamiltonian(fg: FreeGraph, field: np.ndarray, spins: np.ndarray) -> np.ndarray:
@@ -102,9 +130,10 @@ def _hamiltonian(fg: FreeGraph, field: np.ndarray, spins: np.ndarray) -> np.ndar
 
 def energy(t: Triangulation, state: SpinState) -> float:
     """H(sigma | boundary) under the ferromagnetic convention."""
-    spins = np.array(_checked_spins(t, state), dtype=np.int8)
-    field = _boundary_field(t.free_graph, np.asarray(state.boundary))
-    return float(_hamiltonian(t.free_graph, field, spins[:, None])[0])
+    spins, boundary = _checked_lists(t, np.asarray(state.spins), np.asarray(state.boundary))
+    field = np.array(_boundary_field(t.free_graph, boundary), dtype=np.int64)
+    spins_col = np.array(spins, dtype=np.int8)[:, None]
+    return float(_hamiltonian(t.free_graph, field, spins_col)[0])
 
 
 def conditional_spin_prob(s_sum: float, beta: float) -> float:
@@ -138,10 +167,10 @@ class GibbsExact:
                 f"{et.n_free} free spins exceed the exact-enumeration cap {MAX_EXACT_SPINS}"
             )
         self.t = t
-        self.beta = float(beta)
+        self.beta = _checked_beta(float(beta))
         self.boundary = boundary_vector(t, bc)
         self.n_free = et.n_free
-        field = _boundary_field(et, self.boundary)
+        field = np.array(_boundary_field(et, self.boundary.tolist()), dtype=np.int64)
         energies = _hamiltonian(et, field, _all_configurations(et.n_free))
         self.energies = energies.astype(np.float64)
         logw = -self.beta * self.energies
@@ -176,36 +205,52 @@ def gibbs_exact(t: Triangulation, beta: float, bc) -> GibbsExact:
     return GibbsExact(t, beta, bc)
 
 
+@lru_cache(maxsize=64, typed=True)
+def _heat_bath_table(beta: float, w: int) -> tuple[float, ...]:
+    """``conditional_spin_prob(s, beta)`` at index s + w, for s in -w..w.
+
+    Keyed by type as well: a float32 beta equal to a cached float64 one
+    computes its products in float32, so it must not share that table.
+    """
+    return tuple(conditional_spin_prob(s, beta) for s in range(-w, w + 1))
+
+
 def _sweep_inplace(
     spins: list[int],
     neighbors: tuple[tuple[int, ...], ...],
     field: list[int],
-    beta: float,
-    uniforms: np.ndarray,
+    table: tuple[float, ...],
+    uniforms: list[float],
 ) -> None:
-    exp = math.exp
-    for v in range(len(spins)):
+    """Update the free spins in flat order, site v drawing on ``uniforms[v]``.
+
+    ``field`` holds each boundary field plus the offset w of ``table``, so
+    ``table[field[v] + sum of the neighbors' spins]`` is the site's p(+1).
+    """
+    for v, u in enumerate(uniforms):
         s = field[v]
         for j in neighbors[v]:
             s += spins[j]
-        try:
-            p = 1.0 / (1.0 + exp(-2.0 * beta * s))
-        except OverflowError:  # as in conditional_spin_prob
-            p = 0.0
-        spins[v] = 1 if uniforms[v] < p else -1
+        spins[v] = 1 if u < table[s] else -1
 
 
 def glauber_sweep(t: Triangulation, state: SpinState, rng: np.random.Generator) -> SpinState:
     """One sequential heat-bath pass over the free vertices (fixed scan order).
 
-    Boundary spins are never updated.  Each single-site update draws from the
-    exact conditional, so detailed balance holds update by update.
+    Boundary spins are never updated; the returned state shares the boundary
+    array of ``state``.  Each single-site update draws from the exact
+    conditional, so detailed balance holds update by update.  The pass draws
+    one ``rng.random(n_free)`` and reads each site's p(+1) from a table of
+    ``conditional_spin_prob`` over the local fields the graph allows.
     """
     et = t.free_graph
-    spins = _checked_spins(t, state)
-    field = _boundary_field(et, state.boundary).tolist()
-    _sweep_inplace(spins, et.neighbors, field, state.beta, rng.random(et.n_free))
-    return SpinState(np.array(spins, dtype=np.int8), state.boundary.copy(), state.beta)
+    beta = _checked_beta(state.beta)
+    spins, boundary = _checked_lists(t, np.asarray(state.spins), state.boundary)
+    w = et.max_degree
+    field = _boundary_field(et, boundary, w)
+    uniforms = rng.random(et.n_free).tolist()
+    _sweep_inplace(spins, et.neighbors, field, _heat_bath_table(beta, w), uniforms)
+    return SpinState(np.array(spins, dtype=np.int8), state.boundary, beta)
 
 
 @dataclass(frozen=True)
@@ -235,6 +280,9 @@ def root_plus_probability(
     value, ``init='random'`` from i.i.d. uniform spins.  The root is the flat
     vertex 0.
     """
+    _checked_beta(beta)
+    if batches < 1:
+        raise ValueError(f"need at least one batch, got {batches}")
     if sweeps < batches:
         raise ValueError("need at least one sweep per batch")
     if replicas < 1:
@@ -243,7 +291,9 @@ def root_plus_probability(
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     et = t.free_graph
     bc_vec = boundary_vector(t, bc)
-    field = _boundary_field(et, bc_vec).tolist()
+    w = et.max_degree
+    field = _boundary_field(et, bc_vec.tolist(), w)
+    table = _heat_bath_table(beta, w)
     batch_size = sweeps // batches
     used = batch_size * batches
     all_means: list[float] = []
@@ -256,11 +306,11 @@ def root_plus_probability(
         else:
             raise ValueError(f"unknown init {init!r}")
         for _ in range(burn_in):
-            _sweep_inplace(spins, et.neighbors, field, beta, rng.random(et.n_free))
+            _sweep_inplace(spins, et.neighbors, field, table, rng.random(et.n_free).tolist())
         for _ in range(batches):
             acc = 0
             for _ in range(batch_size):
-                _sweep_inplace(spins, et.neighbors, field, beta, rng.random(et.n_free))
+                _sweep_inplace(spins, et.neighbors, field, table, rng.random(et.n_free).tolist())
                 acc += spins[0] > 0
             all_means.append(acc / batch_size)
     means = np.array(all_means)

@@ -82,6 +82,9 @@ class FreeGraph:
     bv: np.ndarray  # boundary edges: free endpoint
     bpos: np.ndarray  # boundary edges: top-level position
     neighbors: tuple[tuple[int, ...], ...]  # per free vertex, free neighbors with multiplicity
+    # max over free v of len(neighbors[v]) + its boundary edges: a bound on
+    # |field_v + sum of its neighbors' spins| under every boundary condition
+    max_degree: int
 
 
 @dataclass(frozen=True)
@@ -304,6 +307,9 @@ class Triangulation:
                 ib.append(b)
                 nbrs[a].append(b)
                 nbrs[b].append(a)
+        degree = [len(x) for x in nbrs]
+        for v in bv:
+            degree[v] += 1
         return FreeGraph(
             n_free,
             np.array(ia, dtype=np.int64),
@@ -312,6 +318,7 @@ class Triangulation:
             np.array(bv, dtype=np.int64),
             np.array(bpos, dtype=np.int64),
             tuple(tuple(x) for x in nbrs),
+            max(degree, default=0),
         )
 
     @cached_property

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdt_ising.ising import (
+    RootEstimate,
     SpinState,
+    _heat_bath_table,
     boundary_vector,
     conditional_spin_prob,
     energy,
@@ -19,6 +21,7 @@ from cdt_ising.ising import (
 from cdt_ising.rng import stream
 from cdt_ising.triangulation import forest_to_triangulation
 
+from test_acceptance import GLAUBER_T
 from test_triangulation import out_degree_lists
 
 
@@ -269,3 +272,132 @@ def test_root_plus_probability_deterministic():
     a = root_plus_probability(CHAIN, 0.5, "minus", sweeps=1000, replicas=2, seed=9)
     b = root_plus_probability(CHAIN, 0.5, "minus", sweeps=1000, replicas=2, seed=9)
     assert a == b
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_ising_entry_points_reject_non_finite_beta(beta):
+    with pytest.raises(ValueError):
+        glauber_sweep(WIDE, SpinState.constant(WIDE, 1, "minus", beta), stream(37))
+    with pytest.raises(ValueError):
+        root_plus_probability(WIDE, beta, "minus", sweeps=64, replicas=1, seed=9)
+    with pytest.raises(ValueError):
+        gibbs_exact(WIDE, beta, "minus")
+
+
+def test_root_plus_probability_rejects_no_batches():
+    with pytest.raises(ValueError):
+        root_plus_probability(WIDE, 0.5, "minus", sweeps=64, replicas=1, seed=9, batches=0)
+
+
+def reference_field(t, boundary) -> list[int]:
+    et = t.free_graph
+    weights = np.asarray(boundary)[et.bpos]
+    return np.bincount(et.bv, weights=weights, minlength=et.n_free).astype(np.int64).tolist()
+
+
+def reference_sweep(spins, neighbors, field, beta, uniforms) -> None:
+    """The per-site exp loop the table kernel replaced, kept as its reference."""
+    exp = math.exp
+    for v in range(len(spins)):
+        s = field[v]
+        for j in neighbors[v]:
+            s += spins[j]
+        try:
+            p = 1.0 / (1.0 + exp(-2.0 * beta * s))
+        except OverflowError:
+            p = 0.0
+        spins[v] = 1 if uniforms[v] < p else -1
+
+
+def reference_root_plus(t, beta, bc, sweeps, replicas, seed, burn_in, batches, init):
+    et = t.free_graph
+    bc_vec = boundary_vector(t, bc)
+    field = reference_field(t, bc_vec)
+    batch_size = sweeps // batches
+    all_means = []
+    for r in range(replicas):
+        rng = stream(seed, r)
+        if init == "aligned":
+            spins = [1 if bc_vec.sum() >= 0 else -1] * et.n_free
+        else:
+            spins = [1 if x else -1 for x in rng.integers(0, 2, size=et.n_free)]
+        for _ in range(burn_in):
+            reference_sweep(spins, et.neighbors, field, beta, rng.random(et.n_free))
+        for _ in range(batches):
+            acc = 0
+            for _ in range(batch_size):
+                reference_sweep(spins, et.neighbors, field, beta, rng.random(et.n_free))
+                acc += spins[0] > 0
+            all_means.append(acc / batch_size)
+    means = np.array(all_means)
+    stderr = float(means.std(ddof=1) / math.sqrt(len(means))) if len(means) > 1 else math.nan
+    return RootEstimate(float(means.mean()), stderr, batch_size * batches, replicas, tuple(means))
+
+
+# 200 reaches the overflow end of the table, where p is exactly 0.0 or 1.0
+HEAT_BATH_BETAS = [0.0, 0.05, 0.6, 2.0, 200.0]
+
+
+@pytest.mark.parametrize("beta", HEAT_BATH_BETAS)
+@settings(max_examples=15, deadline=None)
+@given(lists=out_degree_lists(), data=st.data())
+def test_table_kernel_matches_exp_loop(beta, lists, data):
+    t = forest_to_triangulation(lists)
+    et = t.free_graph
+    bc = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=t.level_sizes[-1],
+                            max_size=t.level_sizes[-1]))
+    state = SpinState.random(t, stream(40), bc, beta)
+    spins = state.spins.tolist()
+    field = reference_field(t, state.boundary)
+    rng, ref_rng = stream(41), stream(41)
+    for _ in range(5):
+        state = glauber_sweep(t, state, rng)
+        reference_sweep(spins, et.neighbors, field, beta, ref_rng.random(et.n_free))
+        assert state.spins.tolist() == spins
+    assert rng.random() == ref_rng.random()
+    for init in ("aligned", "random"):
+        args = (t, beta, bc, 16, 2, 42, 4, 4, init)
+        assert root_plus_probability(*args) == reference_root_plus(*args)
+
+
+def test_root_plus_probability_pinned_batch_means():
+    # computed by the per-site exp loop; any change of the draw order shows here
+    est = root_plus_probability(GLAUBER_T, 0.25, "minus", sweeps=64, replicas=2, seed=1009,
+                                burn_in=16, batches=8)
+    counts = (3, 1, 1, 1, 4, 5, 0, 1, 0, 3, 5, 4, 1, 1, 1, 3)
+    assert est.batch_means == tuple(c / 8 for c in counts)
+
+
+@pytest.mark.parametrize("beta", HEAT_BATH_BETAS)
+@settings(max_examples=10, deadline=None)
+@given(lists=out_degree_lists(), data=st.data())
+def test_heat_bath_table_covers_every_local_field(beta, lists, data):
+    t = forest_to_triangulation(lists)
+    et = t.free_graph
+    w = et.max_degree
+    table = _heat_bath_table(beta, w)
+    assert table == tuple(conditional_spin_prob(s, beta) for s in range(-w, w + 1))
+    k_top = t.level_sizes[-1]
+    drawn = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=k_top, max_size=k_top))
+    for bc in ("plus", "minus", drawn):
+        field = reference_field(t, boundary_vector(t, bc))
+        for v in range(et.n_free):
+            assert abs(field[v]) + len(et.neighbors[v]) <= w
+
+
+def test_heat_bath_table_at_a_vertex_with_several_boundary_edges():
+    # the level-1 vertex has four edges into the top level and two to the root
+    t = forest_to_triangulation(((1,), (3,)))
+    et = t.free_graph
+    assert (et.n_free, len(et.bv), et.max_degree) == (2, 4, 6)
+    table = _heat_bath_table(200.0, et.max_degree)
+    assert table[0] == 0.0 and table[-1] == 1.0
+    for bc in ("plus", "minus", (1, -1, 1)):
+        state = SpinState.constant(t, -1, bc, 200.0)
+        spins = state.spins.tolist()
+        field = reference_field(t, state.boundary)
+        rng, ref_rng = stream(43), stream(43)
+        for _ in range(3):
+            state = glauber_sweep(t, state, rng)
+            reference_sweep(spins, et.neighbors, field, 200.0, ref_rng.random(et.n_free))
+            assert state.spins.tolist() == spins
