@@ -15,9 +15,11 @@ whose fan intervals partition the original wedge.  The result equals k
 elementary insertions applied from the largest slots down.
 
 ``apply_modification`` performs such insertions along an embedded locally
-geodesic path, and ``randomized_reconstruction`` is the random walk that
-undoes them: at each arrival it picks one of (insert_count + 2) options --
-the (insert_count + 1) placements of a horizontal-run contraction next to the
+geodesic path.  A host caches its embedding of each path neighbourhood in
+its ``__dict__``, so applying many plans to one host traces the path once.
+``randomized_reconstruction`` is the random walk that undoes them: at each
+arrival it picks one of (insert_count + 2) options -- the
+(insert_count + 1) placements of a horizontal-run contraction next to the
 current vertex, or nothing.  An attempt's result is a function of its draws,
 so each modified triangulation keeps a branch table of the walks run on it:
 repeated attempts replay a finished branch from its draws, results are
@@ -366,9 +368,13 @@ def apply_modification(
     of the path toward the root; slot tuples refer to the vertex's slots at
     application time, and positions of path vertices are remapped as earlier
     insertions stretch their levels.  The insertions share one set of thawed
-    fans, and only the result is built and validated.
+    fans, and only the result is built and validated.  The host caches its
+    embedding of each ``pn`` (None included) for as long as it lives.
     """
-    trace = embed(pn, t)
+    embeddings = t.__dict__.setdefault("_embeddings", {})
+    if pn not in embeddings:
+        embeddings[pn] = embed(pn, t)
+    trace = embeddings[pn]
     if trace is None:
         raise ValueError("path neighborhood does not embed in the host")
     eligible = modified_indices(pn, threshold)

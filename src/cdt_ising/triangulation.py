@@ -12,9 +12,9 @@ the children S_i+1, ..., S_{i+1}, where S is the running sum of out-degrees.
 Consequently the parent of an upper vertex (its leftmost downward edge) is
 the unique lower vertex holding it as a child, and it comes first in the
 ordered down-slot list.  The fan-start targets of position-0 vertices form a
-root-to-top chain that anchors the cyclic order of every level; decoding a
-triangulation back to out-degree lists follows that chain, which makes the
-forest <-> triangulation maps mutually inverse.
+root-to-top chain that anchors the cyclic order of every level;
+``canonical_key`` reads each level's out-degrees from its anchor on, straight
+off the fans, which makes the forest <-> triangulation maps mutually inverse.
 
 Multigraph corner cases are real and intended: a level with a single vertex
 has a horizontal self-loop, and a strip over a single vertex produces a pair
@@ -34,6 +34,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -146,10 +147,13 @@ class Triangulation:
         level_sizes: Sequence[int],
         fans: Sequence[Sequence[Sequence[int]]],
     ) -> None:
-        self.level_sizes: tuple[int, ...] = tuple(int(k) for k in level_sizes)
-        self.fans: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
-            tuple(tuple(map(int, fan)) for fan in strip) for strip in fans
-        )
+        try:  # index() takes numpy ints, refuses what int() would truncate or parse
+            self.level_sizes: tuple[int, ...] = tuple(map(index, level_sizes))
+            self.fans: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
+                tuple(tuple(map(index, fan)) for fan in strip) for strip in fans
+            )
+        except TypeError as exc:
+            raise ValueError(f"level sizes and fans must be integers: {exc}") from None
         self._validate()
 
     def _validate(self) -> None:
@@ -161,22 +165,20 @@ class Triangulation:
             raise ValueError("need one fan table per strip")
         for n, strip in enumerate(self.fans):
             k_bot, k_top = self.level_sizes[n], self.level_sizes[n + 1]
+            if len(strip) == k_bot and all(strip) and _tiles(strip, k_top):
+                continue
+            # the per-fan checks below name the first fault of a rejected strip
             if len(strip) != k_bot:
                 raise ValueError(f"strip {n} needs {k_bot} fans")
             if sum(len(f) - 1 for f in strip) != k_top:
                 raise ValueError(f"strip {n} out-degrees must sum to {k_top}")
+            if not all(strip):
+                raise ValueError("every vertex has at least its fan-start edge")
             for i, fan in enumerate(strip):
-                if not fan:
-                    raise ValueError("every vertex has at least its fan-start edge")
-                s = fan[0]
-                # a fan inside 0..k_top-1 is contiguous iff it is its own range;
-                # anything else (wrapping or malformed) takes the modular check
-                if not (0 <= s and s + len(fan) <= k_top and fan == tuple(range(s, s + len(fan)))):
-                    for a, b in zip(fan, fan[1:]):
-                        if (a + 1) % k_top != b:
-                            raise ValueError(f"fan of vertex ({n},{i}) is not contiguous")
-                nxt = strip[(i + 1) % k_bot]
-                if fan[-1] != nxt[0]:
+                for a, b in zip(fan, fan[1:]):
+                    if (a + 1) % k_top != b:
+                        raise ValueError(f"fan of vertex ({n},{i}) is not contiguous")
+                if fan[-1] != strip[(i + 1) % k_bot][0]:
                     raise ValueError(f"fans of strip {n} do not tile the upper level")
 
     # -- basic queries ---------------------------------------------------
@@ -422,11 +424,16 @@ class Triangulation:
 
     @cached_property
     def canonical_key(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        forest = triangulation_to_forest(self)
-        return (self.level_sizes, forest.out_degrees)
+        """(level sizes, out-degree lists read from each level's anchor)."""
+        anchor = 0
+        lists = []
+        for strip in self.fans:
+            lists.append(tuple([len(f) - 1 for f in strip[anchor:] + strip[:anchor]]))
+            anchor = strip[anchor][0]
+        return (self.level_sizes, tuple(lists))
 
     def canonical(self) -> "Triangulation":
-        return forest_to_triangulation(triangulation_to_forest(self))
+        return forest_to_triangulation(self.canonical_key[1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Triangulation):
@@ -483,16 +490,9 @@ def triangulation_to_forest(t: Triangulation) -> LevelForest:
     Levels are read in the cyclic rotation anchored by the chain of fan-start
     targets from the root, so the output is a canonical normal form; for a
     triangulation built by ``forest_to_triangulation`` it returns exactly the
-    input lists.
+    input lists.  The lists are ``t.canonical_key[1]``.
     """
-    anchor = 0
-    lists = []
-    for n in range(t.top_level):
-        k = t.level_sizes[n]
-        order = [(anchor + i) % k for i in range(k)]
-        lists.append(tuple(t.out_degree(n, i) for i in order))
-        anchor = t.fans[n][anchor][0]
-    return LevelForest(tuple(lists))
+    return LevelForest(t.canonical_key[1])
 
 
 def rotate_level(t: Triangulation, level: int, shift: int) -> Triangulation:
@@ -518,6 +518,19 @@ def _rotate_fans(sizes: Sequence[int], fans: list, level: int, shift: int) -> No
     if level < len(sizes) - 1:
         old = fans[level]
         fans[level] = [old[(i - shift) % k] for i in range(k)]
+
+
+def _tiles(strip, k_top: int) -> bool:
+    """One-pass check of a strip of non-empty fans: True when the fans'
+    tails, read in order, run once round the upper level from s0+1 to s0,
+    and every fan starts where the one before it (cyclically) ends.  Such a
+    strip passes every per-fan check of ``Triangulation._validate``."""
+    tails = [q for fan in strip for q in fan[1:]]
+    s0 = tails[-1] if tails else -1
+    if not (0 <= s0 < k_top and tails == [*range(s0 + 1, k_top), *range(s0 + 1)]):
+        return False
+    starts = [fan[0] for fan in strip]
+    return [fan[-1] for fan in strip] == starts[1:] + starts[:1]
 
 
 def _down_slot_entries(fans, sizes: Sequence[int], level: int, pos: int) -> list[tuple[int, int]]:
@@ -548,9 +561,8 @@ def _down_slot_entries(fans, sizes: Sequence[int], level: int, pos: int) -> list
 def to_text(t: Triangulation) -> str:
     """Serialize canonically: header ``N k_0 ... k_N``, then one out-degree
     list per level."""
-    forest = triangulation_to_forest(t)
     lines = [" ".join(map(str, (t.top_level, *t.level_sizes)))]
-    for degs in forest.out_degrees:
+    for degs in t.canonical_key[1]:
         lines.append(" ".join(map(str, degs)))
     return "\n".join(lines) + "\n"
 

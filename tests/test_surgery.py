@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cdt_ising import surgery
 from cdt_ising.rng import stream
 from cdt_ising.surgery import (
     INSERT_COUNT,
@@ -441,6 +442,34 @@ def test_apply_modification_matches_chained_insertions_on_one_level():
             ref = reference_insert_pairs(t, Insertion(2, 2, tuple(zip(*far))))
             ref = reference_insert_pairs(ref, Insertion(2, 3 + count, tuple(zip(*near))))
             assert out == ref
+
+
+def test_cached_embedding_gives_the_same_results(monkeypatch):
+    # criterion 9c's path on every tenth host: a fresh copy per plan (cold
+    # cache) against one host object reused for every plan (warm cache)
+    count = 10
+    base = forest_to_triangulation(((2,), (3, 1), (1,) * 4))
+    pn = path_neighborhood(base, [(0, 0), (1, 0)])
+    hosts = [h for h, _ in enumerate_triangulations(3, 4) if embed(pn, h) is not None][::10]
+    traced = []
+    monkeypatch.setattr(surgery, "embed", lambda p, t: traced.append(t) or embed(p, t))
+    for host in hosts:
+        warm = Triangulation(host.level_sizes, host.fans)
+        for plan in enumerate_plans(host, (1, 0), count)[::7]:
+            cold = apply_modification(Triangulation(host.level_sizes, host.fans), pn,
+                                      {1: plan}, threshold=8, count=count)
+            out = apply_modification(warm, pn, {1: plan}, threshold=8, count=count)
+            assert (out.level_sizes, out.fans) == (cold.level_sizes, cold.fans)
+        assert sum(t is warm for t in traced) == 1  # traced once, however many plans
+
+
+def test_non_embedding_host_raises_on_every_call():
+    t = forest_to_triangulation(((1,), (1,), (1,)))
+    pn = path_neighborhood(t, [(0, 0), (1, 0), (2, 0)])
+    other = forest_to_triangulation(((1,), (1,), (2,)))
+    for _ in range(2):  # the second call finds the cached None
+        with pytest.raises(ValueError, match="does not embed"):
+            apply_modification(other, pn, {}, threshold=100, count=10)
 
 
 def test_reconstruction_trivial_success():

@@ -3,11 +3,12 @@ exhaustive enumeration."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdt_ising.branching import sample_spine_forest
+from cdt_ising.branching import LevelForest, sample_spine_forest
 from cdt_ising.rng import stream
 from cdt_ising.triangulation import (
     MU_CRITICAL,
@@ -184,6 +185,8 @@ def seed_validation_error(sizes, fans) -> str | None:
             return f"strip {n} needs {k_bot} fans"
         if sum(len(f) - 1 for f in strip) != k_top:
             return f"strip {n} out-degrees must sum to {k_top}"
+        if not all(strip):
+            return "every vertex has at least its fan-start edge"
         for i, fan in enumerate(strip):
             for a, b in zip(fan, fan[1:]):
                 if (a + 1) % k_top != b:
@@ -230,11 +233,84 @@ def test_single_entry_perturbation_rejected_like_seed_validator(lists, data):
     ((1, 2, 3), [[(0, 1, 0)], [(-2, -1, 0), (0, 1)]]),
     ((1, 2), [[(1, 2, 3)]]),  # a range past k_top
     ((1, 2, 2), [[(0, 1, 0)], [(0, 1), (1, 2)]]),
+    ((1, 2, 1), [[(0, 1, 0)], [(0, 0, 0), ()]]),  # an empty fan after a full one
 ])
 def test_malformed_fans_rejected_like_seed_validator(sizes, fans):
     with pytest.raises(ValueError) as exc:
         Triangulation(sizes, fans)
     assert str(exc.value) == seed_validation_error(sizes, fans)
+
+
+@st.composite
+def near_valid_fans(draw):
+    """Level sizes and fans of a rotated valid triangulation with up to three
+    faults: fans with an entry dropped, added or moved to another fan, empty
+    fans, out-of-range or shifted entries, and fans removed from, repeated
+    in or swapped within a strip."""
+    t = forest_to_triangulation(draw(out_degree_lists()))
+    for level in range(1, t.top_level + 1):
+        t = rotate_level(t, level, draw(st.integers(0, t.level_sizes[level] - 1)))
+    fans = [[list(fan) for fan in strip] for strip in t.fans]
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, t.top_level - 1))
+        strip, k_top = fans[n], t.level_sizes[n + 1]
+        if not strip:
+            continue
+        i = draw(st.integers(0, len(strip) - 1))
+        fan = strip[i]
+        i2 = draw(st.integers(0, len(strip) - 1))
+        j = draw(st.integers(0, max(len(fan) - 1, 0)))
+        fault = draw(st.sampled_from(
+            ["pop", "push", "move", "empty", "entry", "shift", "remove", "repeat", "swap"]))
+        if fault == "pop" and fan:
+            fan.pop()
+        elif fault == "move" and fan:  # keeps the strip's out-degree sum
+            strip[i2].append(fan.pop())
+        elif fault == "push":
+            fan.append(draw(st.integers(-1, k_top)))
+        elif fault == "empty":
+            fan.clear()
+        elif fault == "entry" and fan:
+            fan[j] = draw(st.integers(-k_top - 1, 2 * k_top + 1))
+        elif fault == "shift" and fan:
+            fan[j] += draw(st.sampled_from([-k_top, k_top]))
+        elif fault == "remove":
+            del strip[i]
+        elif fault == "repeat":
+            strip.insert(i, list(fan))
+        elif fault == "swap":
+            strip[i], strip[i2] = strip[i2], fan
+    return t.level_sizes, fans
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=near_valid_fans())
+def test_near_valid_fans_judged_like_seed_validator(case):
+    sizes, fans = case
+    expected = seed_validation_error(sizes, fans)
+    if expected is None:
+        assert Triangulation(sizes, fans).fans == tuple(tuple(map(tuple, strip)) for strip in fans)
+        return
+    with pytest.raises(ValueError) as exc:
+        Triangulation(sizes, fans)
+    assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("sizes, fans", [
+    ((1.9, 1), [[[0.5, 0.7]]]),  # int() would truncate these to (1, 1) and (0, 0)
+    ((1, 1), [[[0.0, 0.0]]]),  # whole floats are still floats
+    ((1, 2), [[["0", "1", "0"]]]),  # int() would parse these
+    (("1", 2), [[[0, 1, 0]]]),
+])
+def test_non_integer_input_rejected(sizes, fans):
+    with pytest.raises(ValueError, match="must be integers"):
+        Triangulation(sizes, fans)
+
+
+def test_numpy_integers_accepted():
+    t = Triangulation(np.array([1, 2]), [np.array([[0, 1, 0]])])
+    assert t == forest_to_triangulation(((2,),))
+    assert all(type(q) is int for q in (*t.level_sizes, *t.fans[0][0]))
 
 
 @pytest.mark.parametrize("query, args", [
@@ -265,6 +341,35 @@ def test_canonical_key_rotation_invariant():
             r = rotate_level(t, lvl, shift)
             assert r.canonical_key == t.canonical_key
             assert r.canonical() == t.canonical()
+
+
+def reference_canonical_key(t: Triangulation):
+    """The forest-based key: each level's out-degrees read in the rotation
+    anchored by the chain of fan-start targets, through ``LevelForest``."""
+    anchor = 0
+    lists = []
+    for n in range(t.top_level):
+        k = t.level_sizes[n]
+        order = [(anchor + i) % k for i in range(k)]
+        lists.append(tuple(t.out_degree(n, i) for i in order))
+        anchor = t.fans[n][anchor][0]
+    return (t.level_sizes, LevelForest(tuple(lists)).out_degrees)
+
+
+def test_canonical_key_matches_forest_key():
+    enumerated = [t for cap in ((3, 4), (2, 5)) for t, _ in enumerate_triangulations(*cap)]
+    for t in enumerated:
+        assert t.canonical_key == reference_canonical_key(t)
+        for level in range(1, t.top_level + 1):
+            for shift in range(1, t.level_sizes[level]):
+                r = rotate_level(t, level, shift)
+                assert r.canonical_key == reference_canonical_key(r)
+    for i in range(50):
+        t = forest_to_triangulation(sample_spine_forest(stream(26, i), 12))
+        assert t.canonical_key == reference_canonical_key(t)
+        for level in range(1, t.top_level + 1):
+            r = rotate_level(t, level, level)
+            assert r.canonical_key == reference_canonical_key(r)
 
 
 def test_serialization_roundtrip():
