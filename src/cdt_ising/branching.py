@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import index
 
 import numpy as np
 
@@ -248,6 +249,11 @@ class LevelForest:
     out_degrees: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        try:  # index() takes numpy ints, refuses what int() would truncate or parse
+            degrees = tuple(tuple(map(index, lst)) for lst in self.out_degrees)
+        except TypeError as exc:
+            raise ValueError(f"out-degrees must be integers: {exc}") from None
+        object.__setattr__(self, "out_degrees", degrees)
         if not self.out_degrees or len(self.out_degrees[0]) != 1:
             raise ValueError("forest must have exactly one root at level 0")
         sizes = self.level_sizes

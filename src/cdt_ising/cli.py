@@ -125,10 +125,10 @@ def _scan_point(seed: int, levels: int, beta: float, bc: str, sweeps: int,
     t = triangulation.forest_to_triangulation(
         branching.sample_spine_forest(stream(seed, 0), levels + 1)
     )
-    key = 1 if bc == "plus" else 2
+    # every beta of one boundary condition shares its chain seed
+    chain_seed = int(stream(seed, 1 if bc == "plus" else 2).integers(2**63))
     est = ising.root_plus_probability(
-        t, beta, bc, sweeps=sweeps, replicas=replicas,
-        seed=seed * 1000003 + key, burn_in=burn_in,
+        t, beta, bc, sweeps=sweeps, replicas=replicas, seed=chain_seed, burn_in=burn_in,
     )
     return (beta, bc, est.estimate, est.stderr, sweeps, replicas)
 

@@ -19,12 +19,20 @@ over one +-1 array of length 2^n per free spin, without chunking), the
 single-site heat-bath conditional, sequential Glauber sweeps, and a seeded
 Monte Carlo estimator for the root magnetization under +- boundary conditions.
 
-``glauber_sweep`` and ``root_plus_probability`` share one heat-bath kernel.
-A sweep draws one ``rng.random(n_free)`` batch and visits the free vertices
-in flat order.  The local field s at a site is an integer with |s| <= W =
-``FreeGraph.max_degree``, so the kernel reads p(+1) from a table of
+A sweep draws one ``rng.random(n_free)`` batch, uniform v driving flat
+vertex v, and visits the free vertices in colour-class order: class by class
+through ``FreeGraph.colour_classes``, a proper colouring with at most 6
+classes, each in flat order.  The local field s at a site is an integer
+with |s| <= W = ``FreeGraph.max_degree``, so p(+1) is read from a table of
 ``conditional_spin_prob(s, beta)`` for s in -W..W, built once per beta and
 W; ``conditional_spin_prob`` stays the only definition of p.
+
+``glauber_sweep`` runs one sweep through ``_sweep_inplace``, one Python step
+per site, which is also the reference kernel.  ``root_plus_probability``
+updates a whole colour class at once (``_ClassKernel``): no two sites of a
+class are neighbours, so updating them together is the sequential sweep.
+Both give the same chain, bit for bit.  beta must be finite and >= 0 (the
+ferromagnet), which makes the table nondecreasing.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -39,6 +48,8 @@ from .rng import stream
 from .triangulation import FreeGraph, Triangulation
 
 MAX_EXACT_SPINS = 22
+# root_plus_probability draws at most this many uniforms at once
+_DRAW_BLOCK = 1 << 16
 
 
 def boundary_vector(t: Triangulation, bc) -> np.ndarray:
@@ -113,8 +124,8 @@ def _boundary_field(fg: FreeGraph, boundary: list[int], offset: int = 0) -> list
 
 
 def _checked_beta(beta: float) -> float:
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     return beta
 
 
@@ -221,21 +232,22 @@ def _sweep_inplace(
     field: list[int],
     table: tuple[float, ...],
     uniforms: list[float],
+    classes: tuple[tuple[int, ...], ...],
 ) -> None:
-    """Update the free spins in flat order, site v drawing on ``uniforms[v]``.
+    """Update the free spins class by class, site v drawing on ``uniforms[v]``.
 
     ``field`` holds each boundary field plus the offset w of ``table``, so
     ``table[field[v] + sum of the neighbors' spins]`` is the site's p(+1).
     """
-    for v, u in enumerate(uniforms):
+    for v in chain.from_iterable(classes):
         s = field[v]
         for j in neighbors[v]:
             s += spins[j]
-        spins[v] = 1 if u < table[s] else -1
+        spins[v] = 1 if uniforms[v] < table[s] else -1
 
 
 def glauber_sweep(t: Triangulation, state: SpinState, rng: np.random.Generator) -> SpinState:
-    """One sequential heat-bath pass over the free vertices (fixed scan order).
+    """One sequential heat-bath pass over the free vertices in colour-class order.
 
     Boundary spins are never updated; the returned state shares the boundary
     array of ``state``.  Each single-site update draws from the exact
@@ -249,8 +261,76 @@ def glauber_sweep(t: Triangulation, state: SpinState, rng: np.random.Generator) 
     w = et.max_degree
     field = _boundary_field(et, boundary, w)
     uniforms = rng.random(et.n_free).tolist()
-    _sweep_inplace(spins, et.neighbors, field, _heat_bath_table(beta, w), uniforms)
+    table = _heat_bath_table(beta, w)
+    _sweep_inplace(spins, et.neighbors, field, table, uniforms, et.colour_classes)
     return SpinState(np.array(spins, dtype=np.int8), state.boundary, beta)
+
+
+class _ClassKernel:
+    """The sweep of ``_sweep_inplace`` as one vectorised update per colour class.
+
+    Spins are booleans (True for +1) in colour order, followed by one padding
+    slot that stays False.  Class c's neighbours are a padded (width, size)
+    array of positions in that order, so one gather and one column sum count
+    each site's plus neighbours.  With deg_v neighbours and ``field`` offset
+    by w, the site's table index is base_v + 2 * count for base_v = field_v
+    - deg_v, and since ``table`` is nondecreasing (beta >= 0), ``u <
+    table[i]`` holds iff i >= K = searchsorted(table, u, side="right"): the
+    site turns + iff count >= ceil((K - base_v) / 2), a threshold fixed by u.
+    Clipped to 0..max degree + 1, the thresholds and counts share the
+    smallest unsigned dtype that holds them.
+    """
+
+    def __init__(self, fg: FreeGraph, field: list[int], table: tuple[float, ...]) -> None:
+        n = fg.n_free
+        self.order = np.fromiter(chain.from_iterable(fg.colour_classes), np.intp, n)
+        pos = np.empty(n, dtype=np.intp)
+        pos[self.order] = np.arange(n)
+        # each interior edge in both directions, grouped by the first end
+        a, b = np.concatenate((fg.ia, fg.ib)), np.concatenate((fg.ib, fg.ia))
+        by_a = np.argsort(a, kind="stable")
+        deg = np.bincount(a, minlength=n)
+        rank = np.arange(len(a)) - np.repeat(np.cumsum(deg) - deg, deg)
+        padded = np.full((deg.max(), n), n, dtype=np.intp)  # n is the padding slot
+        padded[rank, pos[a[by_a]]] = pos[b[by_a]]
+        deg = deg[self.order]
+        self.classes = []
+        lo = 0
+        for members in fg.colour_classes:
+            hi = lo + len(members)
+            nbrs = np.ascontiguousarray(padded[: deg[lo:hi].max(), lo:hi])  # gathers run faster
+            self.classes.append((slice(lo, hi), nbrs))
+            lo = hi
+        self.cap = int(deg.max()) + 1
+        self.dtype = np.min_scalar_type(self.cap)
+        self.base = np.asarray(field)[self.order] - deg
+        self.table = np.asarray(table)
+        self.root = int(pos[0])
+
+    def start(self, spins: np.ndarray) -> np.ndarray:
+        """The kernel's state for flat-order ``spins``, + where positive."""
+        return np.append(spins[self.order] > 0, False)
+
+    def sweeps(self, x: np.ndarray, rng: np.random.Generator, count: int) -> int:
+        """Run ``count`` sweeps on ``x``; the number of them that end with the root +.
+
+        The uniforms come in draws of at most ``_DRAW_BLOCK``, one
+        ``rng.random((rows, n_free))`` of whole sweeps each.
+        """
+        n = len(self.order)
+        block = max(1, _DRAW_BLOCK // n)
+        plus = x.view(np.uint8)
+        root_plus = 0
+        for done in range(0, count, block):
+            uniforms = rng.random((min(block, count - done), n))
+            k = np.searchsorted(self.table, uniforms[:, self.order], side="right")
+            thresholds = np.clip((k - self.base + 1) // 2, 0, self.cap).astype(self.dtype)
+            for row in thresholds:
+                for sites, nbrs in self.classes:
+                    counts = np.add.reduce(plus[nbrs], axis=0, dtype=self.dtype)
+                    np.greater_equal(counts, row[sites], out=x[sites])
+                root_plus += x[self.root]
+        return int(root_plus)
 
 
 @dataclass(frozen=True)
@@ -278,7 +358,9 @@ def root_plus_probability(
     Each replica owns its RNG stream (derived from the seed and the replica
     index) and its own chain; ``init='aligned'`` starts from the boundary
     value, ``init='random'`` from i.i.d. uniform spins.  The root is the flat
-    vertex 0.
+    vertex 0.  The chain is that of ``glauber_sweep`` fed the same stream,
+    run by ``_ClassKernel``; a run of k sweeps draws its uniforms as one
+    ``rng.random((k, n_free))``, which equals k draws of ``rng.random(n_free)``.
     """
     _checked_beta(beta)
     if batches < 1:
@@ -289,30 +371,24 @@ def root_plus_probability(
         raise ValueError(f"need at least one replica, got {replicas}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    if init not in ("aligned", "random"):
+        raise ValueError(f"unknown init {init!r}")
     et = t.free_graph
+    n = et.n_free
     bc_vec = boundary_vector(t, bc)
     w = et.max_degree
-    field = _boundary_field(et, bc_vec.tolist(), w)
-    table = _heat_bath_table(beta, w)
+    kernel = _ClassKernel(et, _boundary_field(et, bc_vec.tolist(), w), _heat_bath_table(beta, w))
     batch_size = sweeps // batches
     used = batch_size * batches
     all_means: list[float] = []
     for r in range(replicas):
         rng = stream(seed, r)
         if init == "aligned":
-            spins = [1 if bc_vec.sum() >= 0 else -1] * et.n_free
-        elif init == "random":
-            spins = [1 if x else -1 for x in rng.integers(0, 2, size=et.n_free)]
+            x = kernel.start(np.full(n, 1 if bc_vec.sum() >= 0 else -1))
         else:
-            raise ValueError(f"unknown init {init!r}")
-        for _ in range(burn_in):
-            _sweep_inplace(spins, et.neighbors, field, table, rng.random(et.n_free).tolist())
-        for _ in range(batches):
-            acc = 0
-            for _ in range(batch_size):
-                _sweep_inplace(spins, et.neighbors, field, table, rng.random(et.n_free).tolist())
-                acc += spins[0] > 0
-            all_means.append(acc / batch_size)
+            x = kernel.start(rng.integers(0, 2, size=n))
+        kernel.sweeps(x, rng, burn_in)
+        all_means.extend(kernel.sweeps(x, rng, batch_size) / batch_size for _ in range(batches))
     means = np.array(all_means)
     estimate = float(means.mean())
     stderr = float(means.std(ddof=1) / math.sqrt(len(means))) if len(means) > 1 else math.nan

@@ -24,7 +24,8 @@ The derived graph tables live on the instance, each built once in one pass
 over ``fans`` and cached.  They address vertices by flat id (``flat_index``,
 inverted by ``vertex_at``): ``degree_split`` (up/down edge counts),
 ``neighbors`` (distinct neighbours), ``free_graph`` (interior and boundary
-edges of levels 0..top-1, where Ising spins and percolation marks live),
+edges of levels 0..top-1, where Ising spins and percolation marks live, and
+a proper colouring of those levels),
 ``mark_degrees`` (total degrees there) and ``primal_adjacency`` (edge keys).
 """
 
@@ -83,6 +84,12 @@ class FreeGraph:
     bv: np.ndarray  # boundary edges: free endpoint
     bpos: np.ndarray  # boundary edges: top-level position
     neighbors: tuple[tuple[int, ...], ...]  # per free vertex, free neighbors with multiplicity
+    # a proper colouring: the non-empty classes of (level parity, position
+    # class), each in flat order, where the position class is p % 2 except
+    # that the last vertex of an odd-size level gets a third one; edges join
+    # levels n and n +- 1, or p and p +- 1 mod k on one level, so no class
+    # holds an edge and there are at most 6
+    colour_classes: tuple[tuple[int, ...], ...]
     # max over free v of len(neighbors[v]) + its boundary edges: a bound on
     # |field_v + sum of its neighbors' spins| under every boundary condition
     max_degree: int
@@ -312,6 +319,11 @@ class Triangulation:
         degree = [len(x) for x in nbrs]
         for v in bv:
             degree[v] += 1
+        classes: list[list[int]] = [[] for _ in range(6)]
+        for n, k in enumerate(self.level_sizes[:-1]):
+            row, base = 3 * (n % 2), self.level_offsets[n]
+            for p in range(k):
+                classes[row + (2 if p == k - 1 and k % 2 else p % 2)].append(base + p)
         return FreeGraph(
             n_free,
             np.array(ia, dtype=np.int64),
@@ -320,6 +332,7 @@ class Triangulation:
             np.array(bv, dtype=np.int64),
             np.array(bpos, dtype=np.int64),
             tuple(tuple(x) for x in nbrs),
+            tuple(tuple(c) for c in classes if c),
             max(degree, default=0),
         )
 
@@ -455,7 +468,7 @@ def _as_forest(forest: ForestLike) -> LevelForest:
         return forest.to_forest()
     if isinstance(forest, LevelForest):
         return forest
-    return LevelForest(tuple(tuple(int(d) for d in lst) for lst in forest))
+    return LevelForest(forest)
 
 
 def forest_to_triangulation(forest: ForestLike) -> Triangulation:

@@ -262,6 +262,19 @@ def test_side_trees_cover_the_forest():
                 assert all(t.max_height <= levels - n - 1 for t in sf.left[n] + sf.right[n])
 
 
+@pytest.mark.parametrize("lists", [((2.5,),), ((1.0,),), (("1",),), ((2,), (1, 0.0))])
+def test_level_forest_rejects_non_integer_degrees(lists):
+    with pytest.raises(ValueError, match="must be integers"):
+        LevelForest(lists)
+
+
+def test_level_forest_takes_numpy_integers():
+    forest = LevelForest((np.array([2]), np.array([1, 0], dtype=np.int8)))
+    assert forest.out_degrees == ((2,), (1, 0))
+    assert all(type(d) is int for lst in forest.out_degrees for d in lst)
+    assert forest.level_sizes == (1, 2, 1)
+
+
 def test_level_forest_rejects_bad_input():
     with pytest.raises(ValueError):
         LevelForest(((2,), (0, 0)))  # empty level above

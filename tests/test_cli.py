@@ -250,6 +250,7 @@ def test_contours_rejects_nan_beta(tmp_path, capsys):
     (("oracle", "--width-cap", "-1"), "--width-cap"),
     (("percolation", "--beta", "0.9", "--beta-grid", "0.1", "--trials", "5"), "--beta-grid"),
     (("ising-scan", "--beta", "0.9", "--beta-grid", "0.1"), "--beta-grid"),
+    (("ising-scan", "--beta", "-0.5"), "--beta"),  # the model is the ferromagnet
 ])
 def test_rejects_out_of_range_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "x.csv"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdt_ising import ising
 from cdt_ising.ising import (
     RootEstimate,
     SpinState,
@@ -284,6 +285,18 @@ def test_ising_entry_points_reject_non_finite_beta(beta):
         gibbs_exact(WIDE, beta, "minus")
 
 
+@pytest.mark.parametrize("entry_point", [
+    lambda beta: glauber_sweep(WIDE, SpinState.constant(WIDE, 1, "minus", beta), stream(37)),
+    lambda beta: root_plus_probability(WIDE, beta, "minus", sweeps=64, replicas=1, seed=9),
+    lambda beta: gibbs_exact(WIDE, beta, "minus"),
+], ids=["glauber_sweep", "root_plus_probability", "gibbs_exact"])
+def test_ising_entry_points_reject_negative_beta(entry_point):
+    # the antiferromagnet's table decreases, so the threshold kernel would be wrong
+    with pytest.raises(ValueError, match=">= 0"):
+        entry_point(-0.5)
+    entry_point(-0.0)  # equal to 0
+
+
 def test_root_plus_probability_rejects_no_batches():
     with pytest.raises(ValueError):
         root_plus_probability(WIDE, 0.5, "minus", sweeps=64, replicas=1, seed=9, batches=0)
@@ -295,10 +308,13 @@ def reference_field(t, boundary) -> list[int]:
     return np.bincount(et.bv, weights=weights, minlength=et.n_free).astype(np.int64).tolist()
 
 
-def reference_sweep(spins, neighbors, field, beta, uniforms) -> None:
-    """The per-site exp loop the table kernel replaced, kept as its reference."""
+def reference_sweep(spins, neighbors, field, beta, uniforms, classes) -> None:
+    """The per-site exp loop the table kernel replaced, kept as its reference.
+
+    Sites are visited class by class through ``classes``, uniform v driving site v.
+    """
     exp = math.exp
-    for v in range(len(spins)):
+    for v in (v for members in classes for v in members):
         s = field[v]
         for j in neighbors[v]:
             s += spins[j]
@@ -322,11 +338,13 @@ def reference_root_plus(t, beta, bc, sweeps, replicas, seed, burn_in, batches, i
         else:
             spins = [1 if x else -1 for x in rng.integers(0, 2, size=et.n_free)]
         for _ in range(burn_in):
-            reference_sweep(spins, et.neighbors, field, beta, rng.random(et.n_free))
+            reference_sweep(spins, et.neighbors, field, beta, rng.random(et.n_free),
+                            et.colour_classes)
         for _ in range(batches):
             acc = 0
             for _ in range(batch_size):
-                reference_sweep(spins, et.neighbors, field, beta, rng.random(et.n_free))
+                reference_sweep(spins, et.neighbors, field, beta, rng.random(et.n_free),
+                                et.colour_classes)
                 acc += spins[0] > 0
             all_means.append(acc / batch_size)
     means = np.array(all_means)
@@ -352,7 +370,8 @@ def test_table_kernel_matches_exp_loop(beta, lists, data):
     rng, ref_rng = stream(41), stream(41)
     for _ in range(5):
         state = glauber_sweep(t, state, rng)
-        reference_sweep(spins, et.neighbors, field, beta, ref_rng.random(et.n_free))
+        reference_sweep(spins, et.neighbors, field, beta, ref_rng.random(et.n_free),
+                        et.colour_classes)
         assert state.spins.tolist() == spins
     assert rng.random() == ref_rng.random()
     for init in ("aligned", "random"):
@@ -360,11 +379,69 @@ def test_table_kernel_matches_exp_loop(beta, lists, data):
         assert root_plus_probability(*args) == reference_root_plus(*args)
 
 
+@pytest.mark.parametrize("k, n", [(1, 1), (5, 3), (12, 563)])
+def test_batched_uniforms_equal_stacked_draws(k, n):
+    batch_rng, rng = stream(44, k), stream(44, k)
+    batch = batch_rng.random((k, n))
+    assert np.array_equal(batch, np.stack([rng.random(n) for _ in range(k)]))
+    assert batch_rng.random() == rng.random()
+
+
+@pytest.mark.parametrize("beta", HEAT_BATH_BETAS)
+@settings(max_examples=10, deadline=None)
+@given(lists=out_degree_lists(), data=st.data())
+def test_root_plus_probability_equals_a_glauber_sweep_chain(beta, lists, data):
+    t = forest_to_triangulation(lists)
+    n = t.free_graph.n_free
+    bc = boundary_vector(t, data.draw(st.lists(st.sampled_from([-1, 1]),
+                                               min_size=t.level_sizes[-1],
+                                               max_size=t.level_sizes[-1])))
+    init = data.draw(st.sampled_from(["aligned", "random"]))
+    est = root_plus_probability(t, beta, bc, sweeps=12, replicas=2, seed=45, burn_in=3,
+                                batches=4, init=init)
+    means = []
+    for r in range(2):
+        rng = stream(45, r)
+        if init == "aligned":
+            state = SpinState.constant(t, 1 if bc.sum() >= 0 else -1, bc, beta)
+        else:
+            state = SpinState(np.where(rng.integers(0, 2, size=n), 1, -1).astype(np.int8), bc, beta)
+        for _ in range(3):
+            state = glauber_sweep(t, state, rng)
+        for _ in range(4):
+            acc = 0
+            for _ in range(3):
+                state = glauber_sweep(t, state, rng)
+                acc += state.spins[0] > 0
+            means.append(acc / 3)
+    assert est.batch_means == tuple(means)
+
+
+@pytest.mark.parametrize("block", [1, 9, 30, 1 << 16])
+def test_root_plus_probability_independent_of_draw_block(monkeypatch, block):
+    # GLAUBER_T has 9 free spins: draws of one sweep, of three (runs of 10 end on
+    # a short draw) and of whole runs
+    args = (GLAUBER_T, 0.6, "plus", 40, 2, 46, 10, 4, "random")
+    expected = reference_root_plus(*args)
+    monkeypatch.setattr(ising, "_DRAW_BLOCK", block)
+    assert root_plus_probability(*args) == expected
+
+
+def test_root_plus_probability_counts_past_255_neighbours():
+    # the root's fan holds 301 edges; all plus, they overflow a uint8 count
+    t = forest_to_triangulation(((300,), (1,) * 300))
+    assert len(t.free_graph.neighbors[0]) == 301
+    args = (t, 2.0, "plus", 8, 1, 47, 2, 2, "aligned")
+    est = root_plus_probability(*args)
+    assert est == reference_root_plus(*args) and est.estimate == 1.0
+
+
 def test_root_plus_probability_pinned_batch_means():
-    # computed by the per-site exp loop; any change of the draw order shows here
+    # computed by the per-site exp loop in colour order (reference_root_plus);
+    # any change of the draw or visit order shows here
     est = root_plus_probability(GLAUBER_T, 0.25, "minus", sweeps=64, replicas=2, seed=1009,
                                 burn_in=16, batches=8)
-    counts = (3, 1, 1, 1, 4, 5, 0, 1, 0, 3, 5, 4, 1, 1, 1, 3)
+    counts = (1, 1, 1, 1, 7, 4, 0, 1, 0, 3, 5, 3, 1, 1, 1, 3)
     assert est.batch_means == tuple(c / 8 for c in counts)
 
 
@@ -399,5 +476,6 @@ def test_heat_bath_table_at_a_vertex_with_several_boundary_edges():
         rng, ref_rng = stream(43), stream(43)
         for _ in range(3):
             state = glauber_sweep(t, state, rng)
-            reference_sweep(spins, et.neighbors, field, 200.0, ref_rng.random(et.n_free))
+            reference_sweep(spins, et.neighbors, field, 200.0, ref_rng.random(et.n_free),
+                            et.colour_classes)
             assert state.spins.tolist() == spins

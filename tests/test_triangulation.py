@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdt_ising.branching import LevelForest, sample_spine_forest
@@ -166,6 +166,23 @@ def out_degree_lists(draw):
     return tuple(lists)
 
 
+@settings(max_examples=100, deadline=None)
+@given(lists=out_degree_lists())
+@example(lists=((1,), (1,), (1,)))  # one vertex on every level
+@example(lists=((3,), (1, 1, 1)))  # an odd level of three
+@example(lists=((2,), (1, 1), (0, 3)))  # an even level under an odd one
+def test_colour_classes_are_a_proper_colouring(lists):
+    t = forest_to_triangulation(lists)
+    fg = t.free_graph
+    classes = fg.colour_classes
+    assert 1 <= len(classes) <= 6 and all(classes)
+    assert sorted(v for c in classes for v in c) == list(range(fg.n_free))
+    assert all(list(c) == sorted(c) for c in classes)  # flat order inside a class
+    colour = {v: i for i, c in enumerate(classes) for v in c}
+    for v in range(fg.n_free):
+        assert all(colour[j] != colour[v] for j in t.neighbors[v] if j < fg.n_free)
+
+
 def modular_fans(lists) -> tuple:
     """Reference codec: vertex i's fan is S_i..S_{i+1} reduced mod k_top."""
     fans = []
@@ -305,6 +322,24 @@ def test_near_valid_fans_judged_like_seed_validator(case):
 def test_non_integer_input_rejected(sizes, fans):
     with pytest.raises(ValueError, match="must be integers"):
         Triangulation(sizes, fans)
+
+
+@pytest.mark.parametrize("lists", [
+    ((2.7,), (1.2, "1")),  # int() would truncate and parse these
+    ((2,), (1.0, 1)),  # whole floats are still floats
+    ((2,), (1, "1")),
+    (("1",), (1,)),
+])
+def test_forest_input_must_be_integers(lists):
+    with pytest.raises(ValueError, match="must be integers"):
+        forest_to_triangulation(lists)
+
+
+def test_numpy_integer_forest_accepted():
+    lists = (np.array([2]), (np.int64(1), np.int32(1)))
+    t = forest_to_triangulation(lists)
+    assert t == forest_to_triangulation(((2,), (1, 1)))
+    assert all(type(d) is int for lst in triangulation_to_forest(t).out_degrees for d in lst)
 
 
 def test_numpy_integers_accepted():
