@@ -10,6 +10,12 @@ Every dual edge crosses one primal edge, so a contour of length n crosses n
 primal edges; removing them disconnects the root from the top boundary, and
 inverting all spins on the root side changes the energy by +-2n depending on
 whether the crossed edges agree or disagree.
+
+The search runs one depth-first search per strip and backtracks in place.
+It cuts a branch once the path so far, plus the BFS distance from the branch
+to the strip's goal, plus the closing wrap edge, exceeds the length cap.
+The distance is a lower bound on what any completion needs, so the pruned
+search finds every contour, in the order of the unpruned one.
 """
 
 from __future__ import annotations
@@ -17,10 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Mapping
 
 from .branching import LevelForest
-from .ising import SpinState
+from .ising import SpinState, _checked_beta
 from .triangulation import PrimalKey, Triangulation, TriRef
 
 MAX_EXHAUSTIVE_TRIANGLES = 40
@@ -61,25 +68,45 @@ def _canonical_cycle(
     tris: list[TriRef], edges: list[int], winding: int
 ) -> tuple[tuple[TriRef, ...], tuple[int, ...]]:
     # Orient so the winding is +1, then take the lexicographically minimal
-    # rotation of the (triangle, edge) sequence.
+    # rotation of the (triangle, edge) sequence.  A simple cycle's triangles
+    # are distinct, so that rotation starts at the smallest triangle.
     if winding < 0:
         n = len(tris)
         tris = [tris[0]] + [tris[n - i] for i in range(1, n)]
         edges = list(reversed(edges))
-    seq = list(zip(tris, edges))
-    n = len(seq)
-    best = min(range(n), key=lambda r: [seq[(r + i) % n] for i in range(n)])
-    rot = [seq[(best + i) % n] for i in range(n)]
-    return tuple(t for t, _ in rot), tuple(e for _, e in rot)
+    best = tris.index(min(tris))
+    return tuple(tris[best:] + tris[:best]), tuple(edges[best:] + edges[:best])
+
+
+def _distances(adjacency: list[list[tuple[int, int, int]]], goal: int) -> list[int]:
+    """BFS edge counts to ``goal``; ``len(adjacency)`` marks the unreachable."""
+    f = len(adjacency)
+    dist = [f] * f
+    dist[goal] = 0
+    frontier = [goal]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for _, u, _ in adjacency[v]:
+                if dist[u] == f:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return dist
 
 
 def enumerate_contours(t: Triangulation, n_max: int | None = None) -> ContourSet:
     """All winding-one simple dual cycles, optionally capped at length ``n_max``.
 
     Exhaustive search (``n_max=None``) is guarded to small duals; bounded
-    search is guarded to lengths <= 14.  Every winding cycle uses at least
-    one wrap-around strip edge, so the search runs one DFS per strip, forcing
-    that strip's wrap edge, and canonical deduplication merges rediscoveries.
+    search is guarded to lengths <= 14, and ``n_max`` must be an integer >= 0.
+    Every winding cycle uses at least one wrap-around strip edge, so the
+    search runs one DFS per strip, forcing that strip's wrap edge, and
+    canonical deduplication merges rediscoveries.  A branch to a triangle at
+    BFS distance d from the strip's goal (with the wrap edge left out) is
+    cut when the path, the step, those d edges and the closing wrap edge
+    would exceed ``n_max``; d is a lower bound, so no contour is lost, and
+    the contours come out in the order of the unpruned search.
     """
     dual = t.dual
     f = len(dual.vertices)
@@ -90,10 +117,21 @@ def enumerate_contours(t: Triangulation, n_max: int | None = None) -> ContourSet
                 " pass n_max for a bounded search"
             )
         n_max = f
-    elif n_max > MAX_BOUNDED_LENGTH:
-        raise ValueError(f"bounded search requires n_max <= {MAX_BOUNDED_LENGTH}")
+    else:
+        try:  # index() takes numpy ints, refuses what int() would truncate or parse
+            n_max = index(n_max)
+        except TypeError as exc:
+            raise ValueError(f"n_max must be an integer: {exc}") from None
+        if n_max < 0:
+            raise ValueError(f"n_max must be >= 0, got {n_max}")
+        if n_max > MAX_BOUNDED_LENGTH:
+            raise ValueError(f"bounded search requires n_max <= {MAX_BOUNDED_LENGTH}")
 
-    adjacency = dual.adjacency
+    # dual vertices as ints, in the order of ``dual.vertices`` (strip, then index)
+    ids = {v: i for i, v in enumerate(dual.vertices)}
+    adjacency = [
+        [(eidx, ids[nbr], step) for eidx, nbr, step in dual.adjacency[v]] for v in dual.vertices
+    ]
     edges = dual.edges
     found: dict[tuple, Contour] = {}
 
@@ -104,32 +142,50 @@ def enumerate_contours(t: Triangulation, n_max: int | None = None) -> ContourSet
             for i, e in enumerate(edges)
             if e.seam_step == 1 and e.a == (strip, size - 1) and e.b == (strip, 0)
         )
-        start = (strip, 0)
-        goal = (strip, size - 1)
+        start = ids[(strip, 0)]
+        goal = ids[(strip, size - 1)]
+        # children in the reverse of the adjacency order, the order in which
+        # a stack search that pushes every child pops them
+        children = [[a for a in reversed(adj) if a[0] != wrap_idx] for adj in adjacency]
+        dist = _distances(children, goal)
         # DFS over simple paths start -> goal avoiding the forced wrap edge;
         # closing with the wrap edge (goal -> start) adds one positive seam
-        # crossing, so the cycle winding is the path's seam sum plus one.
-        stack: list[tuple[TriRef, list[TriRef], list[int], int]] = [(start, [start], [], 0)]
-        while stack:
-            node, path, epath, seam = stack.pop()
-            if node == goal:
-                if epath and abs(seam + 1) == 1:
-                    tris_c, edges_c = _canonical_cycle(path[:], epath + [wrap_idx], seam + 1)
-                    key = (tris_c, edges_c)
-                    if key not in found:
-                        crossed = tuple(edges[i].primal for i in edges_c)
-                        found[key] = Contour(tris_c, edges_c, crossed, 1)
-                # a simple cycle visits the goal once, right before closing
-                continue
-            for eidx, nbr, step in adjacency[node]:
-                if eidx == wrap_idx or eidx in epath:
+        # crossing, so the cycle winding is the path's seam sum plus one.  A
+        # path that repeats no triangle repeats no edge either.
+        path = [start]
+        epath: list[int] = []
+        on_path = [False] * f
+        on_path[start] = True
+        # per depth: (iterator over the node's children, seam sum so far)
+        frames = [(iter(children[start]), 0)]
+        while frames:
+            branches, seam = frames[-1]
+            for eidx, nbr, step in branches:
+                if on_path[nbr] or len(epath) + 2 + dist[nbr] > n_max:
                     continue
-                if nbr in path:
+                if nbr == goal:
+                    # a simple cycle visits the goal once, right before closing
+                    if abs(seam + step + 1) == 1:
+                        tris_c, edges_c = _canonical_cycle(
+                            [dual.vertices[i] for i in path] + [dual.vertices[goal]],
+                            epath + [eidx, wrap_idx],
+                            seam + step + 1,
+                        )
+                        key = (tris_c, edges_c)
+                        if key not in found:
+                            crossed = tuple(edges[i].primal for i in edges_c)
+                            found[key] = Contour(tris_c, edges_c, crossed, 1)
                     continue
-                need = 2 if nbr == goal else 3  # edges still required to close
-                if len(epath) + need > n_max:
-                    continue
-                stack.append((nbr, path + [nbr], epath + [eidx], seam + step))
+                on_path[nbr] = True
+                path.append(nbr)
+                epath.append(eidx)
+                frames.append((iter(children[nbr]), seam + step))
+                break
+            else:
+                frames.pop()
+                on_path[path.pop()] = False
+                if epath:
+                    epath.pop()
     return ContourSet(tuple(found.values()))
 
 
@@ -151,9 +207,13 @@ def peierls_series(counts: Mapping[int, int], beta: float) -> ContourSeries:
 
     ``tail_below_one_from`` is the smallest length L such that the tail sum
     over lengths >= L is < 1 (the uniqueness-breaking trigger); L is 0 when
-    even the full sum is below 1.
+    even the full sum is below 1.  beta must be finite and >= 0, and no
+    count may be negative.
     """
+    _checked_beta(beta)
     items = sorted((int(n), int(c)) for n, c in counts.items())
+    if any(c < 0 for _, c in items):
+        raise ValueError(f"contour counts must be >= 0, got {dict(items)}")
     rows = []
     acc = 0.0
     for n, c in items:

@@ -28,11 +28,13 @@ with |s| <= W = ``FreeGraph.max_degree``, so p(+1) is read from a table of
 W; ``conditional_spin_prob`` stays the only definition of p.
 
 ``glauber_sweep`` runs one sweep through ``_sweep_inplace``, one Python step
-per site, which is also the reference kernel.  ``root_plus_probability``
-updates a whole colour class at once (``_ClassKernel``): no two sites of a
-class are neighbours, so updating them together is the sequential sweep.
-Both give the same chain, bit for bit.  beta must be finite and >= 0 (the
-ferromagnet), which makes the table nondecreasing.
+per site, which is also the reference kernel; each free graph keeps the
+boundary field of the last boundary values it swept under, so a chain builds
+it once.  ``root_plus_probability`` updates a whole colour class at once
+(``_ClassKernel``): no two sites of a class are neighbours, so updating them
+together is the sequential sweep.  Both give the same chain, bit for bit.
+beta must be finite and >= 0 (the ferromagnet), which makes the table
+nondecreasing.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -95,24 +96,25 @@ class SpinState:
 _PM1 = frozenset((-1, 1))
 
 
-def _checked_lists(
-    t: Triangulation, spins: np.ndarray, boundary: np.ndarray
-) -> tuple[list[int], list[int]]:
-    """The spins and the boundary as lists of ints, after checking that they fit ``t``."""
-    if spins.shape != (t.free_graph.n_free,) or boundary.shape != (t.level_sizes[-1],):
-        shapes = (spins.shape, boundary.shape)
-        raise ValueError(f"spin and boundary shapes {shapes} do not fit levels {t.level_sizes}")
-    s, b = spins.tolist(), boundary.tolist()
+def _checked_spins(fg: FreeGraph, spins: np.ndarray) -> list[int]:
+    """The spins as a list of ints, after checking that they fit ``fg``."""
+    if spins.shape != (fg.n_free,):
+        raise ValueError(f"spin shape {spins.shape} does not fit {fg.n_free} free vertices")
+    s = spins.tolist()
     if not _PM1.issuperset(s):
         raise ValueError("spins must be +-1")
+    # a float 1.0 passes as +-1 but cannot index the heat-bath table
+    return s if spins.dtype.kind in "bi" else [int(x) for x in s]
+
+
+def _checked_boundary(t: Triangulation, boundary: np.ndarray) -> list[int]:
+    """The boundary as a list of ints, after checking that it fits ``t``'s top level."""
+    if boundary.shape != (t.level_sizes[-1],):
+        raise ValueError(f"boundary shape {boundary.shape} does not fit levels {t.level_sizes}")
+    b = boundary.tolist()
     if not _PM1.issuperset(b):
         raise ValueError("boundary spins must be +-1")
-    # a float 1.0 passes as +-1 but cannot index the heat-bath table
-    if spins.dtype.kind not in "bi":
-        s = [int(x) for x in s]
-    if boundary.dtype.kind not in "bi":
-        b = [int(x) for x in b]
-    return s, b
+    return b if boundary.dtype.kind in "bi" else [int(x) for x in b]
 
 
 def _boundary_field(fg: FreeGraph, boundary: list[int], offset: int = 0) -> list[int]:
@@ -141,7 +143,8 @@ def _hamiltonian(fg: FreeGraph, field: np.ndarray, spins: np.ndarray) -> np.ndar
 
 def energy(t: Triangulation, state: SpinState) -> float:
     """H(sigma | boundary) under the ferromagnetic convention."""
-    spins, boundary = _checked_lists(t, np.asarray(state.spins), np.asarray(state.boundary))
+    spins = _checked_spins(t.free_graph, np.asarray(state.spins))
+    boundary = _checked_boundary(t, np.asarray(state.boundary))
     field = np.array(_boundary_field(t.free_graph, boundary), dtype=np.int64)
     spins_col = np.array(spins, dtype=np.int8)[:, None]
     return float(_hamiltonian(t.free_graph, field, spins_col)[0])
@@ -232,18 +235,37 @@ def _sweep_inplace(
     field: list[int],
     table: tuple[float, ...],
     uniforms: list[float],
-    classes: tuple[tuple[int, ...], ...],
+    order: tuple[int, ...],
 ) -> None:
-    """Update the free spins class by class, site v drawing on ``uniforms[v]``.
+    """Update the free spins in ``order``, site v drawing on ``uniforms[v]``.
 
     ``field`` holds each boundary field plus the offset w of ``table``, so
     ``table[field[v] + sum of the neighbors' spins]`` is the site's p(+1).
     """
-    for v in chain.from_iterable(classes):
+    for v in order:
         s = field[v]
         for j in neighbors[v]:
             s += spins[j]
         spins[v] = 1 if uniforms[v] < table[s] else -1
+
+
+def _sweep_field(t: Triangulation, boundary: np.ndarray) -> list[int]:
+    """``_boundary_field`` of a checked ``boundary``, offset by ``max_degree``.
+
+    The last result is kept in ``FreeGraph.sweep_memo``, keyed by the
+    boundary's values, so an array changed in place between two sweeps
+    misses it.  Only a checked boundary enters the memo, so a hit needs no
+    check.
+    """
+    fg = t.free_graph
+    values = boundary.tolist()
+    seen, field = fg.sweep_memo[0]
+    if seen == values:
+        return field
+    values = _checked_boundary(t, boundary)
+    field = _boundary_field(fg, values, fg.max_degree)
+    fg.sweep_memo[0] = (values, field)
+    return field
 
 
 def glauber_sweep(t: Triangulation, state: SpinState, rng: np.random.Generator) -> SpinState:
@@ -257,12 +279,11 @@ def glauber_sweep(t: Triangulation, state: SpinState, rng: np.random.Generator) 
     """
     et = t.free_graph
     beta = _checked_beta(state.beta)
-    spins, boundary = _checked_lists(t, np.asarray(state.spins), state.boundary)
-    w = et.max_degree
-    field = _boundary_field(et, boundary, w)
+    field = _sweep_field(t, state.boundary)
+    spins = _checked_spins(et, np.asarray(state.spins))
     uniforms = rng.random(et.n_free).tolist()
-    table = _heat_bath_table(beta, w)
-    _sweep_inplace(spins, et.neighbors, field, table, uniforms, et.colour_classes)
+    table = _heat_bath_table(beta, et.max_degree)
+    _sweep_inplace(spins, et.neighbors, field, table, uniforms, et.visit_order)
     return SpinState(np.array(spins, dtype=np.int8), state.boundary, beta)
 
 
@@ -283,7 +304,7 @@ class _ClassKernel:
 
     def __init__(self, fg: FreeGraph, field: list[int], table: tuple[float, ...]) -> None:
         n = fg.n_free
-        self.order = np.fromiter(chain.from_iterable(fg.colour_classes), np.intp, n)
+        self.order = np.array(fg.visit_order, dtype=np.intp)
         pos = np.empty(n, dtype=np.intp)
         pos[self.order] = np.arange(n)
         # each interior edge in both directions, grouped by the first end

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import index
 from typing import Iterator, Sequence, Union
 
@@ -93,6 +94,14 @@ class FreeGraph:
     # max over free v of len(neighbors[v]) + its boundary edges: a bound on
     # |field_v + sum of its neighbors' spins| under every boundary condition
     max_degree: int
+    # ising.glauber_sweep's one-entry memo, [(boundary values, boundary
+    # field)]: a chain sweeps many times under one boundary
+    sweep_memo: list = field(default_factory=lambda: [(None, None)], compare=False, repr=False)
+
+    @cached_property
+    def visit_order(self) -> tuple[int, ...]:
+        """The free vertices class by class: the order of a heat-bath sweep."""
+        return tuple(chain.from_iterable(self.colour_classes))
 
 
 @dataclass(frozen=True)

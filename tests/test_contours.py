@@ -1,7 +1,9 @@
 """Tests for contour enumeration, the contour series, spin inversion, and the
 survivor statistic.  The enumeration oracle below is built independently:
 dual adjacency from triangle edge matching, plain simple-cycle DFS, and a
-cut-based separation filter instead of seam-crossing arithmetic."""
+cut-based separation filter instead of seam-crossing arithmetic.  A second
+reference, the unpruned copy-per-push search, pins the exact output of
+``enumerate_contours``, order included."""
 
 import math
 from collections import Counter
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from cdt_ising.branching import sample_spine_forest
 from cdt_ising.contours import (
+    Contour,
     below_vertices,
     enumerate_contours,
     flip_inside,
@@ -21,7 +24,11 @@ from cdt_ising.contours import (
 )
 from cdt_ising.ising import SpinState, energy, gibbs_exact
 from cdt_ising.rng import stream
-from cdt_ising.triangulation import Triangulation, forest_to_triangulation
+from cdt_ising.triangulation import (
+    Triangulation,
+    enumerate_triangulations,
+    forest_to_triangulation,
+)
 
 from test_triangulation import out_degree_lists
 
@@ -95,6 +102,74 @@ def _separates(t: Triangulation, removed: set) -> bool:
     return not (seen & top_flat)
 
 
+def reference_canonical_cycle(tris, edges, winding):
+    """The lexicographically minimal rotation, tried rotation by rotation."""
+    if winding < 0:
+        n = len(tris)
+        tris = [tris[0]] + [tris[n - i] for i in range(1, n)]
+        edges = list(reversed(edges))
+    seq = list(zip(tris, edges))
+    n = len(seq)
+    best = min(range(n), key=lambda r: [seq[(r + i) % n] for i in range(n)])
+    rot = [seq[(best + i) % n] for i in range(n)]
+    return tuple(t for t, _ in rot), tuple(e for _, e in rot)
+
+
+def reference_contours(t: Triangulation, n_max: int | None = None) -> tuple[Contour, ...]:
+    """The unpruned search: per strip, a stack DFS that copies the path on
+    every push and cuts a branch only when closing needs more than ``n_max``
+    edges (two from the goal's neighbours, three from anywhere else)."""
+    dual = t.dual
+    if n_max is None:
+        n_max = len(dual.vertices)
+    edges = dual.edges
+    found: dict[tuple, Contour] = {}
+    for strip in range(t.top_level):
+        size = dual.strip_sizes[strip]
+        wrap_idx = next(
+            i
+            for i, e in enumerate(edges)
+            if e.seam_step == 1 and e.a == (strip, size - 1) and e.b == (strip, 0)
+        )
+        start, goal = (strip, 0), (strip, size - 1)
+        stack = [(start, [start], [], 0)]
+        while stack:
+            node, path, epath, seam = stack.pop()
+            if node == goal:
+                if epath and abs(seam + 1) == 1:
+                    key = reference_canonical_cycle(path[:], epath + [wrap_idx], seam + 1)
+                    if key not in found:
+                        crossed = tuple(edges[i].primal for i in key[1])
+                        found[key] = Contour(key[0], key[1], crossed, 1)
+                continue
+            for eidx, nbr, step in dual.adjacency[node]:
+                if eidx == wrap_idx or eidx in epath or nbr in path:
+                    continue
+                need = 2 if nbr == goal else 3
+                if len(epath) + need > n_max:
+                    continue
+                stack.append((nbr, path + [nbr], epath + [eidx], seam + step))
+    return tuple(found.values())
+
+
+def fifteen_spin_triangulations(seed: int, count: int) -> list[Triangulation]:
+    """Distinct 15-spin samples at depths 3, 4, 5 in turn, as the small-exact
+    benchmark draws its instances."""
+    out: list[Triangulation] = []
+    seen = set()
+    for j in range(100_000):
+        forest = sample_spine_forest(stream(seed, j), (3, 4, 5)[j % 3])
+        if sum(forest.level_sizes[:-1]) != 15:
+            continue
+        t = forest_to_triangulation(forest)
+        if (t.level_sizes, t.fans) not in seen:
+            seen.add((t.level_sizes, t.fans))
+            out.append(t)
+            if len(out) == count:
+                return out
+    raise RuntimeError("too few 15-spin samples")
+
+
 def small_random_triangulation(seed: int, levels: int, max_triangles: int) -> Triangulation:
     for i in range(5000):
         t = forest_to_triangulation(sample_spine_forest(stream(seed, i), levels))
@@ -141,6 +216,42 @@ def test_contours_separate_root_from_top():
         assert all(lvl < t.top_level for lvl, _ in below)
 
 
+@pytest.mark.parametrize("levels, width_cap", [(2, 4), (3, 3)])
+def test_exhaustive_search_equals_unpruned_reference(levels, width_cap):
+    for t, _ in enumerate_triangulations(levels, width_cap):
+        assert enumerate_contours(t).contours == reference_contours(t), t
+
+
+@pytest.mark.parametrize("n_max", [6, 10, 14])
+def test_bounded_search_equals_unpruned_reference(n_max):
+    for t in fifteen_spin_triangulations(17, 20):
+        assert enumerate_contours(t, n_max).contours == reference_contours(t, n_max), t
+
+
+@settings(max_examples=60, deadline=None)
+@given(lists=out_degree_lists(), data=st.data())
+def test_shorter_cap_is_a_length_filter(lists, data):
+    while len(lists) > 1 and sum(map(sum, lists)) > 16:
+        lists = lists[:-1]
+    t = forest_to_triangulation(lists)
+    m = data.draw(st.integers(1, 12))
+    k = data.draw(st.integers(0, m - 1))
+    longer = enumerate_contours(t, m).contours
+    assert enumerate_contours(t, k).contours == tuple(c for c in longer if c.length <= k)
+
+
+@pytest.mark.parametrize("n_max", [2.5, -3, "4"])
+def test_bounded_search_rejects_bad_length_cap(n_max):
+    with pytest.raises(ValueError):
+        enumerate_contours(forest_to_triangulation(((1,), (1,))), n_max)
+
+
+def test_bounded_search_takes_numpy_integers():
+    t = forest_to_triangulation(((2,), (1, 1)))
+    assert enumerate_contours(t, np.int64(6)).contours == enumerate_contours(t, 6).contours
+    assert enumerate_contours(t, 0).contours == ()
+
+
 def test_exhaustive_guard():
     big = forest_to_triangulation(((4,), (2, 2, 2, 2), (2, 2, 2, 2, 2, 2, 2, 2)))
     assert big.triangle_count > 40
@@ -179,6 +290,18 @@ def test_series_trigger_level():
     # total = 100 e^-4 + e^-6 > 1; tail from 3 is e^-6 < 1
     assert s.total > 1.0
     assert s.tail_below_one_from == 3
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -0.5])
+def test_series_rejects_bad_beta(beta):
+    with pytest.raises(ValueError, match="beta"):
+        peierls_series({2: 1}, beta)
+
+
+def test_series_rejects_negative_counts():
+    with pytest.raises(ValueError, match="counts"):
+        peierls_series({2: 3, 4: -2}, 1.0)
+    assert peierls_series({2: 0}, 0.0).rows == ((2, 0, 0.0),)
 
 
 # -- spin inversion -----------------------------------------------------------

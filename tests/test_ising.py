@@ -479,3 +479,40 @@ def test_heat_bath_table_at_a_vertex_with_several_boundary_edges():
             reference_sweep(spins, et.neighbors, field, 200.0, ref_rng.random(et.n_free),
                             et.colour_classes)
             assert state.spins.tolist() == spins
+
+
+def test_glauber_sweep_boundary_field_memo_cannot_go_stale():
+    # glauber_sweep keeps the field of the last boundary it saw; switching the
+    # boundary, changing an array in place or switching to another graph with
+    # the same top-level size must each give the chain of a fresh field
+    other = forest_to_triangulation(((3,), (1, 1, 1)))  # also 3 boundary spins
+    beta = 0.6
+    rng, ref_rng = stream(48), stream(48)
+    spins = {t: SpinState.random(t, stream(49), "plus", beta).spins for t in (GLAUBER_T, other)}
+    mixed = np.array([1, -1, 1], dtype=np.int8)
+
+    def sweep_and_check(t, boundary):
+        et = t.free_graph
+        state = glauber_sweep(t, SpinState(spins[t], boundary, beta), rng)
+        expected = spins[t].tolist()
+        field = ising._boundary_field(et, boundary.tolist(), et.max_degree)
+        ising._sweep_inplace(expected, et.neighbors, field, _heat_bath_table(beta, et.max_degree),
+                             ref_rng.random(et.n_free).tolist(), et.visit_order)
+        assert state.spins.tolist() == expected
+        spins[t] = state.spins
+
+    for bc in ("plus", "minus", "plus", mixed, "minus", mixed, mixed):
+        sweep_and_check(GLAUBER_T, boundary_vector(GLAUBER_T, bc))
+    for _ in range(3):
+        sweep_and_check(GLAUBER_T, mixed)
+        mixed[0] = -mixed[0]  # the same array, other values
+        sweep_and_check(GLAUBER_T, mixed)
+    for t in (GLAUBER_T, other, GLAUBER_T, other):
+        sweep_and_check(t, mixed)
+    assert rng.random() == ref_rng.random()
+    # a boundary that fails the check never enters the memo, so it fails every time
+    bad = mixed.copy()
+    bad[1] = 0
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            glauber_sweep(GLAUBER_T, SpinState(spins[GLAUBER_T], bad, beta), rng)
