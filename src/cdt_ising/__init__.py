@@ -23,7 +23,6 @@ from .branching import (
     level_size_pmf,
     offspring_pmf,
     psi_n,
-    sample_gw_tree,
     sample_spine_forest,
     size_biased_pmf,
 )

@@ -9,9 +9,7 @@ side of the spine child.  Truncating everything at a finite height gives the
 
 ``sample_spine_forest`` draws that tree level by level: per level, the
 spine's (left, right) side-child counts, then one batch of Geom(1/2) child
-counts for the whole level in planar order.  The per-tree sampler
-``sample_gw_tree`` draws single unconditioned trees generation by
-generation.
+counts for the whole level in planar order.
 
 Two exact laws are exposed for validation:
 
@@ -117,20 +115,6 @@ class FiniteTree:
         if stack:
             raise ValueError("out-degree sequence is truncated")
 
-    @classmethod
-    def from_children(cls, children: list[list[int]], heights: list[int]) -> "FiniteTree":
-        """Build from an adjacency list rooted at node 0, relabeling to preorder."""
-        order: list[int] = []
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(reversed(children[node]))
-        return cls(
-            tuple(len(children[v]) for v in order),
-            tuple(heights[v] for v in order),
-        )
-
     @property
     def node_count(self) -> int:
         return len(self.out_degrees)
@@ -138,32 +122,6 @@ class FiniteTree:
     @property
     def max_height(self) -> int:
         return max(self.heights)
-
-
-def sample_gw_tree(rng: np.random.Generator, height_cap: int) -> FiniteTree:
-    """Sample an unconditioned Geom(1/2) tree, generation by generation.
-
-    Nodes at ``height_cap`` get no children: the tree is truncated (cut),
-    not conditioned to die out by then.
-    """
-    if height_cap < 0:
-        raise ValueError(f"height cap must be >= 0, got {height_cap}")
-    children: list[list[int]] = [[]]
-    heights = [0]
-    frontier = [0]
-    for h in range(height_cap):
-        if not frontier:
-            break
-        counts = rng.geometric(0.5, size=len(frontier)) - 1
-        nxt: list[int] = []
-        for node, c in zip(frontier, counts):
-            ids = list(range(len(children), len(children) + int(c)))
-            children[node] = ids
-            children.extend([] for _ in ids)
-            heights.extend([h + 1] * len(ids))
-            nxt.extend(ids)
-        frontier = nxt
-    return FiniteTree.from_children(children, heights)
 
 
 @dataclass(frozen=True)

@@ -25,16 +25,20 @@ through ``FreeGraph.colour_classes``, a proper colouring with at most 6
 classes, each in flat order.  The local field s at a site is an integer
 with |s| <= W = ``FreeGraph.max_degree``, so p(+1) is read from a table of
 ``conditional_spin_prob(s, beta)`` for s in -W..W, built once per beta and
-W; ``conditional_spin_prob`` stays the only definition of p.
+W; ``conditional_spin_prob`` stays the only definition of p.  A site turns
++ iff its uniform is below its table entry.
 
 ``glauber_sweep`` runs one sweep through ``_sweep_inplace``, one Python step
 per site, which is also the reference kernel; each free graph keeps the
 boundary field of the last boundary values it swept under, so a chain builds
 it once.  ``root_plus_probability`` updates a whole colour class at once
-(``_ClassKernel``): no two sites of a class are neighbours, so updating them
-together is the sequential sweep.  Both give the same chain, bit for bit.
-beta must be finite and >= 0 (the ferromagnet), which makes the table
-nondecreasing.
+(``_ClassKernel``) with the same comparison, reading each class's neighbours
+from ``FreeGraph.class_neighbors``: no two sites of a class are neighbours,
+so updating them together is the sequential sweep.  Both give the same
+chain, bit for bit.  Spins and boundary values pass one +-1 check,
+``_checked_pm1``, at every entry point.  beta must be finite and >= 0 (the
+ferromagnet) everywhere; that is the API's rule, as neither kernel needs
+the table to be ordered.
 """
 
 from __future__ import annotations
@@ -62,12 +66,7 @@ def boundary_vector(t: Triangulation, bc) -> np.ndarray:
         if bc == "minus":
             return -np.ones(k, dtype=np.int8)
         raise ValueError(f"unknown boundary condition {bc!r}")
-    vec = np.asarray(bc, dtype=np.int8)
-    if vec.shape != (k,):
-        raise ValueError(f"boundary vector must have length {k}")
-    if not np.all(np.abs(vec) == 1):
-        raise ValueError("boundary spins must be +-1")
-    return vec
+    return np.array(_checked_pm1(bc, k, "boundary"), dtype=np.int8)
 
 
 @dataclass
@@ -96,25 +95,20 @@ class SpinState:
 _PM1 = frozenset((-1, 1))
 
 
-def _checked_spins(fg: FreeGraph, spins: np.ndarray) -> list[int]:
-    """The spins as a list of ints, after checking that they fit ``fg``."""
-    if spins.shape != (fg.n_free,):
-        raise ValueError(f"spin shape {spins.shape} does not fit {fg.n_free} free vertices")
-    s = spins.tolist()
-    if not _PM1.issuperset(s):
-        raise ValueError("spins must be +-1")
+def _checked_pm1(values, n: int, what: str) -> list[int]:
+    """``values`` as a list of n ints, after checking that each is +-1.
+
+    Numbers only: a string or an object array fails even where it compares
+    equal to +-1.
+    """
+    a = np.asarray(values)
+    if a.shape != (n,):
+        raise ValueError(f"{what} spins: shape {a.shape} does not fit {n} sites")
+    s = a.tolist()
+    if a.dtype.kind not in "biuf" or not _PM1.issuperset(s):
+        raise ValueError(f"{what} spins must be +-1")
     # a float 1.0 passes as +-1 but cannot index the heat-bath table
-    return s if spins.dtype.kind in "bi" else [int(x) for x in s]
-
-
-def _checked_boundary(t: Triangulation, boundary: np.ndarray) -> list[int]:
-    """The boundary as a list of ints, after checking that it fits ``t``'s top level."""
-    if boundary.shape != (t.level_sizes[-1],):
-        raise ValueError(f"boundary shape {boundary.shape} does not fit levels {t.level_sizes}")
-    b = boundary.tolist()
-    if not _PM1.issuperset(b):
-        raise ValueError("boundary spins must be +-1")
-    return b if boundary.dtype.kind in "bi" else [int(x) for x in b]
+    return s if a.dtype.kind in "biu" else [int(x) for x in s]
 
 
 def _boundary_field(fg: FreeGraph, boundary: list[int], offset: int = 0) -> list[int]:
@@ -143,8 +137,8 @@ def _hamiltonian(fg: FreeGraph, field: np.ndarray, spins: np.ndarray) -> np.ndar
 
 def energy(t: Triangulation, state: SpinState) -> float:
     """H(sigma | boundary) under the ferromagnetic convention."""
-    spins = _checked_spins(t.free_graph, np.asarray(state.spins))
-    boundary = _checked_boundary(t, np.asarray(state.boundary))
+    spins = _checked_pm1(state.spins, t.free_graph.n_free, "free")
+    boundary = _checked_pm1(state.boundary, t.level_sizes[-1], "boundary")
     field = np.array(_boundary_field(t.free_graph, boundary), dtype=np.int64)
     spins_col = np.array(spins, dtype=np.int8)[:, None]
     return float(_hamiltonian(t.free_graph, field, spins_col)[0])
@@ -193,13 +187,8 @@ class GibbsExact:
         self.probs = w / w.sum()
 
     def _config_index(self, spins: np.ndarray) -> int:
-        s = np.asarray(spins)
-        if s.shape != (self.n_free,):
-            raise ValueError("configuration has the wrong length")
-        if not (np.abs(s) == 1).all():
-            raise ValueError("spins must be +-1")
-        bits = (s > 0).astype(np.uint64)
-        return int((bits << np.arange(self.n_free, dtype=np.uint64)).sum())
+        s = _checked_pm1(spins, self.n_free, "free")
+        return sum(1 << v for v, x in enumerate(s) if x > 0)
 
     def prob_of(self, spins: np.ndarray) -> float:
         return float(self.probs[self._config_index(spins)])
@@ -249,7 +238,7 @@ def _sweep_inplace(
         spins[v] = 1 if uniforms[v] < table[s] else -1
 
 
-def _sweep_field(t: Triangulation, boundary: np.ndarray) -> list[int]:
+def _sweep_field(t: Triangulation, boundary) -> list[int]:
     """``_boundary_field`` of a checked ``boundary``, offset by ``max_degree``.
 
     The last result is kept in ``FreeGraph.sweep_memo``, keyed by the
@@ -258,11 +247,11 @@ def _sweep_field(t: Triangulation, boundary: np.ndarray) -> list[int]:
     check.
     """
     fg = t.free_graph
-    values = boundary.tolist()
+    values = np.asarray(boundary).tolist()
     seen, field = fg.sweep_memo[0]
     if seen == values:
         return field
-    values = _checked_boundary(t, boundary)
+    values = _checked_pm1(boundary, t.level_sizes[-1], "boundary")
     field = _boundary_field(fg, values, fg.max_degree)
     fg.sweep_memo[0] = (values, field)
     return field
@@ -280,7 +269,7 @@ def glauber_sweep(t: Triangulation, state: SpinState, rng: np.random.Generator) 
     et = t.free_graph
     beta = _checked_beta(state.beta)
     field = _sweep_field(t, state.boundary)
-    spins = _checked_spins(et, np.asarray(state.spins))
+    spins = _checked_pm1(state.spins, et.n_free, "free")
     uniforms = rng.random(et.n_free).tolist()
     table = _heat_bath_table(beta, et.max_degree)
     _sweep_inplace(spins, et.neighbors, field, table, uniforms, et.visit_order)
@@ -290,43 +279,28 @@ def glauber_sweep(t: Triangulation, state: SpinState, rng: np.random.Generator) 
 class _ClassKernel:
     """The sweep of ``_sweep_inplace`` as one vectorised update per colour class.
 
-    Spins are booleans (True for +1) in colour order, followed by one padding
-    slot that stays False.  Class c's neighbours are a padded (width, size)
-    array of positions in that order, so one gather and one column sum count
-    each site's plus neighbours.  With deg_v neighbours and ``field`` offset
-    by w, the site's table index is base_v + 2 * count for base_v = field_v
-    - deg_v, and since ``table`` is nondecreasing (beta >= 0), ``u <
-    table[i]`` holds iff i >= K = searchsorted(table, u, side="right"): the
-    site turns + iff count >= ceil((K - base_v) / 2), a threshold fixed by u.
-    Clipped to 0..max degree + 1, the thresholds and counts share the
-    smallest unsigned dtype that holds them.
+    Spins are booleans (True for +1) in visit order, followed by one padding
+    slot that stays False, so one gather through ``FreeGraph.class_neighbors``
+    and one column sum count each site's plus neighbours.  With deg_v
+    neighbours the sum of their spins is 2 * count - deg_v, so the site's
+    table index is base_v + 2 * count for base_v = field_v - deg_v, and the
+    site turns + iff its uniform is below that entry, the test of
+    ``_sweep_inplace``.  Nothing here needs the table to be ordered; beta >=
+    0 stays the rule of the API, not of the kernel.
     """
 
     def __init__(self, fg: FreeGraph, field: list[int], table: tuple[float, ...]) -> None:
-        n = fg.n_free
         self.order = np.array(fg.visit_order, dtype=np.intp)
-        pos = np.empty(n, dtype=np.intp)
-        pos[self.order] = np.arange(n)
-        # each interior edge in both directions, grouped by the first end
-        a, b = np.concatenate((fg.ia, fg.ib)), np.concatenate((fg.ib, fg.ia))
-        by_a = np.argsort(a, kind="stable")
-        deg = np.bincount(a, minlength=n)
-        rank = np.arange(len(a)) - np.repeat(np.cumsum(deg) - deg, deg)
-        padded = np.full((deg.max(), n), n, dtype=np.intp)  # n is the padding slot
-        padded[rank, pos[a[by_a]]] = pos[b[by_a]]
-        deg = deg[self.order]
+        deg = np.array([len(fg.neighbors[v]) for v in fg.visit_order], dtype=np.intp)
+        base = np.asarray(field, dtype=np.intp)[self.order] - deg
         self.classes = []
         lo = 0
-        for members in fg.colour_classes:
-            hi = lo + len(members)
-            nbrs = np.ascontiguousarray(padded[: deg[lo:hi].max(), lo:hi])  # gathers run faster
-            self.classes.append((slice(lo, hi), nbrs))
+        for nbrs in fg.class_neighbors:
+            hi = lo + nbrs.shape[1]
+            self.classes.append((slice(lo, hi), nbrs, base[lo:hi]))
             lo = hi
-        self.cap = int(deg.max()) + 1
-        self.dtype = np.min_scalar_type(self.cap)
-        self.base = np.asarray(field)[self.order] - deg
         self.table = np.asarray(table)
-        self.root = int(pos[0])
+        self.root = fg.visit_order.index(0)
 
     def start(self, spins: np.ndarray) -> np.ndarray:
         """The kernel's state for flat-order ``spins``, + where positive."""
@@ -343,13 +317,11 @@ class _ClassKernel:
         plus = x.view(np.uint8)
         root_plus = 0
         for done in range(0, count, block):
-            uniforms = rng.random((min(block, count - done), n))
-            k = np.searchsorted(self.table, uniforms[:, self.order], side="right")
-            thresholds = np.clip((k - self.base + 1) // 2, 0, self.cap).astype(self.dtype)
-            for row in thresholds:
-                for sites, nbrs in self.classes:
-                    counts = np.add.reduce(plus[nbrs], axis=0, dtype=self.dtype)
-                    np.greater_equal(counts, row[sites], out=x[sites])
+            uniforms = rng.random((min(block, count - done), n))[:, self.order]
+            for row in uniforms:
+                for sites, nbrs, base in self.classes:
+                    counts = np.add.reduce(plus[nbrs], axis=0, dtype=np.intp)
+                    np.less(row[sites], self.table[base + 2 * counts], out=x[sites])
                 root_plus += x[self.root]
         return int(root_plus)
 
@@ -397,8 +369,7 @@ def root_plus_probability(
     et = t.free_graph
     n = et.n_free
     bc_vec = boundary_vector(t, bc)
-    w = et.max_degree
-    kernel = _ClassKernel(et, _boundary_field(et, bc_vec.tolist(), w), _heat_bath_table(beta, w))
+    kernel = _ClassKernel(et, _sweep_field(t, bc_vec), _heat_bath_table(beta, et.max_degree))
     batch_size = sweeps // batches
     used = batch_size * batches
     all_means: list[float] = []

@@ -23,6 +23,9 @@ vertex on the target level.  The draws are those of the full build: the
 depth-(levels+1) forest first, then one uniform per marked vertex in flat
 order, so each trial's verdict equals ``max_open_reach`` on
 ``forest_to_triangulation`` of the same forest with the same uniforms.
+
+Every entry point that takes beta requires it finite and >= 0, as the Ising
+code does (``ising._checked_beta``).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .branching import sample_spine_forest
+from .ising import _checked_beta
 from .rng import stream
 from .triangulation import Triangulation
 
@@ -44,9 +48,7 @@ def open_probability(degree: int, beta: float) -> float:
     """tanh(beta * degree): the disagreement bound for a degree-d vertex."""
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    return math.tanh(beta * degree)
+    return math.tanh(_checked_beta(beta) * degree)
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,7 @@ class OpenSet:
 
 def sample_open_set(t: Triangulation, beta: float, rng: np.random.Generator) -> OpenSet:
     """Mark vertex v open with probability tanh(beta * d_v), independently."""
+    _checked_beta(beta)
     degs = t.mark_degrees
     marks = rng.random(len(degs)) < np.tanh(beta * degs)
     return OpenSet(float(beta), marks)
@@ -66,6 +69,7 @@ def sample_open_set(t: Triangulation, beta: float, rng: np.random.Generator) -> 
 
 def open_set_from_uniforms(t: Triangulation, beta: float, uniforms: np.ndarray) -> OpenSet:
     """Open set from pre-drawn uniforms; shared uniforms couple different betas."""
+    _checked_beta(beta)
     degs = t.mark_degrees
     if uniforms.shape != degs.shape:
         raise ValueError("need one uniform per marked vertex")
@@ -239,6 +243,8 @@ def reach_hits(
     ``max_open_reach(t, open_set_from_uniforms(t, beta, uniforms)).reach >=
     levels`` on ``t = forest_to_triangulation(forest)``.
     """
+    for beta in betas:
+        _checked_beta(beta)
     hits = [0] * len(betas)
     for i in range(start, start + count):
         rng = stream(seed, i)

@@ -103,6 +103,25 @@ class FreeGraph:
         """The free vertices class by class: the order of a heat-bath sweep."""
         return tuple(chain.from_iterable(self.colour_classes))
 
+    @cached_property
+    def class_neighbors(self) -> tuple[np.ndarray, ...]:
+        """Per colour class, a padded (width, size) array of neighbour positions.
+
+        Column j lists ``neighbors`` of the class's j-th vertex by their
+        positions in ``visit_order``, padded with ``n_free`` up to the
+        class's largest neighbour count.
+        """
+        pos = np.empty(self.n_free, dtype=np.intp)
+        pos[list(self.visit_order)] = np.arange(self.n_free)
+        layout = []
+        for members in self.colour_classes:
+            nbrs = np.full((max(len(self.neighbors[v]) for v in members), len(members)),
+                           self.n_free, dtype=np.intp)
+            for j, v in enumerate(members):
+                nbrs[: len(self.neighbors[v]), j] = pos[list(self.neighbors[v])]
+            layout.append(nbrs)
+        return tuple(layout)
+
 
 @dataclass(frozen=True)
 class Triangle:

@@ -14,7 +14,6 @@ from cdt_ising.branching import (
     offspring_gf,
     offspring_pmf,
     psi_n,
-    sample_gw_tree,
     sample_spine_forest,
     size_biased_pmf,
 )
@@ -131,37 +130,6 @@ def test_finite_tree_validation():
         FiniteTree((2, 0, 0), (0, 1, 2))  # bad height
     with pytest.raises(ValueError):
         FiniteTree((2, 0), (0, 1))  # truncated encoding
-
-
-def test_sample_gw_tree_height_cap_zero():
-    t = sample_gw_tree(stream(0, 0), 0)
-    assert t.node_count == 1
-    assert t.out_degrees == (0,)
-
-
-def test_sample_gw_tree_truncation():
-    for i in range(50):
-        t = sample_gw_tree(stream(1, i), 3)
-        assert t.max_height <= 3
-
-
-def test_sample_gw_tree_extinction_probability():
-    # P(no level-3 descendants) = psi_3(0) = 3/4
-    rng = stream(12)
-    trials = 100000
-    extinct = 0
-    for _ in range(trials):
-        t = sample_gw_tree(rng, 3)
-        if t.max_height < 3:
-            extinct += 1
-    assert abs(extinct / trials - 0.75) < 0.005
-
-
-def test_sample_gw_tree_mean_offspring():
-    rng = stream(13)
-    trials = 100000
-    total = sum(sample_gw_tree(rng, 1).node_count - 1 for _ in range(trials))
-    assert abs(total / trials - 1.0) < 0.01
 
 
 def test_spine_forest_structure():

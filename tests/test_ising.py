@@ -78,6 +78,46 @@ def test_boundary_vector_forms():
         boundary_vector(CHAIN, "up")
 
 
+# WIDE has 3 free spins and 3 boundary spins, so each of these fits either
+NOT_PM1 = [[1.5, -1, 1], ["1", "-1", "1"], ["1", 1, 1], [255, 1, 1], [1, None, -1]]
+
+
+@pytest.mark.parametrize("values", NOT_PM1, ids=["float", "str", "mixed", "255", "None"])
+def test_every_entry_point_rejects_values_that_are_not_pm1(values):
+    ok = SpinState.constant(WIDE, 1, "plus", 0.5)
+    g = gibbs_exact(WIDE, 0.5, "plus")
+    for call in (
+        lambda: boundary_vector(WIDE, values),
+        lambda: SpinState.constant(WIDE, 1, values, 0.5),
+        lambda: energy(WIDE, SpinState(values, ok.boundary, 0.5)),
+        lambda: energy(WIDE, SpinState(ok.spins, values, 0.5)),
+        lambda: glauber_sweep(WIDE, SpinState(values, ok.boundary, 0.5), stream(50)),
+        lambda: glauber_sweep(WIDE, SpinState(ok.spins, values, 0.5), stream(50)),
+        lambda: gibbs_exact(WIDE, 0.5, values),
+        lambda: g.prob_of(values),
+        lambda: root_plus_probability(WIDE, 0.5, values, sweeps=32, replicas=1, seed=9),
+    ):
+        with pytest.raises(ValueError, match=r"\+-1"):
+            call()
+
+
+def test_pm1_check_accepts_lists_and_floats():
+    spins, boundary = [1, -1, -1], [1, -1, 1]
+    ref = SpinState(np.array(spins, dtype=np.int8), np.array(boundary, dtype=np.int8), 0.5)
+    g = gibbs_exact(WIDE, 0.5, ref.boundary)
+    swept = glauber_sweep(WIDE, ref, stream(51)).spins.tolist()
+    est = root_plus_probability(WIDE, 0.5, ref.boundary, sweeps=32, replicas=1, seed=9)
+    for form in (list, lambda x: [float(v) for v in x], lambda x: np.array(x, dtype=float)):
+        state = SpinState(form(spins), form(boundary), 0.5)
+        assert boundary_vector(WIDE, form(boundary)).tolist() == boundary
+        assert energy(WIDE, state) == energy(WIDE, ref)
+        assert glauber_sweep(WIDE, state, stream(51)).spins.tolist() == swept
+        assert g.prob_of(form(spins)) == g.prob_of(ref.spins)
+        assert np.array_equal(gibbs_exact(WIDE, 0.5, form(boundary)).probs, g.probs)
+        assert root_plus_probability(WIDE, 0.5, form(boundary), sweeps=32, replicas=1,
+                                     seed=9) == est
+
+
 def test_gibbs_uniform_at_beta_zero():
     g = gibbs_exact(WIDE, 0.0, "minus")
     assert np.allclose(g.probs, 1.0 / len(g.probs))
@@ -291,7 +331,7 @@ def test_ising_entry_points_reject_non_finite_beta(beta):
     lambda beta: gibbs_exact(WIDE, beta, "minus"),
 ], ids=["glauber_sweep", "root_plus_probability", "gibbs_exact"])
 def test_ising_entry_points_reject_negative_beta(entry_point):
-    # the antiferromagnet's table decreases, so the threshold kernel would be wrong
+    # beta >= 0 (the ferromagnet) is the rule of every entry point
     with pytest.raises(ValueError, match=">= 0"):
         entry_point(-0.5)
     entry_point(-0.0)  # equal to 0
@@ -425,6 +465,23 @@ def test_root_plus_probability_independent_of_draw_block(monkeypatch, block):
     expected = reference_root_plus(*args)
     monkeypatch.setattr(ising, "_DRAW_BLOCK", block)
     assert root_plus_probability(*args) == expected
+
+
+def test_root_plus_probability_reuses_the_cached_class_layout(monkeypatch):
+    t = forest_to_triangulation(((2,), (1, 2), (1, 0, 2)))
+    seen = []
+    init = ising._ClassKernel.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        seen.append([nbrs for _, nbrs, _ in self.classes])
+
+    monkeypatch.setattr(ising._ClassKernel, "__init__", spy)
+    for bc in ("plus", "minus"):
+        root_plus_probability(t, 0.5, bc, sweeps=8, replicas=1, seed=9, burn_in=0, batches=2)
+    layout = t.free_graph.class_neighbors
+    assert len(seen) == 2
+    assert all(a is b for run in seen for a, b in zip(run, layout, strict=True))
 
 
 def test_root_plus_probability_counts_past_255_neighbours():

@@ -245,6 +245,24 @@ def test_open_set_from_uniforms_couples():
     assert not (small.marks & ~large.marks).any()
 
 
+@pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
+def test_percolation_entry_points_reject_bad_beta(beta):
+    # beta must be finite and >= 0, as in the Ising code
+    t = CHAIN4
+    u = stream(81, 0).random(len(t.mark_degrees))
+    for call in (
+        lambda: open_probability(3, beta),
+        lambda: sample_open_set(t, beta, stream(81, 1)),
+        lambda: open_set_from_uniforms(t, beta, u),
+        lambda: reach_hits(5, [beta], 1, 0, 5),
+        lambda: annealed_reach_probability(5, beta, 50, 1),
+        lambda: annealed_reach_curve(5, [0.1, beta], 50, 1),
+        lambda: annealed_reach_curve(5, [beta, 0.1], 50, 1),
+    ):
+        with pytest.raises(ValueError, match="beta"):
+            call()
+
+
 def test_is_locally_geodesic_single_edge():
     t = CHAIN4
     assert is_locally_geodesic(t, [(0, 0), (1, 0)])
