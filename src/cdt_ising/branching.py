@@ -9,7 +9,8 @@ side of the spine child.  Truncating everything at a finite height gives the
 
 ``sample_spine_forest`` draws that tree level by level: per level, the
 spine's (left, right) side-child counts, then one batch of Geom(1/2) child
-counts for the whole level in planar order.
+counts for the whole level in planar order, one double per variate, read
+from one ``rng.random`` block.
 
 Two exact laws are exposed for validation:
 
@@ -27,6 +28,8 @@ from itertools import accumulate
 from operator import index
 
 import numpy as np
+
+from .rng import _checked_int
 
 
 def offspring_pmf(k: int) -> float:
@@ -236,6 +239,52 @@ class LevelForest:
         return len(self.out_degrees)
 
 
+def _geometric_half(u: np.ndarray) -> np.ndarray:
+    """``rng.geometric(0.5) - 1`` from the uniforms that call consumes.
+
+    numpy draws Geom(p), p >= 1/3, by search: one double U per variate and
+    X = the first x with U <= 1 - 2^-x, sums that are exact at p = 1/2.  So
+    X - 1 = max(0, 1022 - e), e the biased exponent of 1 - U.
+    """
+    return np.maximum(1022 - ((1.0 - u).view(np.int64) >> 52), 0)
+
+
+def _spine_block(rng: np.random.Generator, levels: int, block: int):
+    """The draws of ``sample_spine_forest(rng, levels)`` from one uniform block.
+
+    Level n reads 2 + k_n doubles (spine pair, then one per vertex) in O(1)
+    reads of the block's Geom(1/2) prefix sums.  The block starts with
+    ``block`` doubles and at least doubles whenever a level runs past it.
+    Returns (u, end, degrees, sizes, spine): the block, the count of doubles
+    the forest read, the flat out-degrees of levels 0..levels-1, the level
+    sizes k_0..k_levels and the spine positions.
+    """
+    u = np.empty(0)
+    sizes, spine, pairs, spots, totals = [1], [0], [], [], []
+    o = 0  # block index of the current level's spine pair
+    for _ in range(levels):
+        k, p = sizes[-1], spine[-1]
+        if o + 2 + k > len(u):
+            u = np.concatenate((u, rng.random(max(block, len(u), o + 2 + k - len(u)))))
+            g = _geometric_half(u)
+            c = np.zeros(len(u) + 1, np.int64)
+            np.cumsum(g, out=c[1:])
+            c = memoryview(c)
+        s = o + 2
+        left, right = c[o + 1] - c[o], c[s] - c[o + 1]
+        total = left + 1 + right
+        sizes.append(c[s + k] - c[s] - (c[s + p + 1] - c[s + p]) + total)
+        spine.append(c[s + p] - c[s] + left)
+        pairs += (o, o + 1)
+        spots.append(s + p)
+        totals.append(total)
+        o = s + k
+    g[spots] = totals
+    keep = np.ones(o, bool)
+    keep[pairs] = False
+    return u, o, g[:o][keep], sizes, spine
+
+
 def sample_spine_forest(rng: np.random.Generator, levels: int) -> SpineForest:
     """Sample the conditioned tree up to ``levels``, one level at a time.
 
@@ -251,19 +300,16 @@ def sample_spine_forest(rng: np.random.Generator, levels: int) -> SpineForest:
     Draw order per level n (pinned for reproducibility): the spine pair
     ``rng.geometric(0.5, size=2)``, then one ``rng.geometric(0.5, size=k_n)``
     batch in planar order, whose entry at the spine position is replaced by
-    the spine's total.
+    the spine's total.  numpy takes one double per Geom(1/2) variate, so
+    the tree is read from one ``rng.random`` block, and ``rng`` is left where
+    those calls leave it: the same stream and trees as before.
     """
-    if levels < 1:
-        raise ValueError("need at least one level")
-    out: list[tuple[int, ...]] = []
-    spine = [0]
-    k = 1
-    for _ in range(levels):
-        p = spine[-1]
-        left, right = (rng.geometric(0.5, size=2) - 1).tolist()
-        degs = (rng.geometric(0.5, size=k) - 1).tolist()
-        degs[p] = left + 1 + right
-        spine.append(sum(degs[:p]) + left)
-        out.append(tuple(degs))
-        k = sum(degs)
-    return SpineForest(levels, tuple(out), tuple(spine))
+    levels = _checked_int(levels, "levels", 1)
+    state = rng.bit_generator.state
+    _, end, degrees, sizes, spine = _spine_block(rng, levels, 2 * levels * (levels + 2))
+    rng.bit_generator.state = state
+    rng.random(end)
+    flat = degrees.tolist()
+    starts = accumulate(sizes[:-1], initial=0)
+    out = tuple(tuple(flat[a : a + k]) for a, k in zip(starts, sizes[:-1]))
+    return SpineForest(levels, out, tuple(spine))

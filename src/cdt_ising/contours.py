@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import index
 from typing import Mapping
 
 from .branching import LevelForest
 from .ising import SpinState, _checked_beta
+from .rng import _checked_int
 from .triangulation import PrimalKey, Triangulation, TriRef
 
 MAX_EXHAUSTIVE_TRIANGLES = 40
@@ -118,12 +118,7 @@ def enumerate_contours(t: Triangulation, n_max: int | None = None) -> ContourSet
             )
         n_max = f
     else:
-        try:  # index() takes numpy ints, refuses what int() would truncate or parse
-            n_max = index(n_max)
-        except TypeError as exc:
-            raise ValueError(f"n_max must be an integer: {exc}") from None
-        if n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {n_max}")
+        n_max = _checked_int(n_max, "n_max", 0)
         if n_max > MAX_BOUNDED_LENGTH:
             raise ValueError(f"bounded search requires n_max <= {MAX_BOUNDED_LENGTH}")
 

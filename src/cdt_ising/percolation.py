@@ -16,12 +16,13 @@ The single-instance API works on a ``Triangulation``: marks use
 use ``Triangulation.neighbors``.
 
 All annealed estimators run their trials through ``reach_hits``, which never
-builds a triangulation.  Its search reads the out-degree lists directly and
-builds a level's tables (fan starts, degrees, one tanh vector per beta) only
-when the search first touches that level, and it stops at the first open
-vertex on the target level.  The draws are those of the full build: the
-depth-(levels+1) forest first, then one uniform per marked vertex in flat
-order, so each trial's verdict equals ``max_open_reach`` on
+builds a triangulation.  A trial reads its forest and then its marks from one
+uniform block, builds flat tables of the forest (first children, parents,
+arriving fan starts, degrees) and one rank per vertex, the number of betas
+that close it, and runs one search that answers every beta and stops at the
+first vertex it meets on the target level.  The draws are those of the full
+build: the depth-(levels+1) forest first, then one uniform per marked vertex
+in flat order, so each trial's verdict equals ``max_open_reach`` on
 ``forest_to_triangulation`` of the same forest with the same uniforms.
 
 Every entry point that takes beta requires it finite and >= 0, as the Ising
@@ -31,16 +32,16 @@ code does (``ising._checked_beta``).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .branching import sample_spine_forest
+from .branching import _spine_block
 from .ising import _checked_beta
-from .rng import stream
+from .rng import _checked_int, stream
 from .triangulation import Triangulation
 
 
@@ -139,93 +140,98 @@ class ReachEstimate:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
-def _root_cluster_reaches(
-    out_degrees: Sequence[Sequence[int]],
-    uniforms: np.ndarray,
-    betas: Sequence[float],
-    levels: int,
-) -> list[bool]:
-    """Per beta, whether the root's open cluster reaches level ``levels``.
+def _fan_tables(degrees: np.ndarray):
+    """Flat tables of the triangulation of the forest whose flat (level, then
+    planar) out-degrees of levels 0..H-1 are ``degrees``.
 
-    ``out_degrees`` lists levels 0..levels of a forest (one level past the
-    horizon may follow) and ``uniforms`` holds one draw per vertex of those
-    levels in flat order; vertex v is open iff its uniform is below
-    tanh(beta * d_v), as in ``open_set_from_uniforms``.
-
-    With S the out-degree prefix sums of level n, (n, p) is joined to its
-    horizontal pair, to the fan S_p..S_{p+1} (mod k_{n+1}) above and to the
-    lower vertices whose fan covers p; position 0 also collects the trailing
-    fans that end on S = k_n.  Its degree is up + down + 2 = d_p + a_p + 4,
-    with a_p the fan starts arriving at p, and d_0 + 3 at the root.
+    Returns (off, first, parent, arriving, deg): the H + 2 level starts;
+    memoryviews of the first-child indices (1 + out-degree prefix sums), of
+    ``parent[f - 1]``, the parent of f, and of the fan starts arriving at
+    each vertex; and the degrees d + a + 4, d + 3 at the root, of the full
+    build.  Fan starts and ends on the start of level n+2 wrap onto level
+    n+1's.
     """
-    sizes = [len(d) for d in out_degrees[: levels + 1]]
-    offsets = list(accumulate(sizes, initial=0))
-    starts: dict[int, list[int]] = {}
-    degrees: dict[int, np.ndarray] = {}
-
-    def fan_starts(n: int) -> list[int]:
-        if n not in starts:
-            starts[n] = list(accumulate(out_degrees[n], initial=0))
-        return starts[n]
-
-    def degree(n: int) -> np.ndarray:
-        if n not in degrees:
-            up = np.array(out_degrees[n])
-            if n == 0:
-                degrees[n] = up + 3
-            else:
-                arriving = np.array(fan_starts(n - 1)[:-1]) % sizes[n]
-                degrees[n] = up + np.bincount(arriving, minlength=sizes[n]) + 4
-        return degrees[n]
-
-    verdicts = []
-    for beta in betas:
-        open_at: dict[int, list[bool]] = {}
-
-        def is_open(n: int, p: int) -> bool:
-            if n not in open_at:
-                u = uniforms[offsets[n] : offsets[n + 1]]
-                open_at[n] = (u < np.tanh(beta * degree(n))).tolist()
-            return open_at[n][p]
-
-        verdicts.append(_search(levels, sizes, fan_starts, is_open))
-    return verdicts
+    n = len(degrees)
+    first = np.concatenate(([1], degrees)).cumsum()
+    view = memoryview(first)
+    off = [0]
+    while off[-1] < n:
+        off.append(view[off[-1]])
+    off.append(view[n])
+    starts = np.array(off)
+    # the trailing zero-child vertices of level m start their fans on the
+    # start of level m+2, which wraps onto the start of level m+1
+    arriving = np.bincount(first[:n], minlength=off[-1] + 1)
+    trailing = starts[1:-1] - first.searchsorted(starts[2:])
+    arriving[starts[1:-1]] += trailing
+    arriving[starts[2:]] -= trailing
+    arriving = arriving[:n]
+    deg = degrees + arriving + 4
+    deg[0] -= 1
+    parent = np.arange(n).repeat(degrees)
+    return off, view, memoryview(parent), memoryview(arriving), deg
 
 
-def _search(levels, sizes, fan_starts, is_open) -> bool:
-    """Depth-first search of the root's open cluster, up-fans popped first."""
-    if not is_open(0, 0) or levels == 0:
-        return levels == 0
-    seen = {(0, 0)}
-    stack = [(0, 0)]
-    while stack:
-        for v in _neighbours(*stack.pop(), sizes, fan_starts):
-            if v not in seen:
-                seen.add(v)
-                if is_open(*v):
-                    if v[0] == levels:
-                        return True
-                    stack.append(v)
-    return False
-
-
-def _neighbours(n: int, p: int, sizes, fan_starts) -> list[tuple[int, int]]:
-    """(level, pos) neighbours of (n, p) below the top level, read from the
-    fan starts: horizontal pair, lower fans covering p, then the up fan.
-    Parallel edges may repeat a neighbour."""
-    k = sizes[n]
-    nbrs = [(n, (p - 1) % k), (n, (p + 1) % k)] if k > 1 else []
-    if n > 0:
-        s = fan_starts(n - 1)
-        lo = max(bisect_left(s, p) - 1, 0)
-        hi = min(bisect_right(s, p), len(s) - 1)
-        nbrs.extend((n - 1, i) for i in range(lo, hi))
-        if p == 0:  # fans ending on S = k_n wrap onto position 0
-            nbrs.extend((n - 1, i) for i in range(bisect_left(s, k) - 1, len(s) - 1))
-    s = fan_starts(n)
-    k_up = sizes[n + 1]
-    nbrs.extend((n + 1, q % k_up) for q in range(s[p], s[p + 1] + 1))
+def _neighbours(f: int, off, first, parent, arriving) -> list[int]:
+    """Flat neighbours of f below the top level of ``_fan_tables``: the
+    horizontal pair; the arriving[f] + 1 lower vertices ending at its
+    parent, cyclically; then the up fan.  Parallel edges may repeat one."""
+    n = bisect_right(off, f) - 1
+    lo, hi = off[n], off[n + 1]
+    nbrs = [f - 1 if f > lo else hi - 1, f + 1 if f + 1 < hi else lo] if hi - lo > 1 else []
+    if n:
+        g = parent[f - 1]
+        j = g - arriving[f]
+        if j < off[n - 1]:  # position 0 also meets the fans that wrap onto it
+            nbrs.extend(range(j + lo - off[n - 1], lo))
+            j = off[n - 1]
+        nbrs.extend(range(j, g + 1))
+    s, e = first[f], first[f + 1]
+    nbrs.extend(range(s, e))
+    nbrs.append(e if e < off[n + 2] else hi)
     return nbrs
+
+
+def _reach_rank(degrees: np.ndarray, uniforms: np.ndarray, betas: np.ndarray, levels: int) -> int:
+    """The least j at which the root's open cluster reaches ``levels`` at
+    the ascending betas[j]; len(betas) if at none.
+
+    ``degrees`` are flat out-degrees of levels 0..levels or more, with one
+    uniform per vertex.  As in ``open_set_from_uniforms``, v is open iff its
+    uniform is below tanh(beta * d_v), i.e. at betas[j] iff j >= its rank,
+    the count of betas closing it.  A depth-first search, up fans popped
+    first, takes vertices by bottleneck rank, least first; the first vertex
+    it meets on the level has the least bottleneck.
+    """
+    m = len(betas)
+    if levels == 0:
+        return 0
+    if uniforms[0] >= np.tanh(betas[-1] * (degrees[0] + 3)):
+        return m  # the root is closed at every beta
+    off, first, parent, arriving, deg = _fan_tables(degrees)
+    closed = uniforms >= np.tanh(np.multiply.outer(betas, deg))
+    rank = memoryview(closed.sum(axis=0, dtype=np.min_scalar_type(m)))  # m once seen
+    top = off[levels]
+    buckets: list[list[int]] = [[] for _ in range(m)]
+    buckets[rank[0]].append(0)
+    rank[0] = m
+    for c in range(m):
+        stack = buckets[c]
+        while stack:
+            f = stack.pop()
+            if f >= top:
+                return c
+            for w in _neighbours(f, off, first, parent, arriving):
+                r = rank[w]
+                if r < m:
+                    rank[w] = m
+                    if r > c:
+                        buckets[r].append(w)
+                    elif w >= top:
+                        return c
+                    else:
+                        stack.append(w)
+    return m
 
 
 def reach_hits(
@@ -234,24 +240,38 @@ def reach_hits(
     """Per beta, how many of the trials start..start+count-1 reach ``levels``.
 
     Trial i draws everything from ``stream(seed, i)``: a forest one level
-    past the horizon (so all marked degrees are defined), then one
-    ``rng.random`` batch with a uniform per marked vertex, in flat order.
+    past the horizon (so all marked degrees are defined), then a uniform
+    per marked vertex in flat order, all from one ``rng.random`` block.
     Every beta thresholds the same uniforms, so within a trial the reach
     indicator is monotone in beta, and the result does not depend on how
-    trials are split into chunks.  The verdicts come from a lazy search of
-    the out-degree lists that builds no ``Triangulation`` and equals
-    ``max_open_reach(t, open_set_from_uniforms(t, beta, uniforms)).reach >=
-    levels`` on ``t = forest_to_triangulation(forest)``.
+    trials are split into chunks.  One search of flat tables built from
+    the block answers every beta (``_reach_rank``); it builds no
+    ``Triangulation`` and equals ``max_open_reach(t,
+    open_set_from_uniforms(t, beta, uniforms)).reach >= levels`` on ``t =
+    forest_to_triangulation(forest)``.
     """
+    levels = _checked_int(levels, "levels", 0)
+    seed = _checked_int(seed, "seed", 0)
+    start = _checked_int(start, "start", 0)
+    count = _checked_int(count, "count", 0)
+    if len(betas) == 0:
+        raise ValueError("need at least one beta")
     for beta in betas:
         _checked_beta(beta)
-    hits = [0] * len(betas)
+    order = sorted(range(len(betas)), key=betas.__getitem__)
+    ascending = np.array([betas[j] for j in order], dtype=float)
+    per_rank = [0] * (len(betas) + 1)
     for i in range(start, start + count):
         rng = stream(seed, i)
-        forest = sample_spine_forest(rng, levels + 1)
-        uniforms = rng.random(sum(forest.level_sizes[:-1]))
-        for j, hit in enumerate(_root_cluster_reaches(forest.out_degrees, uniforms, betas, levels)):
-            hits[j] += hit
+        # a first block of about twice the doubles a trial reads on average
+        u, end, degrees, _, _ = _spine_block(rng, levels + 1, 2 * (levels + 2) ** 2)
+        n = len(degrees)
+        if end + n > len(u):  # the marks run past the block
+            u = np.concatenate((u, rng.random(end + n - len(u))))
+        per_rank[_reach_rank(degrees, u[end : end + n], ascending, levels)] += 1
+    hits = [0] * len(betas)
+    for j, h in zip(order, accumulate(per_rank)):
+        hits[j] = h
     return hits
 
 
@@ -263,8 +283,7 @@ def annealed_reach_probability(
     Each trial draws a fresh triangulation and fresh marks (see
     ``reach_hits``); trial RNG streams are keyed by the trial index.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    levels, trials = _checked_int(levels, "levels", 0), _checked_int(trials, "trials", 1)
     (hits,) = reach_hits(levels, [beta], seed, 0, trials)
     return ReachEstimate(float(beta), levels, trials, hits)
 
@@ -279,8 +298,7 @@ def annealed_reach_curve(
     the estimates are exactly nondecreasing.  Each estimate equals
     ``annealed_reach_probability`` at its beta.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    levels, trials = _checked_int(levels, "levels", 0), _checked_int(trials, "trials", 1)
     hits = reach_hits(levels, betas, seed, 0, trials)
     return [ReachEstimate(float(b), levels, trials, h) for b, h in zip(betas, hits)]
 

@@ -10,6 +10,8 @@ from cdt_ising.branching import (
     FiniteTree,
     LevelForest,
     SpineForest,
+    _geometric_half,
+    _spine_block,
     level_size_pmf,
     offspring_gf,
     offspring_pmf,
@@ -250,3 +252,66 @@ def test_level_forest_rejects_bad_input():
         LevelForest(((1, 1),))  # two roots
     with pytest.raises(ValueError):
         LevelForest(((1,), (2, 1)))  # wrong list length
+
+
+def reference_spine_forest(rng, levels: int) -> SpineForest:
+    """The per-level sampler the block sampler replaced: per level, the spine
+    pair ``rng.geometric(0.5, size=2)`` and one batch for the whole level."""
+    out = []
+    spine = [0]
+    k = 1
+    for _ in range(levels):
+        p = spine[-1]
+        left, right = (rng.geometric(0.5, size=2) - 1).tolist()
+        degs = (rng.geometric(0.5, size=k) - 1).tolist()
+        degs[p] = left + 1 + right
+        spine.append(sum(degs[:p]) + left)
+        out.append(tuple(degs))
+        k = sum(degs)
+    return SpineForest(levels, tuple(out), tuple(spine))
+
+
+def test_geometric_half_equals_numpy_geometric():
+    # numpy's Geom(1/2) takes one double per variate; if a numpy release
+    # changes its algorithm, the block sampler's trees change and this fails
+    got = _geometric_half(stream(35).random(10**6))
+    assert np.array_equal(got, stream(35).geometric(0.5, size=10**6) - 1)
+
+
+@pytest.mark.parametrize(
+    "u, want",
+    [(0.0, 0), (2**-53, 0), (0.5, 0), (0.5 + 2**-53, 1), (0.75, 1), (1 - 2**-53, 52)],
+)
+def test_geometric_half_edge_uniforms(u, want):
+    # numpy's search: X = the first x with u <= 1 - 2^-x, run on the double
+    x, total = 1, 0.5
+    while u > total:
+        x, total = x + 1, total + 0.5**(x + 1)
+    assert _geometric_half(np.array([u])).tolist() == [x - 1] == [want]
+
+
+def test_block_sampler_equals_per_level_reference():
+    outgrown = 0
+    for levels in (1, 2, 5, 11, 21, 31, 60):
+        for i in range(40):
+            a, b = stream(36, levels, i), stream(36, levels, i)
+            forest = sample_spine_forest(a, levels)
+            assert forest == reference_spine_forest(b, levels), (levels, i)
+            # the generator is left where the per-level calls leave it
+            assert np.array_equal(a.random(3), b.random(3))
+            # the core grows a one-double first block as the forest needs
+            _, end, degrees, sizes, spine = _spine_block(stream(36, levels, i), levels, 1)
+            assert degrees.tolist() == [d for lst in forest.out_degrees for d in lst]
+            assert (tuple(sizes), tuple(spine)) == (forest.level_sizes, forest.spine_positions)
+            outgrown += end > 2 * levels * (levels + 2)  # the default first block
+    assert outgrown > 0
+
+
+@pytest.mark.parametrize("levels", [2.5, 1.0, "3", None, 0, -1])
+def test_sample_spine_forest_rejects_bad_levels(levels):
+    with pytest.raises(ValueError, match="levels"):
+        sample_spine_forest(stream(37), levels)
+
+
+def test_sample_spine_forest_takes_numpy_integers():
+    assert sample_spine_forest(stream(38), np.int64(4)) == sample_spine_forest(stream(38), 4)

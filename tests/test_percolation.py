@@ -1,7 +1,6 @@
 """Tests for degree-dependent site percolation and locally geodesic paths."""
 
 import math
-from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -10,12 +9,13 @@ from hypothesis import strategies as st
 from test_triangulation import out_degree_lists
 
 from cdt_ising import percolation
-from cdt_ising.branching import sample_spine_forest
+from cdt_ising.branching import _spine_block, sample_spine_forest
 from cdt_ising.ising import conditional_spin_prob
 from cdt_ising.percolation import (
     OpenSet,
+    _fan_tables,
     _neighbours,
-    _root_cluster_reaches,
+    _reach_rank,
     annealed_reach_curve,
     annealed_reach_probability,
     count_salg_paths,
@@ -163,10 +163,18 @@ def test_single_beta_equals_coupled_curve():
 
 
 def full_build_verdicts(out_degrees, uniforms, betas, levels) -> list[bool]:
-    """Reference for the lazy search: the open cluster on the whole
+    """Reference for the rank search: the open cluster on the whole
     triangulation of the forest, marked from the same uniforms."""
     t = forest_to_triangulation(out_degrees)
     return [max_open_reach(t, open_set_from_uniforms(t, b, uniforms)).reach >= levels for b in betas]
+
+
+def rank_verdicts(out_degrees, uniforms, betas, levels) -> list[bool]:
+    """Per beta, whether the root's open cluster reaches ``levels``, from one
+    rank search: the j-th smallest beta reaches iff j >= the rank."""
+    ascending = sorted(betas)
+    rank = _reach_rank(np.concatenate(out_degrees), uniforms, np.array(ascending), levels)
+    return [ascending.index(b) >= rank for b in betas]
 
 
 @pytest.mark.parametrize(
@@ -184,7 +192,7 @@ def test_lazy_reach_matches_full_build(levels, betas, trials):
         rng = stream(84, i)
         forest = sample_spine_forest(rng, levels + 1)
         uniforms = rng.random(sum(forest.level_sizes[:-1]))
-        got = _root_cluster_reaches(forest.out_degrees, uniforms, betas, levels)
+        got = rank_verdicts(forest.out_degrees, uniforms, betas, levels)
         assert got == full_build_verdicts(forest.out_degrees, uniforms, betas, levels), i
         hits = [h + g for h, g in zip(hits, got)]
     assert reach_hits(levels, betas, 84, 0, trials) == hits
@@ -201,7 +209,7 @@ def test_lazy_reach_matches_full_build_on_any_forest(lists, seed):
     uniforms = np.random.default_rng(seed).random(sum(len(d) for d in lists))
     betas = [0.1, 0.2, 0.35, 1.0]
     for levels in range(len(lists)):
-        assert _root_cluster_reaches(lists, uniforms, betas, levels) == full_build_verdicts(
+        assert rank_verdicts(lists, uniforms, betas, levels) == full_build_verdicts(
             lists, uniforms, betas, levels
         )
 
@@ -213,11 +221,90 @@ def test_lazy_reach_matches_full_build_on_any_forest(lists, seed):
 @example(lists=((2,), (0, 2), (1, 0)))
 def test_lazy_neighbours_match_triangulation(lists):
     t = forest_to_triangulation(lists)
-    starts = [list(accumulate(d, initial=0)) for d in lists]
+    off, first, parent, arriving, deg = _fan_tables(np.concatenate(lists))
+    assert tuple(off) == t.level_offsets
     for n in range(t.top_level):
         for p in range(t.level_sizes[n]):
             want = {t.vertex_at(u) for u in t.neighbors[t.flat_index(n, p)]}
-            assert set(_neighbours(n, p, t.level_sizes, starts.__getitem__)) == want
+            got = _neighbours(t.flat_index(n, p), off, first, parent, arriving)
+            assert {t.vertex_at(w) for w in got} == want
+    assert deg.tolist() == t.mark_degrees.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lists=out_degree_lists(),
+    seed=st.integers(0, 2**32 - 1),
+    betas=st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.35, 1.0, 50.0]), min_size=1, max_size=6),
+)
+@example(lists=((3,), (0, 0, 3), (2, 0, 0)), seed=1, betas=[0.35, 0.0, 50.0, 0.35, 0.1])
+@example(lists=((1,), (1,), (1,)), seed=0, betas=[50.0, 50.0, 0.0])
+def test_rank_search_matches_full_build_on_any_beta_grid(lists, seed, betas):
+    # unsorted and repeated betas, beta = 0 (every vertex closed) and
+    # beta = 50 (tanh is 1.0, every vertex open)
+    uniforms = np.random.default_rng(seed).random(sum(len(d) for d in lists))
+    for levels in range(len(lists)):
+        assert rank_verdicts(lists, uniforms, betas, levels) == full_build_verdicts(
+            lists, uniforms, betas, levels
+        )
+
+
+def test_reach_hits_on_an_unsorted_grid_equals_each_beta_alone():
+    betas = [0.2, 0.0, 50.0, 0.05, 0.2]
+    hits = reach_hits(8, betas, 87, 3, 80)
+    assert hits == [reach_hits(8, [b], 87, 3, 80)[0] for b in betas]
+    assert hits[1] == 0 and hits[2] == 80
+
+
+def test_reach_hits_does_not_depend_on_the_block_size(monkeypatch):
+    # the first block may hold one double or far more than a trial reads
+    args = (12, [0.05, 0.2, 1.0], 86, 0, 40)
+    want = reach_hits(*args)
+    for block in (1, 2**17):
+        monkeypatch.setattr(
+            percolation, "_spine_block", lambda rng, levels, _: _spine_block(rng, levels, block)
+        )
+        assert reach_hits(*args) == want, block
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: reach_hits(2.5, [0.1], 1, 0, 5),
+        lambda: reach_hits(-1, [0.1], 1, 0, 5),
+        lambda: reach_hits(5, [0.1], 1.5, 0, 5),
+        lambda: reach_hits(5, [0.1], -1, 0, 5),
+        lambda: reach_hits(5, [0.1], 1, 0.5, 5),
+        lambda: reach_hits(5, [0.1], 1, -1, 5),
+        lambda: reach_hits(5, [0.1], 1, 0, 2.5),
+        lambda: reach_hits(5, [0.1], 1, 0, -2),
+        lambda: reach_hits(5, [], 1, 0, 5),
+        lambda: annealed_reach_probability(2.5, 0.1, 5, 1),
+        lambda: annealed_reach_probability(5, 0.1, 2.5, 1),
+        lambda: annealed_reach_probability(5, 0.1, 0, 1),
+        lambda: annealed_reach_probability(5, 0.1, 5, 1.5),
+        lambda: annealed_reach_curve(3, [], 3, 1),
+        lambda: annealed_reach_curve("3", [0.1], 3, 1),
+        lambda: annealed_reach_curve(3, [0.1], 2.5, 1),
+        lambda: annealed_reach_curve(3, [0.1], 3, -1),
+    ],
+    ids=[
+        "hits-levels-float", "hits-levels-negative", "hits-seed-float", "hits-seed-negative",
+        "hits-start-float", "hits-start-negative", "hits-count-float", "hits-count-negative",
+        "hits-no-beta", "probability-levels-float", "probability-trials-float",
+        "probability-trials-zero", "probability-seed-float", "curve-no-beta",
+        "curve-levels-string", "curve-trials-float", "curve-seed-negative",
+    ],
+)
+def test_reach_entry_points_reject_bad_counts(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_reach_entry_points_take_numpy_integers():
+    i = np.int64
+    assert reach_hits(i(6), [0.2], i(88), i(2), i(30)) == reach_hits(6, [0.2], 88, 2, 30)
+    assert annealed_reach_probability(i(6), 0.2, i(30), i(88)).levels == 6
 
 
 def test_reach_hits_pinned_at_criterion_7b():
