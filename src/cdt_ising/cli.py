@@ -134,13 +134,10 @@ def _scan_point(seed: int, levels: int, beta: float, bc: str, sweeps: int,
 
 
 def cmd_ising_scan(args) -> ExperimentReport:
-    betas = args.beta_grid if args.beta_grid else [args.beta]
-    if betas == [None]:
-        raise ValueError("ising-scan needs --beta or --beta-grid")
     bcs = ["plus", "minus"] if args.bc == "both" else [args.bc]
     calls = [
         (args.seed, args.levels, b, bc, args.sweeps, args.replicas, args.burn_in)
-        for b in betas
+        for b in args.betas
         for bc in bcs
     ]
     rows = _run_all(_scan_point, calls, args.workers)
@@ -149,7 +146,7 @@ def cmd_ising_scan(args) -> ExperimentReport:
         {
             "seed": args.seed,
             "levels": args.levels,
-            "betas": betas,
+            "betas": args.betas,
             "bc": args.bc,
             "sweeps": args.sweeps,
             "replicas": args.replicas,
@@ -202,16 +199,13 @@ def cmd_contours(args) -> ExperimentReport:
 
 
 def cmd_percolation(args) -> ExperimentReport:
-    betas = args.beta_grid if args.beta_grid else [args.beta]
-    if betas == [None]:
-        raise ValueError("percolation needs --beta or --beta-grid")
     rows = []
     for levels in args.levels_list:
         # one coupled pass over the beta grid: each beta's hits equal a run
         # of that beta alone, since all betas threshold the same uniforms
-        calls = _trial_chunks((levels, betas, args.seed), args.trials)
+        calls = _trial_chunks((levels, args.betas, args.seed), args.trials)
         parts = _run_all(percolation.reach_hits, calls, args.workers)
-        for beta, hits in zip(betas, map(sum, zip(*parts))):
+        for beta, hits in zip(args.betas, map(sum, zip(*parts))):
             est = percolation.ReachEstimate(beta, levels, args.trials, hits)
             rows.append((beta, levels, args.trials, hits, est.estimate, est.stderr))
     return ExperimentReport(
@@ -219,7 +213,7 @@ def cmd_percolation(args) -> ExperimentReport:
         {
             "seed": args.seed,
             "levels": args.levels_list,
-            "betas": betas,
+            "betas": args.betas,
             "trials": args.trials,
         },
         ("beta", "levels", "trials", "reach_count", "estimate", "stderr"),
@@ -356,8 +350,15 @@ def _width_cap(text: str) -> int:
     return value
 
 
+def _one_beta(text: str) -> list[float]:
+    return [_beta(text)]
+
+
 def _beta_grid(text: str) -> list[float]:
-    return [_beta(x) for x in text.split(",") if x.strip()]
+    betas = [_beta(x) for x in text.split(",") if x.strip()]
+    if not betas:
+        raise argparse.ArgumentTypeError("expected at least one beta")
+    return betas
 
 
 def _levels_list(text: str) -> list[int]:
@@ -385,6 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
         if workers:
             p.add_argument("--workers", type=_positive_int, default=1)
 
+    def beta_flags(p):
+        """Exactly one of --beta x and --beta-grid x,y,..., both stored as ``betas``."""
+        beta = p.add_mutually_exclusive_group(required=True)  # else the later flag wins
+        beta.add_argument("--beta", type=_one_beta, dest="betas", metavar="BETA")
+        beta.add_argument("--beta-grid", type=_beta_grid, dest="betas", metavar="BETA_GRID")
+
     p = sub.add_parser("sample", help="sample triangulations and level-size histograms")
     common(p, trials=1000, workers=True)
     p.add_argument("--levels", "--n", "-n", type=_positive_int, default=5)
@@ -401,9 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ising-scan", help="root magnetization over a beta grid")
     common(p, workers=True)
     p.add_argument("--levels", "--n", "-n", type=_positive_int, default=10)
-    beta = p.add_mutually_exclusive_group()  # a grid would silently drop --beta
-    beta.add_argument("--beta", type=_beta, default=None)
-    beta.add_argument("--beta-grid", type=_beta_grid, default=None)
+    beta_flags(p)
     p.add_argument("--bc", choices=("plus", "minus", "both"), default="both")
     p.add_argument("--sweeps", type=_positive_int, default=2000)
     p.add_argument("--replicas", type=_positive_int, default=2)
@@ -421,9 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("percolation", help="annealed open-cluster reach estimates")
     common(p, trials=10000, workers=True)
     p.add_argument("--levels", type=_levels_list, dest="levels_list", default=[10, 30])
-    beta = p.add_mutually_exclusive_group()  # a grid would silently drop --beta
-    beta.add_argument("--beta", type=_beta, default=None)
-    beta.add_argument("--beta-grid", type=_beta_grid, default=None)
+    beta_flags(p)
     p.set_defaults(fn=cmd_percolation)
 
     p = sub.add_parser("surgery-selftest", help="insert/collapse roundtrips and reconstruction")

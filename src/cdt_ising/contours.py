@@ -11,8 +11,11 @@ primal edges; removing them disconnects the root from the top boundary, and
 inverting all spins on the root side changes the energy by +-2n depending on
 whether the crossed edges agree or disagree.
 
-The search runs one depth-first search per strip and backtracks in place.
-It cuts a branch once the path so far, plus the BFS distance from the branch
+The search runs one depth-first search per strip over the numbered dual
+graph and backtracks in place.  Each strip's search forces its own wrap
+edge and leaves out the wrap edges of the strips before it, so a contour is
+met once, in the search of the lowest strip whose wrap edge it uses.  It
+cuts a branch once the path so far, plus the BFS distance from the branch
 to the strip's goal, plus the closing wrap edge, exceeds the length cap.
 The distance is a lower bound on what any completion needs, so the pruned
 search finds every contour, in the order of the unpruned one.
@@ -21,6 +24,7 @@ search finds every contour, in the order of the unpruned one.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -53,15 +57,9 @@ class ContourSet:
     contours: tuple[Contour, ...]
 
     @cached_property
-    def by_length(self) -> dict[int, tuple[Contour, ...]]:
-        out: dict[int, list[Contour]] = {}
-        for c in self.contours:
-            out.setdefault(c.length, []).append(c)
-        return {n: tuple(v) for n, v in sorted(out.items())}
-
-    @cached_property
     def counts(self) -> dict[int, int]:
-        return {n: len(v) for n, v in self.by_length.items()}
+        """Number of contours of each length, in increasing length."""
+        return dict(sorted(Counter(c.length for c in self.contours).items()))
 
 
 def _canonical_cycle(
@@ -101,12 +99,14 @@ def enumerate_contours(t: Triangulation, n_max: int | None = None) -> ContourSet
     Exhaustive search (``n_max=None``) is guarded to small duals; bounded
     search is guarded to lengths <= 14, and ``n_max`` must be an integer >= 0.
     Every winding cycle uses at least one wrap-around strip edge, so the
-    search runs one DFS per strip, forcing that strip's wrap edge, and
-    canonical deduplication merges rediscoveries.  A branch to a triangle at
-    BFS distance d from the strip's goal (with the wrap edge left out) is
-    cut when the path, the step, those d edges and the closing wrap edge
-    would exceed ``n_max``; d is a lower bound, so no contour is lost, and
-    the contours come out in the order of the unpruned search.
+    search runs one DFS per strip, forcing that strip's wrap edge and leaving
+    out the wrap edges of the strips before it: a contour through an earlier
+    wrap edge was found in that strip's search, so each contour is met once.
+    A branch to a triangle at BFS distance d from the strip's goal (over the
+    edges the search may use) is cut when the path, the step, those d edges
+    and the closing wrap edge would exceed ``n_max``; d is a lower bound, so
+    no contour is lost, and the contours come out in the order of the
+    unpruned search.
     """
     dual = t.dual
     f = len(dual.vertices)
@@ -122,31 +122,22 @@ def enumerate_contours(t: Triangulation, n_max: int | None = None) -> ContourSet
         if n_max > MAX_BOUNDED_LENGTH:
             raise ValueError(f"bounded search requires n_max <= {MAX_BOUNDED_LENGTH}")
 
-    # dual vertices as ints, in the order of ``dual.vertices`` (strip, then index)
-    ids = {v: i for i, v in enumerate(dual.vertices)}
-    adjacency = [
-        [(eidx, ids[nbr], step) for eidx, nbr, step in dual.adjacency[v]] for v in dual.vertices
-    ]
     edges = dual.edges
-    found: dict[tuple, Contour] = {}
-
-    for strip in range(t.top_level):
-        size = dual.strip_sizes[strip]
-        wrap_idx = next(
-            i
-            for i, e in enumerate(edges)
-            if e.seam_step == 1 and e.a == (strip, size - 1) and e.b == (strip, 0)
-        )
-        start = ids[(strip, 0)]
-        goal = ids[(strip, size - 1)]
-        # children in the reverse of the adjacency order, the order in which
-        # a stack search that pushes every child pops them
-        children = [[a for a in reversed(adj) if a[0] != wrap_idx] for adj in adjacency]
+    # children in the reverse of the adjacency order, the order in which a
+    # stack search that pushes every child pops them
+    children = [adj[::-1] for adj in dual.adjacency]
+    found: list[Contour] = []
+    start = 0
+    for size, wrap_idx in zip(dual.strip_sizes, dual.wrap_edges):
+        goal = start + size - 1
+        # leave this strip's wrap edge out, here and in every later strip
+        children[start] = [a for a in children[start] if a[0] != wrap_idx]
+        children[goal] = [a for a in children[goal] if a[0] != wrap_idx]
         dist = _distances(children, goal)
-        # DFS over simple paths start -> goal avoiding the forced wrap edge;
-        # closing with the wrap edge (goal -> start) adds one positive seam
-        # crossing, so the cycle winding is the path's seam sum plus one.  A
-        # path that repeats no triangle repeats no edge either.
+        # DFS over simple paths start -> goal; closing with the wrap edge
+        # (goal -> start) adds one positive seam crossing, so the cycle
+        # winding is the path's seam sum plus one.  A path that repeats no
+        # triangle repeats no edge either.
         path = [start]
         epath: list[int] = []
         on_path = [False] * f
@@ -166,10 +157,8 @@ def enumerate_contours(t: Triangulation, n_max: int | None = None) -> ContourSet
                             epath + [eidx, wrap_idx],
                             seam + step + 1,
                         )
-                        key = (tris_c, edges_c)
-                        if key not in found:
-                            crossed = tuple(edges[i].primal for i in edges_c)
-                            found[key] = Contour(tris_c, edges_c, crossed, 1)
+                        crossed = tuple(edges[i].primal for i in edges_c)
+                        found.append(Contour(tris_c, edges_c, crossed, 1))
                     continue
                 on_path[nbr] = True
                 path.append(nbr)
@@ -181,7 +170,8 @@ def enumerate_contours(t: Triangulation, n_max: int | None = None) -> ContourSet
                 on_path[path.pop()] = False
                 if epath:
                     epath.pop()
-    return ContourSet(tuple(found.values()))
+        start = goal + 1
+    return ContourSet(tuple(found))
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rng import stream
+from .rng import _checked_int, stream
 from .triangulation import FreeGraph, Triangulation
 
 MAX_EXACT_SPINS = 22
@@ -356,14 +356,10 @@ def root_plus_probability(
     ``rng.random((k, n_free))``, which equals k draws of ``rng.random(n_free)``.
     """
     _checked_beta(beta)
-    if batches < 1:
-        raise ValueError(f"need at least one batch, got {batches}")
-    if sweeps < batches:
-        raise ValueError("need at least one sweep per batch")
-    if replicas < 1:
-        raise ValueError(f"need at least one replica, got {replicas}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    batches = _checked_int(batches, "batches", 1)
+    sweeps = _checked_int(sweeps, "sweeps", batches)  # at least one sweep per batch
+    replicas = _checked_int(replicas, "replicas", 1)
+    burn_in = _checked_int(burn_in, "burn_in", 0)
     if init not in ("aligned", "random"):
         raise ValueError(f"unknown init {init!r}")
     et = t.free_graph

@@ -44,6 +44,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import index
 from typing import Callable
 
 import numpy as np
@@ -291,7 +292,10 @@ def _edge_slot(slots: dict[str, list[Vertex]], to: Vertex) -> tuple[str, int]:
 
 def path_neighborhood(t: Triangulation, path) -> PathNeighborhood:
     """Encode the 1-neighborhood of a locally geodesic path from the root."""
-    path = tuple((int(l), int(p)) for l, p in path)
+    try:  # index() takes numpy ints, refuses what int() would truncate
+        path = tuple((index(l), index(p)) for l, p in path)
+    except TypeError as exc:
+        raise ValueError(f"path coordinates must be integers: {exc}") from None
     if path[0] != (0, 0):
         raise ValueError("paths start at the root")
     if not is_locally_geodesic(t, path):
@@ -496,7 +500,10 @@ def randomized_reconstruction(
     objects (their ``triangulation`` too), and a branch table lives as long
     as its ``t_prime``, growing with the distinct branches met.
     """
-    ref_path = tuple((int(l), int(p)) for l, p in reference_path)
+    try:  # index() takes numpy ints, refuses what int() would truncate
+        ref_path = tuple((index(l), index(p)) for l, p in reference_path)
+    except TypeError as exc:
+        raise ValueError(f"path coordinates must be integers: {exc}") from None
     branches = t_prime.__dict__.setdefault("_reconstruction_branches", {})
     table = branches.setdefault((reference.canonical_key, ref_path, count), {})
     draws: Draws = ()
@@ -533,7 +540,10 @@ def reconstruction_success_probability(
     1 / (slot count * (count + 2)).  One walk runs per branch, and branches
     multiply along the path, so this suits small fixtures.
     """
-    ref_path = tuple((int(l), int(p)) for l, p in reference_path)
+    try:  # index() takes numpy ints, refuses what int() would truncate
+        ref_path = tuple((index(l), index(p)) for l, p in reference_path)
+    except TypeError as exc:
+        raise ValueError(f"path coordinates must be integers: {exc}") from None
     wins: list[float] = []
     pending: list[Draws] = [()]
     while pending:

@@ -27,6 +27,11 @@ inverted by ``vertex_at``): ``degree_split`` (up/down edge counts),
 edges of levels 0..top-1, where Ising spins and percolation marks live, and
 a proper colouring of those levels),
 ``mark_degrees`` (total degrees there) and ``primal_adjacency`` (edge keys).
+
+The dual graph (``dual``) numbers each triangle by its position in
+``DualGraph.vertices``, strip by strip, and stores one adjacency by number,
+built with the edges; ``wrap_edges`` records each strip's wrap-around edge,
+the one that crosses the anchored seam, where it is appended.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from .branching import LevelForest, SpineForest, offspring_pmf
+from .rng import _checked_int
 
 MU_CRITICAL = math.log(2.0)
 
@@ -125,10 +131,8 @@ class FreeGraph:
 
 @dataclass(frozen=True)
 class Triangle:
-    strip: int
-    index: int
+    index: int  # position within its strip
     kind: str  # "up": horizontal edge below, apex above; "down": the reverse
-    vertices: tuple[tuple[int, int], ...]
     horizontal: PrimalKey
 
 
@@ -150,21 +154,18 @@ class DualEdge:
 
 @dataclass(frozen=True)
 class DualGraph:
+    """Triangles numbered by their position in ``vertices``, strip by strip.
+
+    ``adjacency[v]`` lists (edge index, neighbour number, seam step when
+    leaving v) in edge order; ``wrap_edges[n]`` is the index of strip n's
+    wrap edge, from its last triangle to its first.
+    """
+
     vertices: tuple[TriRef, ...]
     edges: tuple[DualEdge, ...]
     strip_sizes: tuple[int, ...]
-
-    @cached_property
-    def adjacency(self) -> dict[TriRef, tuple[tuple[int, TriRef, int], ...]]:
-        """Per triangle: (edge index, neighbor, seam step when leaving this side)."""
-        adj: dict[TriRef, list[tuple[int, TriRef, int]]] = {v: [] for v in self.vertices}
-        for idx, e in enumerate(self.edges):
-            adj[e.a].append((idx, e.b, e.seam_step))
-            adj[e.b].append((idx, e.a, -e.seam_step))
-        return {v: tuple(lst) for v, lst in adj.items()}
-
-    def degree(self, tri: TriRef) -> int:
-        return len(self.adjacency[tri])
+    adjacency: tuple[tuple[tuple[int, int, int], ...], ...]
+    wrap_edges: tuple[int, ...]
 
 
 class Triangulation:
@@ -382,31 +383,12 @@ class Triangulation:
     @cached_property
     def _strip_triangles(self) -> tuple[tuple[Triangle, ...], ...]:
         strips = []
-        for n in range(self.top_level):
-            k_top = self.level_sizes[n + 1]
+        for n, strip in enumerate(self.fans):
             tris: list[Triangle] = []
-            for i, fan in enumerate(self.fans[n]):
-                for idx in range(len(fan) - 1):
-                    c = fan[idx]
-                    tris.append(
-                        Triangle(
-                            n,
-                            len(tris),
-                            "down",
-                            ((n, i), (n + 1, c), (n + 1, (c + 1) % k_top)),
-                            ("h", n + 1, c),
-                        )
-                    )
-                j = (i + 1) % self.level_sizes[n]
-                tris.append(
-                    Triangle(
-                        n,
-                        len(tris),
-                        "up",
-                        ((n, i), (n, j), (n + 1, fan[-1])),
-                        ("h", n, i),
-                    )
-                )
+            for i, fan in enumerate(strip):
+                for c in fan[:-1]:
+                    tris.append(Triangle(len(tris), "down", ("h", n + 1, c)))
+                tris.append(Triangle(len(tris), "up", ("h", n, i)))
             strips.append(tuple(tris))
         return tuple(strips)
 
@@ -434,32 +416,44 @@ class Triangulation:
 
     @cached_property
     def dual(self) -> DualGraph:
-        """Triangles with adjacency across shared edges (diagonal and horizontal)."""
+        """Triangles with adjacency across shared edges (diagonal and horizontal).
+
+        Edges come strip by strip, each strip's t -> t+1 edges ending with its
+        wrap edge, then the horizontal edges between strips.
+        """
         vertices: list[TriRef] = []
         edges: list[DualEdge] = []
-        strip_sizes = []
-        horiz_owner: dict[PrimalKey, TriRef] = {}
-        for n in range(self.top_level):
-            tris = self._strip_triangles[n]
-            size = len(tris)
-            strip_sizes.append(size)
-            for t in range(size):
-                vertices.append((n, t))
-            for t in range(size):
-                u = (t + 1) % size
-                # the dual edge t -> t+1 crosses fan edge (t+1) mod size; the
-                # wrap edge crosses fan edge 0, the seam edge of the strip
-                edges.append(DualEdge((n, t), (n, u), ("d", n, u), 1 if u == 0 else 0))
-            for t, tri in enumerate(tris):
-                if tri.kind == "down":
-                    horiz_owner[tri.horizontal] = (n, t)
-        for n in range(1, self.top_level):
-            for tri in self._strip_triangles[n]:
-                if tri.kind == "up":
-                    below = horiz_owner.get(tri.horizontal)
-                    if below is not None:
-                        edges.append(DualEdge(below, (n, tri.index), tri.horizontal, 0))
-        return DualGraph(tuple(vertices), tuple(edges), tuple(strip_sizes))
+        adjacency: list[list[tuple[int, int, int]]] = []
+        wrap_edges: list[int] = []
+
+        def link(a: int, b: int, primal: PrimalKey, step: int) -> None:
+            adjacency[a].append((len(edges), b, step))
+            adjacency[b].append((len(edges), a, -step))
+            edges.append(DualEdge(vertices[a], vertices[b], primal, step))
+
+        down_on: dict[PrimalKey, int] = {}  # horizontal edge -> the down triangle on it
+        for n, tris in enumerate(self._strip_triangles):
+            first, size = len(vertices), len(tris)
+            vertices.extend((n, t) for t in range(size))
+            adjacency.extend([] for _ in range(size))
+            # the dual edge t -> t+1 crosses fan edge t+1; the wrap edge
+            # crosses fan edge 0, the seam edge of the strip
+            for t in range(1, size):
+                link(first + t - 1, first + t, ("d", n, t), 0)
+            wrap_edges.append(len(edges))
+            link(first + size - 1, first, ("d", n, 0), 1)
+            down_on.update((tri.horizontal, first + tri.index) for tri in tris if tri.kind == "down")
+        for v, (n, t) in enumerate(vertices):
+            tri = self._strip_triangles[n][t]
+            if tri.kind == "up" and tri.horizontal in down_on:
+                link(down_on[tri.horizontal], v, tri.horizontal, 0)
+        return DualGraph(
+            tuple(vertices),
+            tuple(edges),
+            tuple(map(len, self._strip_triangles)),
+            tuple(map(tuple, adjacency)),
+            tuple(wrap_edges),
+        )
 
     # -- canonical form ----------------------------------------------------
 
@@ -650,9 +644,11 @@ def enumerate_triangulations(
     Guarded against combinatorial explosion: levels <= 3, width_cap <= 5.
     Only mu >= ln 2 is meaningful for the cylinder ensemble.
     """
-    if levels < 1 or levels > MAX_ENUM_LEVELS:
+    levels = _checked_int(levels, "levels", 1)
+    width_cap = _checked_int(width_cap, "width_cap", 1)
+    if levels > MAX_ENUM_LEVELS:
         raise ValueError(f"levels must be in 1..{MAX_ENUM_LEVELS}")
-    if width_cap < 1 or width_cap > MAX_ENUM_WIDTH:
+    if width_cap > MAX_ENUM_WIDTH:
         raise ValueError(f"width_cap must be in 1..{MAX_ENUM_WIDTH}")
     if mu < MU_CRITICAL - 1e-12:
         raise ValueError("mu below ln 2 has no infinite-volume counterpart")

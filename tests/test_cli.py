@@ -92,9 +92,10 @@ def test_ising_scan_survives_exp_overflow(tmp_path):
     assert row.split(",")[:3] == ["200.0", "minus", "0.0"]
 
 
-def test_ising_scan_requires_beta(tmp_path):
-    rc = main(["ising-scan", "--levels", "3", "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
+def test_ising_scan_requires_beta(tmp_path, capsys):
+    err = rejected(capsys, "ising-scan", "--levels", "3", "--out", str(tmp_path / "x.csv"))
+    assert "--beta" in err and "--beta-grid" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_contours_report(tmp_path):
@@ -209,6 +210,16 @@ def test_percolation_rejects_negative_beta(tmp_path, capsys):
                    "--out", str(tmp_path / "x.csv"))
     assert "--beta" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("beta_args", [(), ("--beta-grid", "")], ids=["no-flag", "empty-grid"])
+def test_percolation_requires_a_beta(tmp_path, capsys, beta_args):
+    err = rejected(capsys, "percolation", "--levels", "3", *beta_args, "--trials", "5",
+                   "--out", str(tmp_path / "x.csv"))
+    assert "--beta-grid" in err
+    if not beta_args:
+        assert "--beta " in err  # both flags are named
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_percolation_rejects_zero_levels(tmp_path, capsys):

@@ -123,6 +123,8 @@ def reference_contours(t: Triangulation, n_max: int | None = None) -> tuple[Cont
     if n_max is None:
         n_max = len(dual.vertices)
     edges = dual.edges
+    adjacency = {v: [(e, dual.vertices[j], s) for e, j, s in adj]
+                 for v, adj in zip(dual.vertices, dual.adjacency)}
     found: dict[tuple, Contour] = {}
     for strip in range(t.top_level):
         size = dual.strip_sizes[strip]
@@ -142,7 +144,7 @@ def reference_contours(t: Triangulation, n_max: int | None = None) -> tuple[Cont
                         crossed = tuple(edges[i].primal for i in key[1])
                         found[key] = Contour(key[0], key[1], crossed, 1)
                 continue
-            for eidx, nbr, step in dual.adjacency[node]:
+            for eidx, nbr, step in adjacency[node]:
                 if eidx == wrap_idx or eidx in epath or nbr in path:
                     continue
                 need = 2 if nbr == goal else 3
@@ -288,6 +290,13 @@ def test_series_monotonicity():
 def test_series_trigger_level():
     s = peierls_series({2: 100, 3: 1}, 1.0)
     # total = 100 e^-4 + e^-6 > 1; tail from 3 is e^-6 < 1
+    assert s.total > 1.0
+    assert s.tail_below_one_from == 3
+
+
+def test_series_tail_never_below_one():
+    # 5 e^-0.4 > 1 at the only length, so the tail first drops below 1 past it
+    s = peierls_series({2: 5}, 0.1)
     assert s.total > 1.0
     assert s.tail_below_one_from == 3
 

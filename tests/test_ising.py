@@ -342,6 +342,15 @@ def test_root_plus_probability_rejects_no_batches():
         root_plus_probability(WIDE, 0.5, "minus", sweeps=64, replicas=1, seed=9, batches=0)
 
 
+@pytest.mark.parametrize("counts", [
+    {"sweeps": 64.5}, {"replicas": 1.5}, {"burn_in": 1.5}, {"batches": 2.5},
+], ids=["sweeps", "replicas", "burn_in", "batches"])
+def test_root_plus_probability_rejects_non_integer_counts(counts):
+    kwargs = {"sweeps": 64, "replicas": 1, "seed": 9, **counts}
+    with pytest.raises(ValueError, match=f"{next(iter(counts))} must be an integer"):
+        root_plus_probability(WIDE, 0.5, "minus", **kwargs)
+
+
 def reference_field(t, boundary) -> list[int]:
     et = t.free_graph
     weights = np.asarray(boundary)[et.bpos]

@@ -420,3 +420,9 @@ def test_shortcut_produces_locally_geodesic():
         members = set(res.path)
         assert all(v in members for v in short)  # openness carries over
     assert found > 5
+
+
+def test_shortcut_takes_a_chord():
+    # the root sees both level-1 vertices, so the step through (1, 0) is a detour
+    t = forest_to_triangulation(((2,), (1, 2)))
+    assert shortcut_to_locally_geodesic(t, [(0, 0), (1, 0), (1, 1)]) == [(0, 0), (1, 1)]

@@ -4,6 +4,7 @@ randomized reconstruction walk."""
 import copy
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -323,6 +324,24 @@ def test_path_neighborhood_requires_geodesic():
     t = forest_to_triangulation(((2,), (1, 1)))
     with pytest.raises(ValueError):
         path_neighborhood(t, [(0, 0), (1, 0), (1, 1)])
+
+
+def test_path_coordinates_must_be_integers():
+    # truncation would read (1.9, 0.2) as (1, 0) and accept the path
+    bad = [(0, 0), (1.9, 0.2)]
+    with pytest.raises(ValueError, match="integers"):
+        path_neighborhood(FIXTURE, bad)
+    with pytest.raises(ValueError, match="integers"):
+        randomized_reconstruction(FIX_MOD, FIXTURE, bad, stream(96, 0))
+    with pytest.raises(ValueError, match="integers"):
+        reconstruction_success_probability(CHAIN, CHAIN, [(0, 0), (1.9, 0)])
+    # numpy integers are integers
+    numpy_path = [(np.int64(level), np.int32(pos)) for level, pos in FIX_PATH.path]
+    assert path_neighborhood(FIXTURE, numpy_path) == FIX_PATH
+    assert (randomized_reconstruction(FIX_MOD, FIXTURE, numpy_path, stream(96, 0))
+            == randomized_reconstruction(FIX_MOD, FIXTURE, FIX_PATH.path, stream(96, 0)))
+    assert (reconstruction_success_probability(CHAIN, CHAIN, np.array(CHAIN_PATH))
+            == reconstruction_success_probability(CHAIN, CHAIN, CHAIN_PATH))
 
 
 def test_embedding_unique_and_checks_degrees():

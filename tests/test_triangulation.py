@@ -473,7 +473,7 @@ def test_dual_degrees():
         top = t.top_level
         for (n, idx) in dual.vertices:
             tri = t.triangles(n)[idx]
-            deg = dual.degree((n, idx))
+            deg = len(dual.adjacency[dual.vertices.index((n, idx))])
             if n == 0 and tri.kind == "up":
                 assert deg == 2  # sits on the root circle
             elif n == top - 1 and tri.kind == "down":
@@ -510,6 +510,12 @@ def test_enumerate_guards():
         enumerate_triangulations(2, 6)
     with pytest.raises(ValueError):
         enumerate_triangulations(2, 2, mu=0.5)
+
+
+@pytest.mark.parametrize("levels, width_cap, what", [(1.5, 2, "levels"), (2, 2.5, "width_cap")])
+def test_enumerate_rejects_non_integer_counts(levels, width_cap, what):
+    with pytest.raises(ValueError, match=f"{what} must be an integer"):
+        enumerate_triangulations(levels, width_cap)
 
 
 def test_distinct_enumerated_triangulations():
