@@ -246,43 +246,87 @@ def _geometric_half(u: np.ndarray) -> np.ndarray:
     X = the first x with U <= 1 - 2^-x, sums that are exact at p = 1/2.  So
     X - 1 = max(0, 1022 - e), e the biased exponent of 1 - U.
     """
-    return np.maximum(1022 - ((1.0 - u).view(np.int64) >> 52), 0)
+    e = (1.0 - u).view(np.int64)
+    e >>= 52
+    np.subtract(1022, e, out=e)
+    return np.maximum(e, 0, out=e)
 
 
-def _spine_block(rng: np.random.Generator, levels: int, block: int):
-    """The draws of ``sample_spine_forest(rng, levels)`` from one uniform block.
+def _prefix_sums(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Geom(1/2) counts of a uniform block ``u`` (or of each row of a
+    2-D one) and their prefix sums along the row, led by a 0."""
+    g = _geometric_half(u)
+    c = np.zeros((*u.shape[:-1], u.shape[-1] + 1), np.int64)
+    np.cumsum(g, axis=-1, out=c[..., 1:])
+    return g, c
 
-    Level n reads 2 + k_n doubles (spine pair, then one per vertex) in O(1)
-    reads of the block's Geom(1/2) prefix sums.  The block starts with
-    ``block`` doubles and at least doubles whenever a level runs past it.
-    Returns (u, end, degrees, sizes, spine): the block, the count of doubles
-    the forest read, the flat out-degrees of levels 0..levels-1, the level
-    sizes k_0..k_levels and the spine positions.
+
+def _walk(c, levels: int, sizes: list[int], spine: list[int], o: int) -> int:
+    """Walk the levels of ``sample_spine_forest`` that fit in a block.
+
+    ``c`` holds the prefix sums of the block's Geom(1/2) counts and o the
+    index of the next level's spine pair.  Level n reads 2 + k_n doubles
+    (spine pair, then one per vertex) in O(1) reads of c; each level that
+    fits appends k_{n+1} to ``sizes`` and the spine's position to ``spine``,
+    until ``levels`` levels are walked.  Returns the index after the last
+    level walked.
     """
-    u = np.empty(0)
-    sizes, spine, pairs, spots, totals = [1], [0], [], [], []
-    o = 0  # block index of the current level's spine pair
-    for _ in range(levels):
-        k, p = sizes[-1], spine[-1]
-        if o + 2 + k > len(u):
-            u = np.concatenate((u, rng.random(max(block, len(u), o + 2 + k - len(u)))))
-            g = _geometric_half(u)
-            c = np.zeros(len(u) + 1, np.int64)
-            np.cumsum(g, out=c[1:])
-            c = memoryview(c)
+    n = len(c) - 1
+    k, p = sizes[-1], spine[-1]
+    for _ in range(levels + 1 - len(sizes)):
         s = o + 2
-        left, right = c[o + 1] - c[o], c[s] - c[o + 1]
-        total = left + 1 + right
-        sizes.append(c[s + k] - c[s] - (c[s + p + 1] - c[s + p]) + total)
-        spine.append(c[s + p] - c[s] + left)
+        e = s + k
+        if e > n:
+            break
+        a, q = c[o], c[s + p]
+        # the level's counts, the spine's replaced by its total left + 1 + right
+        k = c[e] - c[s + p + 1] + q - a + 1
+        p = q - c[s] + c[o + 1] - a
+        sizes.append(k)
+        spine.append(p)
+        o = e
+    return o
+
+
+def _degrees(g: np.ndarray, c, sizes: list[int], spine: list[int]) -> np.ndarray:
+    """The flat out-degrees of the walked levels: each level's counts in
+    ``g`` past its spine pair, the spine's entry set to its total (g is
+    overwritten there)."""
+    o, pairs, spots, totals = 0, [], [], []
+    for k, p in zip(sizes, spine[:-1]):
         pairs += (o, o + 1)
-        spots.append(s + p)
-        totals.append(total)
-        o = s + k
+        spots.append(o + 2 + p)
+        totals.append(c[o + 2] - c[o] + 1)
+        o += 2 + k
     g[spots] = totals
     keep = np.ones(o, bool)
     keep[pairs] = False
-    return u, o, g[:o][keep], sizes, spine
+    return g[:o][keep]
+
+
+def _grow(rng: np.random.Generator, levels: int, block: int):
+    """Walk the tree of ``sample_spine_forest(rng, levels)`` from one uniform
+    block of ``block`` doubles, at least doubled whenever a level runs past
+    it.  Returns (u, g, c, end, sizes, spine): the block, its counts and
+    prefix sums, the count of doubles the forest read, the level sizes
+    k_0..k_levels and the spine positions."""
+    u = np.empty(0)
+    sizes, spine, o = [1], [0], 0
+    while len(sizes) <= levels:
+        more = rng.random(max(block, len(u), o + 2 + sizes[-1] - len(u)))
+        u = np.concatenate((u, more)) if len(u) else more
+        g, c = _prefix_sums(u)
+        c = memoryview(c)
+        o = _walk(c, levels, sizes, spine, o)
+    return u, g, c, o, sizes, spine
+
+
+def _spine_block(rng: np.random.Generator, levels: int, block: int):
+    """The draws of ``sample_spine_forest(rng, levels)`` from one uniform block
+    (see ``_grow``).  Returns (u, end, degrees, sizes, spine), ``degrees``
+    the flat out-degrees of levels 0..levels-1."""
+    u, g, c, end, sizes, spine = _grow(rng, levels, block)
+    return u, end, _degrees(g, c, sizes, spine), sizes, spine
 
 
 def sample_spine_forest(rng: np.random.Generator, levels: int) -> SpineForest:
@@ -306,10 +350,15 @@ def sample_spine_forest(rng: np.random.Generator, levels: int) -> SpineForest:
     """
     levels = _checked_int(levels, "levels", 1)
     state = rng.bit_generator.state
-    _, end, degrees, sizes, spine = _spine_block(rng, levels, 2 * levels * (levels + 2))
+    _, g, _, end, sizes, spine = _grow(rng, levels, 2 * levels * (levels + 2))
     rng.bit_generator.state = state
     rng.random(end)
-    flat = degrees.tolist()
-    starts = accumulate(sizes[:-1], initial=0)
-    out = tuple(tuple(flat[a : a + k]) for a, k in zip(starts, sizes[:-1]))
-    return SpineForest(levels, out, tuple(spine))
+    flat = g[:end].tolist()
+    out = []
+    o = 0
+    for k, p in zip(sizes, spine[:-1]):  # level n: spine pair at o, then k_n counts
+        level = flat[o + 2 : o + 2 + k]
+        level[p] = flat[o] + flat[o + 1] + 1
+        out.append(tuple(level))
+        o += 2 + k
+    return SpineForest(levels, tuple(out), tuple(spine))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import branching, contours, ising, percolation, surgery, triangulation
 from .reports import ExperimentReport, resolve_output
-from .rng import stream
+from .rng import TrialKeys, stream
 
 _CHUNK = 1024
 
@@ -43,8 +43,9 @@ def _trial_chunks(head: tuple, total: int) -> list[tuple]:
 def _level_size_chunk(seed: int, levels: int, start: int, count: int) -> Counter:
     """Histogram of (level, size) pairs over the spine samples of the trials."""
     hist: Counter = Counter()
+    keys = TrialKeys(seed)
     for i in range(start, start + count):
-        hist.update(enumerate(branching.sample_spine_forest(stream(seed, i), levels).level_sizes))
+        hist.update(enumerate(branching.sample_spine_forest(keys.stream(i), levels).level_sizes))
     return hist
 
 

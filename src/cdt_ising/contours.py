@@ -192,13 +192,14 @@ def peierls_series(counts: Mapping[int, int], beta: float) -> ContourSeries:
 
     ``tail_below_one_from`` is the smallest length L such that the tail sum
     over lengths >= L is < 1 (the uniqueness-breaking trigger); L is 0 when
-    even the full sum is below 1.  beta must be finite and >= 0, and no
-    count may be negative.
+    even the full sum is below 1.  beta must be finite and >= 0, lengths
+    integers >= 1 and counts integers >= 0.
     """
     _checked_beta(beta)
-    items = sorted((int(n), int(c)) for n, c in counts.items())
-    if any(c < 0 for _, c in items):
-        raise ValueError(f"contour counts must be >= 0, got {dict(items)}")
+    items = sorted(
+        (_checked_int(n, "contour lengths", 1), _checked_int(c, "contour counts", 0))
+        for n, c in counts.items()
+    )
     rows = []
     acc = 0.0
     for n, c in items:

@@ -120,8 +120,12 @@ def _boundary_field(fg: FreeGraph, boundary: list[int], offset: int = 0) -> list
 
 
 def _checked_beta(beta: float) -> float:
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    try:
+        ok = math.isfinite(beta) and beta >= 0
+    except TypeError:  # not a real number
+        ok = False
+    if not ok:
+        raise ValueError(f"beta must be a finite number >= 0, got {beta!r}")
     return beta
 
 

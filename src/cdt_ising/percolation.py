@@ -16,14 +16,16 @@ The single-instance API works on a ``Triangulation``: marks use
 use ``Triangulation.neighbors``.
 
 All annealed estimators run their trials through ``reach_hits``, which never
-builds a triangulation.  A trial reads its forest and then its marks from one
-uniform block, builds flat tables of the forest (first children, parents,
-arriving fan starts, degrees) and one rank per vertex, the number of betas
-that close it, and runs one search that answers every beta and stops at the
-first vertex it meets on the target level.  The draws are those of the full
-build: the depth-(levels+1) forest first, then one uniform per marked vertex
-in flat order, so each trial's verdict equals ``max_open_reach`` on
-``forest_to_triangulation`` of the same forest with the same uniforms.
+builds a triangulation.  It runs trials in array passes: a trial reads its
+forest and then its marks from one row of uniforms, and a trial whose root
+is open at some beta builds flat tables of the forest (first children,
+parents, arriving fan starts, degrees) and one rank per vertex, the number
+of betas that close it, and runs one search that answers every beta and
+stops at the first vertex it meets on the target level.  The draws are
+those of the full build: the depth-(levels+1) forest first, then one
+uniform per marked vertex in flat order, so each trial's verdict equals
+``max_open_reach`` on ``forest_to_triangulation`` of the same forest with
+the same uniforms.
 
 Every entry point that takes beta requires it finite and >= 0, as the Ising
 code does (``ising._checked_beta``).
@@ -39,9 +41,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .branching import _spine_block
+from .branching import _degrees, _prefix_sums, _spine_block, _walk
 from .ising import _checked_beta
-from .rng import _checked_int, stream
+from .rng import TrialKeys, _checked_int
 from .triangulation import Triangulation
 
 
@@ -234,6 +236,79 @@ def _reach_rank(degrees: np.ndarray, uniforms: np.ndarray, betas: np.ndarray, le
     return m
 
 
+def _checked_betas(betas) -> list[float]:
+    """``betas`` read once as a list: non-empty, each a valid beta."""
+    try:
+        betas = list(betas)
+    except TypeError as exc:
+        raise ValueError(f"betas must be an iterable of numbers: {exc}") from None
+    if not betas:
+        raise ValueError("need at least one beta")
+    for beta in betas:
+        _checked_beta(beta)
+    return betas
+
+
+_PASS = 2**16  # uniforms per pass of reach_hits (one row if a row is longer)
+
+
+def _row_length(levels: int) -> int:
+    """Doubles drawn up front per reach trial: about twice what its forest
+    reads on average, about what the forest and its marks read."""
+    return 2 * (levels + 2) ** 2
+
+
+def _trial_rank(rng: np.random.Generator, levels: int, block: int, betas: np.ndarray) -> int:
+    """``_reach_rank`` of the trial drawn from ``rng``, from a first block of
+    ``block`` doubles grown as the forest and then the marks need."""
+    u, end, degrees, _, _ = _spine_block(rng, levels + 1, block)
+    n = len(degrees)
+    if end + n > len(u):
+        u = np.concatenate((u, rng.random(end + n - len(u))))
+    return _reach_rank(degrees, u[end : end + n], betas, levels)
+
+
+def _reach_pass(keys: TrialKeys, trials: range, levels: int, betas: np.ndarray):
+    """The ``_reach_rank`` of each trial in ``trials``, in one array pass.
+
+    Each trial's first ``_row_length(levels)`` doubles fill a row of one
+    array, turned into Geom(1/2) counts and prefix sums at once; ``_walk``
+    reads the forest from each row.  One test over the pass finds the
+    trials whose root is closed at every beta.  The rest extract their
+    degrees and search; marks that run past the row come from the trial's
+    stream re-keyed at the row's end.  A trial whose forest (or root mark)
+    runs past its row is re-drawn whole from its stream.
+    """
+    m, row = len(betas), _row_length(levels)
+    u = np.empty((len(trials), row))
+    for i, r in zip(trials, u):
+        keys.stream(i).random(out=r)
+    g, c = _prefix_sums(u)
+    walks, past, root_u, root_k = [], [], [], []
+    for i, r, gt, ct in zip(trials, u, g, map(memoryview, c)):
+        sizes, spine = [1], [0]
+        end = _walk(ct, levels + 1, sizes, spine, 0)
+        if len(sizes) == levels + 2 and end < row:
+            walks.append((i, r, gt, ct, end, sizes, spine))
+            root_u.append(r[end])
+            root_k.append(sizes[1])
+        else:
+            past.append(i)
+    # the root's degree is its child count + 3
+    root_open = np.array(root_u) < np.tanh(betas[-1] * (np.array(root_k) + 3))
+    for (i, r, gt, ct, end, sizes, spine), is_open in zip(walks, root_open.tolist()):
+        if not is_open:
+            yield m
+            continue
+        n = sum(sizes[:-1])  # one mark per vertex of levels 0..levels
+        marks = r[end : end + n]
+        if end + n > row:
+            marks = np.concatenate((marks, keys.stream(i, row).random(end + n - row)))
+        yield _reach_rank(_degrees(gt, ct, sizes, spine), marks, betas, levels)
+    for i in past:
+        yield _trial_rank(keys.stream(i), levels, row, betas)
+
+
 def reach_hits(
     levels: int, betas: Sequence[float], seed: int, start: int, count: int
 ) -> list[int]:
@@ -241,34 +316,35 @@ def reach_hits(
 
     Trial i draws everything from ``stream(seed, i)``: a forest one level
     past the horizon (so all marked degrees are defined), then a uniform
-    per marked vertex in flat order, all from one ``rng.random`` block.
-    Every beta thresholds the same uniforms, so within a trial the reach
-    indicator is monotone in beta, and the result does not depend on how
-    trials are split into chunks.  One search of flat tables built from
-    the block answers every beta (``_reach_rank``); it builds no
-    ``Triangulation`` and equals ``max_open_reach(t,
-    open_set_from_uniforms(t, beta, uniforms)).reach >= levels`` on ``t =
-    forest_to_triangulation(forest)``.
+    per marked vertex in flat order.  Every beta thresholds the same
+    uniforms, so within a trial the reach indicator is monotone in beta,
+    and the result does not depend on how trials are split into chunks.
+    One search of flat tables built from the draws answers every beta
+    (``_reach_rank``); it builds no ``Triangulation`` and equals
+    ``max_open_reach(t, open_set_from_uniforms(t, beta, uniforms)).reach
+    >= levels`` on ``t = forest_to_triangulation(forest)``.
+
+    Trials run in passes of ``_PASS // _row_length(levels)`` (at least
+    one) through ``_reach_pass``, each stream re-keyed from one
+    ``TrialKeys``.  A pass holds at most ``_PASS`` doubles (one row when
+    a row is longer) in each of its three arrays, uniforms, counts and
+    prefix sums: about 1.5 MiB at ``_PASS = 2**16``.
     """
     levels = _checked_int(levels, "levels", 0)
     seed = _checked_int(seed, "seed", 0)
     start = _checked_int(start, "start", 0)
     count = _checked_int(count, "count", 0)
-    if len(betas) == 0:
-        raise ValueError("need at least one beta")
-    for beta in betas:
-        _checked_beta(beta)
+    betas = _checked_betas(betas)
+    if levels == 0:  # the root is on level 0, open or not
+        return [count] * len(betas)
     order = sorted(range(len(betas)), key=betas.__getitem__)
     ascending = np.array([betas[j] for j in order], dtype=float)
+    keys = TrialKeys(seed)
+    step = max(1, _PASS // _row_length(levels))
     per_rank = [0] * (len(betas) + 1)
-    for i in range(start, start + count):
-        rng = stream(seed, i)
-        # a first block of about twice the doubles a trial reads on average
-        u, end, degrees, _, _ = _spine_block(rng, levels + 1, 2 * (levels + 2) ** 2)
-        n = len(degrees)
-        if end + n > len(u):  # the marks run past the block
-            u = np.concatenate((u, rng.random(end + n - len(u))))
-        per_rank[_reach_rank(degrees, u[end : end + n], ascending, levels)] += 1
+    for lo in range(start, start + count, step):
+        for rank in _reach_pass(keys, range(lo, min(lo + step, start + count)), levels, ascending):
+            per_rank[rank] += 1
     hits = [0] * len(betas)
     for j, h in zip(order, accumulate(per_rank)):
         hits[j] = h
@@ -299,6 +375,7 @@ def annealed_reach_curve(
     ``annealed_reach_probability`` at its beta.
     """
     levels, trials = _checked_int(levels, "levels", 0), _checked_int(trials, "trials", 1)
+    betas = _checked_betas(betas)
     hits = reach_hits(levels, betas, seed, 0, trials)
     return [ReachEstimate(float(b), levels, trials, h) for b, h in zip(betas, hits)]
 

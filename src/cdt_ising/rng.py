@@ -2,7 +2,11 @@
 
 All Monte Carlo drivers derive one stream per (master seed, trial index)
 so results do not depend on how trials are chunked across workers.
-Philox is counter-based, so streams are cheap to create and independent.
+``stream`` builds a ``SeedSequence`` and a ``Philox`` per call, about
+17 us.  Philox is counter-based, so a stream is fixed by its key alone:
+``TrialKeys`` mixes the seed into numpy's ``SeedSequence`` pool once and,
+per trial index, mixes in only that index and re-keys one generator, which
+then yields exactly the draws of ``stream(seed, i)``.
 """
 
 from __future__ import annotations
@@ -16,6 +20,102 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     """Return the RNG stream identified by ``seed`` and an integer key path."""
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on uint32 words
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words of n >= 0, least significant first; [0] for 0."""
+    words = [n & _MASK]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK)
+    return words
+
+
+def _hashmix(value: int, h: int, mult: int = _MULT_A) -> tuple[int, int]:
+    """The hashed word and the next hash constant."""
+    h2 = h * mult & _MASK
+    value = (value ^ h) * h2 & _MASK
+    return value ^ value >> 16, h2
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _MASK
+    return r ^ r >> 16
+
+
+def _absorb(pool: list[int], h: int, words: list[int]) -> tuple[list[int], int]:
+    """Mix each word into every pool word, as ``SeedSequence`` does with the
+    entropy words past the pool size; returns the pool and hash constant."""
+    pool = list(pool)
+    for w in words:
+        for dst in range(_POOL):
+            v, h = _hashmix(w, h)
+            pool[dst] = _mix(pool[dst], v)
+    return pool, h
+
+
+class TrialKeys:
+    """The Philox keys of ``stream(seed, i)`` for any trial index i.
+
+    ``SeedSequence(seed, spawn_key=(i,))`` hashes the seed's words (padded
+    to the pool size), then i's words, into a four-word pool, and Philox
+    takes its key from the pool.  The seed's part is done once here; each
+    key mixes in i's words only.
+    """
+
+    def __init__(self, seed: int) -> None:
+        entropy = _words(_checked_int(seed, "seed", 0))
+        entropy += [0] * (_POOL - len(entropy))  # padded, as with any spawn key
+        h = _INIT_A
+        pool = []
+        for w in entropy[:_POOL]:
+            v, h = _hashmix(w, h)
+            pool.append(v)
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    v, h = _hashmix(pool[src], h)
+                    pool[dst] = _mix(pool[dst], v)
+        self._pool, self._hash = _absorb(pool, h, entropy[_POOL:])
+        self._bits = np.random.Philox(0)
+        self.generator = np.random.Generator(self._bits)
+
+    def key(self, i: int) -> tuple[int, int]:
+        """``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``."""
+        pool, _ = _absorb(self._pool, self._hash, _words(_checked_int(i, "trial index", 0)))
+        h, out = _INIT_B, []
+        for w in pool:  # four uint32 words, two little-endian uint64s
+            v, h = _hashmix(w, h, _MULT_B)
+            out.append(v)
+        return out[0] | out[1] << 32, out[2] | out[3] << 32
+
+    def stream(self, i: int, skip: int = 0) -> np.random.Generator:
+        """``self.generator`` re-keyed to ``stream(seed, i)``, its first
+        ``skip`` draws (one per double) passed over.
+
+        The generator is shared: re-keying it for another trial restarts it.
+        Philox draws four 64-bit words per counter step, so passing over
+        costs one step count and at most three draws.
+        """
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (skip // 4, 0, 0, 0), "key": self.key(i)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        if skip % 4:
+            self._bits.random_raw(skip % 4)
+        return self.generator
 
 
 def _checked_int(value, what: str, least: int) -> int:

@@ -313,6 +313,21 @@ def test_series_rejects_negative_counts():
     assert peierls_series({2: 0}, 0.0).rows == ((2, 0, 0.0),)
 
 
+@pytest.mark.parametrize(
+    "counts", [{2: 1.5}, {3.7: 1}, {2: "3"}, {"2": 3}, {2: None}, {0: 1}, {-2: 1}]
+)
+def test_series_rejects_non_integer_lengths_and_counts(counts):
+    # was truncated: {2: 1.5, 3.7: 1} read as {2: 1, 3: 1}
+    with pytest.raises(ValueError, match="contour (lengths|counts)"):
+        peierls_series(counts, 1.0)
+
+
+def test_series_takes_numpy_integers():
+    s = peierls_series({np.int64(2): np.uint8(3)}, 0.5)
+    assert s == peierls_series({2: 3}, 0.5)
+    assert type(s.rows[0][0]) is int and type(s.rows[0][1]) is int
+
+
 # -- spin inversion -----------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from test_triangulation import out_degree_lists
 
 from cdt_ising import percolation
-from cdt_ising.branching import _spine_block, sample_spine_forest
+from cdt_ising.branching import sample_spine_forest
 from cdt_ising.ising import conditional_spin_prob
 from cdt_ising.percolation import (
     OpenSet,
@@ -27,7 +27,7 @@ from cdt_ising.percolation import (
     sample_open_set,
     shortcut_to_locally_geodesic,
 )
-from cdt_ising.rng import stream
+from cdt_ising.rng import TrialKeys, stream
 from cdt_ising.triangulation import Triangulation, forest_to_triangulation
 
 
@@ -257,14 +257,43 @@ def test_reach_hits_on_an_unsorted_grid_equals_each_beta_alone():
 
 
 def test_reach_hits_does_not_depend_on_the_block_size(monkeypatch):
-    # the first block may hold one double or far more than a trial reads
+    # a row of one double: every trial runs past it and is re-drawn through
+    # _spine_block from a one-double block; rows of 2^17, one to a pass,
+    # hold every trial
     args = (12, [0.05, 0.2, 1.0], 86, 0, 40)
     want = reach_hits(*args)
     for block in (1, 2**17):
-        monkeypatch.setattr(
-            percolation, "_spine_block", lambda rng, levels, _: _spine_block(rng, levels, block)
-        )
+        monkeypatch.setattr(percolation, "_row_length", lambda levels: block)
         assert reach_hits(*args) == want, block
+
+
+@pytest.mark.parametrize("levels, start, count", [(3, 5, 90), (12, 2**32 - 7, 30), (40, 0, 9)])
+def test_reach_hits_is_the_sum_over_any_split(levels, start, count):
+    betas = [0.3, 0.05, 0.1]
+    want = reach_hits(levels, betas, 2**64 + 3, start, count)
+    rng = np.random.default_rng(levels)
+    for _ in range(3):
+        cuts = sorted(rng.choice(np.arange(1, count), size=3, replace=False).tolist())
+        bounds = [start, *(start + c for c in cuts), start + count]
+        parts = [reach_hits(levels, betas, 2**64 + 3, a, b - a) for a, b in zip(bounds, bounds[1:])]
+        assert [sum(col) for col in zip(*parts)] == want, bounds
+
+
+def test_trials_past_their_rows_are_redrawn_or_extended(monkeypatch):
+    args = (10, [0.02, 0.05, 0.1, 0.2], 1009, 0, 300)
+    past, skips = [], []
+    trial_rank, rekey = percolation._trial_rank, TrialKeys.stream
+    monkeypatch.setattr(percolation, "_trial_rank", lambda *a: past.append(a) or trial_rank(*a))
+    monkeypatch.setattr(
+        TrialKeys, "stream", lambda self, i, skip=0: skips.append(skip) or rekey(self, i, skip)
+    )
+    got = reach_hits(*args)
+    # about 4% of forests outgrow their rows; some open roots' marks do
+    assert 0 < len(past) < 30
+    assert 0 < sum(s == percolation._row_length(10) for s in skips) < 300
+    past.clear()
+    monkeypatch.setattr(percolation, "_row_length", lambda levels: 2**17)
+    assert reach_hits(*args) == got and not past
 
 
 @pytest.mark.parametrize(
@@ -279,11 +308,15 @@ def test_reach_hits_does_not_depend_on_the_block_size(monkeypatch):
         lambda: reach_hits(5, [0.1], 1, 0, 2.5),
         lambda: reach_hits(5, [0.1], 1, 0, -2),
         lambda: reach_hits(5, [], 1, 0, 5),
+        lambda: reach_hits(5, "0.1", 1, 0, 5),
+        lambda: reach_hits(5, [0.1, None], 1, 0, 5),
+        lambda: reach_hits(5, 0.1, 1, 0, 5),
         lambda: annealed_reach_probability(2.5, 0.1, 5, 1),
         lambda: annealed_reach_probability(5, 0.1, 2.5, 1),
         lambda: annealed_reach_probability(5, 0.1, 0, 1),
         lambda: annealed_reach_probability(5, 0.1, 5, 1.5),
         lambda: annealed_reach_curve(3, [], 3, 1),
+        lambda: annealed_reach_curve(3, [0.1, "0.2"], 3, 1),
         lambda: annealed_reach_curve("3", [0.1], 3, 1),
         lambda: annealed_reach_curve(3, [0.1], 2.5, 1),
         lambda: annealed_reach_curve(3, [0.1], 3, -1),
@@ -291,14 +324,24 @@ def test_reach_hits_does_not_depend_on_the_block_size(monkeypatch):
     ids=[
         "hits-levels-float", "hits-levels-negative", "hits-seed-float", "hits-seed-negative",
         "hits-start-float", "hits-start-negative", "hits-count-float", "hits-count-negative",
-        "hits-no-beta", "probability-levels-float", "probability-trials-float",
-        "probability-trials-zero", "probability-seed-float", "curve-no-beta",
+        "hits-no-beta", "hits-betas-string", "hits-beta-none", "hits-betas-number",
+        "probability-levels-float", "probability-trials-float",
+        "probability-trials-zero", "probability-seed-float", "curve-no-beta", "curve-beta-string",
         "curve-levels-string", "curve-trials-float", "curve-seed-negative",
     ],
 )
 def test_reach_entry_points_reject_bad_counts(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_reach_hits_reads_any_iterable_grid_once():
+    want = reach_hits(5, [0.1, 0.3], 1, 0, 20)
+    assert reach_hits(5, (b for b in (0.1, 0.3)), 1, 0, 20) == want
+    assert reach_hits(5, np.array([0.1, 0.3]), 1, 0, 20) == want
+    assert reach_hits(5, {0.1}, 1, 0, 20) == want[:1]
+    curve = annealed_reach_curve(5, (b for b in (0.1, 0.3)), 20, 1)
+    assert [(e.beta, e.reach_count) for e in curve] == list(zip((0.1, 0.3), want))
 
 
 def test_reach_entry_points_take_numpy_integers():

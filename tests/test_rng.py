@@ -1,0 +1,62 @@
+"""Tests for the seeded trial streams and their key schedule."""
+
+import numpy as np
+import pytest
+
+from cdt_ising.rng import TrialKeys, stream
+
+# seeds of 1, 1, 2, 2, 4 and 5 uint32 words
+SEEDS = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**100 + 3, 2**130 + 7]
+# trial indices of one, two and three words, on both sides of 2^32
+TRIALS = [0, 1, 17, 2**32 - 1, 2**32, 2**32 + 5, 2**63 + 9, 2**64, 2**70 + 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_trial_keys_equal_seed_sequence_keys(seed):
+    keys = TrialKeys(seed)
+    for i in TRIALS:
+        want = np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
+        assert keys.key(i) == tuple(int(w) for w in want), i
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rekeyed_generator_replays_the_stream(seed):
+    keys = TrialKeys(seed)
+    # out of order and repeated: each re-key starts its stream afresh
+    for i in [*TRIALS, 3, *TRIALS[::-1]]:
+        rng = keys.stream(i)
+        assert rng is keys.generator
+        assert np.array_equal(rng.random(37), stream(seed, i).random(37)), i
+
+
+@pytest.mark.parametrize("skip", [0, 1, 3, 4, 5, 288, 1023])
+def test_rekeyed_generator_passes_over_draws(skip):
+    keys = TrialKeys(2**64 + 9)
+    for i in (0, 6, 2**33):
+        want = stream(2**64 + 9, i).random(skip + 9)[skip:]
+        assert keys.stream(i, skip).random(9).tolist() == want.tolist(), i
+
+
+def test_rekeyed_generator_is_left_where_the_stream_is():
+    keys, ref = TrialKeys(5), stream(5, 2)
+    rng = keys.stream(2)
+    rng.random(3)  # into the middle of a four-word Philox block
+    ref.random(3)
+    assert rng.integers(2**40, size=5).tolist() == ref.integers(2**40, size=5).tolist()
+    assert rng.random(7).tolist() == ref.random(7).tolist()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_trial_keys_reject_bad_seeds(seed):
+    with pytest.raises(ValueError, match="seed"):
+        TrialKeys(seed)
+
+
+def test_trial_keys_take_numpy_integers():
+    assert TrialKeys(np.uint64(2**63)).key(np.int64(4)) == TrialKeys(2**63).key(4)
+
+
+@pytest.mark.parametrize("i", [-1, 2.0, "1"])
+def test_trial_keys_reject_bad_trial_indices(i):
+    with pytest.raises(ValueError, match="trial index"):
+        TrialKeys(1).key(i)
