@@ -295,13 +295,13 @@ class _ClassKernel:
 
     def __init__(self, fg: FreeGraph, field: list[int], table: tuple[float, ...]) -> None:
         self.order = np.array(fg.visit_order, dtype=np.intp)
-        deg = np.array([len(fg.neighbors[v]) for v in fg.visit_order], dtype=np.intp)
-        base = np.asarray(field, dtype=np.intp)[self.order] - deg
+        field = np.asarray(field, dtype=np.intp)[self.order]
         self.classes = []
         lo = 0
         for nbrs in fg.class_neighbors:
             hi = lo + nbrs.shape[1]
-            self.classes.append((slice(lo, hi), nbrs, base[lo:hi]))
+            deg = np.count_nonzero(nbrs < fg.n_free, axis=0)
+            self.classes.append((slice(lo, hi), nbrs, field[lo:hi] - deg))
             lo = hi
         self.table = np.asarray(table)
         self.root = fg.visit_order.index(0)

@@ -27,6 +27,11 @@ uniform per marked vertex in flat order, so each trial's verdict equals
 ``max_open_reach`` on ``forest_to_triangulation`` of the same forest with
 the same uniforms.
 
+The search reads neighbours lazily (``_neighbours``), not from the edge
+arrays of a ``Triangulation``: it stops on the target level after a small
+part of the graph, and a per-trial CSR of the same graph (equal ranks) cost
+54 -> 182 us per open-root trial at depth 10, 90 -> 659 us at depth 30.
+
 Every entry point that takes beta requires it finite and >= 0, as the Ising
 code does (``ising._checked_beta``).
 """
@@ -93,6 +98,8 @@ class ReachResult:
 
 
 def max_open_reach(t: Triangulation, open_set: OpenSet) -> ReachResult:
+    if np.shape(open_set.marks) != t.mark_degrees.shape:
+        raise ValueError("need one mark per vertex below the top level")
     root = 0
     if not open_set.marks[root]:
         return ReachResult(0, None)
@@ -208,11 +215,11 @@ def _reach_rank(degrees: np.ndarray, uniforms: np.ndarray, betas: np.ndarray, le
     m = len(betas)
     if levels == 0:
         return 0
-    if uniforms[0] >= np.tanh(betas[-1] * (degrees[0] + 3)):
-        return m  # the root is closed at every beta
     off, first, parent, arriving, deg = _fan_tables(degrees)
     closed = uniforms >= np.tanh(np.multiply.outer(betas, deg))
     rank = memoryview(closed.sum(axis=0, dtype=np.min_scalar_type(m)))  # m once seen
+    if rank[0] == m:
+        return m  # the root is closed at every beta
     top = off[levels]
     buckets: list[list[int]] = [[] for _ in range(m)]
     buckets[rank[0]].append(0)
@@ -442,8 +449,7 @@ MAX_PATH_LENGTH = 12
 def count_salg_paths(t: Triangulation, length: int) -> int:
     """Number of self-avoiding locally geodesic paths of the given edge count
     starting at the root (vertex paths; parallel edges do not multiply)."""
-    if length < 0:
-        raise ValueError("path length must be >= 0")
+    length = _checked_int(length, "length", 0)
     if length > MAX_PATH_LENGTH:
         raise ValueError(f"exhaustive search capped at length {MAX_PATH_LENGTH}")
     adj = t.neighbors

@@ -20,13 +20,14 @@ Multigraph corner cases are real and intended: a level with a single vertex
 has a horizontal self-loop, and a strip over a single vertex produces a pair
 of parallel diagonal edges.
 
-The derived graph tables live on the instance, each built once in one pass
-over ``fans`` and cached.  They address vertices by flat id (``flat_index``,
-inverted by ``vertex_at``): ``degree_split`` (up/down edge counts),
-``neighbors`` (distinct neighbours), ``free_graph`` (interior and boundary
-edges of levels 0..top-1, where Ising spins and percolation marks live, and
-a proper colouring of those levels),
-``mark_degrees`` (total degrees there) and ``primal_adjacency`` (edge keys).
+The derived graph tables live on the instance, each built once and cached,
+and address vertices by flat id (``flat_index``, inverted by ``vertex_at``).
+``edges`` holds the endpoints of every edge, read off the fan lengths and
+each strip's first fan start; every other table is a numpy reduction of it.
+``degree_split`` and ``mark_degrees`` count edge ends, ``neighbors`` takes
+the distinct pairs, ``free_graph`` masks the edges of levels 0..top-1, where
+Ising spins and percolation marks live, and colours those levels, and
+``primal_adjacency`` pairs each edge with its key.
 
 The dual graph (``dual``) numbers each triangle by its position in
 ``DualGraph.vertices``, strip by strip, and stores one adjacency by number,
@@ -117,15 +118,19 @@ class FreeGraph:
         positions in ``visit_order``, padded with ``n_free`` up to the
         class's largest neighbour count.
         """
-        pos = np.empty(self.n_free, dtype=np.intp)
-        pos[list(self.visit_order)] = np.arange(self.n_free)
-        layout = []
-        for members in self.colour_classes:
-            nbrs = np.full((max(len(self.neighbors[v]) for v in members), len(members)),
-                           self.n_free, dtype=np.intp)
-            for j, v in enumerate(members):
-                nbrs[: len(self.neighbors[v]), j] = pos[list(self.neighbors[v])]
-            layout.append(nbrs)
+        pos = np.argsort(self.visit_order)  # visit position of each vertex
+        counts = np.fromiter(map(len, self.neighbors), np.intp, self.n_free)
+        nbrs = pos[np.fromiter(chain.from_iterable(self.neighbors), np.intp, counts.sum())]
+        # each row entry's vertex, by visit position, and its index in the row
+        owner = pos.repeat(counts)
+        slot = np.arange(len(nbrs)) - (counts.cumsum() - counts).repeat(counts)
+        layout, lo = [], 0
+        for size in map(len, self.colour_classes):
+            mine = (lo <= owner) & (owner < lo + size)
+            table = np.full((slot[mine].max(initial=-1) + 1, size), self.n_free, dtype=np.intp)
+            table[slot[mine], owner[mine] - lo] = nbrs[mine]
+            layout.append(table)
+            lo += size
         return tuple(layout)
 
 
@@ -282,33 +287,32 @@ class Triangulation:
     # -- derived graph tables ----------------------------------------------
 
     @cached_property
-    def degree_split(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(up, down) edge counts per flat vertex id; a missing side counts 0.
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only flat endpoints (a, b) of every edge in ``primal_edges``
+        order, loops included; a diagonal edge starts at its lower end.
 
-        Up edges are the fan: its fan-start plus the children.  Down edges
-        are the parent edge plus one edge per fan-start arriving from below.
+        In a strip whose first fan starts at s, the strip's e-th fan entry,
+        in fan i, ends at s + e - i (mod k_{n+1}), as ``_validate`` checks.
         """
-        offs = self.level_offsets
-        up = [0] * self.vertex_count
-        down = [0] + [1] * (self.vertex_count - 1)
-        for n, strip in enumerate(self.fans):
-            base, above = offs[n], offs[n + 1]
-            for i, fan in enumerate(strip):
-                up[base + i] = len(fan)
-                down[above + fan[0]] += 1
-        return tuple(up), tuple(down)
+        sizes, offs = np.array(self.level_sizes), np.array(self.level_offsets)
+        a = np.arange(offs[-1])
+        b = a + 1
+        b[offs[1:] - 1] = offs[:-1]  # horizontal edge c runs c -> c + 1 (mod k)
+        lower = a[: offs[-2]].repeat(np.fromiter(map(len, chain.from_iterable(self.fans)), int))
+        strip = np.arange(self.top_level).repeat(sizes[:-1] + sizes[1:])
+        above, s = offs[1:-1][strip], np.array([f[0][0] for f in self.fans], int)[strip]
+        # strip n's first entry has index offs[n] + offs[n+1] - 1, as k_0 = 1
+        upper = above + (s + 1 - above + np.arange(len(lower)) - lower) % sizes[1:][strip]
+        a, b = np.concatenate((a, lower)), np.concatenate((b, upper))
+        a.flags.writeable = b.flags.writeable = False  # shared by every table
+        return a, b
 
-    def _edge_pairs(self) -> Iterator[tuple[int, int]]:
-        """Flat endpoints of every edge in ``primal_edges`` order, loops included;
-        a diagonal edge starts at its lower end."""
-        offs = self.level_offsets
-        for n, k in enumerate(self.level_sizes):
-            for c in range(k):
-                yield offs[n] + c, offs[n] + (c + 1) % k
-        for n, strip in enumerate(self.fans):
-            for i, fan in enumerate(strip):
-                for q in fan:
-                    yield offs[n] + i, offs[n + 1] + q
+    @cached_property
+    def degree_split(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(up, down) per flat vertex id: its lower and its upper ends of
+        diagonal edges, 0 on a missing side."""
+        n = self.vertex_count
+        return tuple(tuple(np.bincount(x[n:], minlength=n).tolist()) for x in self.edges)
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -316,65 +320,38 @@ class Triangulation:
 
         Self-loops are dropped and parallel edges count once.
         """
-        adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for a, b in self._edge_pairs():
-            if a != b:
-                adj[a].add(b)
-                adj[b].add(a)
-        return tuple(tuple(sorted(s)) for s in adj)
+        a, b = self.edges
+        n = self.vertex_count
+        a, b = a[a != b], b[a != b]
+        pairs = np.sort(np.concatenate((a * n + b, b * n + a)))
+        pairs = pairs[np.diff(pairs, prepend=-1) > 0]  # each distinct pair once
+        return _rows((pairs % n).tolist(), np.bincount(pairs // n, minlength=n))
 
     @cached_property
     def free_graph(self) -> FreeGraph:
         n_free = self.level_offsets[self.top_level]
-        ia: list[int] = []
-        ib: list[int] = []
-        loops = 0
-        bv: list[int] = []
-        bpos: list[int] = []
-        nbrs: list[list[int]] = [[] for _ in range(n_free)]
-        for a, b in self._edge_pairs():
-            if a >= n_free:
-                continue  # horizontal edges inside the boundary circle
-            if b >= n_free:
-                bv.append(a)
-                bpos.append(b - n_free)
-            elif a == b:
-                loops += 1
-            else:
-                ia.append(a)
-                ib.append(b)
-                nbrs[a].append(b)
-                nbrs[b].append(a)
-        degree = [len(x) for x in nbrs]
-        for v in bv:
-            degree[v] += 1
-        classes: list[list[int]] = [[] for _ in range(6)]
-        for n, k in enumerate(self.level_sizes[:-1]):
-            row, base = 3 * (n % 2), self.level_offsets[n]
-            for p in range(k):
-                classes[row + (2 if p == k - 1 and k % 2 else p % 2)].append(base + p)
-        return FreeGraph(
-            n_free,
-            np.array(ia, dtype=np.int64),
-            np.array(ib, dtype=np.int64),
-            loops,
-            np.array(bv, dtype=np.int64),
-            np.array(bpos, dtype=np.int64),
-            tuple(tuple(x) for x in nbrs),
-            tuple(tuple(c) for c in classes if c),
-            max(degree, default=0),
-        )
+        a, b = self.edges
+        free = a < n_free  # drops the horizontal edges inside the boundary circle
+        boundary, inner = free & (b >= n_free), free & (b < n_free) & (a != b)
+        ia, ib = a[inner], b[inner]
+        v, w, _ = _ends(ia, ib)
+        counts = np.bincount(v, minlength=n_free)
+        degree = counts + np.bincount(a[boundary], minlength=n_free)
+        sizes = np.array(self.level_sizes[:-1], dtype=int)
+        level = np.arange(self.top_level).repeat(sizes)
+        p, k = np.arange(n_free) - np.array(self.level_offsets)[level], sizes[level]
+        colour = 3 * (level % 2) + np.where((p == k - 1) & (k % 2 == 1), 2, p % 2)
+        classes = _rows(np.argsort(colour, kind="stable").tolist(), np.bincount(colour, minlength=6))
+        return FreeGraph(n_free, ia, ib, int(np.count_nonzero(free & (a == b))), a[boundary],
+                         b[boundary] - n_free, _rows(w.tolist(), counts),
+                         tuple(filter(None, classes)), int(degree.max(initial=0)))
 
     @cached_property
     def mark_degrees(self) -> np.ndarray:
-        """Total degree up + down + 2 of every free vertex, in flat order.
-
-        The free vertices are those of ``free_graph``; the root has no down
-        edges, and its self-loop supplies the 2.
-        """
-        ups, downs = self.degree_split
-        n_free = self.level_offsets[self.top_level]
-        degs = np.add(ups[:n_free], downs[:n_free]) + 2
+        """Total degree of every free vertex (those of ``free_graph``), in flat
+        order: its edge ends, a self-loop counting twice."""
+        degs = np.bincount(np.concatenate(self.edges), minlength=self.vertex_count)
+        degs = degs[: self.level_offsets[-2]]
         degs.flags.writeable = False  # shared by every caller
         return degs
 
@@ -407,12 +384,10 @@ class Triangulation:
     @cached_property
     def primal_adjacency(self) -> tuple[tuple[tuple[PrimalKey, int], ...], ...]:
         """Per flat vertex id: (edge key, other endpoint flat id), loops included."""
-        adj: list[list[tuple[PrimalKey, int]]] = [[] for _ in range(self.vertex_count)]
-        for key, (a, b) in zip(self.primal_edges(), self._edge_pairs()):
-            adj[a].append((key, b))
-            if b != a:
-                adj[b].append((key, a))
-        return tuple(tuple(x) for x in adj)
+        v, w, e = _ends(*self.edges)
+        keys = list(self.primal_edges())
+        pairs = list(zip(map(keys.__getitem__, e.tolist()), w.tolist()))
+        return _rows(pairs, np.bincount(v, minlength=self.vertex_count))
 
     @cached_property
     def dual(self) -> DualGraph:
@@ -553,6 +528,22 @@ def _rotate_fans(sizes: Sequence[int], fans: list, level: int, shift: int) -> No
     if level < len(sizes) - 1:
         old = fans[level]
         fans[level] = [old[(i - shift) % k] for i in range(k)]
+
+
+def _ends(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both ends of each edge (a[e], b[e]) as (vertex, other end, e), ordered
+    by vertex and then by edge; a loop is listed once."""
+    v = np.stack((a, b), axis=1).ravel()
+    keep = np.ones(len(v), dtype=bool)
+    keep[1::2] = a != b
+    order = np.flatnonzero(keep)[np.argsort(v[keep], kind="stable")]
+    return v[order], np.stack((b, a), axis=1).ravel()[order], order // 2
+
+
+def _rows(values: list, counts: np.ndarray) -> tuple[tuple, ...]:
+    """``values`` cut into consecutive tuples of ``counts`` entries."""
+    ends = counts.cumsum().tolist()
+    return tuple(map(tuple, map(values.__getitem__, map(slice, [0, *ends], ends))))
 
 
 def _tiles(strip, k_top: int) -> bool:

@@ -296,6 +296,9 @@ def test_trials_past_their_rows_are_redrawn_or_extended(monkeypatch):
     assert reach_hits(*args) == got and not past
 
 
+FIVE_MARKS = forest_to_triangulation(((2,), (1, 1), (1, 1)))  # levels 0..2 hold 5 vertices
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -320,6 +323,11 @@ def test_trials_past_their_rows_are_redrawn_or_extended(monkeypatch):
         lambda: annealed_reach_curve("3", [0.1], 3, 1),
         lambda: annealed_reach_curve(3, [0.1], 2.5, 1),
         lambda: annealed_reach_curve(3, [0.1], 3, -1),
+        lambda: max_open_reach(FIVE_MARKS, OpenSet(0.5, np.ones(40, dtype=bool))),
+        lambda: max_open_reach(FIVE_MARKS, OpenSet(0.5, np.ones(1, dtype=bool))),
+        lambda: max_open_reach(FIVE_MARKS, OpenSet(0.5, np.ones(0, dtype=bool))),
+        lambda: count_salg_paths(FIVE_MARKS, 2.5),
+        lambda: count_salg_paths(FIVE_MARKS, "2"),
     ],
     ids=[
         "hits-levels-float", "hits-levels-negative", "hits-seed-float", "hits-seed-negative",
@@ -328,6 +336,8 @@ def test_trials_past_their_rows_are_redrawn_or_extended(monkeypatch):
         "probability-levels-float", "probability-trials-float",
         "probability-trials-zero", "probability-seed-float", "curve-no-beta", "curve-beta-string",
         "curve-levels-string", "curve-trials-float", "curve-seed-negative",
+        "reach-marks-too-many", "reach-marks-too-few", "reach-marks-none",
+        "salg-length-float", "salg-length-string",
     ],
 )
 def test_reach_entry_points_reject_bad_counts(call):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cdt_ising.branching import LevelForest, sample_spine_forest
 from cdt_ising.rng import stream
+from cdt_ising.surgery import Insertion, insert_pairs, insertion_sites
 from cdt_ising.triangulation import (
     MU_CRITICAL,
     Triangulation,
@@ -98,32 +99,100 @@ def test_up_degree_sums_count_strip_triangles():
             assert s == t.level_sizes[n] + t.level_sizes[n + 1]
 
 
-def brute_force_tables(t: Triangulation):
-    """Degree split, distinct neighbours and loop-doubled degrees, read off
-    the edge-keyed ``primal_adjacency``."""
+def fan_edge_pairs(t: Triangulation) -> list[tuple[int, int]]:
+    """Reference edge list, walking the fans: flat endpoints of every edge
+    in ``primal_edges`` order, loops included, diagonals from their lower end."""
+    offs = t.level_offsets
+    pairs = [(offs[n] + c, offs[n] + (c + 1) % k) for n, k in enumerate(t.level_sizes) for c in range(k)]
+    for n, strip in enumerate(t.fans):
+        for i, fan in enumerate(strip):
+            pairs.extend((offs[n] + i, offs[n + 1] + q) for q in fan)
+    return pairs
+
+
+def brute_force_tables(t: Triangulation, pairs):
+    """Edge-keyed adjacency, degree split, distinct neighbours and
+    loop-doubled degrees, read off the reference edge list."""
+    adjacency = [[] for _ in range(t.vertex_count)]
+    for key, (a, b) in zip(t.primal_edges(), pairs):
+        adjacency[a].append((key, b))
+        if b != a:
+            adjacency[b].append((key, a))
     level_of = [n for n, k in enumerate(t.level_sizes) for _ in range(k)]
     up, down, nbrs, total = [], [], [], []
-    for v, edges in enumerate(t.primal_adjacency):
+    for v, edges in enumerate(adjacency):
         others = [level_of[o] for _, o in edges]
         up.append(others.count(level_of[v] + 1))
         down.append(others.count(level_of[v] - 1))
         nbrs.append(tuple(sorted({o for _, o in edges if o != v})))
         total.append(len(edges) + sum(1 for _, o in edges if o == v))
-    return tuple(up), tuple(down), tuple(nbrs), total
+    return tuple(map(tuple, adjacency)), tuple(up), tuple(down), tuple(nbrs), total
+
+
+def reference_free_graph(t: Triangulation, pairs):
+    """Every field of ``free_graph`` but the memo, edge by edge and vertex by vertex."""
+    n_free = t.level_offsets[t.top_level]
+    ia, ib, bv, bpos = [], [], [], []
+    loops = 0
+    nbrs = [[] for _ in range(n_free)]
+    for a, b in pairs:
+        if a >= n_free:
+            continue
+        if b >= n_free:
+            bv.append(a)
+            bpos.append(b - n_free)
+        elif a == b:
+            loops += 1
+        else:
+            ia.append(a)
+            ib.append(b)
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    classes = [[] for _ in range(6)]
+    for n, k in enumerate(t.level_sizes[:-1]):
+        for p in range(k):
+            classes[3 * (n % 2) + (2 if p == k - 1 and k % 2 else p % 2)].append(t.level_offsets[n] + p)
+    degree = [len(x) + bv.count(v) for v, x in enumerate(nbrs)]
+    return (n_free, ia, ib, loops, bv, bpos, tuple(map(tuple, nbrs)),
+            tuple(tuple(c) for c in classes if c), max(degree, default=0))
+
+
+def relabelled(t: Triangulation) -> list[Triangulation]:
+    """The same triangulation with every level rotated, and one with a pair
+    inserted halfway up: strips whose first fan does not start at 0."""
+    rotated = t
+    for level in range(1, t.top_level + 1):
+        rotated = rotate_level(rotated, level, level)
+    level = t.top_level // 2
+    sites = insertion_sites(t, level, 0)
+    site = sites[len(sites) // 2]
+    inserted = insert_pairs(t, Insertion(level, 0, ((site.up_slot, site.down_slot),)))
+    return [rotated, inserted.triangulation]
 
 
 @pytest.mark.parametrize("levels", [5, 31])
 def test_graph_tables_match_primal_adjacency(levels):
     for i in range(10):
-        t = forest_to_triangulation(sample_spine_forest(stream(25, levels, i), levels))
-        up, down, nbrs, total = brute_force_tables(t)
-        assert t.degree_split == (up, down)
-        assert t.neighbors == nbrs
-        n_free = t.vertex_count - t.level_sizes[-1]
-        assert t.mark_degrees.tolist() == total[:n_free]
-        for v in range(t.vertex_count):
-            level, pos = t.vertex_at(v)
-            assert t.flat_index(level, pos) == v and 0 <= pos < t.level_sizes[level]
+        sampled = forest_to_triangulation(sample_spine_forest(stream(25, levels, i), levels))
+        for t in [sampled, *relabelled(sampled)]:
+            pairs = fan_edge_pairs(t)
+            a, b = t.edges
+            assert list(zip(a.tolist(), b.tolist())) == pairs
+            assert not a.flags.writeable and not b.flags.writeable
+            adjacency, up, down, nbrs, total = brute_force_tables(t, pairs)
+            assert t.primal_adjacency == adjacency
+            assert t.degree_split == (up, down)
+            assert t.neighbors == nbrs
+            n_free = t.vertex_count - t.level_sizes[-1]
+            assert t.mark_degrees.tolist() == total[:n_free]
+            fg = t.free_graph
+            got = (fg.n_free, fg.ia.tolist(), fg.ib.tolist(), fg.n_loops, fg.bv.tolist(),
+                   fg.bpos.tolist(), fg.neighbors, fg.colour_classes, fg.max_degree)
+            assert got == reference_free_graph(t, pairs)
+            for v in range(t.vertex_count):
+                level, pos = t.vertex_at(v)
+                assert t.flat_index(level, pos) == v and 0 <= pos < t.level_sizes[level]
+    assert any(strip[0][0] for t in relabelled(sampled) for strip in t.fans)
 
 
 @settings(max_examples=60, deadline=None)
