@@ -29,8 +29,8 @@ the same uniforms.
 
 The search reads neighbours lazily (``_neighbours``), not from the edge
 arrays of a ``Triangulation``: it stops on the target level after a small
-part of the graph, and a per-trial CSR of the same graph (equal ranks) cost
-54 -> 182 us per open-root trial at depth 10, 90 -> 659 us at depth 30.
+part of the graph.  A per-trial CSR of the same graph gave the same ranks at
+54 -> 182 us per open-root trial at depth 10 and 90 -> 659 us at depth 30.
 
 Every entry point that takes beta requires it finite and >= 0, as the Ising
 code does (``ising._checked_beta``).
