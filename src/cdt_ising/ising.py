@@ -14,8 +14,8 @@ joined to v, counted with multiplicity, so
 
     H = -n_loops - sum_v field_v sigma_v - sum_{interior (a, b)} sigma_a sigma_b.
 
-Provides an exhaustive exact distribution for small systems (H evaluated once
-over one +-1 array of length 2^n per free spin, without chunking), the
+Provides an exhaustive exact distribution for small systems (H over the
+2^n configurations built by doubling, spin by spin, with no spin table), the
 single-site heat-bath conditional, sequential Glauber sweeps, and a seeded
 Monte Carlo estimator for the root magnetization under +- boundary conditions.
 
@@ -28,17 +28,20 @@ with |s| <= W = ``FreeGraph.max_degree``, so p(+1) is read from a table of
 W; ``conditional_spin_prob`` stays the only definition of p.  A site turns
 + iff its uniform is below its table entry.
 
-``glauber_sweep`` runs one sweep through ``_sweep_inplace``, one Python step
-per site, which is also the reference kernel; each free graph keeps the
-boundary field of the last boundary values it swept under, so a chain builds
-it once.  ``root_plus_probability`` updates a whole colour class at once
-(``_ClassKernel``) with the same comparison, reading each class's neighbours
-from ``FreeGraph.class_neighbors``: no two sites of a class are neighbours,
-so updating them together is the sequential sweep.  Both give the same
-chain, bit for bit.  Spins and boundary values pass one +-1 check,
-``_checked_pm1``, at every entry point.  beta must be finite and >= 0 (the
-ferromagnet) everywhere; that is the API's rule, as neither kernel needs
-the table to be ordered.
+``glauber_sweep`` runs one straight-line function per free graph, one line
+per site (``_compile_sweep``), compiled on the graph's first sweep and
+kept with it, along with the offset boundary field and table of the last
+beta and boundary it swept under, so a chain builds each once.  Compiling
+costs 50-80 us per site (0.7 s at 8,700 sites), so
+``glauber_sweep`` serves long chains on small graphs; large graphs go
+through ``root_plus_probability``, which updates a whole colour class at
+once (``_ClassKernel``) with the same comparison, reading each class's
+neighbours from ``FreeGraph.class_neighbors``: no two sites of a class are
+neighbours, so updating them together is the sequential sweep.  Both give
+the same chain, bit for bit.  Spins and boundary values pass one +-1
+check, ``_checked_pm1``, at every entry point.  beta must be finite and
+>= 0 (the ferromagnet) everywhere; that is the API's rule, as neither
+kernel needs the table to be ordered.
 """
 
 from __future__ import annotations
@@ -93,14 +96,19 @@ class SpinState:
 
 
 _PM1 = frozenset((-1, 1))
+_INT8 = np.dtype(np.int8)
 
 
 def _checked_pm1(values, n: int, what: str) -> list[int]:
     """``values`` as a list of n ints, after checking that each is +-1.
 
     Numbers only: a string or an object array fails even where it compares
-    equal to +-1.
+    equal to +-1.  An int8 array of n spins takes a short path.
     """
+    if type(values) is np.ndarray and values.dtype is _INT8 and values.shape == (n,):
+        s = values.tolist()
+        if _PM1.issuperset(s):
+            return s
     a = np.asarray(values)
     if a.shape != (n,):
         raise ValueError(f"{what} spins: shape {a.shape} does not fit {n} sites")
@@ -129,23 +137,13 @@ def _checked_beta(beta: float) -> float:
     return beta
 
 
-def _hamiltonian(fg: FreeGraph, field: np.ndarray, spins: np.ndarray) -> np.ndarray:
-    """H elementwise over ``spins``, which holds one +-1 array per free vertex."""
-    h = np.full(spins.shape[1:], -fg.n_loops, dtype=np.int64)
-    for v in np.flatnonzero(field):
-        h -= field[v] * spins[v]
-    for a, b in zip(fg.ia.tolist(), fg.ib.tolist()):
-        h -= spins[a] * spins[b]
-    return h
-
-
 def energy(t: Triangulation, state: SpinState) -> float:
     """H(sigma | boundary) under the ferromagnetic convention."""
-    spins = _checked_pm1(state.spins, t.free_graph.n_free, "free")
-    boundary = _checked_pm1(state.boundary, t.level_sizes[-1], "boundary")
-    field = np.array(_boundary_field(t.free_graph, boundary), dtype=np.int64)
-    spins_col = np.array(spins, dtype=np.int8)[:, None]
-    return float(_hamiltonian(t.free_graph, field, spins_col)[0])
+    fg = t.free_graph
+    s = _checked_pm1(state.spins, fg.n_free, "free")
+    b = _checked_pm1(state.boundary, t.level_sizes[-1], "boundary")
+    h = -fg.n_loops - sum(s[v] * b[p] for v, p in zip(fg.bv.tolist(), fg.bpos.tolist()))
+    return float(h - sum(s[i] * s[j] for i, j in zip(fg.ia.tolist(), fg.ib.tolist())))
 
 
 def conditional_spin_prob(s_sum: float, beta: float) -> float:
@@ -161,12 +159,29 @@ def conditional_spin_prob(s_sum: float, beta: float) -> float:
         return 0.0
 
 
-def _all_configurations(n: int) -> np.ndarray:
-    """Row v is spin v over the 2^n configurations: +1 where bit v of the index is set."""
-    spins = np.empty((n, 1 << n), dtype=np.int8)
-    for v in range(n):
-        spins[v].reshape(-1, 2, 1 << v)[:] = np.array([[-1], [1]], dtype=np.int8)
-    return spins
+# spin j over 2^(j+1) configurations, read through a (-1, 2, 2^j) view
+_PM1_BIT = np.array([[-1.0], [1.0]])
+
+
+def _energies(fg: FreeGraph, field: list[int]) -> np.ndarray:
+    """H of every configuration, spin v being bit v of the index, in float64.
+
+    H over spins 0..v comes from H over spins 0..v-1 by doubling: spin v's
+    local field is field_v plus each lower neighbour's +-1 pattern, one
+    in-place add per interior edge at its higher end.  Every value is an
+    integer, so every sum is exact.
+    """
+    lower = [[] for _ in range(fg.n_free)]
+    for a, b in zip(fg.ia.tolist(), fg.ib.tolist()):
+        lower[max(a, b)].append(min(a, b))
+    h = np.full(1, -fg.n_loops, dtype=np.float64)
+    for v, below in enumerate(lower):
+        loc = np.full(len(h), field[v], dtype=np.float64)
+        for j in below:
+            view = loc.reshape(-1, 2, 1 << j)
+            view += _PM1_BIT
+        h = np.concatenate((h + loc, h - loc))
+    return h
 
 
 class GibbsExact:
@@ -182,12 +197,10 @@ class GibbsExact:
         self.beta = _checked_beta(float(beta))
         self.boundary = boundary_vector(t, bc)
         self.n_free = et.n_free
-        field = np.array(_boundary_field(et, self.boundary.tolist()), dtype=np.int64)
-        energies = _hamiltonian(et, field, _all_configurations(et.n_free))
-        self.energies = energies.astype(np.float64)
+        self.energies = _energies(et, _boundary_field(et, self.boundary.tolist()))
         logw = -self.beta * self.energies
         logw -= logw.max()
-        w = np.exp(logw)
+        w = np.exp(logw, out=logw)
         self.probs = w / w.sum()
 
     def _config_index(self, spins: np.ndarray) -> int:
@@ -222,43 +235,45 @@ def _heat_bath_table(beta: float, w: int) -> tuple[float, ...]:
     return tuple(conditional_spin_prob(s, beta) for s in range(-w, w + 1))
 
 
-def _sweep_inplace(
-    spins: list[int],
-    neighbors: tuple[tuple[int, ...], ...],
-    field: list[int],
-    table: tuple[float, ...],
-    uniforms: list[float],
-    order: tuple[int, ...],
-) -> None:
-    """Update the free spins in ``order``, site v drawing on ``uniforms[v]``.
+def _sweep_setup(t: Triangulation, beta, boundary) -> tuple[list[int], tuple[float, ...]]:
+    """The boundary field offset by ``max_degree``, and the heat-bath table.
 
-    ``field`` holds each boundary field plus the offset w of ``table``, so
-    ``table[field[v] + sum of the neighbors' spins]`` is the site's p(+1).
-    """
-    for v in order:
-        s = field[v]
-        for j in neighbors[v]:
-            s += spins[j]
-        spins[v] = 1 if uniforms[v] < table[s] else -1
-
-
-def _sweep_field(t: Triangulation, boundary) -> list[int]:
-    """``_boundary_field`` of a checked ``boundary``, offset by ``max_degree``.
-
-    The last result is kept in ``FreeGraph.sweep_memo``, keyed by the
-    boundary's values, so an array changed in place between two sweeps
-    misses it.  Only a checked boundary enters the memo, so a hit needs no
-    check.
+    Both are kept in ``FreeGraph.sweep_memo`` under one key, beta's type and
+    value and the boundary's values, so a chain checks and builds them once
+    and an array changed in place between two sweeps misses the memo.  Only
+    checked values enter the memo, so a hit needs no check.
     """
     fg = t.free_graph
-    values = np.asarray(boundary).tolist()
-    seen, field = fg.sweep_memo[0]
-    if seen == values:
-        return field
+    key = (type(beta), beta, np.asarray(boundary).tolist())
+    seen = fg.sweep_memo.get("setup")
+    if seen is not None and seen[0] == key:
+        return seen[1]
+    table = _heat_bath_table(_checked_beta(beta), fg.max_degree)
     values = _checked_pm1(boundary, t.level_sizes[-1], "boundary")
-    field = _boundary_field(fg, values, fg.max_degree)
-    fg.sweep_memo[0] = (values, field)
-    return field
+    setup = _boundary_field(fg, values, fg.max_degree), table
+    fg.sweep_memo["setup"] = (key, setup)
+    return setup
+
+
+def _compile_sweep(fg: FreeGraph):
+    """The sweep of ``fg`` as one straight-line function, kept in its memo.
+
+    ``sweep(s, u, t, f)`` has one line per site v, in ``visit_order``:
+    ``s[v] = 1 if u[v] < t[f[v] + s[j1] + s[j2] + ...] else -1`` over its
+    ``neighbors``, parallel edges repeated.  Sums of more than 100 terms
+    are nested in parenthesised groups: a flat chain of a few thousand
+    overflows the compiler's recursion limit.
+    """
+    lines = ["def sweep(s, u, t, f):", "    pass"]  # a graph may have no free vertex
+    for v in fg.visit_order:
+        terms = [f"f[{v}]", *(f"s[{j}]" for j in fg.neighbors[v])]
+        while len(terms) > 100:
+            terms = ["(" + " + ".join(terms[i : i + 100]) + ")" for i in range(0, len(terms), 100)]
+        lines.append(f"    s[{v}] = 1 if u[{v}] < t[{' + '.join(terms)}] else -1")
+    scope: dict = {}
+    exec("\n".join(lines), scope)
+    fg.sweep_memo["kernel"] = scope["sweep"]
+    return scope["sweep"]
 
 
 def glauber_sweep(t: Triangulation, state: SpinState, rng: np.random.Generator) -> SpinState:
@@ -270,18 +285,16 @@ def glauber_sweep(t: Triangulation, state: SpinState, rng: np.random.Generator) 
     one ``rng.random(n_free)`` and reads each site's p(+1) from a table of
     ``conditional_spin_prob`` over the local fields the graph allows.
     """
-    et = t.free_graph
-    beta = _checked_beta(state.beta)
-    field = _sweep_field(t, state.boundary)
-    spins = _checked_pm1(state.spins, et.n_free, "free")
-    uniforms = rng.random(et.n_free).tolist()
-    table = _heat_bath_table(beta, et.max_degree)
-    _sweep_inplace(spins, et.neighbors, field, table, uniforms, et.visit_order)
-    return SpinState(np.array(spins, dtype=np.int8), state.boundary, beta)
+    fg = t.free_graph
+    field, table = _sweep_setup(t, state.beta, state.boundary)
+    spins = _checked_pm1(state.spins, fg.n_free, "free")
+    sweep = fg.sweep_memo.get("kernel") or _compile_sweep(fg)
+    sweep(spins, rng.random(fg.n_free).tolist(), table, field)
+    return SpinState(np.array(spins, dtype=np.int8), state.boundary, state.beta)
 
 
 class _ClassKernel:
-    """The sweep of ``_sweep_inplace`` as one vectorised update per colour class.
+    """The sweep of ``glauber_sweep`` as one vectorised update per colour class.
 
     Spins are booleans (True for +1) in visit order, followed by one padding
     slot that stays False, so one gather through ``FreeGraph.class_neighbors``
@@ -289,7 +302,7 @@ class _ClassKernel:
     neighbours the sum of their spins is 2 * count - deg_v, so the site's
     table index is base_v + 2 * count for base_v = field_v - deg_v, and the
     site turns + iff its uniform is below that entry, the test of
-    ``_sweep_inplace``.  Nothing here needs the table to be ordered; beta >=
+    ``glauber_sweep``.  Nothing here needs the table to be ordered; beta >=
     0 stays the rule of the API, not of the kernel.
     """
 
@@ -359,7 +372,6 @@ def root_plus_probability(
     run by ``_ClassKernel``; a run of k sweeps draws its uniforms as one
     ``rng.random((k, n_free))``, which equals k draws of ``rng.random(n_free)``.
     """
-    _checked_beta(beta)
     batches = _checked_int(batches, "batches", 1)
     sweeps = _checked_int(sweeps, "sweeps", batches)  # at least one sweep per batch
     replicas = _checked_int(replicas, "replicas", 1)
@@ -369,7 +381,7 @@ def root_plus_probability(
     et = t.free_graph
     n = et.n_free
     bc_vec = boundary_vector(t, bc)
-    kernel = _ClassKernel(et, _sweep_field(t, bc_vec), _heat_bath_table(beta, et.max_degree))
+    kernel = _ClassKernel(et, *_sweep_setup(t, beta, bc_vec))
     batch_size = sweeps // batches
     used = batch_size * batches
     all_means: list[float] = []

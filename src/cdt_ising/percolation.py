@@ -283,37 +283,38 @@ def _reach_pass(keys: TrialKeys, trials: range, levels: int, betas: np.ndarray):
     reads the forest from each row.  One test over the pass finds the
     trials whose root is closed at every beta.  The rest extract their
     degrees and search; marks that run past the row come from the trial's
-    stream re-keyed at the row's end.  A trial whose forest (or root mark)
-    runs past its row is re-drawn whole from its stream.
+    Philox key, kept from the fill, at the row's end.  A trial whose forest
+    (or root mark) runs past its row is re-drawn whole from its stream.
     """
     m, row = len(betas), _row_length(levels)
     u = np.empty((len(trials), row))
-    for i, r in zip(trials, u):
-        keys.stream(i).random(out=r)
+    trial_keys = [keys.key(i) for i in trials]
+    for key, r in zip(trial_keys, u):
+        keys.keyed(key).random(out=r)
     g, c = _prefix_sums(u)
     walks, past, root_u, root_k = [], [], [], []
-    for i, r, gt, ct in zip(trials, u, g, map(memoryview, c)):
+    for key, r, gt, ct in zip(trial_keys, u, g, map(memoryview, c)):
         sizes, spine = [1], [0]
         end = _walk(ct, levels + 1, sizes, spine, 0)
         if len(sizes) == levels + 2 and end < row:
-            walks.append((i, r, gt, ct, end, sizes, spine))
+            walks.append((key, r, gt, ct, end, sizes, spine))
             root_u.append(r[end])
             root_k.append(sizes[1])
         else:
-            past.append(i)
+            past.append(key)
     # the root's degree is its child count + 3
     root_open = np.array(root_u) < np.tanh(betas[-1] * (np.array(root_k) + 3))
-    for (i, r, gt, ct, end, sizes, spine), is_open in zip(walks, root_open.tolist()):
+    for (key, r, gt, ct, end, sizes, spine), is_open in zip(walks, root_open.tolist()):
         if not is_open:
             yield m
             continue
         n = sum(sizes[:-1])  # one mark per vertex of levels 0..levels
         marks = r[end : end + n]
         if end + n > row:
-            marks = np.concatenate((marks, keys.stream(i, row).random(end + n - row)))
+            marks = np.concatenate((marks, keys.keyed(key, row).random(end + n - row)))
         yield _reach_rank(_degrees(gt, ct, sizes, spine), marks, betas, levels)
-    for i in past:
-        yield _trial_rank(keys.stream(i), levels, row, betas)
+    for key in past:
+        yield _trial_rank(keys.keyed(key), levels, row, betas)
 
 
 def reach_hits(

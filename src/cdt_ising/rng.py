@@ -99,7 +99,12 @@ class TrialKeys:
 
     def stream(self, i: int, skip: int = 0) -> np.random.Generator:
         """``self.generator`` re-keyed to ``stream(seed, i)``, its first
-        ``skip`` draws (one per double) passed over.
+        ``skip`` draws (one per double) passed over."""
+        return self.keyed(self.key(i), skip)
+
+    def keyed(self, key: tuple[int, int], skip: int = 0) -> np.random.Generator:
+        """``self.generator`` set to the Philox ``key`` of a trial (see
+        ``key``), its first ``skip`` draws passed over.
 
         The generator is shared: re-keying it for another trial restarts it.
         Philox draws four 64-bit words per counter step, so passing over
@@ -107,7 +112,7 @@ class TrialKeys:
         """
         self._bits.state = {
             "bit_generator": "Philox",
-            "state": {"counter": (skip // 4, 0, 0, 0), "key": self.key(i)},
+            "state": {"counter": (skip // 4, 0, 0, 0), "key": key},
             "buffer": (0, 0, 0, 0),
             "buffer_pos": 4,
             "has_uint32": 0,

@@ -158,14 +158,20 @@ class InsertionSite:
     down_neighbor: Vertex
 
 
+def _check_internal(t: Triangulation, level: int, pos: int) -> None:
+    """ValueError unless (level, pos) is a vertex of t off levels 0 and top."""
+    t._check_vertex(level, pos)
+    if not 0 < level < t.top_level:
+        raise ValueError("insertions need an internal vertex")
+
+
 def insertion_sites(t: Triangulation, level: int, pos: int) -> list[InsertionSite]:
     """All d_up x d_dn elementary insertion sites at an internal vertex.
 
     Slots, not neighbor identities, enumerate the sites: parallel edges give
     distinct sites.
     """
-    if t.vertex_degree(level, pos).boundary:
-        raise ValueError("insertions need an internal vertex")
+    _check_internal(t, level, pos)
     s = _slots(t.level_sizes, t.fans, (level, pos))
     return [
         InsertionSite(iu, jd, up, down)
@@ -214,8 +220,7 @@ def insert_pairs(t: Triangulation, insertion: Insertion) -> InsertResult:
     original triangulation exactly.
     """
     level, pos = insertion.level, insertion.pos
-    if t.vertex_degree(level, pos).boundary:
-        raise ValueError("insertions need an internal vertex")
+    _check_internal(t, level, pos)
     sizes, fans = _thaw(t)
     _insert_run(sizes, fans, level, pos, insertion.pairs)
     return InsertResult(Triangulation(sizes, fans), level, pos + 1, len(insertion.pairs))

@@ -101,9 +101,14 @@ class FreeGraph:
     # max over free v of len(neighbors[v]) + its boundary edges: a bound on
     # |field_v + sum of its neighbors' spins| under every boundary condition
     max_degree: int
-    # ising.glauber_sweep's one-entry memo, [(boundary values, boundary
-    # field)]: a chain sweeps many times under one boundary
-    sweep_memo: list = field(default_factory=lambda: [(None, None)], compare=False, repr=False)
+    # ising.glauber_sweep's state: "kernel", the graph's compiled sweep, and
+    # "setup", one (key, (field, table)) entry: a chain sweeps many times
+    # under one beta and boundary
+    sweep_memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        # a compiled sweep cannot be pickled; an unpickled graph rebuilds it
+        return {**self.__dict__, "sweep_memo": {}}
 
     @cached_property
     def visit_order(self) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Tests for energies, the exact Gibbs distribution, and Glauber dynamics."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from cdt_ising import ising
 from cdt_ising.ising import (
+    MAX_EXACT_SPINS,
     RootEstimate,
     SpinState,
     _heat_bath_table,
@@ -19,8 +21,9 @@ from cdt_ising.ising import (
     glauber_sweep,
     root_plus_probability,
 )
+from cdt_ising.branching import sample_spine_forest
 from cdt_ising.rng import stream
-from cdt_ising.triangulation import forest_to_triangulation
+from cdt_ising.triangulation import enumerate_triangulations, forest_to_triangulation
 
 from test_acceptance import GLAUBER_T
 from test_triangulation import out_degree_lists
@@ -209,6 +212,57 @@ def test_gibbs_exact_matches_energy_under_mixed_boundary(lists, data):
         assert abs(g.marginal_plus(level, pos) - expected) < 1e-12
 
 
+def reference_gibbs(t, beta, boundary):
+    """Energies and probabilities from the full (n, 2^n) spin table that
+    doubling replaced: row v is spin v, +1 where bit v of the index is set,
+    and H takes one int64 pass per field entry and per interior edge."""
+    fg = t.free_graph
+    n = fg.n_free
+    spins = np.empty((n, 1 << n), dtype=np.int8)
+    for v in range(n):
+        spins[v].reshape(-1, 2, 1 << v)[:] = np.array([[-1], [1]], dtype=np.int8)
+    field = np.array(reference_field(t, boundary), dtype=np.int64)
+    h = np.full(1 << n, -fg.n_loops, dtype=np.int64)
+    for v in np.flatnonzero(field):
+        h -= field[v] * spins[v]
+    for a, b in zip(fg.ia.tolist(), fg.ib.tolist()):
+        h -= spins[a] * spins[b]
+    energies = h.astype(np.float64)
+    logw = -beta * energies
+    logw -= logw.max()
+    w = np.exp(logw)
+    return energies, w / w.sum()
+
+
+def mixed_boundary(t):
+    return np.where(np.arange(t.level_sizes[-1]) % 3 == 1, -1, 1).astype(np.int8)
+
+
+def assert_gibbs_equals_reference(t):
+    for bc in ("plus", "minus", mixed_boundary(t)):
+        g = gibbs_exact(t, 0.7, bc)
+        energies, probs = reference_gibbs(t, 0.7, g.boundary)
+        assert g.energies.tobytes() == energies.tobytes()
+        assert g.probs.tobytes() == probs.tobytes()
+
+
+@pytest.mark.parametrize("levels, width_cap", [(2, 4), (3, 3)])
+def test_doubling_equals_the_spin_table_on_every_small_instance(levels, width_cap):
+    for t, _ in enumerate_triangulations(levels, width_cap):
+        assert_gibbs_equals_reference(t)
+
+
+@pytest.mark.parametrize("n", range(16, MAX_EXACT_SPINS + 1))
+def test_doubling_equals_the_spin_table_at_16_to_22_spins(n):
+    for j in range(10_000):
+        forest = sample_spine_forest(stream(54, n, j), 4 + j % 4)
+        if sum(forest.level_sizes[:-1]) == n:
+            break
+    t = forest_to_triangulation(forest)
+    assert t.free_graph.n_free == n
+    assert_gibbs_equals_reference(t)
+
+
 def test_conditional_spin_prob():
     assert conditional_spin_prob(0, 1.3) == 0.5
     assert conditional_spin_prob(5, 0.0) == 0.5
@@ -374,6 +428,19 @@ def reference_sweep(spins, neighbors, field, beta, uniforms, classes) -> None:
         spins[v] = 1 if uniforms[v] < p else -1
 
 
+def table_sweep(spins, neighbors, field, table, uniforms, order) -> None:
+    """The per-site table loop the compiled sweep replaced, kept as its reference.
+
+    ``field`` holds each boundary field plus the offset w of ``table``, so
+    ``table[field[v] + sum of the neighbors' spins]`` is the site's p(+1).
+    """
+    for v in order:
+        s = field[v]
+        for j in neighbors[v]:
+            s += spins[j]
+        spins[v] = 1 if uniforms[v] < table[s] else -1
+
+
 def reference_root_plus(t, beta, bc, sweeps, replicas, seed, burn_in, batches, init):
     et = t.free_graph
     bc_vec = boundary_vector(t, bc)
@@ -426,6 +493,29 @@ def test_table_kernel_matches_exp_loop(beta, lists, data):
     for init in ("aligned", "random"):
         args = (t, beta, bc, 16, 2, 42, 4, 4, init)
         assert root_plus_probability(*args) == reference_root_plus(*args)
+
+
+@pytest.mark.parametrize("lists", [
+    ((3000,), (1,) * 3000),  # the root has 3,001 neighbours
+    ((1,), (1,), (2,), (1, 1)),  # one-vertex levels: self-loops, parallel edges
+    ((1,), (3,), (1, 0, 2)),  # four edges from one vertex to the level above
+], ids=["fan", "one_vertex_levels", "parallel_edges"])
+def test_compiled_sweep_matches_the_exp_loop(lists):
+    t = forest_to_triangulation(lists)
+    et = t.free_graph
+    assert max(map(len, et.neighbors)) >= 2000 or any(
+        len(set(nbrs)) < len(nbrs) for nbrs in et.neighbors)
+    for beta, bc in ((0.3, "plus"), (2.0, "minus"), (0.6, mixed_boundary(t))):
+        state = SpinState.random(t, stream(52), bc, beta)
+        spins = state.spins.tolist()
+        field = reference_field(t, state.boundary)
+        rng, ref_rng = stream(53), stream(53)
+        for _ in range(20):
+            state = glauber_sweep(t, state, rng)
+            reference_sweep(spins, et.neighbors, field, beta, ref_rng.random(et.n_free),
+                            et.colour_classes)
+            assert state.spins.tolist() == spins
+        assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("k, n", [(1, 1), (5, 3), (12, 563)])
@@ -547,23 +637,35 @@ def test_heat_bath_table_at_a_vertex_with_several_boundary_edges():
             assert state.spins.tolist() == spins
 
 
+def test_a_swept_triangulation_pickles_and_sweeps_the_same_chain():
+    # the free graph's compiled sweep is left out of a pickle and rebuilt
+    t = forest_to_triangulation(((2,), (1, 2), (1, 0, 2)))
+    state = SpinState.random(t, stream(55), "minus", 0.6)
+    glauber_sweep(t, state, stream(56))
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t and not copy.free_graph.sweep_memo
+    a, b = glauber_sweep(t, state, stream(57)), glauber_sweep(copy, state, stream(57))
+    assert a.spins.tolist() == b.spins.tolist()
+
+
 def test_glauber_sweep_boundary_field_memo_cannot_go_stale():
-    # glauber_sweep keeps the field of the last boundary it saw; switching the
-    # boundary, changing an array in place or switching to another graph with
-    # the same top-level size must each give the chain of a fresh field
+    # glauber_sweep keeps the field and table of the last beta and boundary it
+    # saw; switching the boundary or beta, changing an array in place or
+    # switching to another graph with the same top-level size must each give
+    # the chain of a fresh field and table
     other = forest_to_triangulation(((3,), (1, 1, 1)))  # also 3 boundary spins
     beta = 0.6
     rng, ref_rng = stream(48), stream(48)
     spins = {t: SpinState.random(t, stream(49), "plus", beta).spins for t in (GLAUBER_T, other)}
     mixed = np.array([1, -1, 1], dtype=np.int8)
 
-    def sweep_and_check(t, boundary):
+    def sweep_and_check(t, boundary, beta=beta):
         et = t.free_graph
         state = glauber_sweep(t, SpinState(spins[t], boundary, beta), rng)
         expected = spins[t].tolist()
         field = ising._boundary_field(et, boundary.tolist(), et.max_degree)
-        ising._sweep_inplace(expected, et.neighbors, field, _heat_bath_table(beta, et.max_degree),
-                             ref_rng.random(et.n_free).tolist(), et.visit_order)
+        table_sweep(expected, et.neighbors, field, _heat_bath_table(beta, et.max_degree),
+                    ref_rng.random(et.n_free).tolist(), et.visit_order)
         assert state.spins.tolist() == expected
         spins[t] = state.spins
 
@@ -575,10 +677,15 @@ def test_glauber_sweep_boundary_field_memo_cannot_go_stale():
         sweep_and_check(GLAUBER_T, mixed)
     for t in (GLAUBER_T, other, GLAUBER_T, other):
         sweep_and_check(t, mixed)
+    for b in (0.2, 0.6, 2.0, 2.0, 0.2):
+        sweep_and_check(GLAUBER_T, mixed, b)
     assert rng.random() == ref_rng.random()
-    # a boundary that fails the check never enters the memo, so it fails every time
+    # a boundary or beta that fails the check never enters the memo, so it
+    # fails every time
     bad = mixed.copy()
     bad[1] = 0
     for _ in range(2):
         with pytest.raises(ValueError):
             glauber_sweep(GLAUBER_T, SpinState(spins[GLAUBER_T], bad, beta), rng)
+        with pytest.raises(ValueError):
+            glauber_sweep(GLAUBER_T, SpinState(spins[GLAUBER_T], mixed, math.nan), rng)

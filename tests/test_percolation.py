@@ -282,10 +282,10 @@ def test_reach_hits_is_the_sum_over_any_split(levels, start, count):
 def test_trials_past_their_rows_are_redrawn_or_extended(monkeypatch):
     args = (10, [0.02, 0.05, 0.1, 0.2], 1009, 0, 300)
     past, skips = [], []
-    trial_rank, rekey = percolation._trial_rank, TrialKeys.stream
+    trial_rank, rekey = percolation._trial_rank, TrialKeys.keyed
     monkeypatch.setattr(percolation, "_trial_rank", lambda *a: past.append(a) or trial_rank(*a))
     monkeypatch.setattr(
-        TrialKeys, "stream", lambda self, i, skip=0: skips.append(skip) or rekey(self, i, skip)
+        TrialKeys, "keyed", lambda self, key, skip=0: skips.append(skip) or rekey(self, key, skip)
     )
     got = reach_hits(*args)
     # about 4% of forests outgrow their rows; some open roots' marks do

@@ -306,6 +306,31 @@ def test_surgery_rejects_missing_vertex_or_level(call):
         call(t)
 
 
+def test_insertions_build_no_degree_table(monkeypatch):
+    # the internal-vertex test reads the level alone, so a fresh
+    # triangulation's degree table stays unbuilt
+    def fresh():
+        return forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
+
+    def run(t):
+        return [(site, insert_pairs(t, Insertion(1, 1, ((site.up_slot, site.down_slot),))))
+                for site in insertion_sites(t, 1, 1)]
+
+    want = run(fresh())
+
+    def boom(self):
+        raise RuntimeError("degree_split built")
+
+    monkeypatch.setattr(Triangulation, "degree_split", property(boom))
+    t = fresh()
+    assert run(t) == want
+    for level, pos in ((0, 0), (3, 1), (1, 5), (4, 0), (-1, 0)):
+        with pytest.raises(ValueError):
+            insertion_sites(t, level, pos)
+        with pytest.raises(ValueError):
+            insert_pairs(t, Insertion(level, pos, ((0, 0),)))
+
+
 def test_collapse_then_reinsert_closure():
     # collapsing a plain edge and re-inserting at the boundary slots restores
     # the original triangulation
