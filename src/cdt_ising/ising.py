@@ -37,8 +37,10 @@ costs 50-80 us per site (0.7 s at 8,700 sites), so
 through ``root_plus_probability``, which updates a whole colour class at
 once (``_ClassKernel``) with the same comparison, reading each class's
 neighbours from ``FreeGraph.class_neighbors``: no two sites of a class are
-neighbours, so updating them together is the sequential sweep.  Both give
-the same chain, bit for bit.  Spins and boundary values pass one +-1
+neighbours, so updating them together is the sequential sweep.  It sums
+neighbour counts in uint8 below 256 rows, reads a parity-split table at one
+add per class and keeps its per-graph layout in the graph's memo.  Both
+give the same chain, bit for bit.  Spins and boundary values pass one +-1
 check, ``_checked_pm1``, at every entry point.  beta must be finite and
 >= 0 (the ferromagnet) everywhere; that is the API's rule, as neither
 kernel needs the table to be ordered.
@@ -293,31 +295,50 @@ def glauber_sweep(t: Triangulation, state: SpinState, rng: np.random.Generator) 
     return SpinState(np.array(spins, dtype=np.int8), state.boundary, state.beta)
 
 
+def _class_layout(fg: FreeGraph) -> tuple:
+    """The class kernel's layout of ``fg``, kept in ``sweep_memo["classes"]``.
+
+    ``visit_order`` as an array; per colour class, its slice of that order,
+    its ``class_neighbors``, each site's neighbour count and the narrowest
+    dtype of a column sum; and the root's visit position.
+    """
+    layout = fg.sweep_memo.get("classes")
+    if layout is None:
+        classes, lo = [], 0
+        for nbrs in fg.class_neighbors:
+            deg = np.count_nonzero(nbrs < fg.n_free, axis=0)
+            classes.append((slice(lo, lo + len(deg)), nbrs, deg, np.min_scalar_type(len(nbrs))))
+            lo += len(deg)
+        order = np.array(fg.visit_order, dtype=np.intp)
+        layout = fg.sweep_memo["classes"] = order, classes, fg.visit_order.index(0)
+    return layout
+
+
 class _ClassKernel:
     """The sweep of ``glauber_sweep`` as one vectorised update per colour class.
 
     Spins are booleans (True for +1) in visit order, followed by one padding
     slot that stays False, so one gather through ``FreeGraph.class_neighbors``
-    and one column sum count each site's plus neighbours.  With deg_v
-    neighbours the sum of their spins is 2 * count - deg_v, so the site's
-    table index is base_v + 2 * count for base_v = field_v - deg_v, and the
-    site turns + iff its uniform is below that entry, the test of
-    ``glauber_sweep``.  Nothing here needs the table to be ordered; beta >=
-    0 stays the rule of the API, not of the kernel.
+    and one column sum count each site's plus neighbours, summed in uint8
+    below 256 rows: a column of 0/1 bytes cannot exceed its height.  With
+    deg_v neighbours the sum of their spins is 2 * count - deg_v, so the
+    site's entry is ``table[base_v + 2 * count]``, base_v = field_v - deg_v
+    >= 0.  Stored as its even entries, then its odd ones, the table holds it
+    at half_v + count, half_v = base_v // 2 + (base_v % 2) * len(even): one
+    add.  The site turns + iff its uniform is below that entry, the test of
+    ``glauber_sweep``.  Only half_v depends on beta and the boundary; the
+    rest is ``_class_layout``.  Nothing here needs the table to be ordered;
+    beta >= 0 stays the rule of the API, not of the kernel.
     """
 
     def __init__(self, fg: FreeGraph, field: list[int], table: tuple[float, ...]) -> None:
-        self.order = np.array(fg.visit_order, dtype=np.intp)
+        self.order, layout, self.root = _class_layout(fg)
         field = np.asarray(field, dtype=np.intp)[self.order]
+        self.table, even = np.array(table[0::2] + table[1::2]), len(table[0::2])
         self.classes = []
-        lo = 0
-        for nbrs in fg.class_neighbors:
-            hi = lo + nbrs.shape[1]
-            deg = np.count_nonzero(nbrs < fg.n_free, axis=0)
-            self.classes.append((slice(lo, hi), nbrs, field[lo:hi] - deg))
-            lo = hi
-        self.table = np.asarray(table)
-        self.root = fg.visit_order.index(0)
+        for sites, nbrs, deg, dtype in layout:
+            base = field[sites] - deg
+            self.classes.append((sites, nbrs, base // 2 + base % 2 * even, dtype))
 
     def start(self, spins: np.ndarray) -> np.ndarray:
         """The kernel's state for flat-order ``spins``, + where positive."""
@@ -331,14 +352,14 @@ class _ClassKernel:
         """
         n = len(self.order)
         block = max(1, _DRAW_BLOCK // n)
-        plus = x.view(np.uint8)
+        plus, table, reduce, less = x.view(np.uint8), self.table, np.add.reduce, np.less
+        classes = [(sites, nbrs, half, dtype, x[sites]) for sites, nbrs, half, dtype in self.classes]
         root_plus = 0
         for done in range(0, count, block):
             uniforms = rng.random((min(block, count - done), n))[:, self.order]
             for row in uniforms:
-                for sites, nbrs, base in self.classes:
-                    counts = np.add.reduce(plus[nbrs], axis=0, dtype=np.intp)
-                    np.less(row[sites], self.table[base + 2 * counts], out=x[sites])
+                for sites, nbrs, half, dtype, xs in classes:
+                    less(row[sites], table[half + reduce(plus[nbrs], axis=0, dtype=dtype)], out=xs)
                 root_plus += x[self.root]
         return int(root_plus)
 

@@ -39,26 +39,17 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _hashmix(value: int, h: int, mult: int = _MULT_A) -> tuple[int, int]:
-    """The hashed word and the next hash constant."""
-    h2 = h * mult & _MASK
-    value = (value ^ h) * h2 & _MASK
-    return value ^ value >> 16, h2
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_L * x - _MIX_R * y) & _MASK
-    return r ^ r >> 16
-
-
 def _absorb(pool: list[int], h: int, words: list[int]) -> tuple[list[int], int]:
     """Mix each word into every pool word, as ``SeedSequence`` does with the
-    entropy words past the pool size; returns the pool and hash constant."""
+    entropy words past the pool size; returns the pool and hash constant.
+    numpy's ``hashmix`` (xor with the hash constant, step it, multiply) and
+    ``mix`` are written out inline, here and in ``TrialKeys``."""
     pool = list(pool)
     for w in words:
         for dst in range(_POOL):
-            v, h = _hashmix(w, h)
-            pool[dst] = _mix(pool[dst], v)
+            v = (w ^ h) * (h := h * _MULT_A & _MASK) & _MASK
+            r = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _MASK
+            pool[dst] = r ^ r >> 16
     return pool, h
 
 
@@ -74,16 +65,16 @@ class TrialKeys:
     def __init__(self, seed: int) -> None:
         entropy = _words(_checked_int(seed, "seed", 0))
         entropy += [0] * (_POOL - len(entropy))  # padded, as with any spawn key
-        h = _INIT_A
-        pool = []
+        h, pool = _INIT_A, []
         for w in entropy[:_POOL]:
-            v, h = _hashmix(w, h)
-            pool.append(v)
+            v = (w ^ h) * (h := h * _MULT_A & _MASK) & _MASK
+            pool.append(v ^ v >> 16)
         for src in range(_POOL):
             for dst in range(_POOL):
                 if src != dst:
-                    v, h = _hashmix(pool[src], h)
-                    pool[dst] = _mix(pool[dst], v)
+                    v = (pool[src] ^ h) * (h := h * _MULT_A & _MASK) & _MASK
+                    r = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _MASK
+                    pool[dst] = r ^ r >> 16
         self._pool, self._hash = _absorb(pool, h, entropy[_POOL:])
         self._bits = np.random.Philox(0)
         self.generator = np.random.Generator(self._bits)
@@ -93,8 +84,8 @@ class TrialKeys:
         pool, _ = _absorb(self._pool, self._hash, _words(_checked_int(i, "trial index", 0)))
         h, out = _INIT_B, []
         for w in pool:  # four uint32 words, two little-endian uint64s
-            v, h = _hashmix(w, h, _MULT_B)
-            out.append(v)
+            v = (w ^ h) * (h := h * _MULT_B & _MASK) & _MASK
+            out.append(v ^ v >> 16)
         return out[0] | out[1] << 32, out[2] | out[3] << 32
 
     def stream(self, i: int, skip: int = 0) -> np.random.Generator:

@@ -101,9 +101,9 @@ class FreeGraph:
     # max over free v of len(neighbors[v]) + its boundary edges: a bound on
     # |field_v + sum of its neighbors' spins| under every boundary condition
     max_degree: int
-    # ising.glauber_sweep's state: "kernel", the graph's compiled sweep, and
-    # "setup", one (key, (field, table)) entry: a chain sweeps many times
-    # under one beta and boundary
+    # ising's sweep state: "kernel", glauber_sweep's compiled sweep; "setup",
+    # one (key, (field, table)) entry, as a chain sweeps many times under one
+    # beta and boundary; "classes", the class kernel's layout (_class_layout)
     sweep_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __getstate__(self) -> dict:

@@ -573,7 +573,7 @@ def test_root_plus_probability_reuses_the_cached_class_layout(monkeypatch):
 
     def spy(self, *args):
         init(self, *args)
-        seen.append([nbrs for _, nbrs, _ in self.classes])
+        seen.append([nbrs for _, nbrs, _, _ in self.classes])
 
     monkeypatch.setattr(ising._ClassKernel, "__init__", spy)
     for bc in ("plus", "minus"):
@@ -590,6 +590,43 @@ def test_root_plus_probability_counts_past_255_neighbours():
     args = (t, 2.0, "plus", 8, 1, 47, 2, 2, "aligned")
     est = root_plus_probability(*args)
     assert est == reference_root_plus(*args) and est.estimate == 1.0
+
+
+@pytest.mark.parametrize("fan", [254, 255])
+def test_root_plus_probability_at_the_narrow_count_boundary(fan):
+    # the root has fan + 1 free neighbours: 255 is the most a uint8 column
+    # sum holds, and at 256 the root's class sums in uint16
+    t = forest_to_triangulation(((fan,), (1,) * fan))
+    assert len(t.free_graph.neighbors[0]) == fan + 1
+    _, layout, _ = ising._class_layout(t.free_graph)
+    assert max(dtype.itemsize for *_, dtype in layout) == (1 if fan == 254 else 2)
+    args = (t, 2.0, "plus", 8, 1, 47, 2, 2, "aligned")
+    est = root_plus_probability(*args)
+    assert est == reference_root_plus(*args) and est.estimate == 1.0
+
+
+def bench_scale_triangulation():
+    # criterion 8's depth-21 instance, inside lattice-mcmc's free-spin band
+    t = forest_to_triangulation(sample_spine_forest(stream(1012, 0), 21))
+    assert 535 <= t.free_graph.n_free <= 591
+    return t
+
+
+@pytest.mark.parametrize("init", ["aligned", "random"])
+@pytest.mark.parametrize("beta", [0.05, 2.0])
+def test_root_plus_probability_equals_the_reference_at_bench_scale(beta, init):
+    t = bench_scale_triangulation()
+    args = (t, beta, mixed_boundary(t), 8, 2, 48, 2, 4, init)
+    assert root_plus_probability(*args) == reference_root_plus(*args)
+
+
+def test_the_class_layout_is_kept_across_beta_and_boundary():
+    t = bench_scale_triangulation()
+    root_plus_probability(t, 0.05, "plus", 8, 2, 49, 2, 4, "random")
+    layout = t.free_graph.sweep_memo["classes"]
+    args = (t, 2.0, "minus", 8, 2, 49, 2, 4, "random")
+    assert root_plus_probability(*args) == reference_root_plus(*args)
+    assert t.free_graph.sweep_memo["classes"] is layout
 
 
 def test_root_plus_probability_pinned_batch_means():
