@@ -23,8 +23,9 @@ cs = enumerate_contours(t)
 print("\nwinding contours by length:", cs.counts)
 c = min(cs.contours, key=lambda c: c.length)
 print("shortest contour:")
+a, b = (x.tolist() for x in t.edges)
 print("  triangles:", c.triangles)
-print("  crossed edges:", c.crossed)
+print("  crossed edges:", [(t.vertex_at(a[e]), t.vertex_at(b[e])) for e in c.crossed])
 print("  root side:", sorted(below_vertices(t, c)))
 
 print("\nexact Gibbs check of the 2|contour| energy cost (minus boundary):")

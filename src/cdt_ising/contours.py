@@ -2,23 +2,26 @@
 
 A contour is a simple cycle of triangles (dual vertices) that winds exactly
 once around the cylinder; it separates the root from the top level.  Winding
-numbers are exact integers: each strip has one wrap-around dual edge crossing
-the anchored seam (the chain of fan-start edges from the root), and the
-winding of a cycle is the signed count of such crossings.
+numbers are exact integers: each strip has one wrap-around dual edge, across
+its diagonal 0, crossing the anchored seam (the chain of fan-start edges
+from the root), and the winding of a cycle is the signed count of such
+crossings.
 
-Every dual edge crosses one primal edge, so a contour of length n crosses n
-primal edges; removing them disconnects the root from the top boundary, and
+Every dual edge crosses one primal edge and is named by that edge's index in
+``Triangulation.edges``, so a contour of length n lists the n primal edges
+it crosses; removing them disconnects the root from the top boundary, and
 inverting all spins on the root side changes the energy by +-2n depending on
 whether the crossed edges agree or disagree.
 
-The search runs one depth-first search per strip over the numbered dual
-graph and backtracks in place.  Each strip's search forces its own wrap
-edge and leaves out the wrap edges of the strips before it, so a contour is
-met once, in the search of the lowest strip whose wrap edge it uses.  It
-cuts a branch once the path so far, plus the BFS distance from the branch
-to the strip's goal, plus the closing wrap edge, exceeds the length cap.
-The distance is a lower bound on what any completion needs, so the pruned
-search finds every contour, in the order of the unpruned one.
+The search runs one depth-first search per strip over the triangles'
+adjacency (``Triangulation.dual``) and backtracks in place.  Each strip's
+search forces its own wrap edge and leaves out the wrap edges of the strips
+before it, so a contour is met once, in the search of the lowest strip whose
+wrap edge it uses.  It cuts a branch once the path so far, plus the BFS
+distance from the branch to the strip's goal, plus the closing wrap edge,
+exceeds the length cap.  The distance is a lower bound on what any
+completion needs, so the pruned search finds every contour, in the order of
+the unpruned one.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Mapping
 from .branching import LevelForest
 from .ising import SpinState, _checked_beta
 from .rng import _checked_int
-from .triangulation import PrimalKey, Triangulation, TriRef
+from .triangulation import Triangulation
 
 MAX_EXHAUSTIVE_TRIANGLES = 40
 MAX_BOUNDED_LENGTH = 14
@@ -40,16 +43,19 @@ MAX_BOUNDED_LENGTH = 14
 
 @dataclass(frozen=True)
 class Contour:
-    """A simple dual cycle with winding number +1, in canonical rotation."""
+    """A simple dual cycle with winding number +1, in canonical rotation.
 
-    triangles: tuple[TriRef, ...]
-    dual_edges: tuple[int, ...]  # edge indices into the dual graph, aligned with steps
-    crossed: tuple[PrimalKey, ...]
-    winding: int
+    ``triangles`` are triangle numbers (rows of ``Triangulation.dual``);
+    ``crossed[i]`` is the index in ``Triangulation.edges`` of the primal edge
+    crossed on the step from ``triangles[i]`` to the next triangle.
+    """
+
+    triangles: tuple[int, ...]
+    crossed: tuple[int, ...]
 
     @property
     def length(self) -> int:
-        return len(self.dual_edges)
+        return len(self.crossed)
 
 
 @dataclass(frozen=True)
@@ -63,8 +69,8 @@ class ContourSet:
 
 
 def _canonical_cycle(
-    tris: list[TriRef], edges: list[int], winding: int
-) -> tuple[tuple[TriRef, ...], tuple[int, ...]]:
+    tris: list[int], edges: list[int], winding: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # Orient so the winding is +1, then take the lexicographically minimal
     # rotation of the (triangle, edge) sequence.  A simple cycle's triangles
     # are distinct, so that rotation starts at the smallest triangle.
@@ -76,7 +82,7 @@ def _canonical_cycle(
     return tuple(tris[best:] + tris[:best]), tuple(edges[best:] + edges[:best])
 
 
-def _distances(adjacency: list[list[tuple[int, int, int]]], goal: int) -> list[int]:
+def _distances(adjacency: list, goal: int) -> list[int]:
     """BFS edge counts to ``goal``; ``len(adjacency)`` marks the unreachable."""
     f = len(adjacency)
     dist = [f] * f
@@ -108,8 +114,7 @@ def enumerate_contours(t: Triangulation, n_max: int | None = None) -> ContourSet
     no contour is lost, and the contours come out in the order of the
     unpruned search.
     """
-    dual = t.dual
-    f = len(dual.vertices)
+    f = t.triangle_count
     if n_max is None:
         if f > MAX_EXHAUSTIVE_TRIANGLES:
             raise ValueError(
@@ -122,14 +127,14 @@ def enumerate_contours(t: Triangulation, n_max: int | None = None) -> ContourSet
         if n_max > MAX_BOUNDED_LENGTH:
             raise ValueError(f"bounded search requires n_max <= {MAX_BOUNDED_LENGTH}")
 
-    edges = dual.edges
     # children in the reverse of the adjacency order, the order in which a
     # stack search that pushes every child pops them
-    children = [adj[::-1] for adj in dual.adjacency]
+    children = [adj[::-1] for adj in t.dual]
     found: list[Contour] = []
     start = 0
-    for size, wrap_idx in zip(dual.strip_sizes, dual.wrap_edges):
-        goal = start + size - 1
+    for n in range(t.top_level):
+        goal = start + t.level_sizes[n] + t.level_sizes[n + 1] - 1
+        wrap_idx = t.vertex_count + start  # the strip's diagonal 0
         # leave this strip's wrap edge out, here and in every later strip
         children[start] = [a for a in children[start] if a[0] != wrap_idx]
         children[goal] = [a for a in children[goal] if a[0] != wrap_idx]
@@ -152,13 +157,9 @@ def enumerate_contours(t: Triangulation, n_max: int | None = None) -> ContourSet
                 if nbr == goal:
                     # a simple cycle visits the goal once, right before closing
                     if abs(seam + step + 1) == 1:
-                        tris_c, edges_c = _canonical_cycle(
-                            [dual.vertices[i] for i in path] + [dual.vertices[goal]],
-                            epath + [eidx, wrap_idx],
-                            seam + step + 1,
-                        )
-                        crossed = tuple(edges[i].primal for i in edges_c)
-                        found.append(Contour(tris_c, edges_c, crossed, 1))
+                        found.append(Contour(*_canonical_cycle(
+                            path + [goal], epath + [eidx, wrap_idx], seam + step + 1
+                        )))
                     continue
                 on_path[nbr] = True
                 path.append(nbr)
@@ -235,8 +236,8 @@ def below_vertices(t: Triangulation, contour: Contour) -> set[tuple[int, int]]:
     stack = [root]
     while stack:
         v = stack.pop()
-        for key, other in adjacency[v]:
-            if key in removed or other in seen:
+        for e, other in adjacency[v]:
+            if e in removed or other in seen:
                 continue
             seen.add(other)
             stack.append(other)

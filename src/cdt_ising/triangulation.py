@@ -23,16 +23,19 @@ of parallel diagonal edges.
 The derived graph tables live on the instance, each built once and cached,
 and address vertices by flat id (``flat_index``, inverted by ``vertex_at``).
 ``edges`` holds the endpoints of every edge, read off the fan lengths and
-each strip's first fan start; every other table is a numpy reduction of it.
-``degree_split`` and ``mark_degrees`` count edge ends, ``neighbors`` takes
-the distinct pairs, ``free_graph`` masks the edges of levels 0..top-1, where
-Ising spins and percolation marks live, and colours those levels, and
-``primal_adjacency`` pairs each edge with its key.
+each strip's first fan start; every other table is a reduction of it, and
+names an edge by its index there.  ``degree_split`` and ``mark_degrees``
+count edge ends, ``neighbors`` takes the distinct pairs, ``free_graph``
+masks the edges of levels 0..top-1, where Ising spins and percolation marks
+live, and colours those levels, and ``primal_adjacency`` pairs each edge
+index with the other end.
 
-The dual graph (``dual``) numbers each triangle by its position in
-``DualGraph.vertices``, strip by strip, and stores one adjacency by number,
-built with the edges; ``wrap_edges`` records each strip's wrap-around edge,
-the one that crosses the anchored seam, where it is appended.
+The dual graph (``dual``) numbers the triangles strip by strip.  Strip n
+holds k_n + k_{n+1} triangles and as many diagonals, so the two share one
+numbering: with V the vertex count, triangle g lies between diagonal V + g
+and its strip's next diagonal (cyclically).  Every dual edge crosses one
+primal edge and is named by that edge's index; strip n's wrap edge, the one
+that crosses the anchored seam, is its diagonal 0.
 """
 
 from __future__ import annotations
@@ -51,13 +54,6 @@ from .branching import LevelForest, SpineForest, offspring_pmf
 from .rng import _checked_int
 
 MU_CRITICAL = math.log(2.0)
-
-# Primal edge keys: ("h", level, c) is the horizontal edge from position c to
-# c+1 (mod k) on that level; ("d", strip, f) is the f-th diagonal (fan) edge
-# of the strip in planar order.
-PrimalKey = tuple[str, int, int]
-TriRef = tuple[int, int]  # (strip, index within strip)
-
 
 @dataclass(frozen=True)
 class VertexDegree:
@@ -139,50 +135,11 @@ class FreeGraph:
         return tuple(layout)
 
 
-@dataclass(frozen=True)
-class Triangle:
-    index: int  # position within its strip
-    kind: str  # "up": horizontal edge below, apex above; "down": the reverse
-    horizontal: PrimalKey
-
-
-@dataclass(frozen=True)
-class DualEdge:
-    """Adjacency of two triangles across ``primal``.
-
-    ``seam_step`` is +1 when traversing a -> b crosses the anchored vertical
-    seam in the positive direction (these are exactly the wrap-around strip
-    edges); winding numbers of dual cycles are the exact integer sums of
-    these steps.
-    """
-
-    a: TriRef
-    b: TriRef
-    primal: PrimalKey
-    seam_step: int
-
-
-@dataclass(frozen=True)
-class DualGraph:
-    """Triangles numbered by their position in ``vertices``, strip by strip.
-
-    ``adjacency[v]`` lists (edge index, neighbour number, seam step when
-    leaving v) in edge order; ``wrap_edges[n]`` is the index of strip n's
-    wrap edge, from its last triangle to its first.
-    """
-
-    vertices: tuple[TriRef, ...]
-    edges: tuple[DualEdge, ...]
-    strip_sizes: tuple[int, ...]
-    adjacency: tuple[tuple[tuple[int, int, int], ...], ...]
-    wrap_edges: tuple[int, ...]
-
-
 class Triangulation:
     """Immutable rooted Lorentzian triangulation of S^1 x [0, N].
 
-    The root vertex is (0, 0) and the root edge is the level-0 self-loop
-    ("h", 0, 0).  Equality is structural on the stored fans; use
+    The root vertex is (0, 0) and the root edge is the level-0 self-loop,
+    edge 0.  Equality is structural on the stored fans; use
     ``canonical_key`` to compare up to cyclic relabeling of levels.
     """
 
@@ -293,8 +250,10 @@ class Triangulation:
 
     @cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only flat endpoints (a, b) of every edge in ``primal_edges``
-        order, loops included; a diagonal edge starts at its lower end.
+        """Read-only flat endpoints (a, b) of every edge, loops included: the
+        horizontal edges, edge c running from flat id c to the next vertex
+        of its level (cyclically), then each strip's fan entries in fan
+        order, each diagonal from its lower end.
 
         In a strip whose first fan starts at s, the strip's e-th fan entry,
         in fan i, ends at s + e - i (mod k_{n+1}), as ``_validate`` checks.
@@ -360,80 +319,45 @@ class Triangulation:
         degs.flags.writeable = False  # shared by every caller
         return degs
 
-    # -- triangles, edges, dual graph -------------------------------------
-
     @cached_property
-    def _strip_triangles(self) -> tuple[tuple[Triangle, ...], ...]:
-        strips = []
-        for n, strip in enumerate(self.fans):
-            tris: list[Triangle] = []
-            for i, fan in enumerate(strip):
-                for c in fan[:-1]:
-                    tris.append(Triangle(len(tris), "down", ("h", n + 1, c)))
-                tris.append(Triangle(len(tris), "up", ("h", n, i)))
-            strips.append(tuple(tris))
-        return tuple(strips)
-
-    def triangles(self, strip: int) -> tuple[Triangle, ...]:
-        return self._strip_triangles[strip]
-
-    def primal_edges(self) -> Iterator[PrimalKey]:
-        """All edges: horizontals of every level, diagonals of every strip."""
-        for n, k in enumerate(self.level_sizes):
-            for c in range(k):
-                yield ("h", n, c)
-        for n, strip in enumerate(self.fans):
-            for f in range(sum(len(fan) for fan in strip)):
-                yield ("d", n, f)
-
-    @cached_property
-    def primal_adjacency(self) -> tuple[tuple[tuple[PrimalKey, int], ...], ...]:
-        """Per flat vertex id: (edge key, other endpoint flat id), loops included."""
+    def primal_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per flat vertex id: (edge index, other endpoint flat id), loops included."""
         v, w, e = _ends(*self.edges)
-        keys = list(self.primal_edges())
-        pairs = list(zip(map(keys.__getitem__, e.tolist()), w.tolist()))
-        return _rows(pairs, np.bincount(v, minlength=self.vertex_count))
+        return _rows(list(zip(e.tolist(), w.tolist())), np.bincount(v, minlength=self.vertex_count))
 
     @cached_property
-    def dual(self) -> DualGraph:
-        """Triangles with adjacency across shared edges (diagonal and horizontal).
+    def dual(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per triangle: (crossed edge index, neighbour, seam step when leaving).
 
-        Edges come strip by strip, each strip's t -> t+1 edges ending with its
-        wrap edge, then the horizontal edges between strips.
+        A triangle inside its strip lists the triangle before it, then the
+        one after it; a strip's first triangle lists the one after it, then
+        the wrap across diagonal 0 to the strip's last triangle (seam step
+        -1; +1 the other way).  A triangle with a neighbour across its
+        horizontal edge lists it last.
         """
-        vertices: list[TriRef] = []
-        edges: list[DualEdge] = []
-        adjacency: list[list[tuple[int, int, int]]] = []
-        wrap_edges: list[int] = []
-
-        def link(a: int, b: int, primal: PrimalKey, step: int) -> None:
-            adjacency[a].append((len(edges), b, step))
-            adjacency[b].append((len(edges), a, -step))
-            edges.append(DualEdge(vertices[a], vertices[b], primal, step))
-
-        down_on: dict[PrimalKey, int] = {}  # horizontal edge -> the down triangle on it
-        for n, tris in enumerate(self._strip_triangles):
-            first, size = len(vertices), len(tris)
-            vertices.extend((n, t) for t in range(size))
-            adjacency.extend([] for _ in range(size))
-            # the dual edge t -> t+1 crosses fan edge t+1; the wrap edge
-            # crosses fan edge 0, the seam edge of the strip
-            for t in range(1, size):
-                link(first + t - 1, first + t, ("d", n, t), 0)
-            wrap_edges.append(len(edges))
-            link(first + size - 1, first, ("d", n, 0), 1)
-            down_on.update((tri.horizontal, first + tri.index) for tri in tris if tri.kind == "down")
-        for v, (n, t) in enumerate(vertices):
-            tri = self._strip_triangles[n][t]
-            if tri.kind == "up" and tri.horizontal in down_on:
-                link(down_on[tri.horizontal], v, tri.horizontal, 0)
-        return DualGraph(
-            tuple(vertices),
-            tuple(edges),
-            tuple(map(len, self._strip_triangles)),
-            tuple(map(tuple, adjacency)),
-            tuple(wrap_edges),
-        )
+        v = self.vertex_count
+        rows: list[list[tuple[int, int, int]]] = []
+        first = 0
+        for n in range(self.top_level):
+            last = first + self.level_sizes[n] + self.level_sizes[n + 1] - 1
+            for g in range(first, last + 1):
+                before = (v + g, g - 1, 0) if g > first else (v + g, last, -1)
+                after = (v + g + 1, g + 1, 0) if g < last else (v + first, first, 1)
+                rows.append([after, before] if g == first else [before, after])
+            first = last + 1
+        # triangle g's horizontal edge is the lower end of diagonal V + g when
+        # that diagonal closes its fan (the next one starts elsewhere), else
+        # the upper end; the triangle under a horizontal edge comes a strip
+        # before the one over it
+        lower, upper = (x[v:].tolist() for x in self.edges)
+        under: dict[int, int] = {}  # horizontal edge -> the triangle under it
+        for g, (lo, up, nxt) in enumerate(zip(lower, upper, lower[1:] + [-1])):
+            if lo == nxt:
+                under[up] = g
+            elif lo in under:
+                rows[under[lo]].append((lo, g, 0))
+                rows[g].append((lo, under[lo], 0))
+        return tuple(map(tuple, rows))
 
     # -- canonical form ----------------------------------------------------
 

@@ -3,7 +3,8 @@ survivor statistic.  The enumeration oracle below is built independently:
 dual adjacency from triangle edge matching, plain simple-cycle DFS, and a
 cut-based separation filter instead of seam-crossing arithmetic.  A second
 reference, the unpruned copy-per-push search, pins the exact output of
-``enumerate_contours``, order included."""
+``enumerate_contours``, order included.  Both read triangles and their dual
+off a walk of the fans, not off the graph tables under test."""
 
 import math
 from collections import Counter
@@ -30,31 +31,67 @@ from cdt_ising.triangulation import (
     forest_to_triangulation,
 )
 
-from test_triangulation import out_degree_lists
+from test_triangulation import fan_edge_pairs, fan_walk_triangles, out_degree_lists
 
 
 # -- independent oracle -------------------------------------------------------
 
 
+def fan_walk_dual(t: Triangulation) -> list[list[tuple[int, int, int]]]:
+    """Reference dual adjacency over the fan-walk triangles, matched by shared
+    edge, each row in the order ``Triangulation.dual`` documents: the
+    triangle before, then the one after (for a strip's first triangle, the
+    other way round), then the one across the horizontal edge.  Crossing a
+    strip's first diagonal from its last triangle to its first is a seam
+    step of +1."""
+    strips = fan_walk_triangles(t)
+    sides: dict[int, list[int]] = {}
+    for g, tri in enumerate(tri for strip in strips for tri in strip):
+        for e in tri:
+            sides.setdefault(e, []).append(g)
+    adjacency = []
+    for strip in strips:
+        wrap = strip[0][0]
+        for before, after, h in strip:
+            g = len(adjacency)
+            row = []
+            for e in (before, after, h):
+                if len(sides[e]) == 2:
+                    nbr = sum(sides[e]) - g
+                    row.append((e, nbr, (e == after) - (e == before) if e == wrap else 0))
+            if before == wrap:
+                row[:2] = row[1::-1]
+            adjacency.append(row)
+    return adjacency
+
+
+def winding(t: Triangulation, c: Contour) -> int:
+    """Signed seam crossings of a contour, read off the reference dual."""
+    adjacency = fan_walk_dual(t)
+    return sum(
+        step
+        for g, e in zip(c.triangles, c.crossed)
+        for f, _, step in adjacency[g]
+        if f == e
+    )
+
+
 def oracle_separating_cycle_counts(t: Triangulation, n_max: int) -> dict[int, int]:
     """Count simple dual cycles (by length) whose crossed edges disconnect the
-    root from the top level.  Adjacency is rebuilt by matching each triangle's
-    three edge keys; cycles come from a plain min-vertex DFS; the winding
-    filter is the separation property itself."""
-    tris = [(n, tri) for n in range(t.top_level) for tri in t.triangles(n)]
-    edge_sides: dict[tuple, list[int]] = {}
-    for vid, (n, tri) in enumerate(tris):
-        size = len(t.triangles(n))
-        left = ("d", n, tri.index)  # fan edge before the triangle
-        right = ("d", n, (tri.index + 1) % size)  # fan edge after it
-        for key in (left, right, tri.horizontal):
-            edge_sides.setdefault(key, []).append(vid)
-    dual_edges = []
-    for key, sides in edge_sides.items():
+    root from the top level.  Adjacency is rebuilt by matching the fan-walk
+    triangles' three edges; cycles come from a plain min-vertex DFS; the
+    winding filter is the separation property itself."""
+    tris = [tri for strip in fan_walk_triangles(t) for tri in strip]
+    edge_sides: dict[int, list[int]] = {}
+    for vid, tri in enumerate(tris):
+        for e in tri:
+            edge_sides.setdefault(e, []).append(vid)
+    links = []
+    for e, sides in edge_sides.items():
         if len(sides) == 2:
-            dual_edges.append((sides[0], sides[1], key))
+            links.append((sides[0], sides[1], e))
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(len(tris))}
-    for eid, (a, b, _) in enumerate(dual_edges):
+    for eid, (a, b, _) in enumerate(links):
         adj[a].append((eid, b))
         adj[b].append((eid, a))
 
@@ -79,7 +116,7 @@ def oracle_separating_cycle_counts(t: Triangulation, n_max: int) -> dict[int, in
     # separation filter: removing the crossed edges disconnects root from top
     counts: Counter = Counter()
     for cyc in cycles:
-        removed = {dual_edges[eid][2] for eid in cyc}
+        removed = {links[eid][2] for eid in cyc}
         if len(removed) != len(cyc):
             continue  # not a set of distinct primal edges (cannot happen)
         if _separates(t, removed):
@@ -88,18 +125,21 @@ def oracle_separating_cycle_counts(t: Triangulation, n_max: int) -> dict[int, in
 
 
 def _separates(t: Triangulation, removed: set) -> bool:
-    root = 0
-    seen = {root}
-    stack = [root]
-    top_flat = set(range(t.level_offsets[t.top_level], t.vertex_count))
+    """True when deleting the ``removed`` edges of the fan walk's edge list
+    leaves no path from the root to the top level."""
+    adjacency = [[] for _ in range(t.vertex_count)]
+    for e, (a, b) in enumerate(fan_edge_pairs(t)):
+        if e not in removed:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+    seen = {0}
+    stack = [0]
     while stack:
-        v = stack.pop()
-        for key, other in t.primal_adjacency[v]:
-            if key in removed or other in seen:
-                continue
-            seen.add(other)
-            stack.append(other)
-    return not (seen & top_flat)
+        for other in adjacency[stack.pop()]:
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
+    return not any(v >= t.level_offsets[t.top_level] for v in seen)
 
 
 def reference_canonical_cycle(tris, edges, winding):
@@ -116,33 +156,26 @@ def reference_canonical_cycle(tris, edges, winding):
 
 
 def reference_contours(t: Triangulation, n_max: int | None = None) -> tuple[Contour, ...]:
-    """The unpruned search: per strip, a stack DFS that copies the path on
-    every push and cuts a branch only when closing needs more than ``n_max``
-    edges (two from the goal's neighbours, three from anywhere else)."""
-    dual = t.dual
+    """The unpruned search over the reference dual: per strip, a stack DFS
+    that copies the path on every push and cuts a branch only when closing
+    needs more than ``n_max`` edges (two from the goal's neighbours, three
+    from anywhere else)."""
+    adjacency = fan_walk_dual(t)
     if n_max is None:
-        n_max = len(dual.vertices)
-    edges = dual.edges
-    adjacency = {v: [(e, dual.vertices[j], s) for e, j, s in adj]
-                 for v, adj in zip(dual.vertices, dual.adjacency)}
+        n_max = len(adjacency)
     found: dict[tuple, Contour] = {}
-    for strip in range(t.top_level):
-        size = dual.strip_sizes[strip]
-        wrap_idx = next(
-            i
-            for i, e in enumerate(edges)
-            if e.seam_step == 1 and e.a == (strip, size - 1) and e.b == (strip, 0)
-        )
-        start, goal = (strip, 0), (strip, size - 1)
+    first = 0
+    for strip in fan_walk_triangles(t):
+        wrap_idx = strip[0][0]  # the strip's first diagonal
+        start, goal = first, first + len(strip) - 1
+        first += len(strip)
         stack = [(start, [start], [], 0)]
         while stack:
             node, path, epath, seam = stack.pop()
             if node == goal:
                 if epath and abs(seam + 1) == 1:
                     key = reference_canonical_cycle(path[:], epath + [wrap_idx], seam + 1)
-                    if key not in found:
-                        crossed = tuple(edges[i].primal for i in key[1])
-                        found[key] = Contour(key[0], key[1], crossed, 1)
+                    found.setdefault(key, Contour(*key))
                 continue
             for eidx, nbr, step in adjacency[node]:
                 if eidx == wrap_idx or eidx in epath or nbr in path:
@@ -188,8 +221,42 @@ def test_minimal_chain_contours():
     cs = enumerate_contours(t)
     assert cs.counts == {2: 2}  # one two-step contour per strip
     for c in cs.contours:
-        assert c.winding == 1
+        assert winding(t, c) == 1
         assert len(set(c.triangles)) == len(c.triangles)
+
+
+# (triangles, crossed edges) of every contour of demo 04's instance, in
+# search order
+DEMO_04_CONTOURS = (
+    ((0, 4, 5, 11, 12, 13, 6, 7, 1, 2), (1, 14, 4, 21, 22, 5, 16, 2, 11, 9)),
+    ((0, 4, 5, 11, 12, 13, 8, 9, 3, 7, 1, 2), (1, 14, 4, 21, 22, 17, 18, 3, 12, 2, 11, 9)),
+    ((0, 4, 5, 6, 13, 8, 9, 3, 7, 1, 2), (1, 14, 15, 5, 17, 18, 3, 12, 2, 11, 9)),
+    ((0, 4, 5, 6, 7, 1, 2), (1, 14, 15, 16, 2, 11, 9)),
+    ((0, 4, 3, 9, 10, 11, 5, 6, 7, 1, 2), (1, 13, 3, 19, 20, 4, 15, 16, 2, 11, 9)),
+    ((0, 4, 3, 9, 10, 11, 12, 13, 6, 7, 1, 2), (1, 13, 3, 19, 20, 21, 22, 5, 16, 2, 11, 9)),
+    ((0, 1, 2), (10, 11, 9)),
+    ((3, 9, 10, 11, 5, 6, 7), (3, 19, 20, 4, 15, 16, 12)),
+    ((0, 1, 7, 3, 9, 10, 11, 5, 4), (10, 2, 12, 3, 19, 20, 4, 14, 1)),
+    ((3, 9, 10, 11, 12, 13, 6, 7), (3, 19, 20, 21, 22, 5, 16, 12)),
+    ((0, 1, 7, 3, 9, 10, 11, 12, 13, 6, 5, 4), (10, 2, 12, 3, 19, 20, 21, 22, 5, 15, 14, 1)),
+    ((0, 1, 7, 3, 4), (10, 2, 12, 13, 1)),
+    ((3, 4, 5, 11, 12, 13, 6, 7), (13, 14, 4, 21, 22, 5, 16, 12)),
+    ((3, 4, 5, 6, 7), (13, 14, 15, 16, 12)),
+    ((0, 1, 7, 6, 13, 8, 9, 3, 4), (10, 2, 16, 5, 17, 18, 3, 13, 1)),
+    ((0, 1, 7, 6, 5, 11, 12, 13, 8, 9, 3, 4), (10, 2, 16, 15, 4, 21, 22, 17, 18, 3, 13, 1)),
+    ((3, 4, 5, 11, 12, 13, 8, 9), (13, 14, 4, 21, 22, 17, 18, 3)),
+    ((3, 4, 5, 6, 13, 8, 9), (13, 14, 15, 5, 17, 18, 3)),
+    ((5, 6, 13, 8, 9, 10, 11), (15, 5, 17, 18, 19, 20, 4)),
+    ((0, 1, 7, 6, 13, 8, 9, 10, 11, 5, 4), (10, 2, 16, 5, 17, 18, 19, 20, 4, 14, 1)),
+    ((8, 9, 10, 11, 12, 13), (18, 19, 20, 21, 22, 17)),
+)
+
+
+def test_demo_instance_contours_pinned():
+    t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
+    cs = enumerate_contours(t)
+    assert tuple((c.triangles, c.crossed) for c in cs.contours) == DEMO_04_CONTOURS
+    assert all(winding(t, c) == 1 for c in cs.contours)
 
 
 def test_no_contour_shorter_than_two():
@@ -468,5 +535,5 @@ def test_survivors_block_contour_implication():
         cs = enumerate_contours(t, n_max=n)
         for c in cs.contours:
             # crossing the seam "at height r": using the strip-r seam edge
-            assert ("d", r_level, 0) not in c.crossed
+            assert fan_walk_triangles(t)[r_level][0][0] not in c.crossed
     assert checked > 0

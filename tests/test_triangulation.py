@@ -2,6 +2,7 @@
 exhaustive enumeration."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -60,9 +61,8 @@ def test_all_ones_chain():
     t = forest_to_triangulation(((1,), (1,)))
     assert t.level_sizes == (1, 1, 1)
     assert t.triangle_count == 4
-    for n in range(2):
-        strip = t.triangles(n)
-        assert len(strip) == 2
+    assert [len(strip) for strip in fan_walk_triangles(t)] == [2, 2]
+    assert len(t.dual) == 4
     d = t.vertex_degree(1, 0)
     assert (d.up, d.down, d.total) == (2, 2, 6)
 
@@ -100,8 +100,9 @@ def test_up_degree_sums_count_strip_triangles():
 
 
 def fan_edge_pairs(t: Triangulation) -> list[tuple[int, int]]:
-    """Reference edge list, walking the fans: flat endpoints of every edge
-    in ``primal_edges`` order, loops included, diagonals from their lower end."""
+    """Reference edge list, walking the fans: flat endpoints of each level's
+    horizontal edges, then of each strip's fan entries in fan order, loops
+    included, diagonals from their lower end."""
     offs = t.level_offsets
     pairs = [(offs[n] + c, offs[n] + (c + 1) % k) for n, k in enumerate(t.level_sizes) for c in range(k)]
     for n, strip in enumerate(t.fans):
@@ -110,14 +111,39 @@ def fan_edge_pairs(t: Triangulation) -> list[tuple[int, int]]:
     return pairs
 
 
+def fan_walk_triangles(t: Triangulation) -> list[list[tuple[int, int, int]]]:
+    """Reference triangles, walking the fans: per strip, each triangle's
+    (diagonal before it, diagonal after it, horizontal edge) as indices into
+    ``fan_edge_pairs``.  The triangle after a fan entry closes on the fan's
+    next entry over a horizontal edge of the upper level; after a fan's last
+    entry, on the next fan's first entry over one of the lower level."""
+    pairs = fan_edge_pairs(t)
+    horizontal = {pair: e for e, pair in enumerate(pairs[: t.vertex_count])}
+    offs = t.level_offsets
+    strips, e = [], t.vertex_count
+    for n, strip in enumerate(t.fans):
+        first, size = e, sum(map(len, strip))
+        tris = []
+        for i, fan in enumerate(strip):
+            for j, q in enumerate(fan):
+                if j + 1 < len(fan):
+                    h = (offs[n + 1] + q, offs[n + 1] + fan[j + 1])
+                else:
+                    h = (offs[n] + i, offs[n] + (i + 1) % t.level_sizes[n])
+                tris.append((e, first + (e + 1 - first) % size, horizontal[h]))
+                e += 1
+        strips.append(tris)
+    return strips
+
+
 def brute_force_tables(t: Triangulation, pairs):
     """Edge-keyed adjacency, degree split, distinct neighbours and
     loop-doubled degrees, read off the reference edge list."""
     adjacency = [[] for _ in range(t.vertex_count)]
-    for key, (a, b) in zip(t.primal_edges(), pairs):
-        adjacency[a].append((key, b))
+    for e, (a, b) in enumerate(pairs):
+        adjacency[a].append((e, b))
         if b != a:
-            adjacency[b].append((key, a))
+            adjacency[b].append((e, a))
     level_of = [n for n, k in enumerate(t.level_sizes) for _ in range(k)]
     up, down, nbrs, total = [], [], [], []
     for v, edges in enumerate(adjacency):
@@ -526,29 +552,60 @@ def test_forest_rejects_empty_level():
 
 def test_dual_two_parallel_edges_on_minimal_strip():
     t = forest_to_triangulation(((1,),))
-    dual = t.dual
-    assert len(dual.vertices) == 2
-    assert len(dual.edges) == 2
-    assert all({e.a, e.b} == {(0, 0), (0, 1)} for e in dual.edges)
-    crossed = {e.primal for e in dual.edges}
-    assert crossed == {("d", 0, 0), ("d", 0, 1)}
+    a, b = t.edges
+    # two triangles joined across both diagonals, parallel edges 2 and 3
+    assert (a[2], b[2]) == (a[3], b[3]) == (0, 1)
+    assert t.dual == (((3, 1, 0), (2, 1, -1)), ((3, 0, 0), (2, 0, 1)))
+
+
+def on_boundary_circle(t: Triangulation, horizontal: int) -> bool:
+    """True when the horizontal edge lies on the root or the top circle."""
+    return horizontal < t.level_offsets[1] or horizontal >= t.level_offsets[t.top_level]
 
 
 def test_dual_degrees():
     for i in range(30):
         t = forest_to_triangulation(sample_spine_forest(stream(25, i), 4))
-        dual = t.dual
-        assert len(dual.vertices) == t.triangle_count
-        top = t.top_level
-        for (n, idx) in dual.vertices:
-            tri = t.triangles(n)[idx]
-            deg = len(dual.adjacency[dual.vertices.index((n, idx))])
-            if n == 0 and tri.kind == "up":
-                assert deg == 2  # sits on the root circle
-            elif n == top - 1 and tri.kind == "down":
-                assert deg == 2  # sits on the top circle
-            else:
-                assert deg == 3
+        tris = [tri for strip in fan_walk_triangles(t) for tri in strip]
+        assert len(t.dual) == len(tris) == t.triangle_count
+        for row, (_, _, h) in zip(t.dual, tris):
+            assert len(row) == (2 if on_boundary_circle(t, h) else 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lists=out_degree_lists(), shifts=st.lists(st.integers(0, 9), min_size=5, max_size=5))
+@example(lists=((1,),), shifts=[0] * 5)  # one strip of two triangles, joined twice
+@example(lists=((1,), (1,), (1,)), shifts=[0] * 5)  # one vertex on every level
+@example(lists=((3,), (0, 2, 1)), shifts=[2, 1, 0, 0, 0])
+def test_dual_crosses_fan_walk_edges(lists, shifts):
+    t = forest_to_triangulation(lists)
+    for level in range(1, t.top_level + 1):  # strips whose first fan may not start at 0
+        t = rotate_level(t, level, shifts[level - 1])
+    strips = fan_walk_triangles(t)
+    tris = [tri for strip in strips for tri in strip]
+    containing: dict[int, list[int]] = {}
+    for g, tri in enumerate(tris):
+        for e in tri:
+            containing.setdefault(e, []).append(g)
+    # every edge but the horizontals of the root and the top circle is
+    # crossed by one dual edge, listed once from each of its two triangles
+    crossed = Counter(e for row in t.dual for e, _, _ in row)
+    boundary = {e for e in range(t.vertex_count) if on_boundary_circle(t, e)}
+    assert crossed == {e: 2 for e in range(len(t.edges[0])) if e not in boundary}
+    for g, row in enumerate(t.dual):
+        assert len(row) == (2 if on_boundary_circle(t, tris[g][2]) else 3)
+        for e, nbr, step in row:
+            assert sorted(containing[e]) == sorted((g, nbr))
+            assert (e, g, -step) in t.dual[nbr]
+    # walking each strip across the diagonal after each triangle crosses
+    # the seam once, forwards
+    g = 0
+    for strip in strips:
+        steps = []
+        for _, after, _ in strip:
+            steps += [step for e, _, step in t.dual[g] if e == after]
+            g += 1
+        assert len(steps) == len(strip) and sum(steps) == 1
 
 
 def test_enumerate_minimal_class():
