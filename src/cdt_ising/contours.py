@@ -3,9 +3,9 @@
 A contour is a simple cycle of triangles (dual vertices) that winds exactly
 once around the cylinder; it separates the root from the top level.  Winding
 numbers are exact integers: each strip has one wrap-around dual edge, across
-its diagonal 0, crossing the anchored seam (the chain of fan-start edges
-from the root), and the winding of a cycle is the signed count of such
-crossings.
+its diagonal j_n, the first entry of its anchor's fan, crossing the seam (the
+chain of anchor fan starts from the root), and the winding of a cycle is the
+signed count of such crossings.
 
 Every dual edge crosses one primal edge and is named by that edge's index in
 ``Triangulation.edges``, so a contour of length n lists the n primal edges
@@ -14,14 +14,14 @@ inverting all spins on the root side changes the energy by +-2n depending on
 whether the crossed edges agree or disagree.
 
 The search runs one depth-first search per strip over the triangles'
-adjacency (``Triangulation.dual``) and backtracks in place.  Each strip's
-search forces its own wrap edge and leaves out the wrap edges of the strips
-before it, so a contour is met once, in the search of the lowest strip whose
-wrap edge it uses.  It cuts a branch once the path so far, plus the BFS
-distance from the branch to the strip's goal, plus the closing wrap edge,
-exceeds the length cap.  The distance is a lower bound on what any
-completion needs, so the pruned search finds every contour, in the order of
-the unpruned one.
+adjacency (``Triangulation.dual``), from the triangle after the strip's wrap
+edge to the one before it, and backtracks in place.  Each strip's search
+forces its own wrap edge and leaves out the wrap edges of the strips before
+it, so a contour is met once, in the search of the lowest strip whose wrap
+edge it uses.  It cuts a branch once the path so far, plus the BFS distance
+from the branch to the strip's goal, plus the closing wrap edge, exceeds the
+length cap.  The distance is a lower bound on what any completion needs, so
+the pruned search finds every contour, in the order of the unpruned one.
 """
 
 from __future__ import annotations
@@ -127,14 +127,15 @@ def enumerate_contours(t: Triangulation, n_max: int | None = None) -> ContourSet
         if n_max > MAX_BOUNDED_LENGTH:
             raise ValueError(f"bounded search requires n_max <= {MAX_BOUNDED_LENGTH}")
 
+    offsets, neighbour, crossed, seam = (x.tolist() for x in t.dual)
+    entries = list(zip(crossed, neighbour, seam))
     # children in the reverse of the adjacency order, the order in which a
     # stack search that pushes every child pops them
-    children = [adj[::-1] for adj in t.dual]
+    children = [entries[lo:hi][::-1] for lo, hi in zip(offsets, offsets[1:])]
+    # per strip: the wrap edge crosses the seam from the goal to the start
+    wraps = [(g, nbr, e) for g, row in enumerate(children) for e, nbr, step in row if step == 1]
     found: list[Contour] = []
-    start = 0
-    for n in range(t.top_level):
-        goal = start + t.level_sizes[n] + t.level_sizes[n + 1] - 1
-        wrap_idx = t.vertex_count + start  # the strip's diagonal 0
+    for goal, start, wrap_idx in wraps:
         # leave this strip's wrap edge out, here and in every later strip
         children[start] = [a for a in children[start] if a[0] != wrap_idx]
         children[goal] = [a for a in children[goal] if a[0] != wrap_idx]
@@ -171,7 +172,6 @@ def enumerate_contours(t: Triangulation, n_max: int | None = None) -> ContourSet
                 on_path[path.pop()] = False
                 if epath:
                     epath.pop()
-        start = goal + 1
     return ContourSet(tuple(found))
 
 
@@ -230,17 +230,17 @@ def below_vertices(t: Triangulation, contour: Contour) -> set[tuple[int, int]]:
     the other side.
     """
     removed = set(contour.crossed)
-    adjacency = t.primal_adjacency
+    offsets, other, edge = (x.tolist() for x in t.primal_adjacency)
     root = t.flat_index(0, 0)
     seen = {root}
     stack = [root]
     while stack:
         v = stack.pop()
-        for e, other in adjacency[v]:
-            if e in removed or other in seen:
+        for i in range(offsets[v], offsets[v + 1]):
+            if edge[i] in removed or other[i] in seen:
                 continue
-            seen.add(other)
-            stack.append(other)
+            seen.add(other[i])
+            stack.append(other[i])
     return {t.vertex_at(flat) for flat in seen}
 
 

@@ -266,9 +266,10 @@ def _compile_sweep(fg: FreeGraph):
     are nested in parenthesised groups: a flat chain of a few thousand
     overflows the compiler's recursion limit.
     """
+    offsets, other = (x.tolist() for x in fg.neighbors)
     lines = ["def sweep(s, u, t, f):", "    pass"]  # a graph may have no free vertex
     for v in fg.visit_order:
-        terms = [f"f[{v}]", *(f"s[{j}]" for j in fg.neighbors[v])]
+        terms = [f"f[{v}]", *(f"s[{j}]" for j in other[offsets[v] : offsets[v + 1]])]
         while len(terms) > 100:
             terms = ["(" + " + ".join(terms[i : i + 100]) + ")" for i in range(0, len(terms), 100)]
         lines.append(f"    s[{v}] = 1 if u[{v}] < t[{' + '.join(terms)}] else -1")

@@ -13,7 +13,7 @@ d = d_up + 2 (its self-loop supplies the two horizontal slots).
 
 The single-instance API works on a ``Triangulation``: marks use
 ``Triangulation.mark_degrees``, and ``max_open_reach`` and the path checks
-use ``Triangulation.neighbors``.
+walk ``Triangulation.neighbors``, read with one ``tolist()`` per call.
 
 All annealed estimators run their trials through ``reach_hits``, which never
 builds a triangulation.  It runs trials in array passes: a trial reads its
@@ -103,7 +103,7 @@ def max_open_reach(t: Triangulation, open_set: OpenSet) -> ReachResult:
     root = 0
     if not open_set.marks[root]:
         return ReachResult(0, None)
-    adj = t.neighbors
+    offsets, other = (x.tolist() for x in t.neighbors)
     marks = open_set.marks
     n_marked = len(marks)
     parent = {root: None}
@@ -113,7 +113,7 @@ def max_open_reach(t: Triangulation, open_set: OpenSet) -> ReachResult:
     while queue:
         nxt = []
         for v in queue:
-            for u in adj[v]:
+            for u in other[offsets[v] : offsets[v + 1]]:
                 if u >= n_marked or u in parent or not marks[u]:
                     continue
                 parent[u] = v
@@ -391,11 +391,10 @@ def annealed_reach_curve(
 # -- locally geodesic paths ---------------------------------------------------
 
 
-def _check_path(t: Triangulation, path) -> list[int]:
-    adj = t.neighbors
+def _check_path(t: Triangulation, path, offsets: list[int], other: list[int]) -> list[int]:
     flat = [t.flat_index(lvl, pos) for lvl, pos in path]
     for a, b in zip(flat, flat[1:]):
-        if b not in adj[a]:
+        if b not in other[offsets[a] : offsets[a + 1]]:
             raise ValueError(f"consecutive path vertices {a} and {b} are not adjacent")
     return flat
 
@@ -406,13 +405,13 @@ def is_locally_geodesic(t: Triangulation, path) -> bool:
     The check is at vertex level: parallel edges between consecutive path
     vertices do not count as detours, and self-loops are ignored.
     """
-    flat = _check_path(t, path)
+    offsets, other = (x.tolist() for x in t.neighbors)
+    flat = _check_path(t, path, offsets, other)
     if len(set(flat)) != len(flat):
         return False
-    adj = t.neighbors
     index = {v: i for i, v in enumerate(flat)}
     for i, v in enumerate(flat):
-        for u in adj[v]:
+        for u in other[offsets[v] : offsets[v + 1]]:
             j = index.get(u)
             if j is not None and abs(i - j) != 1:
                 return False
@@ -425,15 +424,15 @@ def shortcut_to_locally_geodesic(t: Triangulation, path) -> list[tuple[int, int]
     Every vertex of the output lay on the input path, so openness of the
     input vertices carries over; the output is never longer.
     """
-    adj = t.neighbors
-    flat = _check_path(t, path)
+    offsets, other = (x.tolist() for x in t.neighbors)
+    flat = _check_path(t, path, offsets, other)
     changed = True
     while changed:
         changed = False
         index = {v: i for i, v in enumerate(flat)}
         for i, v in enumerate(flat):
             best = None
-            for u in adj[v]:
+            for u in other[offsets[v] : offsets[v + 1]]:
                 j = index.get(u)
                 if j is not None and j > i + 1 and (best is None or j > best):
                     best = j
@@ -453,7 +452,7 @@ def count_salg_paths(t: Triangulation, length: int) -> int:
     length = _checked_int(length, "length", 0)
     if length > MAX_PATH_LENGTH:
         raise ValueError(f"exhaustive search capped at length {MAX_PATH_LENGTH}")
-    adj = t.neighbors
+    offsets, other = (x.tolist() for x in t.neighbors)
     root = 0
     count = 0
     # a prefix of a locally geodesic path is locally geodesic, so prefixes
@@ -465,10 +464,10 @@ def count_salg_paths(t: Triangulation, length: int) -> int:
             count += 1
             continue
         last = path[-1]
-        for u in adj[last]:
+        for u in other[offsets[last] : offsets[last + 1]]:
             if u in members:
                 continue
-            if any(w in adj[u] for w in path[:-1]):
+            if any(w in other[offsets[u] : offsets[u + 1]] for w in path[:-1]):
                 continue  # chord to a non-consecutive path vertex
             stack.append((path + [u], members | {u}))
     return count

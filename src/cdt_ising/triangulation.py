@@ -22,20 +22,20 @@ of parallel diagonal edges.
 
 The derived graph tables live on the instance, each built once and cached,
 and address vertices by flat id (``flat_index``, inverted by ``vertex_at``).
-``edges`` holds the endpoints of every edge, read off the fan lengths and
-each strip's first fan start; every other table is a reduction of it, and
-names an edge by its index there.  ``degree_split`` and ``mark_degrees``
-count edge ends, ``neighbors`` takes the distinct pairs, ``free_graph``
-masks the edges of levels 0..top-1, where Ising spins and percolation marks
-live, and colours those levels, and ``primal_adjacency`` pairs each edge
-index with the other end.
+``edges`` holds the endpoints of every edge, read off the fan lengths and each
+strip's first fan start; every other table is a numpy reduction of it, and
+names an edge by its index there.  ``degree_split`` and ``mark_degrees`` count
+edge ends.  ``primal_adjacency``, ``neighbors``, ``dual`` and
+``free_graph.neighbors`` are read-only CSR arrays: offsets, then columns whose
+entries offsets[r]:offsets[r+1] form row r.  ``free_graph`` masks the edges of
+levels 0..top-1, where spins and marks live.
 
 The dual graph (``dual``) numbers the triangles strip by strip.  Strip n
 holds k_n + k_{n+1} triangles and as many diagonals, so the two share one
 numbering: with V the vertex count, triangle g lies between diagonal V + g
 and its strip's next diagonal (cyclically).  Every dual edge crosses one
-primal edge and is named by that edge's index; strip n's wrap edge, the one
-that crosses the anchored seam, is its diagonal 0.
+primal edge and is named by that edge's index; strip n's wrap edge crosses
+the seam, the first entry of its anchor's fan (``_anchor_chain``).
 """
 
 from __future__ import annotations
@@ -87,14 +87,14 @@ class FreeGraph:
     n_loops: int
     bv: np.ndarray  # boundary edges: free endpoint
     bpos: np.ndarray  # boundary edges: top-level position
-    neighbors: tuple[tuple[int, ...], ...]  # per free vertex, free neighbors with multiplicity
+    neighbors: tuple[np.ndarray, np.ndarray]  # CSR (offsets, other), with multiplicity
     # a proper colouring: the non-empty classes of (level parity, position
     # class), each in flat order, where the position class is p % 2 except
     # that the last vertex of an odd-size level gets a third one; edges join
     # levels n and n +- 1, or p and p +- 1 mod k on one level, so no class
     # holds an edge and there are at most 6
     colour_classes: tuple[tuple[int, ...], ...]
-    # max over free v of len(neighbors[v]) + its boundary edges: a bound on
+    # max over free v of its neighbour count + its boundary edges: a bound on
     # |field_v + sum of its neighbors' spins| under every boundary condition
     max_degree: int
     # ising's sweep state: "kernel", glauber_sweep's compiled sweep; "setup",
@@ -120,11 +120,11 @@ class FreeGraph:
         class's largest neighbour count.
         """
         pos = np.argsort(self.visit_order)  # visit position of each vertex
-        counts = np.fromiter(map(len, self.neighbors), np.intp, self.n_free)
-        nbrs = pos[np.fromiter(chain.from_iterable(self.neighbors), np.intp, counts.sum())]
+        offsets, other = self.neighbors
+        counts, nbrs = np.diff(offsets), pos[other]
         # each row entry's vertex, by visit position, and its index in the row
         owner = pos.repeat(counts)
-        slot = np.arange(len(nbrs)) - (counts.cumsum() - counts).repeat(counts)
+        slot = np.arange(len(nbrs)) - offsets[:-1].repeat(counts)
         layout, lo = [], 0
         for size in map(len, self.colour_classes):
             mine = (lo <= owner) & (owner < lo + size)
@@ -217,6 +217,10 @@ class Triangulation:
 
     def vertex_at(self, flat: int) -> tuple[int, int]:
         """(level, pos) of a flat vertex id; the inverse of ``flat_index``."""
+        try:  # as in __init__: numpy ints in, no float or string truncated
+            flat = index(flat)
+        except TypeError as exc:
+            raise ValueError(f"flat vertex ids must be integers: {exc}") from None
         if not 0 <= flat < self.level_offsets[-1]:
             raise ValueError(f"no vertex with flat id {flat} in levels {self.level_sizes}")
         level = bisect_right(self.level_offsets, flat) - 1
@@ -279,8 +283,8 @@ class Triangulation:
         return tuple(tuple(np.bincount(x[n:], minlength=n).tolist()) for x in self.edges)
 
     @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Per flat vertex id: its distinct neighbours in increasing order.
+    def neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR (offsets, other) per flat vertex id: distinct neighbours, increasing.
 
         Self-loops are dropped and parallel edges count once.
         """
@@ -289,7 +293,7 @@ class Triangulation:
         a, b = a[a != b], b[a != b]
         pairs = np.sort(np.concatenate((a * n + b, b * n + a)))
         pairs = pairs[np.diff(pairs, prepend=-1) > 0]  # each distinct pair once
-        return _rows((pairs % n).tolist(), np.bincount(pairs // n, minlength=n))
+        return _csr(np.bincount(pairs // n, minlength=n), pairs % n)
 
     @cached_property
     def free_graph(self) -> FreeGraph:
@@ -305,10 +309,10 @@ class Triangulation:
         level = np.arange(self.top_level).repeat(sizes)
         p, k = np.arange(n_free) - np.array(self.level_offsets)[level], sizes[level]
         colour = 3 * (level % 2) + np.where((p == k - 1) & (k % 2 == 1), 2, p % 2)
-        classes = _rows(np.argsort(colour, kind="stable").tolist(), np.bincount(colour, minlength=6))
+        classes = np.split(np.argsort(colour, kind="stable"), np.bincount(colour).cumsum()[:-1])
+        classes = tuple(tuple(c.tolist()) for c in classes if len(c))
         return FreeGraph(n_free, ia, ib, int(np.count_nonzero(free & (a == b))), a[boundary],
-                         b[boundary] - n_free, _rows(w.tolist(), counts),
-                         tuple(filter(None, classes)), int(degree.max(initial=0)))
+                         b[boundary] - n_free, _csr(counts, w), classes, int(degree.max(initial=0)))
 
     @cached_property
     def mark_degrees(self) -> np.ndarray:
@@ -320,56 +324,54 @@ class Triangulation:
         return degs
 
     @cached_property
-    def primal_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per flat vertex id: (edge index, other endpoint flat id), loops included."""
+    def primal_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR (offsets, other endpoint, edge index) per flat vertex id, loops once."""
         v, w, e = _ends(*self.edges)
-        return _rows(list(zip(e.tolist(), w.tolist())), np.bincount(v, minlength=self.vertex_count))
+        return _csr(np.bincount(v, minlength=self.vertex_count), w, e)
 
     @cached_property
-    def dual(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """Per triangle: (crossed edge index, neighbour, seam step when leaving).
+    def dual(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """CSR (offsets, neighbour, crossed edge index, seam step) per triangle.
 
-        A triangle inside its strip lists the triangle before it, then the
-        one after it; a strip's first triangle lists the one after it, then
-        the wrap across diagonal 0 to the strip's last triangle (seam step
-        -1; +1 the other way).  A triangle with a neighbour across its
-        horizontal edge lists it last.
+        A triangle lists the triangle before it in its strip, then the one
+        after it (cyclically); a strip's first triangle lists them the other
+        way round.  A triangle with a neighbour across its horizontal edge
+        lists it last.  Crossing strip n's seam diagonal j_n forwards, from
+        triangle j_n - 1 to triangle j_n, is a seam step of +1; back, -1.
         """
         v = self.vertex_count
-        rows: list[list[tuple[int, int, int]]] = []
-        first = 0
-        for n in range(self.top_level):
-            last = first + self.level_sizes[n] + self.level_sizes[n + 1] - 1
-            for g in range(first, last + 1):
-                before = (v + g, g - 1, 0) if g > first else (v + g, last, -1)
-                after = (v + g + 1, g + 1, 0) if g < last else (v + first, first, 1)
-                rows.append([after, before] if g == first else [before, after])
-            first = last + 1
+        lower, upper = (x[v:] for x in self.edges)
+        g = np.arange(len(lower))
+        k = np.array(self.level_sizes)
+        strip = k[:-1] + k[1:]
+        size, first = strip.repeat(strip), (strip.cumsum() - strip).repeat(strip)  # of g's strip
+        before, after = first + (g - first - 1) % size, first + (g - first + 1) % size
+        # seam[g] = 1 when diagonal V + g starts its strip's anchor fan (by lower end)
+        seam = np.zeros_like(g)
+        seam[np.searchsorted(lower, np.add(self.level_offsets[:-2], _anchor_chain(self.fans)))] = 1
         # triangle g's horizontal edge is the lower end of diagonal V + g when
         # that diagonal closes its fan (the next one starts elsewhere), else
-        # the upper end; the triangle under a horizontal edge comes a strip
-        # before the one over it
-        lower, upper = (x[v:].tolist() for x in self.edges)
-        under: dict[int, int] = {}  # horizontal edge -> the triangle under it
-        for g, (lo, up, nxt) in enumerate(zip(lower, upper, lower[1:] + [-1])):
-            if lo == nxt:
-                under[up] = g
-            elif lo in under:
-                rows[under[lo]].append((lo, g, 0))
-                rows[g].append((lo, under[lo], 0))
-        return tuple(map(tuple, rows))
+        # the upper end; pair the triangles over and under each such edge
+        closes = lower != np.append(lower[1:], -1)
+        h = np.where(closes, lower, upper)
+        over, under = np.full(v, -1), np.full(v, -1)
+        over[h[closes]], under[h[~closes]] = g[closes], g[~closes]
+        # entries (before, after, across) by fields (neighbour, crossed, seam)
+        rows = np.array([[before, v + g, -seam], [after, v + after, seam[after]],
+                         [np.where(closes, under[h], over[h]), h, 0 * g]])
+        rows[:2, :, g == first] = rows[1::-1, :, g == first]
+        keep = rows[:, 0] >= 0  # no neighbour across a boundary circle
+        return _csr(keep.sum(axis=0), *rows.transpose(1, 2, 0)[:, keep.T])
 
     # -- canonical form ----------------------------------------------------
 
     @cached_property
     def canonical_key(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """(level sizes, out-degree lists read from each level's anchor)."""
-        anchor = 0
-        lists = []
-        for strip in self.fans:
-            lists.append(tuple([len(f) - 1 for f in strip[anchor:] + strip[:anchor]]))
-            anchor = strip[anchor][0]
-        return (self.level_sizes, tuple(lists))
+        return (self.level_sizes, tuple(
+            tuple([len(f) - 1 for f in strip[a:] + strip[:a]])
+            for strip, a in zip(self.fans, _anchor_chain(self.fans))
+        ))
 
     def canonical(self) -> "Triangulation":
         return forest_to_triangulation(self.canonical_key[1])
@@ -469,10 +471,22 @@ def _ends(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return v[order], np.stack((b, a), axis=1).ravel()[order], order // 2
 
 
-def _rows(values: list, counts: np.ndarray) -> tuple[tuple, ...]:
-    """``values`` cut into consecutive tuples of ``counts`` entries."""
-    ends = counts.cumsum().tolist()
-    return tuple(map(tuple, map(values.__getitem__, map(slice, [0, *ends], ends))))
+def _csr(counts: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Read-only CSR arrays: row offsets from per-row ``counts``, then ``columns``."""
+    arrays = (np.concatenate(([0], counts.cumsum())), *columns)
+    for x in arrays:
+        x.flags.writeable = False  # shared by every caller
+    return arrays
+
+
+def _anchor_chain(fans) -> list[int]:
+    """Each strip's anchor a_n on its lower level: a_0 = 0, and a_{n+1} =
+    fans[n][a_n][0].  ``canonical_key`` reads each level from its anchor."""
+    anchors, a = [], 0
+    for strip in fans:
+        anchors.append(a)
+        a = strip[a][0]
+    return anchors
 
 
 def _tiles(strip, k_top: int) -> bool:

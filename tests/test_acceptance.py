@@ -56,6 +56,7 @@ from cdt_ising.triangulation import (
 )
 
 from test_contours import oracle_separating_cycle_counts, small_random_triangulation
+from test_triangulation import csr_rows
 
 
 def report(number: str, name: str, passed: bool, detail: str) -> None:
@@ -199,7 +200,7 @@ def test_06_glauber_against_exact():
     for c in range(2 ** gs.n_free):
         spins = np.array([1 if (c >> v) & 1 else -1 for v in range(gs.n_free)], dtype=np.int8)
         for v in range(gs.n_free):
-            s_sum = sum(int(spins[j]) for j in et.neighbors[v]) + sum(
+            s_sum = sum(int(spins[j]) for j in csr_rows(*et.neighbors)[v]) + sum(
                 int(gs.boundary[p]) for a, p in zip(et.bv, et.bpos) if a == v
             )
             p_plus = conditional_spin_prob(s_sum, 0.9)

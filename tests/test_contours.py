@@ -29,9 +29,10 @@ from cdt_ising.triangulation import (
     Triangulation,
     enumerate_triangulations,
     forest_to_triangulation,
+    rotate_level,
 )
 
-from test_triangulation import fan_edge_pairs, fan_walk_triangles, out_degree_lists
+from test_triangulation import fan_edge_pairs, fan_walk_triangles, out_degree_lists, relabelled
 
 
 # -- independent oracle -------------------------------------------------------
@@ -297,6 +298,36 @@ def test_bounded_search_equals_unpruned_reference(n_max):
         assert enumerate_contours(t, n_max).contours == reference_contours(t, n_max), t
 
 
+@pytest.mark.parametrize("levels, width_cap", [(2, 4), (3, 3)])
+def test_contour_counts_do_not_depend_on_the_labelling(levels, width_cap):
+    # the seam follows the anchor chain, so relabelling a level moves it
+    # with the triangulation; on diagonal 0 it would cut another seam
+    for t, _ in enumerate_triangulations(levels, width_cap):
+        counts = enumerate_contours(t).counts
+        for level in range(1, t.top_level + 1):
+            for shift in range(1, t.level_sizes[level]):
+                assert enumerate_contours(rotate_level(t, level, shift)).counts == counts
+
+
+def test_contour_counts_on_relabelled_samples():
+    # every level rotated, and a pair inserted halfway up
+    for t in fifteen_spin_triangulations(19, 12):
+        counts = enumerate_contours(t, 10).counts
+        rotated, inserted = relabelled(t)
+        assert enumerate_contours(rotated, 10).counts == counts
+        assert enumerate_contours(inserted, 10).counts == enumerate_contours(
+            inserted.canonical(), 10).counts
+
+
+def test_relabelled_contours_match_independent_oracle():
+    # level 1 starts its out-degrees at position 1; on diagonal 0 the seam
+    # gave {3: 2, 5: 2}
+    t = Triangulation((1, 2, 1), (((1, 0, 1),), ((0, 0), (0,))))
+    expected = {3: 2, 4: 1, 6: 1}
+    assert oracle_separating_cycle_counts(t, t.triangle_count) == expected
+    assert enumerate_contours(t).counts == expected == enumerate_contours(t.canonical()).counts
+
+
 @settings(max_examples=60, deadline=None)
 @given(lists=out_degree_lists(), data=st.data())
 def test_shorter_cap_is_a_length_filter(lists, data):
@@ -455,6 +486,21 @@ def test_flip_inside_properties(lists, data):
     assert np.array_equal(flip_inside(t, flipped, c).spins, state.spins)
     changed = set(np.flatnonzero(flipped.spins != state.spins).tolist())
     assert changed == {t.flat_index(lvl, pos) for lvl, pos in below_vertices(t, c)}
+    plus = SpinState.constant(t, 1, "plus", 0.5)
+    assert energy(t, flip_inside(t, plus, c)) - energy(t, plus) == 2 * c.length
+
+
+@settings(max_examples=100, deadline=None)
+@given(lists=out_degree_lists(), data=st.data())
+def test_flip_inside_costs_twice_the_length_on_rotated_instances(lists, data):
+    while len(lists) > 1 and sum(map(sum, lists)) > 12:
+        lists = lists[:-1]
+    t = forest_to_triangulation(lists)
+    for level in range(1, t.top_level + 1):
+        t = rotate_level(t, level, data.draw(st.integers(0, t.level_sizes[level] - 1)))
+    contours = enumerate_contours(t, n_max=8).contours
+    assume(contours)
+    c = data.draw(st.sampled_from(contours))
     plus = SpinState.constant(t, 1, "plus", 0.5)
     assert energy(t, flip_inside(t, plus, c)) - energy(t, plus) == 2 * c.length
 

@@ -26,7 +26,7 @@ from cdt_ising.rng import stream
 from cdt_ising.triangulation import enumerate_triangulations, forest_to_triangulation
 
 from test_acceptance import GLAUBER_T
-from test_triangulation import out_degree_lists
+from test_triangulation import csr_rows, out_degree_lists
 
 
 CHAIN = forest_to_triangulation(((1,), (1,)))  # spins on levels 0..1, boundary above
@@ -325,10 +325,11 @@ def test_glauber_detailed_balance_exact():
     et_bc = g.boundary
     n = g.n_free
     et = t.free_graph
+    nbrs = csr_rows(*et.neighbors)
     for c in range(2**n):
         spins = np.array([1 if (c >> v) & 1 else -1 for v in range(n)], dtype=np.int8)
         for v in range(n):
-            s_sum = sum(int(spins[j]) for j in et.neighbors[v]) + sum(
+            s_sum = sum(int(spins[j]) for j in nbrs[v]) + sum(
                 int(et_bc[p]) for a, p in zip(et.bv, et.bpos) if a == v
             )
             p_plus = conditional_spin_prob(s_sum, beta)
@@ -454,12 +455,12 @@ def reference_root_plus(t, beta, bc, sweeps, replicas, seed, burn_in, batches, i
         else:
             spins = [1 if x else -1 for x in rng.integers(0, 2, size=et.n_free)]
         for _ in range(burn_in):
-            reference_sweep(spins, et.neighbors, field, beta, rng.random(et.n_free),
+            reference_sweep(spins, csr_rows(*et.neighbors), field, beta, rng.random(et.n_free),
                             et.colour_classes)
         for _ in range(batches):
             acc = 0
             for _ in range(batch_size):
-                reference_sweep(spins, et.neighbors, field, beta, rng.random(et.n_free),
+                reference_sweep(spins, csr_rows(*et.neighbors), field, beta, rng.random(et.n_free),
                                 et.colour_classes)
                 acc += spins[0] > 0
             all_means.append(acc / batch_size)
@@ -486,7 +487,7 @@ def test_table_kernel_matches_exp_loop(beta, lists, data):
     rng, ref_rng = stream(41), stream(41)
     for _ in range(5):
         state = glauber_sweep(t, state, rng)
-        reference_sweep(spins, et.neighbors, field, beta, ref_rng.random(et.n_free),
+        reference_sweep(spins, csr_rows(*et.neighbors), field, beta, ref_rng.random(et.n_free),
                         et.colour_classes)
         assert state.spins.tolist() == spins
     assert rng.random() == ref_rng.random()
@@ -503,8 +504,8 @@ def test_table_kernel_matches_exp_loop(beta, lists, data):
 def test_compiled_sweep_matches_the_exp_loop(lists):
     t = forest_to_triangulation(lists)
     et = t.free_graph
-    assert max(map(len, et.neighbors)) >= 2000 or any(
-        len(set(nbrs)) < len(nbrs) for nbrs in et.neighbors)
+    assert max(map(len, csr_rows(*et.neighbors))) >= 2000 or any(
+        len(set(nbrs)) < len(nbrs) for nbrs in csr_rows(*et.neighbors))
     for beta, bc in ((0.3, "plus"), (2.0, "minus"), (0.6, mixed_boundary(t))):
         state = SpinState.random(t, stream(52), bc, beta)
         spins = state.spins.tolist()
@@ -512,7 +513,7 @@ def test_compiled_sweep_matches_the_exp_loop(lists):
         rng, ref_rng = stream(53), stream(53)
         for _ in range(20):
             state = glauber_sweep(t, state, rng)
-            reference_sweep(spins, et.neighbors, field, beta, ref_rng.random(et.n_free),
+            reference_sweep(spins, csr_rows(*et.neighbors), field, beta, ref_rng.random(et.n_free),
                             et.colour_classes)
             assert state.spins.tolist() == spins
         assert rng.random() == ref_rng.random()
@@ -586,7 +587,7 @@ def test_root_plus_probability_reuses_the_cached_class_layout(monkeypatch):
 def test_root_plus_probability_counts_past_255_neighbours():
     # the root's fan holds 301 edges; all plus, they overflow a uint8 count
     t = forest_to_triangulation(((300,), (1,) * 300))
-    assert len(t.free_graph.neighbors[0]) == 301
+    assert len(csr_rows(*t.free_graph.neighbors)[0]) == 301
     args = (t, 2.0, "plus", 8, 1, 47, 2, 2, "aligned")
     est = root_plus_probability(*args)
     assert est == reference_root_plus(*args) and est.estimate == 1.0
@@ -597,7 +598,7 @@ def test_root_plus_probability_at_the_narrow_count_boundary(fan):
     # the root has fan + 1 free neighbours: 255 is the most a uint8 column
     # sum holds, and at 256 the root's class sums in uint16
     t = forest_to_triangulation(((fan,), (1,) * fan))
-    assert len(t.free_graph.neighbors[0]) == fan + 1
+    assert len(csr_rows(*t.free_graph.neighbors)[0]) == fan + 1
     _, layout, _ = ising._class_layout(t.free_graph)
     assert max(dtype.itemsize for *_, dtype in layout) == (1 if fan == 254 else 2)
     args = (t, 2.0, "plus", 8, 1, 47, 2, 2, "aligned")
@@ -651,8 +652,8 @@ def test_heat_bath_table_covers_every_local_field(beta, lists, data):
     drawn = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=k_top, max_size=k_top))
     for bc in ("plus", "minus", drawn):
         field = reference_field(t, boundary_vector(t, bc))
-        for v in range(et.n_free):
-            assert abs(field[v]) + len(et.neighbors[v]) <= w
+        for v, nbrs in enumerate(csr_rows(*et.neighbors)):
+            assert abs(field[v]) + len(nbrs) <= w
 
 
 def test_heat_bath_table_at_a_vertex_with_several_boundary_edges():
@@ -669,7 +670,7 @@ def test_heat_bath_table_at_a_vertex_with_several_boundary_edges():
         rng, ref_rng = stream(43), stream(43)
         for _ in range(3):
             state = glauber_sweep(t, state, rng)
-            reference_sweep(spins, et.neighbors, field, 200.0, ref_rng.random(et.n_free),
+            reference_sweep(spins, csr_rows(*et.neighbors), field, 200.0, ref_rng.random(et.n_free),
                             et.colour_classes)
             assert state.spins.tolist() == spins
 
@@ -701,7 +702,7 @@ def test_glauber_sweep_boundary_field_memo_cannot_go_stale():
         state = glauber_sweep(t, SpinState(spins[t], boundary, beta), rng)
         expected = spins[t].tolist()
         field = ising._boundary_field(et, boundary.tolist(), et.max_degree)
-        table_sweep(expected, et.neighbors, field, _heat_bath_table(beta, et.max_degree),
+        table_sweep(expected, csr_rows(*et.neighbors), field, _heat_bath_table(beta, et.max_degree),
                     ref_rng.random(et.n_free).tolist(), et.visit_order)
         assert state.spins.tolist() == expected
         spins[t] = state.spins

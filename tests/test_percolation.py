@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_triangulation import out_degree_lists
+from test_triangulation import csr_rows, out_degree_lists
 
 from cdt_ising import percolation
 from cdt_ising.branching import sample_spine_forest
@@ -34,8 +34,8 @@ from cdt_ising.triangulation import Triangulation, forest_to_triangulation
 def count_self_avoiding_paths(t, length: int) -> int:
     """Brute-force oracle: all self-avoiding vertex paths from the root."""
     adj = [set() for _ in range(t.vertex_count)]
-    for v, nbrs in enumerate(t.primal_adjacency):
-        for _, other in nbrs:
+    for v, nbrs in enumerate(csr_rows(*t.primal_adjacency)):
+        for other, _ in nbrs:
             if other != v:
                 adj[v].add(other)
     count = 0
@@ -222,10 +222,11 @@ def test_lazy_reach_matches_full_build_on_any_forest(lists, seed):
 def test_lazy_neighbours_match_triangulation(lists):
     t = forest_to_triangulation(lists)
     off, first, parent, arriving, deg = _fan_tables(np.concatenate(lists))
+    nbrs = csr_rows(*t.neighbors)
     assert tuple(off) == t.level_offsets
     for n in range(t.top_level):
         for p in range(t.level_sizes[n]):
-            want = {t.vertex_at(u) for u in t.neighbors[t.flat_index(n, p)]}
+            want = {t.vertex_at(u) for u in nbrs[t.flat_index(n, p)]}
             got = _neighbours(t.flat_index(n, p), off, first, parent, arriving)
             assert {t.vertex_at(w) for w in got} == want
     assert deg.tolist() == t.mark_degrees.tolist()
@@ -428,8 +429,8 @@ def test_locally_geodesic_two_path_neighbors():
     for i in range(30):
         t = forest_to_triangulation(sample_spine_forest(stream(81, i), 5))
         adj = [set() for _ in range(t.vertex_count)]
-        for v, nbrs in enumerate(t.primal_adjacency):
-            for _, other in nbrs:
+        for v, nbrs in enumerate(csr_rows(*t.primal_adjacency)):
+            for other, _ in nbrs:
                 if other != v:
                     adj[v].add(other)
         # greedy geodesic path: climb the fan-start chain (always an edge)

@@ -40,7 +40,7 @@ from cdt_ising.triangulation import (
     forest_to_triangulation,
     rotate_level,
 )
-from test_triangulation import out_degree_lists
+from test_triangulation import csr_rows, out_degree_lists
 
 
 # -- reference surgery: one edge at a time --------------------------------------
@@ -391,7 +391,7 @@ def test_encoding_injective_within_host():
         t = forest_to_triangulation(sample_spine_forest(stream(92, i), 4))
         seen = {}
         # depth-first over self-avoiding geodesic paths up to length 3
-        adj = t.neighbors
+        adj = csr_rows(*t.neighbors)
         stack = [[0]]
         while stack:
             flat_path = stack.pop()

@@ -25,6 +25,20 @@ from cdt_ising.triangulation import (
 )
 
 
+def csr_rows(offsets, *columns) -> tuple[tuple, ...]:
+    """A CSR table as one tuple per row: the row's entries of the one
+    column, or per entry a tuple across the columns."""
+    offsets = offsets.tolist()
+    cells = columns[0].tolist() if len(columns) == 1 else list(zip(*(c.tolist() for c in columns)))
+    return tuple(tuple(cells[lo:hi]) for lo, hi in zip(offsets, offsets[1:]))
+
+
+def dual_rows(t: Triangulation) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """``t.dual`` as one tuple per triangle of (crossed, neighbour, seam)."""
+    offsets, neighbour, crossed, seam = t.dual
+    return csr_rows(offsets, crossed, neighbour, seam)
+
+
 def sum_deg_plus_one(t: Triangulation) -> int:
     return sum(
         t.out_degree(n, i) + 1
@@ -62,7 +76,7 @@ def test_all_ones_chain():
     assert t.level_sizes == (1, 1, 1)
     assert t.triangle_count == 4
     assert [len(strip) for strip in fan_walk_triangles(t)] == [2, 2]
-    assert len(t.dual) == 4
+    assert len(dual_rows(t)) == 4
     d = t.vertex_degree(1, 0)
     assert (d.up, d.down, d.total) == (2, 2, 6)
 
@@ -155,6 +169,31 @@ def brute_force_tables(t: Triangulation, pairs):
     return tuple(map(tuple, adjacency)), tuple(up), tuple(down), tuple(nbrs), total
 
 
+def reference_dual(t: Triangulation) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Reference dual rows (crossed edge, neighbour, seam step) over the
+    fan-walk triangles, matched by shared edge, in the documented order.
+    The seam climbs from the root along fan starts: in each strip it is the
+    first fan entry of the vertex the previous strip's seam ended on."""
+    pairs = fan_edge_pairs(t)
+    strips = fan_walk_triangles(t)
+    sides: dict[int, list[int]] = {}
+    for g, tri in enumerate(tri for strip in strips for tri in strip):
+        for e in tri:
+            sides.setdefault(e, []).append(g)
+    rows, anchor = [], 0
+    for strip in strips:
+        seam = next(e for e in range(strip[0][0], len(pairs)) if pairs[e][0] == anchor)
+        anchor = pairs[seam][1]
+        for before, after, h in strip:
+            g = len(rows)
+            row = [(e, sum(sides[e]) - g, (e == after) - (e == before) if e == seam else 0)
+                   for e in (before, after, h) if len(sides[e]) == 2]
+            if before == strip[0][0]:  # the strip's first triangle
+                row[:2] = row[1::-1]
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
 def reference_free_graph(t: Triangulation, pairs):
     """Every field of ``free_graph`` but the memo, edge by edge and vertex by vertex."""
     n_free = t.level_offsets[t.top_level]
@@ -204,16 +243,20 @@ def test_graph_tables_match_primal_adjacency(levels):
             pairs = fan_edge_pairs(t)
             a, b = t.edges
             assert list(zip(a.tolist(), b.tolist())) == pairs
+            fg = t.free_graph
+            for table in (t.primal_adjacency, t.neighbors, fg.neighbors, t.dual):
+                assert not any(x.flags.writeable for x in table)
             assert not a.flags.writeable and not b.flags.writeable
             adjacency, up, down, nbrs, total = brute_force_tables(t, pairs)
-            assert t.primal_adjacency == adjacency
+            offsets, other, edge = t.primal_adjacency
+            assert csr_rows(offsets, edge, other) == adjacency
             assert t.degree_split == (up, down)
-            assert t.neighbors == nbrs
+            assert csr_rows(*t.neighbors) == nbrs
+            assert dual_rows(t) == reference_dual(t)
             n_free = t.vertex_count - t.level_sizes[-1]
             assert t.mark_degrees.tolist() == total[:n_free]
-            fg = t.free_graph
             got = (fg.n_free, fg.ia.tolist(), fg.ib.tolist(), fg.n_loops, fg.bv.tolist(),
-                   fg.bpos.tolist(), fg.neighbors, fg.colour_classes, fg.max_degree)
+                   fg.bpos.tolist(), csr_rows(*fg.neighbors), fg.colour_classes, fg.max_degree)
             assert got == reference_free_graph(t, pairs)
             for v in range(t.vertex_count):
                 level, pos = t.vertex_at(v)
@@ -274,8 +317,9 @@ def test_colour_classes_are_a_proper_colouring(lists):
     assert sorted(v for c in classes for v in c) == list(range(fg.n_free))
     assert all(list(c) == sorted(c) for c in classes)  # flat order inside a class
     colour = {v: i for i, c in enumerate(classes) for v in c}
+    nbrs = csr_rows(*t.neighbors)
     for v in range(fg.n_free):
-        assert all(colour[j] != colour[v] for j in t.neighbors[v] if j < fg.n_free)
+        assert all(colour[j] != colour[v] for j in nbrs[v] if j < fg.n_free)
 
 
 @settings(max_examples=100, deadline=None)
@@ -286,12 +330,13 @@ def test_colour_classes_are_a_proper_colouring(lists):
 def test_class_neighbors_list_each_vertex_in_visit_order(lists):
     fg = forest_to_triangulation(lists).free_graph
     position = {v: i for i, v in enumerate(fg.visit_order)}
+    rows = csr_rows(*fg.neighbors)
     assert len(fg.class_neighbors) == len(fg.colour_classes)
     for members, nbrs in zip(fg.colour_classes, fg.class_neighbors):
-        width = max(len(fg.neighbors[v]) for v in members)
+        width = max(len(rows[v]) for v in members)
         assert nbrs.shape == (width, len(members))
         for j, v in enumerate(members):
-            column = [position[u] for u in fg.neighbors[v]]
+            column = [position[u] for u in rows[v]]
             assert nbrs[:, j].tolist() == column + [fg.n_free] * (width - len(column))
 
 
@@ -474,6 +519,14 @@ def test_vertex_queries_reject_missing_vertex(query, args):
         getattr(t, query)(*args)
 
 
+def test_vertex_at_reads_integers_only():
+    t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
+    with pytest.raises(ValueError, match="must be integers"):
+        t.vertex_at(2.5)  # was read as (1, 1.5)
+    assert t.vertex_at(np.int64(4)) == (2, 1)
+    assert all(type(x) is int for x in t.vertex_at(np.int64(4)))
+
+
 def test_parent_is_leftmost_down_slot():
     t = forest_to_triangulation(((2,), (1, 1)))
     # both level-1 vertices hang off the root
@@ -555,7 +608,7 @@ def test_dual_two_parallel_edges_on_minimal_strip():
     a, b = t.edges
     # two triangles joined across both diagonals, parallel edges 2 and 3
     assert (a[2], b[2]) == (a[3], b[3]) == (0, 1)
-    assert t.dual == (((3, 1, 0), (2, 1, -1)), ((3, 0, 0), (2, 0, 1)))
+    assert dual_rows(t) == (((3, 1, 0), (2, 1, -1)), ((3, 0, 0), (2, 0, 1)))
 
 
 def on_boundary_circle(t: Triangulation, horizontal: int) -> bool:
@@ -563,12 +616,23 @@ def on_boundary_circle(t: Triangulation, horizontal: int) -> bool:
     return horizontal < t.level_offsets[1] or horizontal >= t.level_offsets[t.top_level]
 
 
+def test_tables_of_the_root_alone():
+    # no strip: one vertex with its self-loop, and no triangle
+    t = Triangulation((1,), ())
+    assert dual_rows(t) == ()
+    offsets, other, edge = t.primal_adjacency
+    assert csr_rows(offsets, edge, other) == (((0, 0),),)
+    assert csr_rows(*t.neighbors) == ((),)
+    assert csr_rows(*t.free_graph.neighbors) == ()
+
+
 def test_dual_degrees():
     for i in range(30):
         t = forest_to_triangulation(sample_spine_forest(stream(25, i), 4))
         tris = [tri for strip in fan_walk_triangles(t) for tri in strip]
-        assert len(t.dual) == len(tris) == t.triangle_count
-        for row, (_, _, h) in zip(t.dual, tris):
+        dual = dual_rows(t)
+        assert len(dual) == len(tris) == t.triangle_count
+        for row, (_, _, h) in zip(dual, tris):
             assert len(row) == (2 if on_boundary_circle(t, h) else 3)
 
 
@@ -589,21 +653,22 @@ def test_dual_crosses_fan_walk_edges(lists, shifts):
             containing.setdefault(e, []).append(g)
     # every edge but the horizontals of the root and the top circle is
     # crossed by one dual edge, listed once from each of its two triangles
-    crossed = Counter(e for row in t.dual for e, _, _ in row)
+    dual = dual_rows(t)
+    crossed = Counter(e for row in dual for e, _, _ in row)
     boundary = {e for e in range(t.vertex_count) if on_boundary_circle(t, e)}
     assert crossed == {e: 2 for e in range(len(t.edges[0])) if e not in boundary}
-    for g, row in enumerate(t.dual):
+    for g, row in enumerate(dual):
         assert len(row) == (2 if on_boundary_circle(t, tris[g][2]) else 3)
         for e, nbr, step in row:
             assert sorted(containing[e]) == sorted((g, nbr))
-            assert (e, g, -step) in t.dual[nbr]
+            assert (e, g, -step) in dual[nbr]
     # walking each strip across the diagonal after each triangle crosses
     # the seam once, forwards
     g = 0
     for strip in strips:
         steps = []
         for _, after, _ in strip:
-            steps += [step for e, _, step in t.dual[g] if e == after]
+            steps += [step for e, _, step in dual[g] if e == after]
             g += 1
         assert len(steps) == len(strip) and sum(steps) == 1
 
