@@ -10,7 +10,13 @@ side of the spine child.  Truncating everything at a finite height gives the
 ``sample_spine_forest`` draws that tree level by level: per level, the
 spine's (left, right) side-child counts, then one batch of Geom(1/2) child
 counts for the whole level in planar order, one double per variate, read
-from one ``rng.random`` block.
+from one ``rng.random`` block that ``_grow`` extends as the tree needs.
+
+``_spine_passes`` is the trial driver of every Monte Carlo command that
+draws these trees per trial: it walks the tree of ``stream(seed, i)`` for
+many trials at once, one row of uniforms per trial, and grows a row, from
+the trial's Philox key, when its tree outgrows it.  ``percolation``'s reach
+estimator and the level-size histograms of ``sample`` and ``stats`` read it.
 
 Two exact laws are exposed for validation:
 
@@ -29,7 +35,7 @@ from operator import index
 
 import numpy as np
 
-from .rng import _checked_int
+from .rng import TrialKeys, _checked_int
 
 
 def offspring_pmf(k: int) -> float:
@@ -304,29 +310,61 @@ def _degrees(g: np.ndarray, c, sizes: list[int], spine: list[int]) -> np.ndarray
     return g[:o][keep]
 
 
-def _grow(rng: np.random.Generator, levels: int, block: int):
-    """Walk the tree of ``sample_spine_forest(rng, levels)`` from one uniform
-    block of ``block`` doubles, at least doubled whenever a level runs past
-    it.  Returns (u, g, c, end, sizes, spine): the block, its counts and
-    prefix sums, the count of doubles the forest read, the level sizes
-    k_0..k_levels and the spine positions."""
-    u = np.empty(0)
-    sizes, spine, o = [1], [0], 0
-    while len(sizes) <= levels:
-        more = rng.random(max(block, len(u), o + 2 + sizes[-1] - len(u)))
-        u = np.concatenate((u, more)) if len(u) else more
+def _first_block(levels: int) -> int:
+    """Doubles drawn up front for a tree walked to ``levels``: about twice
+    what its forest reads on average, about what a reach trial's forest and
+    marks read."""
+    return 2 * (levels + 1) ** 2
+
+
+def _grow(rng: np.random.Generator, levels: int, u, sizes: list[int], spine: list[int], o: int):
+    """Walk the tree of ``sample_spine_forest`` on to ``levels`` from index
+    o of the block ``u``, ``sizes`` and ``spine`` holding the levels walked
+    so far.  ``rng`` continues the block, which is at least doubled whenever
+    a level runs past it.  Returns (u, g, c, end): the block, its counts and
+    prefix sums, and the count of doubles the forest read."""
+    while True:
         g, c = _prefix_sums(u)
         c = memoryview(c)
         o = _walk(c, levels, sizes, spine, o)
-    return u, g, c, o, sizes, spine
+        if len(sizes) > levels:
+            return u, g, c, o
+        u = np.concatenate((u, rng.random(max(len(u), o + 2 + sizes[-1] - len(u)))))
 
 
-def _spine_block(rng: np.random.Generator, levels: int, block: int):
-    """The draws of ``sample_spine_forest(rng, levels)`` from one uniform block
-    (see ``_grow``).  Returns (u, end, degrees, sizes, spine), ``degrees``
-    the flat out-degrees of levels 0..levels-1."""
-    u, g, c, end, sizes, spine = _grow(rng, levels, block)
-    return u, end, _degrees(g, c, sizes, spine), sizes, spine
+_PASS = 2**16  # doubles per pass of _spine_passes (one row if a row is longer)
+
+
+def _spine_passes(keys: TrialKeys, trials: range, levels: int):
+    """The trees of ``sample_spine_forest(stream(seed, i), levels)`` for i in
+    ``trials``, ``keys`` being ``TrialKeys(seed)``, in passes of one or more
+    trials.
+
+    Each trial's first ``_first_block(levels)`` doubles fill a row of one
+    array, turned into Geom(1/2) counts and prefix sums at once, and
+    ``_walk`` reads the tree from each row; a tree that outgrows its row is
+    grown from the trial's Philox key at the row's end.  A pass holds at
+    most ``_PASS`` doubles in each of its three arrays: about 1.5 MiB.
+    Yields per pass a list of (sizes, spine, key, u, g, c, end) per trial,
+    as ``_grow`` returns them, the row ``u`` continuing the stream past the
+    forest.
+    """
+    row = _first_block(levels)
+    step = max(1, _PASS // row)
+    for lo in range(trials.start, trials.stop, step):
+        trial_keys = [keys.key(i) for i in range(lo, min(lo + step, trials.stop))]
+        u = np.empty((len(trial_keys), row))
+        for key, r in zip(trial_keys, u):
+            keys.keyed(key).random(out=r)
+        g, c = _prefix_sums(u)
+        walks = []
+        for key, r, gt, ct in zip(trial_keys, u, g, map(memoryview, c)):
+            sizes, spine = [1], [0]
+            end = _walk(ct, levels, sizes, spine, 0)
+            if len(sizes) <= levels:
+                r, gt, ct, end = _grow(keys.keyed(key, row), levels, r, sizes, spine, end)
+            walks.append((sizes, spine, key, r, gt, ct, end))
+        yield walks
 
 
 def sample_spine_forest(rng: np.random.Generator, levels: int) -> SpineForest:
@@ -350,7 +388,8 @@ def sample_spine_forest(rng: np.random.Generator, levels: int) -> SpineForest:
     """
     levels = _checked_int(levels, "levels", 1)
     state = rng.bit_generator.state
-    _, g, _, end, sizes, spine = _grow(rng, levels, 2 * levels * (levels + 2))
+    sizes, spine = [1], [0]
+    _, g, _, end = _grow(rng, levels, rng.random(_first_block(levels)), sizes, spine, 0)
     rng.bit_generator.state = state
     rng.random(end)
     flat = g[:end].tolist()

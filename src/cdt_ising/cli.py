@@ -43,9 +43,9 @@ def _trial_chunks(head: tuple, total: int) -> list[tuple]:
 def _level_size_chunk(seed: int, levels: int, start: int, count: int) -> Counter:
     """Histogram of (level, size) pairs over the spine samples of the trials."""
     hist: Counter = Counter()
-    keys = TrialKeys(seed)
-    for i in range(start, start + count):
-        hist.update(enumerate(branching.sample_spine_forest(keys.stream(i), levels).level_sizes))
+    for walks in branching._spine_passes(TrialKeys(seed), range(start, start + count), levels):
+        for sizes, *_ in walks:
+            hist.update(enumerate(sizes))
     return hist
 
 

@@ -16,16 +16,18 @@ The single-instance API works on a ``Triangulation``: marks use
 walk ``Triangulation.neighbors``, read with one ``tolist()`` per call.
 
 All annealed estimators run their trials through ``reach_hits``, which never
-builds a triangulation.  It runs trials in array passes: a trial reads its
-forest and then its marks from one row of uniforms, and a trial whose root
-is open at some beta builds flat tables of the forest (first children,
-parents, arriving fan starts, degrees) and one rank per vertex, the number
-of betas that close it, and runs one search that answers every beta and
-stops at the first vertex it meets on the target level.  The draws are
-those of the full build: the depth-(levels+1) forest first, then one
-uniform per marked vertex in flat order, so each trial's verdict equals
-``max_open_reach`` on ``forest_to_triangulation`` of the same forest with
-the same uniforms.
+builds a triangulation.  Its trials come from ``branching._spine_passes``,
+the trial driver that ``sample`` and ``stats`` read too: a trial's forest
+comes from one row of uniforms, grown from the trial's key when the forest
+outgrows it, and its marks read on from the forest's end, past the row from
+the same key.  A trial whose root is open at some beta builds flat tables
+of the forest (first children, parents, arriving fan starts, degrees) and
+one rank per vertex, the number of betas that close it, and runs one search
+that answers every beta and stops at the first vertex it meets on the
+target level.  The draws are those of the full build: the depth-(levels+1)
+forest first, then one uniform per marked vertex in flat order, so each
+trial's verdict equals ``max_open_reach`` on ``forest_to_triangulation`` of
+the same forest with the same uniforms.
 
 The search reads neighbours lazily (``_neighbours``), not from the edge
 arrays of a ``Triangulation``: it stops on the target level after a small
@@ -46,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .branching import _degrees, _prefix_sums, _spine_block, _walk
+from .branching import _degrees, _spine_passes
 from .ising import _checked_beta
 from .rng import TrialKeys, _checked_int
 from .triangulation import Triangulation
@@ -256,67 +258,6 @@ def _checked_betas(betas) -> list[float]:
     return betas
 
 
-_PASS = 2**16  # uniforms per pass of reach_hits (one row if a row is longer)
-
-
-def _row_length(levels: int) -> int:
-    """Doubles drawn up front per reach trial: about twice what its forest
-    reads on average, about what the forest and its marks read."""
-    return 2 * (levels + 2) ** 2
-
-
-def _trial_rank(rng: np.random.Generator, levels: int, block: int, betas: np.ndarray) -> int:
-    """``_reach_rank`` of the trial drawn from ``rng``, from a first block of
-    ``block`` doubles grown as the forest and then the marks need."""
-    u, end, degrees, _, _ = _spine_block(rng, levels + 1, block)
-    n = len(degrees)
-    if end + n > len(u):
-        u = np.concatenate((u, rng.random(end + n - len(u))))
-    return _reach_rank(degrees, u[end : end + n], betas, levels)
-
-
-def _reach_pass(keys: TrialKeys, trials: range, levels: int, betas: np.ndarray):
-    """The ``_reach_rank`` of each trial in ``trials``, in one array pass.
-
-    Each trial's first ``_row_length(levels)`` doubles fill a row of one
-    array, turned into Geom(1/2) counts and prefix sums at once; ``_walk``
-    reads the forest from each row.  One test over the pass finds the
-    trials whose root is closed at every beta.  The rest extract their
-    degrees and search; marks that run past the row come from the trial's
-    Philox key, kept from the fill, at the row's end.  A trial whose forest
-    (or root mark) runs past its row is re-drawn whole from its stream.
-    """
-    m, row = len(betas), _row_length(levels)
-    u = np.empty((len(trials), row))
-    trial_keys = [keys.key(i) for i in trials]
-    for key, r in zip(trial_keys, u):
-        keys.keyed(key).random(out=r)
-    g, c = _prefix_sums(u)
-    walks, past, root_u, root_k = [], [], [], []
-    for key, r, gt, ct in zip(trial_keys, u, g, map(memoryview, c)):
-        sizes, spine = [1], [0]
-        end = _walk(ct, levels + 1, sizes, spine, 0)
-        if len(sizes) == levels + 2 and end < row:
-            walks.append((key, r, gt, ct, end, sizes, spine))
-            root_u.append(r[end])
-            root_k.append(sizes[1])
-        else:
-            past.append(key)
-    # the root's degree is its child count + 3
-    root_open = np.array(root_u) < np.tanh(betas[-1] * (np.array(root_k) + 3))
-    for (key, r, gt, ct, end, sizes, spine), is_open in zip(walks, root_open.tolist()):
-        if not is_open:
-            yield m
-            continue
-        n = sum(sizes[:-1])  # one mark per vertex of levels 0..levels
-        marks = r[end : end + n]
-        if end + n > row:
-            marks = np.concatenate((marks, keys.keyed(key, row).random(end + n - row)))
-        yield _reach_rank(_degrees(gt, ct, sizes, spine), marks, betas, levels)
-    for key in past:
-        yield _trial_rank(keys.keyed(key), levels, row, betas)
-
-
 def reach_hits(
     levels: int, betas: Sequence[float], seed: int, start: int, count: int
 ) -> list[int]:
@@ -332,11 +273,12 @@ def reach_hits(
     ``max_open_reach(t, open_set_from_uniforms(t, beta, uniforms)).reach
     >= levels`` on ``t = forest_to_triangulation(forest)``.
 
-    Trials run in passes of ``_PASS // _row_length(levels)`` (at least
-    one) through ``_reach_pass``, each stream re-keyed from one
-    ``TrialKeys``.  A pass holds at most ``_PASS`` doubles (one row when
-    a row is longer) in each of its three arrays, uniforms, counts and
-    prefix sums: about 1.5 MiB at ``_PASS = 2**16``.
+    Trials come from ``branching._spine_passes``, the trial driver that
+    the level-size histograms of ``sample`` and ``stats`` also read, each
+    stream re-keyed from one ``TrialKeys``.  Per pass, one test finds the
+    trials whose root is closed at every beta; the rest extract their
+    degrees and search, their marks read on from the end of the forest in
+    the trial's row and then from its Philox key past the row.
     """
     levels = _checked_int(levels, "levels", 0)
     seed = _checked_int(seed, "seed", 0)
@@ -348,11 +290,25 @@ def reach_hits(
     order = sorted(range(len(betas)), key=betas.__getitem__)
     ascending = np.array([betas[j] for j in order], dtype=float)
     keys = TrialKeys(seed)
-    step = max(1, _PASS // _row_length(levels))
-    per_rank = [0] * (len(betas) + 1)
-    for lo in range(start, start + count, step):
-        for rank in _reach_pass(keys, range(lo, min(lo + step, start + count)), levels, ascending):
-            per_rank[rank] += 1
+    m = len(betas)
+    per_rank = [0] * (m + 1)
+    for walks in _spine_passes(keys, range(start, start + count), levels + 1):
+        # the root's mark is the first double past its forest; its degree is
+        # its child count + 3
+        root_u, root_k = [], []
+        for sizes, _, key, u, _, _, end in walks:
+            root_u.append(u[end] if end < len(u) else keys.keyed(key, end).random())
+            root_k.append(sizes[1])
+        root_open = np.array(root_u) < np.tanh(ascending[-1] * (np.array(root_k) + 3))
+        for (sizes, spine, key, u, g, c, end), is_open in zip(walks, root_open.tolist()):
+            if not is_open:
+                per_rank[m] += 1
+                continue
+            n = sum(sizes[:-1])  # one mark per vertex of levels 0..levels
+            marks = u[end : end + n]
+            if end + n > len(u):
+                marks = np.concatenate((marks, keys.keyed(key, len(u)).random(end + n - len(u))))
+            per_rank[_reach_rank(_degrees(g, c, sizes, spine), marks, ascending, levels)] += 1
     hits = [0] * len(betas)
     for j, h in zip(order, accumulate(per_rank)):
         hits[j] = h

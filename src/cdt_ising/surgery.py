@@ -50,6 +50,7 @@ from typing import Callable
 import numpy as np
 
 from .percolation import is_locally_geodesic
+from .rng import _checked_int
 from .triangulation import Triangulation, _down_slot_entries, _rotate_fans
 
 Vertex = tuple[int, int]
@@ -158,11 +159,12 @@ class InsertionSite:
     down_neighbor: Vertex
 
 
-def _check_internal(t: Triangulation, level: int, pos: int) -> None:
-    """ValueError unless (level, pos) is a vertex of t off levels 0 and top."""
-    t._check_vertex(level, pos)
+def _check_internal(t: Triangulation, level: int, pos: int) -> tuple[int, int]:
+    """(level, pos) as ints; ValueError unless a vertex of t off levels 0 and top."""
+    level, pos = t._check_vertex(level, pos)
     if not 0 < level < t.top_level:
-        raise ValueError("insertions need an internal vertex")
+        raise ValueError("surgery needs an internal vertex")
+    return level, pos
 
 
 def insertion_sites(t: Triangulation, level: int, pos: int) -> list[InsertionSite]:
@@ -193,6 +195,8 @@ class Insertion:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        for x in (self.level, self.pos, *(slot for pair in self.pairs for slot in pair)):
+            _checked_int(x, "insertion levels, positions and slots", 0)
         ups = [p[0] for p in self.pairs]
         downs = [p[1] for p in self.pairs]
         if ups != sorted(ups) or downs != sorted(downs):
@@ -219,8 +223,7 @@ def insert_pairs(t: Triangulation, insertion: Insertion) -> InsertResult:
     the horizontal run starting at (level, pos) of length k restores the
     original triangulation exactly.
     """
-    level, pos = insertion.level, insertion.pos
-    _check_internal(t, level, pos)
+    level, pos = _check_internal(t, insertion.level, insertion.pos)
     sizes, fans = _thaw(t)
     _insert_run(sizes, fans, level, pos, insertion.pairs)
     return InsertResult(Triangulation(sizes, fans), level, pos + 1, len(insertion.pairs))
@@ -243,12 +246,8 @@ def collapse_run(t: Triangulation, level: int, start: int, count: int) -> Triang
     run may pass the wrap edge (k-1, 0).  Fails (ValueError) when the level
     is too small: collapsing k edges needs at least k+1 vertices on the level.
     """
-    if not 1 <= level < t.top_level:
-        raise ValueError("collapse needs strips on both sides of the level")
-    if not 0 <= start < t.level_sizes[level]:
-        raise ValueError("edge position out of range")
-    if count < 1:
-        raise ValueError("need at least one edge")
+    level, start = _check_internal(t, level, start)
+    count = _checked_int(count, "count", 1)
     if t.level_sizes[level] < count + 1:
         raise ValueError("level too small for the requested run")
     sizes, fans = _thaw(t)
@@ -301,7 +300,7 @@ def path_neighborhood(t: Triangulation, path) -> PathNeighborhood:
         path = tuple((index(l), index(p)) for l, p in path)
     except TypeError as exc:
         raise ValueError(f"path coordinates must be integers: {exc}") from None
-    if path[0] != (0, 0):
+    if not path or path[0] != (0, 0):
         raise ValueError("paths start at the root")
     if not is_locally_geodesic(t, path):
         raise ValueError("path is not self-avoiding locally geodesic")
@@ -406,7 +405,8 @@ def apply_modification(
 
 def enumerate_plans(t: Triangulation, vertex: Vertex, count: int):
     """All k-fold insertion plans at one vertex of the given triangulation."""
-    deg = t.vertex_degree(*vertex)
+    deg = t.vertex_degree(*_check_internal(t, *vertex))
+    count = _checked_int(count, "count", 1)
     ups = combinations_with_replacement(range(deg.up), count)
     return [
         (u, d)
@@ -573,6 +573,7 @@ def reconstruction_success_probability(
 def reconstruction_probability_bound(degrees, count: int = INSERT_COUNT) -> float:
     """The guaranteed per-attempt success probability for a known pair:
     prod_j 1 / ((count + 2) * (d_j + count)) over the path degrees."""
+    count = _checked_int(count, "count", 1)
     p = 1.0
     for d in degrees:
         p /= (count + 2) * (d + count)

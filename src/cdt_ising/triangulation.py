@@ -209,7 +209,7 @@ class Triangulation:
         return tuple(offs)
 
     def flat_index(self, level: int, pos: int) -> int:
-        self._check_vertex(level, pos)
+        level, pos = self._check_vertex(level, pos)
         return self.level_offsets[level] + pos
 
     def out_degree(self, level: int, pos: int) -> int:
@@ -226,13 +226,20 @@ class Triangulation:
         level = bisect_right(self.level_offsets, flat) - 1
         return level, flat - self.level_offsets[level]
 
-    def _check_vertex(self, level: int, pos: int) -> None:
+    def _check_vertex(self, level: int, pos: int) -> tuple[int, int]:
+        """(level, pos) read as ``vertex_at`` reads a flat id; ValueError
+        unless it is a vertex."""
+        try:
+            level, pos = index(level), index(pos)
+        except TypeError as exc:
+            raise ValueError(f"vertex coordinates must be integers: {exc}") from None
         if not (0 <= level <= self.top_level and 0 <= pos < self.level_sizes[level]):
             raise ValueError(f"no vertex ({level}, {pos}) in levels {self.level_sizes}")
+        return level, pos
 
     def down_slots(self, level: int, pos: int) -> tuple[tuple[int, int], ...]:
         """Ordered downward edge slots of (level, pos); the parent comes first."""
-        self._check_vertex(level, pos)
+        level, pos = self._check_vertex(level, pos)
         if level < 1:
             raise ValueError("level-0 vertices have no downward edges")
         return tuple(_down_slot_entries(self.fans, self.level_sizes, level, pos))

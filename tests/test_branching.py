@@ -6,12 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cdt_ising import branching
 from cdt_ising.branching import (
     FiniteTree,
     LevelForest,
     SpineForest,
+    _degrees,
+    _first_block,
     _geometric_half,
-    _spine_block,
+    _grow,
+    _spine_passes,
     level_size_pmf,
     offspring_gf,
     offspring_pmf,
@@ -19,7 +23,8 @@ from cdt_ising.branching import (
     sample_spine_forest,
     size_biased_pmf,
 )
-from cdt_ising.rng import stream
+from cdt_ising.cli import _level_size_chunk
+from cdt_ising.rng import TrialKeys, stream
 
 
 def psi_n_series_coefficients(n: int, k_max: int) -> list[Fraction]:
@@ -300,11 +305,32 @@ def test_block_sampler_equals_per_level_reference():
             # the generator is left where the per-level calls leave it
             assert np.array_equal(a.random(3), b.random(3))
             # the core grows a one-double first block as the forest needs
-            _, end, degrees, sizes, spine = _spine_block(stream(36, levels, i), levels, 1)
+            rng, sizes, spine = stream(36, levels, i), [1], [0]
+            _, g, c, end = _grow(rng, levels, rng.random(1), sizes, spine, 0)
+            degrees = _degrees(g, c, sizes, spine)
             assert degrees.tolist() == [d for lst in forest.out_degrees for d in lst]
             assert (tuple(sizes), tuple(spine)) == (forest.level_sizes, forest.spine_positions)
-            outgrown += end > 2 * levels * (levels + 2)  # the default first block
+            outgrown += end > _first_block(levels)  # the default first block
     assert outgrown > 0
+
+
+@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize("levels", [1, 12])
+def test_spine_passes_equal_per_trial_samples(monkeypatch, block, levels):
+    # two passes at depth 12 with the default row; a one-double row makes
+    # every tree outgrow it and be grown from its key
+    if block is not None:
+        monkeypatch.setattr(branching, "_first_block", lambda levels: block)
+    trials = range(7, 257)
+    hist = Counter()
+    walks = [w for ws in _spine_passes(TrialKeys(61), trials, levels) for w in ws]
+    assert len(walks) == len(trials)
+    for i, (sizes, spine, key, u, g, c, end) in zip(trials, walks):
+        forest = sample_spine_forest(stream(61, i), levels)
+        assert (tuple(sizes), tuple(spine)) == (forest.level_sizes, forest.spine_positions)
+        assert end <= len(u) and np.array_equal(u, stream(61, i).random(len(u)))
+        hist.update(enumerate(forest.level_sizes))
+    assert _level_size_chunk(61, levels, trials.start, len(trials)) == hist
 
 
 @pytest.mark.parametrize("levels", [2.5, 1.0, "3", None, 0, -1])

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_triangulation import csr_rows, out_degree_lists
 
-from cdt_ising import percolation
+from cdt_ising import branching, percolation
 from cdt_ising.branching import sample_spine_forest
 from cdt_ising.ising import conditional_spin_prob
 from cdt_ising.percolation import (
@@ -258,14 +258,28 @@ def test_reach_hits_on_an_unsorted_grid_equals_each_beta_alone():
 
 
 def test_reach_hits_does_not_depend_on_the_block_size(monkeypatch):
-    # a row of one double: every trial runs past it and is re-drawn through
-    # _spine_block from a one-double block; rows of 2^17, one to a pass,
-    # hold every trial
+    # a row of one double: every tree outgrows it and is grown from its
+    # key; rows of 2^17, one to a pass, hold every trial
     args = (12, [0.05, 0.2, 1.0], 86, 0, 40)
     want = reach_hits(*args)
     for block in (1, 2**17):
-        monkeypatch.setattr(percolation, "_row_length", lambda levels: block)
+        monkeypatch.setattr(branching, "_first_block", lambda levels: block)
         assert reach_hits(*args) == want, block
+
+
+@pytest.mark.parametrize("levels", [3, 10])
+def test_root_mark_past_the_row_equals_full_build(monkeypatch, levels):
+    # each trial's row ends exactly where its forest does, so its root mark
+    # and every other mark come from past the row
+    betas = [0.05, 0.2, 50.0]  # the root is open at beta = 50
+    for i in range(6):
+        rng = stream(88, i)
+        forest = sample_spine_forest(rng, levels + 1)
+        end = 2 * (levels + 1) + sum(forest.level_sizes[:-1])  # spine pairs and counts
+        uniforms = rng.random(sum(forest.level_sizes[:-1]))
+        want = full_build_verdicts(forest.out_degrees, uniforms, betas, levels)
+        monkeypatch.setattr(branching, "_first_block", lambda levels: end)
+        assert reach_hits(levels, betas, 88, i, 1) == [int(v) for v in want], i
 
 
 @pytest.mark.parametrize("levels, start, count", [(3, 5, 90), (12, 2**32 - 7, 30), (40, 0, 9)])
@@ -280,20 +294,20 @@ def test_reach_hits_is_the_sum_over_any_split(levels, start, count):
         assert [sum(col) for col in zip(*parts)] == want, bounds
 
 
-def test_trials_past_their_rows_are_redrawn_or_extended(monkeypatch):
+def test_trials_past_their_rows_are_grown_or_extended(monkeypatch):
     args = (10, [0.02, 0.05, 0.1, 0.2], 1009, 0, 300)
     past, skips = [], []
-    trial_rank, rekey = percolation._trial_rank, TrialKeys.keyed
-    monkeypatch.setattr(percolation, "_trial_rank", lambda *a: past.append(a) or trial_rank(*a))
+    grow, rekey = branching._grow, TrialKeys.keyed
+    monkeypatch.setattr(branching, "_grow", lambda *a: past.append(a) or grow(*a))
     monkeypatch.setattr(
         TrialKeys, "keyed", lambda self, key, skip=0: skips.append(skip) or rekey(self, key, skip)
     )
     got = reach_hits(*args)
     # about 4% of forests outgrow their rows; some open roots' marks do
     assert 0 < len(past) < 30
-    assert 0 < sum(s == percolation._row_length(10) for s in skips) < 300
+    assert 0 < sum(s == branching._first_block(11) for s in skips) < 300
     past.clear()
-    monkeypatch.setattr(percolation, "_row_length", lambda levels: 2**17)
+    monkeypatch.setattr(branching, "_first_block", lambda levels: 2**17)
     assert reach_hits(*args) == got and not past
 
 

@@ -306,6 +306,28 @@ def test_surgery_rejects_missing_vertex_or_level(call):
         call(t)
 
 
+@pytest.mark.parametrize("call", [
+    lambda t: enumerate_plans(t, (0, 0), 1),
+    lambda t: enumerate_plans(t, (3, 0), 1),
+    lambda t: enumerate_plans(t, (1, 0), 1.5),
+    lambda t: path_neighborhood(t, []),
+    lambda t: collapse_run(t, 2.0, 0, 1),
+    lambda t: collapse_run(t, 2, 0.0, 1),
+    lambda t: collapse_run(t, 2, 0, 1.0),
+    lambda t: Insertion(1.0, 0, ((0, 0),)),
+    lambda t: Insertion(1, 0, ((0.5, 0),)),
+    lambda t: reconstruction_probability_bound([3], count=-2),
+], ids=["enumerate_plans_level_0", "enumerate_plans_top_level", "enumerate_plans_float_count",
+        "path_neighborhood_empty", "collapse_run_float_level", "collapse_run_float_start",
+        "collapse_run_float_count", "insertion_float_level", "insertion_float_slot",
+        "probability_bound_negative_count"])
+def test_surgery_rejects_bad_arguments_at_the_boundary(call):
+    # each raised TypeError, IndexError or ZeroDivisionError from inside
+    t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
+    with pytest.raises(ValueError):
+        call(t)
+
+
 def test_insertions_build_no_degree_table(monkeypatch):
     # the internal-vertex test reads the level alone, so a fresh
     # triangulation's degree table stays unbuilt

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdt_ising.branching import LevelForest, sample_spine_forest
+from cdt_ising.ising import gibbs_exact
 from cdt_ising.rng import stream
 from cdt_ising.surgery import Insertion, insert_pairs, insertion_sites
 from cdt_ising.triangulation import (
@@ -525,6 +526,25 @@ def test_vertex_at_reads_integers_only():
         t.vertex_at(2.5)  # was read as (1, 1.5)
     assert t.vertex_at(np.int64(4)) == (2, 1)
     assert all(type(x) is int for x in t.vertex_at(np.int64(4)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: t.flat_index(1, 0.5),  # was 1.5
+        lambda t: t.flat_index(1.0, 0),
+        lambda t: t.down_slots(1.0, 0),
+        lambda t: t.vertex_degree(1, 0.0),
+        lambda t: gibbs_exact(t, 0.5, "plus").marginal_plus(1.0, 0),
+    ],
+    ids=["flat_index_pos", "flat_index_level", "down_slots", "vertex_degree", "marginal_plus"],
+)
+def test_vertex_coordinates_read_integers_only(call):
+    t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
+    with pytest.raises(ValueError, match="must be integers"):
+        call(t)
+    assert t.flat_index(np.int64(1), np.int32(1)) == 2
+    assert type(t.flat_index(np.int64(1), 0)) is type(t.flat_index(1, np.int64(0))) is int
 
 
 def test_parent_is_leftmost_down_slot():
