@@ -57,6 +57,18 @@ def _level_size_histogram(args) -> Counter:
     return hist
 
 
+_UNRECORDED = ("command", "fn", "out", "format", "workers")
+
+
+def _report(args, schema: tuple[str, ...], rows: list[tuple], summary: dict | None = None,
+            **facts) -> ExperimentReport:
+    """The report of one run of args.command.  Its configuration is every flag
+    that shapes the rows (all but --out, --format and --workers) plus the
+    facts the run found, given by keyword."""
+    config = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
+    return ExperimentReport(args.command, {**config, **facts}, schema, rows, summary or {})
+
+
 # -- sample -------------------------------------------------------------------
 
 
@@ -71,13 +83,7 @@ def cmd_sample(args) -> ExperimentReport:
             path = base.with_suffix(f".t{i}.lt")
             path.write_text(triangulation.to_text(t))
     rows = [(n, k, c) for (n, k), c in sorted(hist.items())]
-    return ExperimentReport(
-        "sample",
-        {"seed": args.seed, "levels": args.levels, "trials": args.trials, "save": args.save},
-        ("level", "size", "count"),
-        rows,
-        {"trials": args.trials},
-    )
+    return _report(args, ("level", "size", "count"), rows, {"trials": args.trials})
 
 
 # -- stats --------------------------------------------------------------------
@@ -104,18 +110,8 @@ def cmd_stats(args) -> ExperimentReport:
         counts = {k: c for (lvl, k), c in hist.items() if lvl == n}
         tv = tv_distance_to_level_law(counts, n, args.trials)
         rows.append((n, args.trials, tv, args.threshold, int(tv < args.threshold)))
-    return ExperimentReport(
-        "stats",
-        {
-            "seed": args.seed,
-            "levels": args.levels,
-            "trials": args.trials,
-            "threshold": args.threshold,
-        },
-        ("level", "trials", "tv_distance", "threshold", "passed"),
-        rows,
-        {"all_passed": int(all(r[4] for r in rows))},
-    )
+    return _report(args, ("level", "trials", "tv_distance", "threshold", "passed"), rows,
+                   {"all_passed": int(all(r[4] for r in rows))})
 
 
 # -- ising-scan ---------------------------------------------------------------
@@ -142,20 +138,7 @@ def cmd_ising_scan(args) -> ExperimentReport:
         for bc in bcs
     ]
     rows = _run_all(_scan_point, calls, args.workers)
-    return ExperimentReport(
-        "ising-scan",
-        {
-            "seed": args.seed,
-            "levels": args.levels,
-            "betas": args.betas,
-            "bc": args.bc,
-            "sweeps": args.sweeps,
-            "replicas": args.replicas,
-            "burn_in": args.burn_in,
-        },
-        ("beta", "bc", "estimate", "stderr", "sweeps", "replicas"),
-        rows,
-    )
+    return _report(args, ("beta", "bc", "estimate", "stderr", "sweeps", "replicas"), rows)
 
 
 # -- contours -----------------------------------------------------------------
@@ -175,25 +158,13 @@ def cmd_contours(args) -> ExperimentReport:
     t = _small_triangulation(args.seed, args.levels, args.width_cap)
     cs = contours.enumerate_contours(t, args.max_len)
     series = contours.peierls_series(cs.counts, args.beta)
-    rows = list(series.rows)
-    return ExperimentReport(
-        "contours",
-        {
-            "seed": args.seed,
-            "levels": args.levels,
-            "width_cap": args.width_cap,
-            "beta": args.beta,
-            "max_len": args.max_len,
-            "level_sizes": list(t.level_sizes),
-        },
-        ("length", "count", "partial_sum"),
-        rows,
-        {
-            "triangles": t.triangle_count,
-            "total": series.total,
-            "tail_below_one_from": series.tail_below_one_from,
-        },
-    )
+    summary = {
+        "triangles": t.triangle_count,
+        "total": series.total,
+        "tail_below_one_from": series.tail_below_one_from,
+    }
+    return _report(args, ("length", "count", "partial_sum"), list(series.rows), summary,
+                   level_sizes=list(t.level_sizes))
 
 
 # -- percolation --------------------------------------------------------------
@@ -201,7 +172,7 @@ def cmd_contours(args) -> ExperimentReport:
 
 def cmd_percolation(args) -> ExperimentReport:
     rows = []
-    for levels in args.levels_list:
+    for levels in args.levels:
         # one coupled pass over the beta grid: each beta's hits equal a run
         # of that beta alone, since all betas threshold the same uniforms
         calls = _trial_chunks((levels, args.betas, args.seed), args.trials)
@@ -209,17 +180,7 @@ def cmd_percolation(args) -> ExperimentReport:
         for beta, hits in zip(args.betas, map(sum, zip(*parts))):
             est = percolation.ReachEstimate(beta, levels, args.trials, hits)
             rows.append((beta, levels, args.trials, hits, est.estimate, est.stderr))
-    return ExperimentReport(
-        "percolation",
-        {
-            "seed": args.seed,
-            "levels": args.levels_list,
-            "betas": args.betas,
-            "trials": args.trials,
-        },
-        ("beta", "levels", "trials", "reach_count", "estimate", "stderr"),
-        rows,
-    )
+    return _report(args, ("beta", "levels", "trials", "reach_count", "estimate", "stderr"), rows)
 
 
 # -- surgery-selftest ---------------------------------------------------------
@@ -257,13 +218,8 @@ def cmd_surgery_selftest(args) -> ExperimentReport:
     bound = surgery.reconstruction_probability_bound(pn.degrees())
     se = math.sqrt(max(freq * (1 - freq), 1e-12) / args.attempts)
     rows.append(("reconstruction_frequency", freq, bound, int(freq >= bound - 3 * se)))
-    return ExperimentReport(
-        "surgery-selftest",
-        {"seed": args.seed, "attempts": args.attempts, "roundtrip_sites": sites},
-        ("check", "value", "bound", "passed"),
-        rows,
-        {"all_passed": int(all(r[3] for r in rows))},
-    )
+    return _report(args, ("check", "value", "bound", "passed"), rows,
+                   {"all_passed": int(all(r[3] for r in rows))}, roundtrip_sites=sites)
 
 
 # -- oracle -------------------------------------------------------------------
@@ -302,71 +258,47 @@ def cmd_oracle(args) -> ExperimentReport:
         expected = math.exp(-2.0 * args.beta * c.length)
         worst = max(worst, abs(ratio - expected) / expected)
     rows.append(("contour_flip_ratio", worst, 1e-12, int(worst < 1e-12)))
-    return ExperimentReport(
-        "oracle",
-        {"levels": args.levels, "width_cap": args.width_cap, "beta": args.beta},
-        ("check", "max_error", "tolerance", "passed"),
-        rows,
-        {"all_passed": int(all(r[3] for r in rows))},
-    )
+    return _report(args, ("check", "max_error", "tolerance", "passed"), rows,
+                   {"all_passed": int(all(r[3] for r in rows))})
 
 
 # -- argument plumbing ---------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _checked(convert, ok, expected: str):
+    """An argparse type: convert the text, then refuse it unless ok(value)."""
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    check.__name__ = convert.__name__  # argparse's "invalid int value: 'x'"
+    return check
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+def _listed(item, what: str):
+    """An argparse type: a comma list of item values, at least one."""
+    def listed(text: str) -> list:
+        values = [item(x) for x in text.split(",") if x.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected at least one {what}")
+        return values
+    listed.__name__ = f"{what} list"
+    return listed
 
 
-def _beta(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"expected a finite beta >= 0, got {text!r}")
-    return value
-
-
-def _threshold(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and 0 < value <= 1):
-        raise argparse.ArgumentTypeError(f"expected a threshold in (0, 1], got {text!r}")
-    return value
-
-
-def _width_cap(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= triangulation.MAX_ENUM_WIDTH:
-        raise argparse.ArgumentTypeError(
-            f"expected a width cap in 1..{triangulation.MAX_ENUM_WIDTH}, got {text!r}"
-        )
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_beta = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite beta >= 0")
+_threshold = _checked(float, lambda v: math.isfinite(v) and 0 < v <= 1, "a threshold in (0, 1]")
+_width_cap = _checked(int, lambda v: 1 <= v <= triangulation.MAX_ENUM_WIDTH,
+                      f"a width cap in 1..{triangulation.MAX_ENUM_WIDTH}")
+_beta_grid = _listed(_beta, "beta")
+_levels_list = _listed(_positive_int, "level")
 
 
 def _one_beta(text: str) -> list[float]:
     return [_beta(text)]
-
-
-def _beta_grid(text: str) -> list[float]:
-    betas = [_beta(x) for x in text.split(",") if x.strip()]
-    if not betas:
-        raise argparse.ArgumentTypeError("expected at least one beta")
-    return betas
-
-
-def _levels_list(text: str) -> list[int]:
-    levels = [_positive_int(x) for x in text.split(",") if x.strip()]
-    if not levels:
-        raise argparse.ArgumentTypeError("expected at least one level")
-    return levels
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("percolation", help="annealed open-cluster reach estimates")
     common(p, trials=10000, workers=True)
-    p.add_argument("--levels", type=_levels_list, dest="levels_list", default=[10, 30])
+    p.add_argument("--levels", type=_levels_list, default=[10, 30])
     beta_flags(p)
     p.set_defaults(fn=cmd_percolation)
 

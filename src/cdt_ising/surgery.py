@@ -195,6 +195,8 @@ class Insertion:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if any(len(pair) != 2 for pair in self.pairs):
+            raise ValueError("each insertion pair must be (up slot, down slot)")
         for x in (self.level, self.pos, *(slot for pair in self.pairs for slot in pair)):
             _checked_int(x, "insertion levels, positions and slots", 0)
         ups = [p[0] for p in self.pairs]

@@ -213,6 +213,10 @@ class Triangulation:
         return self.level_offsets[level] + pos
 
     def out_degree(self, level: int, pos: int) -> int:
+        """Child count of (level, pos) in the tree codec; the top level has none."""
+        level, pos = self._check_vertex(level, pos)
+        if level == self.top_level:
+            raise ValueError("top-level vertices have no fan")
         return len(self.fans[level][pos]) - 1
 
     def vertex_at(self, flat: int) -> tuple[int, int]:
@@ -576,14 +580,11 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def enumerate_triangulations(
-    levels: int, width_cap: int, mu: float = MU_CRITICAL
-) -> list[tuple[Triangulation, float]]:
+def enumerate_triangulations(levels: int, width_cap: int) -> list[tuple[Triangulation, float]]:
     """All rooted triangulations with the given level count and k_n <= width_cap,
-    each paired with its unnormalized weight exp(-mu * F).
+    each paired with its unnormalized critical weight exp(-ln 2 * F).
 
     Guarded against combinatorial explosion: levels <= 3, width_cap <= 5.
-    Only mu >= ln 2 is meaningful for the cylinder ensemble.
     """
     levels = _checked_int(levels, "levels", 1)
     width_cap = _checked_int(width_cap, "width_cap", 1)
@@ -591,15 +592,13 @@ def enumerate_triangulations(
         raise ValueError(f"levels must be in 1..{MAX_ENUM_LEVELS}")
     if width_cap > MAX_ENUM_WIDTH:
         raise ValueError(f"width_cap must be in 1..{MAX_ENUM_WIDTH}")
-    if mu < MU_CRITICAL - 1e-12:
-        raise ValueError("mu below ln 2 has no infinite-volume counterpart")
 
     results: list[tuple[Triangulation, float]] = []
 
     def extend(partial: list[tuple[int, ...]], k_cur: int, level: int) -> None:
         if level == levels:
             t = forest_to_triangulation(tuple(partial))
-            results.append((t, math.exp(-mu * t.triangle_count)))
+            results.append((t, math.exp(-MU_CRITICAL * t.triangle_count)))
             return
         for k_next in range(1, width_cap + 1):
             for comp in _compositions(k_next, k_cur):

@@ -58,14 +58,30 @@ def test_stats_full_scale_fit(tmp_path):
         assert fields[4] == "1"
 
 
+def assert_worker_invariant(tmp_path, *argv):
+    """The whole CSV report, config line included, is the same under 1 and 2
+    workers; only the timestamp may differ."""
+    reports = []
+    for w in ("1", "2"):
+        out = tmp_path / f"w{w}.csv"
+        assert main([*argv, "--workers", w, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        reports.append([ln for ln in lines if not ln.startswith("# generated_at:")])
+    assert reports[0] == reports[1]
+    assert any(ln.startswith("# config: ") for ln in reports[0])
+
+
 def test_stats_worker_invariance(tmp_path):
-    a = tmp_path / "w1.csv"
-    b = tmp_path / "w2.csv"
-    main(["stats", "-n", "2", "--trials", "3000", "--seed", "9", "--workers", "1",
-          "--out", str(a)])
-    main(["stats", "-n", "2", "--trials", "3000", "--seed", "9", "--workers", "2",
-          "--out", str(b)])
-    assert data_rows(a) == data_rows(b)
+    assert_worker_invariant(tmp_path, "stats", "-n", "2", "--trials", "3000", "--seed", "9")
+
+
+def test_sample_worker_invariance(tmp_path):
+    assert_worker_invariant(tmp_path, "sample", "--levels", "4", "--trials", "1500", "--seed", "5")
+
+
+def test_ising_scan_worker_invariance(tmp_path):
+    assert_worker_invariant(tmp_path, "ising-scan", "--levels", "3", "--beta-grid", "0.1,0.5",
+                            "--sweeps", "64", "--replicas", "1", "--burn-in", "16", "--seed", "3")
 
 
 def test_ising_scan_beta_zero(tmp_path):
@@ -122,13 +138,8 @@ def test_percolation_report_json(tmp_path):
 
 
 def test_percolation_worker_invariance(tmp_path):
-    a = tmp_path / "pw1.csv"
-    b = tmp_path / "pw2.csv"
-    main(["percolation", "--levels", "4", "--beta", "0.1", "--trials", "200",
-          "--seed", "19", "--workers", "1", "--out", str(a)])
-    main(["percolation", "--levels", "4", "--beta", "0.1", "--trials", "200",
-          "--seed", "19", "--workers", "2", "--out", str(b)])
-    assert data_rows(a) == data_rows(b)
+    assert_worker_invariant(tmp_path, "percolation", "--levels", "4", "--beta", "0.1",
+                            "--trials", "200", "--seed", "19")
 
 
 def test_percolation_grid_equals_per_beta_runs(tmp_path):
@@ -201,7 +212,13 @@ def rejected(capsys, *argv) -> str:
 
 def test_stats_rejects_zero_trials(tmp_path, capsys):
     err = rejected(capsys, "stats", "--trials", "0", "--out", str(tmp_path / "x.csv"))
-    assert "--trials" in err
+    assert "argument --trials: expected an integer >= 1, got '0'" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_rejects_non_integer_trials(tmp_path, capsys):
+    err = rejected(capsys, "stats", "--trials", "abc", "--out", str(tmp_path / "x.csv"))
+    assert "argument --trials: invalid int value: 'abc'" in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -284,3 +301,37 @@ def test_rejects_flag_the_subcommand_ignores(tmp_path, capsys, argv):
     err = rejected(capsys, *argv, "--out", str(out))
     assert "unrecognized arguments" in err
     assert not out.exists()
+
+
+# Each subcommand's configuration is every flag but --out, --format and
+# --workers, plus what the run found (contours' level_sizes, the self-test's
+# roundtrip_sites); oracle's --seed draws nothing but is recorded too.
+REPORT_CONFIGS = [
+    (("sample", "--levels", "3", "--trials", "20", "--seed", "3", "--save", "1"),
+     {"levels": 3, "save": 1, "seed": 3, "trials": 20}),
+    (("stats", "-n", "2", "--trials", "100", "--seed", "7"),
+     {"levels": 2, "seed": 7, "threshold": 0.015, "trials": 100}),
+    (("ising-scan", "--levels", "3", "--beta-grid", "0.1,0.5", "--bc", "plus", "--sweeps", "32",
+      "--replicas", "1", "--burn-in", "2", "--seed", "11"),
+     {"bc": "plus", "betas": [0.1, 0.5], "burn_in": 2, "levels": 3, "replicas": 1, "seed": 11,
+      "sweeps": 32}),
+    (("contours", "--levels", "3", "--width-cap", "3", "--beta", "0.5", "--seed", "13"),
+     {"beta": 0.5, "level_sizes": [1, 2, 3, 1], "levels": 3, "max_len": None, "seed": 13,
+      "width_cap": 3}),
+    (("percolation", "--levels", "4,6", "--beta-grid", "0.1,0.2", "--trials", "50",
+      "--seed", "17"),
+     {"betas": [0.1, 0.2], "levels": [4, 6], "seed": 17, "trials": 50}),
+    (("surgery-selftest", "--attempts", "50", "--seed", "23"),
+     {"attempts": 50, "roundtrip_sites": 211, "seed": 23}),
+    (("oracle", "--levels", "2", "--width-cap", "3", "--beta", "0.8", "--seed", "5"),
+     {"beta": 0.8, "levels": 2, "seed": 5, "width_cap": 3}),
+]
+
+
+@pytest.mark.parametrize("argv, config", REPORT_CONFIGS, ids=[a[0] for a, _ in REPORT_CONFIGS])
+def test_report_config(tmp_path, argv, config):
+    out = tmp_path / "r.json"
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["command"] == argv[0]
+    assert payload["config"] == config

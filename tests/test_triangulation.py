@@ -520,6 +520,19 @@ def test_vertex_queries_reject_missing_vertex(query, args):
         getattr(t, query)(*args)
 
 
+@pytest.mark.parametrize("level, pos, match", [
+    (-1, 0, "no vertex"),  # was the last strip's fan, by negative indexing
+    (1, 0.5, "must be integers"),  # was a TypeError
+    (3, 0, "top-level"),  # was an IndexError: the top level has no fan
+    (1, 2, "no vertex"),
+])
+def test_out_degree_checks_its_vertex(level, pos, match):
+    t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
+    with pytest.raises(ValueError, match=match):
+        t.out_degree(level, pos)
+    assert [t.out_degree(2, p) for p in range(3)] == [1, 1, 1]
+
+
 def test_vertex_at_reads_integers_only():
     t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
     with pytest.raises(ValueError, match="must be integers"):
@@ -719,8 +732,6 @@ def test_enumerate_guards():
         enumerate_triangulations(4, 2)
     with pytest.raises(ValueError):
         enumerate_triangulations(2, 6)
-    with pytest.raises(ValueError):
-        enumerate_triangulations(2, 2, mu=0.5)
 
 
 @pytest.mark.parametrize("levels, width_cap, what", [(1.5, 2, "levels"), (2, 2.5, "width_cap")])
