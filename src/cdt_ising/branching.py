@@ -40,8 +40,7 @@ from .rng import TrialKeys, _checked_int
 
 def offspring_pmf(k: int) -> float:
     """P(offspring count = k) for the critical geometric law, k >= 0."""
-    if k < 0:
-        raise ValueError(f"offspring count must be >= 0, got {k}")
+    k = _checked_int(k, "offspring count", 0)
     return 0.5 ** (k + 1)
 
 
@@ -57,8 +56,7 @@ def psi_n(n: int, s: float) -> float:
     (n - (n-1)s) / (n+1 - ns).  In particular psi_n(0) = n/(n+1) is the
     probability of extinction by generation n.
     """
-    if n < 1:
-        raise ValueError(f"generation index must be >= 1, got {n}")
+    n = _checked_int(n, "generation index", 1)
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"argument must lie in [0, 1], got {s}")
     return (n - (n - 1) * s) / (n + 1 - n * s)
@@ -71,18 +69,15 @@ def level_size_pmf(n: int, k: int) -> float:
     unconditioned generation-n law.  The conditioned process never dies, so
     k = 0 is rejected.
     """
-    if n < 1:
-        raise ValueError(f"generation index must be >= 1, got {n}")
-    if k < 1:
-        raise ValueError(f"conditioned level size must be >= 1, got {k}")
+    n = _checked_int(n, "generation index", 1)
+    k = _checked_int(k, "conditioned level size", 1)
     # Big-int powers keep the ratio exact before the final float division.
     return k * pow(n, k - 1) / pow(n + 1, k + 1)
 
 
 def size_biased_pmf(k: int) -> float:
     """Size-biased offspring law k * (1/2)^(k+1), k >= 1 (root law on the spine)."""
-    if k < 1:
-        raise ValueError(f"size-biased count must be >= 1, got {k}")
+    k = _checked_int(k, "size-biased count", 1)
     return k * 0.5 ** (k + 1)
 
 

@@ -301,6 +301,9 @@ def _one_beta(text: str) -> list[float]:
     return [_beta(text)]
 
 
+_one_beta.__name__ = _beta.__name__  # argparse's "invalid float value: 'x'"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdt-ising",

@@ -24,22 +24,22 @@ vertex v, and visits the free vertices in colour-class order: class by class
 through ``FreeGraph.colour_classes``, a proper colouring with at most 6
 classes, each in flat order.  The local field s at a site is an integer
 with |s| <= W = ``FreeGraph.max_degree``, so p(+1) is read from a table of
-``conditional_spin_prob(s, beta)`` for s in -W..W, built once per beta and
-W; ``conditional_spin_prob`` stays the only definition of p.  A site turns
-+ iff its uniform is below its table entry.
+``conditional_spin_prob(s, beta)`` for s in -W..W; ``conditional_spin_prob``
+stays the only definition of p.  A site turns + iff its uniform is below
+its table entry.
 
-``glauber_sweep`` runs one straight-line function per free graph, one line
-per site (``_compile_sweep``), compiled on the graph's first sweep and
-kept with it, along with the offset boundary field and table of the last
-beta and boundary it swept under, so a chain builds each once.  Compiling
-costs 50-80 us per site (0.7 s at 8,700 sites), so
-``glauber_sweep`` serves long chains on small graphs; large graphs go
-through ``root_plus_probability``, which updates a whole colour class at
-once (``_ClassKernel``) with the same comparison, reading each class's
-neighbours from ``FreeGraph.class_neighbors``: no two sites of a class are
-neighbours, so updating them together is the sequential sweep.  It sums
-neighbour counts in uint8 below 256 rows, reads a parity-split table at one
-add per class and keeps its per-graph layout in the graph's memo.  Both
+Everything a sweep reads beyond the graph lives in one ``_Sweep`` per free
+graph, built on its first sweep and kept as the only entry of
+``FreeGraph.sweep_memo``: the visit order, the boundary field and table of
+the last beta and boundary (so a chain builds them once), and each
+kernel's layout, built on that kernel's first use.  ``glauber_sweep``'s is
+one straight-line function with one line per site; compiling it costs
+50-80 us per site (0.7 s at 8,700 sites), so ``glauber_sweep`` serves long
+chains on small graphs.  Large graphs go through ``root_plus_probability``, which updates a whole colour
+class at once (``_ClassKernel``) with the same comparison: no two sites of
+a class are neighbours, so updating them together is the sequential sweep.
+It sums neighbour counts in uint8 below 256 rows and reads a parity-split
+table at one add per class; a call builds only its table offsets.  Both
 give the same chain, bit for bit.  Spins and boundary values pass one +-1
 check, ``_checked_pm1``, at every entry point.  beta must be finite and
 >= 0 (the ferromagnet) everywhere; that is the API's rule, as neither
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -227,56 +227,95 @@ def gibbs_exact(t: Triangulation, beta: float, bc) -> GibbsExact:
     return GibbsExact(t, beta, bc)
 
 
-@lru_cache(maxsize=64, typed=True)
 def _heat_bath_table(beta: float, w: int) -> tuple[float, ...]:
-    """``conditional_spin_prob(s, beta)`` at index s + w, for s in -w..w.
-
-    Keyed by type as well: a float32 beta equal to a cached float64 one
-    computes its products in float32, so it must not share that table.
-    """
+    """``conditional_spin_prob(s, beta)`` at index s + w, for s in -w..w."""
     return tuple(conditional_spin_prob(s, beta) for s in range(-w, w + 1))
 
 
-def _sweep_setup(t: Triangulation, beta, boundary) -> tuple[list[int], tuple[float, ...]]:
-    """The boundary field offset by ``max_degree``, and the heat-bath table.
+class _Sweep:
+    """The heat-bath sweep of one free graph, kept in its ``sweep_memo``.
 
-    Both are kept in ``FreeGraph.sweep_memo`` under one key, beta's type and
-    value and the boundary's values, so a chain checks and builds them once
-    and an array changed in place between two sweeps misses the memo.  Only
-    checked values enter the memo, so a hit needs no check.
+    Built on the graph's first sweep (``_Sweep.of``), it holds the visit
+    order, colour class by colour class, each vertex's position in it (the
+    root's is ``position[0]``) and the boundary field and table of the last
+    beta and boundary.  Each kernel's layout is built on that kernel's first
+    use: ``classes`` for ``_ClassKernel``, ``kernel`` for ``glauber_sweep``.
     """
-    fg = t.free_graph
-    key = (type(beta), beta, np.asarray(boundary).tolist())
-    seen = fg.sweep_memo.get("setup")
-    if seen is not None and seen[0] == key:
-        return seen[1]
-    table = _heat_bath_table(_checked_beta(beta), fg.max_degree)
-    values = _checked_pm1(boundary, t.level_sizes[-1], "boundary")
-    setup = _boundary_field(fg, values, fg.max_degree), table
-    fg.sweep_memo["setup"] = (key, setup)
-    return setup
 
+    def __init__(self, t: Triangulation) -> None:
+        fg = self.fg = t.free_graph
+        self.k_top = t.level_sizes[-1]
+        self.last = None
+        self.order = np.array([v for c in fg.colour_classes for v in c], dtype=np.intp)
+        self.position = np.argsort(self.order)  # visit position of each vertex
 
-def _compile_sweep(fg: FreeGraph):
-    """The sweep of ``fg`` as one straight-line function, kept in its memo.
+    @staticmethod
+    def of(t: Triangulation) -> _Sweep:
+        memo = t.free_graph.sweep_memo
+        sweep = memo.get("sweep")
+        if sweep is None:
+            sweep = memo["sweep"] = _Sweep(t)
+        return sweep
 
-    ``sweep(s, u, t, f)`` has one line per site v, in ``visit_order``:
-    ``s[v] = 1 if u[v] < t[f[v] + s[j1] + s[j2] + ...] else -1`` over its
-    ``neighbors``, parallel edges repeated.  Sums of more than 100 terms
-    are nested in parenthesised groups: a flat chain of a few thousand
-    overflows the compiler's recursion limit.
-    """
-    offsets, other = (x.tolist() for x in fg.neighbors)
-    lines = ["def sweep(s, u, t, f):", "    pass"]  # a graph may have no free vertex
-    for v in fg.visit_order:
-        terms = [f"f[{v}]", *(f"s[{j}]" for j in other[offsets[v] : offsets[v + 1]])]
-        while len(terms) > 100:
-            terms = ["(" + " + ".join(terms[i : i + 100]) + ")" for i in range(0, len(terms), 100)]
-        lines.append(f"    s[{v}] = 1 if u[{v}] < t[{' + '.join(terms)}] else -1")
-    scope: dict = {}
-    exec("\n".join(lines), scope)
-    fg.sweep_memo["kernel"] = scope["sweep"]
-    return scope["sweep"]
+    def setup(self, beta, boundary) -> tuple[list[int], tuple[float, ...]]:
+        """The boundary field offset by ``max_degree``, and the heat-bath table.
+
+        Kept under one key, beta's type and value and the boundary's values,
+        so a chain checks and builds them once and an array changed in place
+        between two sweeps misses.  Only checked values are kept, so a hit
+        needs no check.  The key holds beta's type: a float32 beta computes
+        its table in float32.
+        """
+        key = (type(beta), beta, np.asarray(boundary).tolist())
+        if self.last is None or self.last[0] != key:
+            w = self.fg.max_degree
+            table = _heat_bath_table(_checked_beta(beta), w)
+            values = _checked_pm1(boundary, self.k_top, "boundary")
+            self.last = key, (_boundary_field(self.fg, values, w), table)
+        return self.last[1]
+
+    @cached_property
+    def classes(self) -> list[tuple]:
+        """Per colour class: its slice of the visit order, a padded (width,
+        size) array whose column j lists the neighbours of the class's j-th
+        vertex by visit position (padded with n_free), each vertex's
+        neighbour count and the narrowest dtype of a column sum."""
+        n, offsets, other = self.fg.n_free, *self.fg.neighbors
+        counts, nbrs = np.diff(offsets), self.position[other]
+        # each row entry's vertex, by visit position, and its index in the row
+        owner = self.position.repeat(counts)
+        slot = np.arange(len(nbrs)) - offsets[:-1].repeat(counts)
+        classes, lo = [], 0
+        for size in map(len, self.fg.colour_classes):
+            mine = (lo <= owner) & (owner < lo + size)
+            table = np.full((slot[mine].max(initial=-1) + 1, size), n, dtype=np.intp)
+            table[slot[mine], owner[mine] - lo] = nbrs[mine]
+            deg = np.count_nonzero(table < n, axis=0)
+            classes.append((slice(lo, lo + size), table, deg, np.min_scalar_type(len(table))))
+            lo += size
+        return classes
+
+    @cached_property
+    def kernel(self):
+        """``glauber_sweep``'s kernel: the sweep as one straight-line function.
+
+        ``sweep(s, u, t, f)`` has one line per site v, in visit order:
+        ``s[v] = 1 if u[v] < t[f[v] + s[j1] + s[j2] + ...] else -1`` over its
+        ``neighbors``, parallel edges repeated.  Sums of more than 100 terms
+        are nested in parenthesised groups: a flat chain of a few thousand
+        overflows the compiler's recursion limit.
+        """
+        offsets, other = (x.tolist() for x in self.fg.neighbors)
+        lines = ["def sweep(s, u, t, f):", "    pass"]  # a graph may have no free vertex
+        for v in self.order.tolist():
+            terms = [f"f[{v}]", *(f"s[{j}]" for j in other[offsets[v] : offsets[v + 1]])]
+            while len(terms) > 100:
+                terms = ["(" + " + ".join(terms[i : i + 100]) + ")"
+                         for i in range(0, len(terms), 100)]
+            lines.append(f"    s[{v}] = 1 if u[{v}] < t[{' + '.join(terms)}] else -1")
+        scope: dict = {}
+        exec("\n".join(lines), scope)
+        return scope["sweep"]
 
 
 def glauber_sweep(t: Triangulation, state: SpinState, rng: np.random.Generator) -> SpinState:
@@ -288,56 +327,40 @@ def glauber_sweep(t: Triangulation, state: SpinState, rng: np.random.Generator) 
     one ``rng.random(n_free)`` and reads each site's p(+1) from a table of
     ``conditional_spin_prob`` over the local fields the graph allows.
     """
-    fg = t.free_graph
-    field, table = _sweep_setup(t, state.beta, state.boundary)
-    spins = _checked_pm1(state.spins, fg.n_free, "free")
-    sweep = fg.sweep_memo.get("kernel") or _compile_sweep(fg)
-    sweep(spins, rng.random(fg.n_free).tolist(), table, field)
+    sweep = _Sweep.of(t)
+    field, table = sweep.setup(state.beta, state.boundary)
+    n = sweep.fg.n_free
+    spins = _checked_pm1(state.spins, n, "free")
+    sweep.kernel(spins, rng.random(n).tolist(), table, field)
     return SpinState(np.array(spins, dtype=np.int8), state.boundary, state.beta)
-
-
-def _class_layout(fg: FreeGraph) -> tuple:
-    """The class kernel's layout of ``fg``, kept in ``sweep_memo["classes"]``.
-
-    ``visit_order`` as an array; per colour class, its slice of that order,
-    its ``class_neighbors``, each site's neighbour count and the narrowest
-    dtype of a column sum; and the root's visit position.
-    """
-    layout = fg.sweep_memo.get("classes")
-    if layout is None:
-        classes, lo = [], 0
-        for nbrs in fg.class_neighbors:
-            deg = np.count_nonzero(nbrs < fg.n_free, axis=0)
-            classes.append((slice(lo, lo + len(deg)), nbrs, deg, np.min_scalar_type(len(nbrs))))
-            lo += len(deg)
-        order = np.array(fg.visit_order, dtype=np.intp)
-        layout = fg.sweep_memo["classes"] = order, classes, fg.visit_order.index(0)
-    return layout
 
 
 class _ClassKernel:
     """The sweep of ``glauber_sweep`` as one vectorised update per colour class.
 
     Spins are booleans (True for +1) in visit order, followed by one padding
-    slot that stays False, so one gather through ``FreeGraph.class_neighbors``
-    and one column sum count each site's plus neighbours, summed in uint8
-    below 256 rows: a column of 0/1 bytes cannot exceed its height.  With
+    slot that stays False, so one gather through the class's neighbour array
+    in ``_Sweep.classes`` and one column sum count each site's plus
+    neighbours, summed in uint8 below 256 rows: a column of 0/1 bytes cannot
+    exceed its height.  With
     deg_v neighbours the sum of their spins is 2 * count - deg_v, so the
     site's entry is ``table[base_v + 2 * count]``, base_v = field_v - deg_v
     >= 0.  Stored as its even entries, then its odd ones, the table holds it
     at half_v + count, half_v = base_v // 2 + (base_v % 2) * len(even): one
     add.  The site turns + iff its uniform is below that entry, the test of
-    ``glauber_sweep``.  Only half_v depends on beta and the boundary; the
-    rest is ``_class_layout``.  Nothing here needs the table to be ordered;
-    beta >= 0 stays the rule of the API, not of the kernel.
+    ``glauber_sweep``.  Only half_v and the table depend on beta and the
+    boundary, so they are all a call builds; the rest is the ``_Sweep``.
+    Nothing here needs the table to be ordered; beta >= 0 stays the rule of
+    the API, not of the kernel.
     """
 
-    def __init__(self, fg: FreeGraph, field: list[int], table: tuple[float, ...]) -> None:
-        self.order, layout, self.root = _class_layout(fg)
+    def __init__(self, sweep: _Sweep, beta, boundary) -> None:
+        field, table = sweep.setup(beta, boundary)
+        self.order, self.root = sweep.order, int(sweep.position[0])
         field = np.asarray(field, dtype=np.intp)[self.order]
         self.table, even = np.array(table[0::2] + table[1::2]), len(table[0::2])
         self.classes = []
-        for sites, nbrs, deg, dtype in layout:
+        for sites, nbrs, deg, dtype in sweep.classes:
             base = field[sites] - deg
             self.classes.append((sites, nbrs, base // 2 + base % 2 * even, dtype))
 
@@ -400,10 +423,11 @@ def root_plus_probability(
     burn_in = _checked_int(burn_in, "burn_in", 0)
     if init not in ("aligned", "random"):
         raise ValueError(f"unknown init {init!r}")
-    et = t.free_graph
-    n = et.n_free
+    n = t.free_graph.n_free
+    if n == 0:
+        raise ValueError("the root is a boundary spin: there is no free spin to sample")
     bc_vec = boundary_vector(t, bc)
-    kernel = _ClassKernel(et, *_sweep_setup(t, beta, bc_vec))
+    kernel = _ClassKernel(_Sweep.of(t), beta, bc_vec)
     batch_size = sweeps // batches
     used = batch_size * batches
     all_means: list[float] = []

@@ -56,8 +56,7 @@ from .triangulation import Triangulation
 
 def open_probability(degree: int, beta: float) -> float:
     """tanh(beta * degree): the disagreement bound for a degree-d vertex."""
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    degree = _checked_int(degree, "degree", 1)
     return math.tanh(_checked_beta(beta) * degree)
 
 

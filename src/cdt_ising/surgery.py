@@ -195,7 +195,11 @@ class Insertion:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if any(len(pair) != 2 for pair in self.pairs):
+        try:
+            pairs_ok = all(len(pair) == 2 for pair in self.pairs)
+        except TypeError:  # a pair that is not a sequence
+            pairs_ok = False
+        if not pairs_ok:
             raise ValueError("each insertion pair must be (up slot, down slot)")
         for x in (self.level, self.pos, *(slot for pair in self.pairs for slot in pair)):
             _checked_int(x, "insertion levels, positions and slots", 0)

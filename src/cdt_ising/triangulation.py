@@ -70,7 +70,7 @@ class VertexDegree:
     boundary: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FreeGraph:
     """Edges of the free vertices: levels 0..top-1, flat ids 0..n_free-1.
 
@@ -78,7 +78,8 @@ class FreeGraph:
     diagonal edges into the top level are boundary edges, stored once as the
     parallel arrays ``bv``/``bpos`` (one entry per edge, so multiplicity is
     kept), and horizontal edges inside the top level are left out: the edges
-    of the Ising Hamiltonian under a frozen top level.
+    of the Ising Hamiltonian under a frozen top level.  Compared and hashed
+    by identity: a triangulation builds its graph once.
     """
 
     n_free: int
@@ -97,42 +98,12 @@ class FreeGraph:
     # max over free v of its neighbour count + its boundary edges: a bound on
     # |field_v + sum of its neighbors' spins| under every boundary condition
     max_degree: int
-    # ising's sweep state: "kernel", glauber_sweep's compiled sweep; "setup",
-    # one (key, (field, table)) entry, as a chain sweeps many times under one
-    # beta and boundary; "classes", the class kernel's layout (_class_layout)
-    sweep_memo: dict = field(default_factory=dict, compare=False, repr=False)
+    # ising's sweep of this graph (ising._Sweep), built on its first sweep
+    sweep_memo: dict = field(default_factory=dict, repr=False)
 
     def __getstate__(self) -> dict:
         # a compiled sweep cannot be pickled; an unpickled graph rebuilds it
         return {**self.__dict__, "sweep_memo": {}}
-
-    @cached_property
-    def visit_order(self) -> tuple[int, ...]:
-        """The free vertices class by class: the order of a heat-bath sweep."""
-        return tuple(chain.from_iterable(self.colour_classes))
-
-    @cached_property
-    def class_neighbors(self) -> tuple[np.ndarray, ...]:
-        """Per colour class, a padded (width, size) array of neighbour positions.
-
-        Column j lists ``neighbors`` of the class's j-th vertex by their
-        positions in ``visit_order``, padded with ``n_free`` up to the
-        class's largest neighbour count.
-        """
-        pos = np.argsort(self.visit_order)  # visit position of each vertex
-        offsets, other = self.neighbors
-        counts, nbrs = np.diff(offsets), pos[other]
-        # each row entry's vertex, by visit position, and its index in the row
-        owner = pos.repeat(counts)
-        slot = np.arange(len(nbrs)) - offsets[:-1].repeat(counts)
-        layout, lo = [], 0
-        for size in map(len, self.colour_classes):
-            mine = (lo <= owner) & (owner < lo + size)
-            table = np.full((slot[mine].max(initial=-1) + 1, size), self.n_free, dtype=np.intp)
-            table[slot[mine], owner[mine] - lo] = nbrs[mine]
-            layout.append(table)
-            lo += size
-        return tuple(layout)
 
 
 class Triangulation:

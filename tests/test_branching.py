@@ -24,6 +24,7 @@ from cdt_ising.branching import (
     size_biased_pmf,
 )
 from cdt_ising.cli import _level_size_chunk
+from cdt_ising.percolation import open_probability
 from cdt_ising.rng import TrialKeys, stream
 
 
@@ -55,6 +56,22 @@ def test_offspring_pmf_mean_is_one():
 def test_offspring_pmf_rejects_negative():
     with pytest.raises(ValueError):
         offspring_pmf(-1)
+
+
+@pytest.mark.parametrize("value", [2.5, "3", None])
+@pytest.mark.parametrize("call", [
+    lambda x: offspring_pmf(x),
+    lambda x: size_biased_pmf(x),
+    lambda x: psi_n(x, 0.3),
+    lambda x: level_size_pmf(x, 2),
+    lambda x: level_size_pmf(2, x),
+    lambda x: open_probability(x, 0.1),
+], ids=["offspring_pmf", "size_biased_pmf", "psi_n", "level_size_pmf_n", "level_size_pmf_k",
+        "open_probability"])
+def test_integer_arguments_refuse_other_values(call, value):
+    # 2.5 gave a wrong number with no error, "3" and None a TypeError
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(value)
 
 
 def test_offspring_gf_matches_series():

@@ -138,8 +138,9 @@ def test_percolation_report_json(tmp_path):
 
 
 def test_percolation_worker_invariance(tmp_path):
+    # 2,500 trials are three chunks of cli._CHUNK, so two workers split them
     assert_worker_invariant(tmp_path, "percolation", "--levels", "4", "--beta", "0.1",
-                            "--trials", "200", "--seed", "19")
+                            "--trials", "2500", "--seed", "19")
 
 
 def test_percolation_grid_equals_per_beta_runs(tmp_path):
@@ -219,6 +220,12 @@ def test_stats_rejects_zero_trials(tmp_path, capsys):
 def test_rejects_non_integer_trials(tmp_path, capsys):
     err = rejected(capsys, "stats", "--trials", "abc", "--out", str(tmp_path / "x.csv"))
     assert "argument --trials: invalid int value: 'abc'" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_rejects_a_beta_that_is_not_a_number(tmp_path, capsys):
+    err = rejected(capsys, "ising-scan", "--beta", "x", "--out", str(tmp_path / "x.csv"))
+    assert "argument --beta: invalid float value: 'x'" in err
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdt_ising import ising
@@ -23,7 +23,11 @@ from cdt_ising.ising import (
 )
 from cdt_ising.branching import sample_spine_forest
 from cdt_ising.rng import stream
-from cdt_ising.triangulation import enumerate_triangulations, forest_to_triangulation
+from cdt_ising.triangulation import (
+    Triangulation,
+    enumerate_triangulations,
+    forest_to_triangulation,
+)
 
 from test_acceptance import GLAUBER_T
 from test_triangulation import csr_rows, out_degree_lists
@@ -392,6 +396,15 @@ def test_ising_entry_points_reject_negative_beta(entry_point):
     entry_point(-0.0)  # equal to 0
 
 
+def test_root_plus_probability_needs_a_free_root():
+    # a triangulation of the root alone: the root is its boundary
+    t = Triangulation((1,), ())
+    with pytest.raises(ValueError, match="no free spin"):
+        root_plus_probability(t, 0.5, "plus", sweeps=4, replicas=1, seed=1, batches=2)
+    state = glauber_sweep(t, SpinState.constant(t, 1, "plus", 0.5), stream(1))
+    assert state.spins.tolist() == []
+
+
 def test_root_plus_probability_rejects_no_batches():
     with pytest.raises(ValueError):
         root_plus_probability(WIDE, 0.5, "minus", sweeps=64, replicas=1, seed=9, batches=0)
@@ -440,6 +453,11 @@ def table_sweep(spins, neighbors, field, table, uniforms, order) -> None:
         for j in neighbors[v]:
             s += spins[j]
         spins[v] = 1 if uniforms[v] < table[s] else -1
+
+
+def visit_order(fg) -> list[int]:
+    """The free vertices class by class, each class in flat order."""
+    return [v for members in fg.colour_classes for v in members]
 
 
 def reference_root_plus(t, beta, bc, sweeps, replicas, seed, burn_in, batches, init):
@@ -579,7 +597,8 @@ def test_root_plus_probability_reuses_the_cached_class_layout(monkeypatch):
     monkeypatch.setattr(ising._ClassKernel, "__init__", spy)
     for bc in ("plus", "minus"):
         root_plus_probability(t, 0.5, bc, sweeps=8, replicas=1, seed=9, burn_in=0, batches=2)
-    layout = t.free_graph.class_neighbors
+    (sweep,) = t.free_graph.sweep_memo.values()
+    layout = [nbrs for _, nbrs, _, _ in sweep.classes]
     assert len(seen) == 2
     assert all(a is b for run in seen for a, b in zip(run, layout, strict=True))
 
@@ -599,11 +618,36 @@ def test_root_plus_probability_at_the_narrow_count_boundary(fan):
     # sum holds, and at 256 the root's class sums in uint16
     t = forest_to_triangulation(((fan,), (1,) * fan))
     assert len(csr_rows(*t.free_graph.neighbors)[0]) == fan + 1
-    _, layout, _ = ising._class_layout(t.free_graph)
+    layout = ising._Sweep.of(t).classes
     assert max(dtype.itemsize for *_, dtype in layout) == (1 if fan == 254 else 2)
     args = (t, 2.0, "plus", 8, 1, 47, 2, 2, "aligned")
     est = root_plus_probability(*args)
     assert est == reference_root_plus(*args) and est.estimate == 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(lists=out_degree_lists())
+@example(lists=((1,), (1,), (1,)))  # one vertex on every level
+@example(lists=((1,), (2,), (1, 1)))  # a one-vertex level between wider ones
+@example(lists=((3,), (1, 1, 1)))
+def test_class_neighbors_list_each_vertex_in_visit_order(lists):
+    t = forest_to_triangulation(lists)
+    fg, sweep = t.free_graph, ising._Sweep.of(t)
+    order = visit_order(fg)
+    position = {v: i for i, v in enumerate(order)}
+    assert sweep.order.tolist() == order
+    rows = csr_rows(*fg.neighbors)
+    assert len(sweep.classes) == len(fg.colour_classes)
+    lo = 0
+    for members, (sites, nbrs, deg, _) in zip(fg.colour_classes, sweep.classes):
+        assert sites == slice(lo, lo + len(members))
+        width = max(len(rows[v]) for v in members)
+        assert nbrs.shape == (width, len(members))
+        for j, v in enumerate(members):
+            column = [position[u] for u in rows[v]]
+            assert nbrs[:, j].tolist() == column + [fg.n_free] * (width - len(column))
+            assert deg[j] == len(column)
+        lo += len(members)
 
 
 def bench_scale_triangulation():
@@ -624,10 +668,12 @@ def test_root_plus_probability_equals_the_reference_at_bench_scale(beta, init):
 def test_the_class_layout_is_kept_across_beta_and_boundary():
     t = bench_scale_triangulation()
     root_plus_probability(t, 0.05, "plus", 8, 2, 49, 2, 4, "random")
-    layout = t.free_graph.sweep_memo["classes"]
+    (sweep,) = t.free_graph.sweep_memo.values()
+    layout = sweep.classes
     args = (t, 2.0, "minus", 8, 2, 49, 2, 4, "random")
     assert root_plus_probability(*args) == reference_root_plus(*args)
-    assert t.free_graph.sweep_memo["classes"] is layout
+    glauber_sweep(t, SpinState.constant(t, 1, "plus", 0.6), stream(49))
+    assert t.free_graph.sweep_memo == {"sweep": sweep} and sweep.classes is layout
 
 
 def test_root_plus_probability_pinned_batch_means():
@@ -703,7 +749,7 @@ def test_glauber_sweep_boundary_field_memo_cannot_go_stale():
         expected = spins[t].tolist()
         field = ising._boundary_field(et, boundary.tolist(), et.max_degree)
         table_sweep(expected, csr_rows(*et.neighbors), field, _heat_bath_table(beta, et.max_degree),
-                    ref_rng.random(et.n_free).tolist(), et.visit_order)
+                    ref_rng.random(et.n_free).tolist(), visit_order(et))
         assert state.spins.tolist() == expected
         spins[t] = state.spins
 

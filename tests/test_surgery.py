@@ -318,11 +318,13 @@ def test_surgery_rejects_missing_vertex_or_level(call):
     lambda t: Insertion(1, 0, ((0.5, 0),)),
     lambda t: Insertion(1, 0, ((0,),)),
     lambda t: Insertion(1, 0, ((0, 1, 2),)),  # the third slot was ignored
+    lambda t: Insertion(1, 0, (5,)),
     lambda t: reconstruction_probability_bound([3], count=-2),
 ], ids=["enumerate_plans_level_0", "enumerate_plans_top_level", "enumerate_plans_float_count",
         "path_neighborhood_empty", "collapse_run_float_level", "collapse_run_float_start",
         "collapse_run_float_count", "insertion_float_level", "insertion_float_slot",
-        "insertion_one_slot", "insertion_three_slots", "probability_bound_negative_count"])
+        "insertion_one_slot", "insertion_three_slots", "insertion_pair_not_a_sequence",
+        "probability_bound_negative_count"])
 def test_surgery_rejects_bad_arguments_at_the_boundary(call):
     # each raised TypeError, IndexError or ZeroDivisionError from inside, or
     # (the three-slot pair) was accepted
