@@ -205,7 +205,8 @@ class LevelForest:
     """A plane forest given by per-level out-degree lists (single level-0 root).
 
     ``out_degrees[n][i]`` is the child count of the i-th vertex at level n;
-    the children of vertex i occupy consecutive positions at level n+1.
+    the children of vertex i occupy consecutive positions at level n+1.  The
+    root alone is ``LevelForest(())``, with no levels and level sizes (1,).
     """
 
     out_degrees: tuple[tuple[int, ...], ...]
@@ -216,7 +217,7 @@ class LevelForest:
         except TypeError as exc:
             raise ValueError(f"out-degrees must be integers: {exc}") from None
         object.__setattr__(self, "out_degrees", degrees)
-        if not self.out_degrees or len(self.out_degrees[0]) != 1:
+        if self.out_degrees and len(self.out_degrees[0]) != 1:
             raise ValueError("forest must have exactly one root at level 0")
         sizes = self.level_sizes
         for n, k in enumerate(sizes):

@@ -263,8 +263,8 @@ def flip_inside(t: Triangulation, state: SpinState, contour: Contour) -> SpinSta
 
 def survivors_statistic(forest: LevelForest, r_level: int, n: int) -> int:
     """Number of level (r_level - n) vertices with a descendant at level (r_level + n)."""
-    if n < 0 or r_level - n < 0:
-        raise ValueError("need 0 <= n <= r_level")
+    n = _checked_int(n, "n", 0)
+    r_level = _checked_int(r_level, "r_level", n)  # the window starts at level 0 or above
     lo, hi = r_level - n, r_level + n
     if hi > forest.levels:
         raise ValueError(f"forest must extend to level {hi}")

@@ -77,11 +77,14 @@ def sample_open_set(t: Triangulation, beta: float, rng: np.random.Generator) -> 
 
 
 def open_set_from_uniforms(t: Triangulation, beta: float, uniforms: np.ndarray) -> OpenSet:
-    """Open set from pre-drawn uniforms; shared uniforms couple different betas."""
+    """Open set from pre-drawn uniforms, a float array (or a sequence of
+    floats) with one per marked vertex; shared uniforms couple different
+    betas."""
     _checked_beta(beta)
     degs = t.mark_degrees
-    if uniforms.shape != degs.shape:
-        raise ValueError("need one uniform per marked vertex")
+    uniforms = np.asarray(uniforms)
+    if uniforms.dtype.kind != "f" or uniforms.shape != degs.shape:
+        raise ValueError("need one float uniform per marked vertex")
     return OpenSet(float(beta), uniforms < np.tanh(beta * degs))
 
 
@@ -99,13 +102,13 @@ class ReachResult:
 
 
 def max_open_reach(t: Triangulation, open_set: OpenSet) -> ReachResult:
-    if np.shape(open_set.marks) != t.mark_degrees.shape:
-        raise ValueError("need one mark per vertex below the top level")
+    marks = open_set.marks
+    if not isinstance(marks, np.ndarray) or marks.dtype != bool or marks.shape != t.mark_degrees.shape:
+        raise ValueError("need a bool array with one mark per vertex below the top level")
     root = 0
-    if not open_set.marks[root]:
+    if not marks[root]:
         return ReachResult(0, None)
     offsets, other = (x.tolist() for x in t.neighbors)
-    marks = open_set.marks
     n_marked = len(marks)
     parent = {root: None}
     queue = [root]

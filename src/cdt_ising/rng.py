@@ -17,8 +17,13 @@ import numpy as np
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
-    """Return the RNG stream identified by ``seed`` and an integer key path."""
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
+    """Return the RNG stream identified by ``seed`` and an integer key path.
+
+    The seed and each key are integers >= 0 (numpy integers too); anything
+    else raises ValueError.
+    """
+    key = tuple(_checked_int(k, "stream key", 0) for k in key)
+    ss = np.random.SeedSequence(_checked_int(seed, "seed", 0), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -114,12 +119,13 @@ class TrialKeys:
         return self.generator
 
 
-def _checked_int(value, what: str, least: int) -> int:
-    """``value`` as an int >= ``least``; ValueError for anything else."""
+def _checked_int(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int >= ``least`` (any int when None); ValueError for
+    anything else."""
     try:  # index() takes numpy ints, refuses what int() would truncate or parse
         value = index(value)
     except TypeError as exc:
         raise ValueError(f"{what} must be an integer: {exc}") from None
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{what} must be >= {least}, got {value}")
     return value

@@ -21,11 +21,11 @@ its ``__dict__``, so applying many plans to one host traces the path once.
 arrival it picks one of (insert_count + 2) options -- the
 (insert_count + 1) placements of a horizontal-run contraction next to the
 current vertex, or nothing.  An attempt's result is a function of its draws,
-so each modified triangulation keeps a branch table of the walks run on it:
-repeated attempts replay a finished branch from its draws, results are
-shared frozen objects, and the table lives as long as the triangulation.
-``reconstruction_success_probability`` enumerates every branch for the exact
-success probability.
+so a modified triangulation keeps one branch tree per (reference, path,
+count): attempts descend it with their draws and run the walk only where it
+has no branch yet, and ``reconstruction_success_probability`` sums the
+weights of its successful leaves, filling in every branch it lacks.  Results
+are shared frozen objects, and the tree lives as long as the triangulation.
 
 Private routines carry the graph work.  ``_slots`` lists a vertex's edge
 slots by side, on a triangulation's tuples and on thawed lists alike; the
@@ -34,8 +34,8 @@ read it.  On thawed lists, ``_insert_run`` makes a k-fold insertion in one
 pass (``insert_pairs`` and ``apply_modification`` run it), and
 ``_collapse_run`` collapses a horizontal run in one pass (``collapse_run``,
 ``collapse_horizontal_edge`` and the reconstruction walk run it).  ``_walk``
-is the reconstruction walk with its draws supplied by a callback; the branch
-table and the exact enumeration both drive it.
+is the reconstruction walk: it takes its draws from a known prefix and then
+from a callback, and writes its branch into the tree.
 """
 
 from __future__ import annotations
@@ -201,10 +201,10 @@ class Insertion:
             pairs_ok = False
         if not pairs_ok:
             raise ValueError("each insertion pair must be (up slot, down slot)")
-        for x in (self.level, self.pos, *(slot for pair in self.pairs for slot in pair)):
-            _checked_int(x, "insertion levels, positions and slots", 0)
         ups = [p[0] for p in self.pairs]
         downs = [p[1] for p in self.pairs]
+        for x in (self.level, self.pos, *ups, *downs):
+            _checked_int(x, "insertion levels, positions and slots", 0)
         if ups != sorted(ups) or downs != sorted(downs):
             raise ValueError("slot lists must be nondecreasing (left to right)")
 
@@ -302,10 +302,7 @@ def _edge_slot(slots: dict[str, list[Vertex]], to: Vertex) -> tuple[str, int]:
 
 def path_neighborhood(t: Triangulation, path) -> PathNeighborhood:
     """Encode the 1-neighborhood of a locally geodesic path from the root."""
-    try:  # index() takes numpy ints, refuses what int() would truncate
-        path = tuple((index(l), index(p)) for l, p in path)
-    except TypeError as exc:
-        raise ValueError(f"path coordinates must be integers: {exc}") from None
+    path = _checked_path(path)
     if not path or path[0] != (0, 0):
         raise ValueError("paths start at the root")
     if not is_locally_geodesic(t, path):
@@ -359,6 +356,7 @@ INSERT_COUNT = 10
 def modified_indices(pn: PathNeighborhood, threshold: int = DEGREE_THRESHOLD) -> list[int]:
     """Path indices eligible for modification: internal vertices of degree >=
     threshold (boundary-level vertices never qualify)."""
+    threshold = _checked_int(threshold, "threshold", 0)
     out = []
     for j, (up, down) in enumerate(pn.splits):
         if up is None or down is None:
@@ -385,6 +383,7 @@ def apply_modification(
     fans, and only the result is built and validated.  The host caches its
     embedding of each ``pn`` (None included) for as long as it lives.
     """
+    count = _checked_int(count, "count", 1)
     embeddings = t.__dict__.setdefault("_embeddings", {})
     if pn not in embeddings:
         embeddings[pn] = embed(pn, t)
@@ -404,7 +403,8 @@ def apply_modification(
         for at, amount in shifts.get(lvl, []):
             if pos > at:
                 pos += amount
-        _insert_run(sizes, fans, lvl, pos, tuple(zip(sorted(ups), sorted(downs))))
+        insertion = Insertion(lvl, pos, tuple(zip(sorted(ups), sorted(downs))))
+        _insert_run(sizes, fans, lvl, pos, insertion.pairs)
         shifts.setdefault(lvl, []).append((pos, count))
     return Triangulation(sizes, fans)
 
@@ -433,56 +433,71 @@ class ReconstructionResult:
 
 
 # The draws of one attempt, in order: per step the slot taken (out of the
-# current vertex's slot count), then the option (out of count + 2).
+# current vertex's slot count), then the option (out of count + 2).  A branch
+# table maps each draw prefix met at a step boundary to the next step's slot
+# count, or to the finished result.
 Draws = tuple[int, ...]
 
 
 def _walk(
     t_prime: Triangulation,
     reference_key,
-    ref_path: tuple[Vertex, ...],
+    path: tuple[Vertex, ...],
     count: int,
-    pick: Callable[[Draws, int], int],
-) -> tuple[Draws, ReconstructionResult]:
-    """The reconstruction walk with its draws supplied by ``pick``.
+    table: dict[Draws, int | ReconstructionResult],
+    known: Draws,
+    draw: Callable[[int], int],
+) -> ReconstructionResult:
+    """The reconstruction walk, its draws taken from ``known`` and then from
+    ``draw(n)`` (a draw in range(n)).
 
-    ``pick(prefix, n)`` returns a draw in range(n) given the draws made so
-    far.  The result is a function of the draws alone; they are returned
-    with it.
+    Each step draws its slot and its option at the step's start.  The walk
+    writes its branch into ``table``: each step's slot count under the draws
+    before the step, and the result under all of them.
     """
-    steps = len(ref_path) - 1
     cur: Vertex = (0, 0)
     walk: list[Vertex] = [cur]
     sizes, fans = _thaw(t_prime)
     contractions: list[tuple[int, int, int]] = []
     draws: Draws = ()
-
-    def fail() -> tuple[Draws, ReconstructionResult]:
-        return draws, ReconstructionResult(False, tuple(walk), None, tuple(contractions))
-
-    for _ in range(steps):
+    result = None
+    for _ in range(len(path) - 1):
         slots = [w for side in _slots(sizes, fans, cur).values() for w in side]
-        slot = pick(draws, len(slots))
-        draws += (slot,)
+        table[draws] = len(slots)
+        slot, choice = known[len(draws):len(draws) + 2] or (draw(len(slots)), draw(count + 2))
+        draws += (slot, choice)
         cur = slots[slot]
         walk.append(cur)
-        choice = pick(draws, count + 2)
-        draws += (choice,)
         if choice == count + 1:
             continue  # do nothing
         lvl, pos = cur
-        start = pos - count + choice
         if not 1 <= lvl <= len(sizes) - 2 or sizes[lvl] < count + 1:
-            return fail()
-        start %= sizes[lvl]
+            break  # an impossible contraction aborts the attempt
+        start = (pos - count + choice) % sizes[lvl]
         contractions.append((lvl, start, count))
         _collapse_run(sizes, fans, lvl, start, count, walk)
         cur = walk[-1]
-    if tuple(walk) != ref_path:
-        return fail()
-    result = Triangulation(sizes, fans)
-    ok = result.canonical_key == reference_key
-    return draws, ReconstructionResult(ok, tuple(walk), result, tuple(contractions))
+    else:
+        if tuple(walk) == path:
+            result = Triangulation(sizes, fans)
+    ok = result is not None and result.canonical_key == reference_key
+    table[draws] = node = ReconstructionResult(ok, tuple(walk), result, tuple(contractions))
+    return node
+
+
+def _checked_path(path) -> tuple[Vertex, ...]:
+    """``path`` as a tuple of (level, pos) ints; ValueError for other coordinates."""
+    try:  # index() takes numpy ints, refuses what int() would truncate
+        return tuple((index(l), index(p)) for l, p in path)
+    except TypeError as exc:
+        raise ValueError(f"path coordinates must be integers: {exc}") from None
+
+
+def _branches(t_prime: Triangulation, reference: Triangulation, reference_path, count):
+    """The key (reference canonical key, path, count) and ``t_prime``'s branch
+    table for it, empty at first; the table lives as long as ``t_prime``."""
+    key = (reference.canonical_key, _checked_path(reference_path), _checked_int(count, "count", 1))
+    return key, t_prime.__dict__.setdefault("_reconstruction_branches", {}).setdefault(key, {})
 
 
 def randomized_reconstruction(
@@ -502,39 +517,22 @@ def randomized_reconstruction(
     tracked through the contractions) equals the reference path and the
     rebuilt triangulation equals the reference.
 
-    The result is a function of the draws, so each branch runs once: a
-    branch table on ``t_prime``, keyed by (reference canonical key, path,
-    count), maps every draw prefix met at a step boundary to the next step's
-    slot count or to the finished result.  An attempt makes the same
-    ``rng.integers`` calls in the same order as the plain walk; only a
-    branch not yet in the table runs the walk.  Results are shared frozen
-    objects (their ``triangulation`` too), and a branch table lives as long
-    as its ``t_prime``, growing with the distinct branches met.
+    The result is a function of the draws, so the attempt descends the one
+    branch tree of (reference, path, count) on ``t_prime``: it draws each
+    step's slot and option from ``rng`` as the plain walk would, and runs
+    the walk only where the tree has no node for its draws yet, writing the
+    new branch in.  ``reconstruction_success_probability`` fills the whole
+    tree, so attempts after it run no walk.  Results are shared frozen
+    objects (their ``triangulation`` too).
     """
-    try:  # index() takes numpy ints, refuses what int() would truncate
-        ref_path = tuple((index(l), index(p)) for l, p in reference_path)
-    except TypeError as exc:
-        raise ValueError(f"path coordinates must be integers: {exc}") from None
-    branches = t_prime.__dict__.setdefault("_reconstruction_branches", {})
-    table = branches.setdefault((reference.canonical_key, ref_path, count), {})
+    key, table = _branches(t_prime, reference, reference_path, count)
     draws: Draws = ()
     node = table.get(draws)
     while isinstance(node, int):  # the slot count of the next step
-        draws += (int(rng.integers(0, node)), int(rng.integers(0, count + 2)))
+        draws += (int(rng.integers(0, node)), int(rng.integers(0, key[2] + 2)))
         node = table.get(draws)
-    if node is not None:
-        return node
-    known = draws
-
-    def pick(prefix: Draws, n: int) -> int:
-        if len(prefix) < len(known):
-            return known[len(prefix)]
-        if len(prefix) % 2 == 0:
-            table[prefix] = n
-        return int(rng.integers(0, n))
-
-    draws, node = _walk(t_prime, reference.canonical_key, ref_path, count, pick)
-    table[draws] = node
+    if node is None:
+        node = _walk(t_prime, *key, table, draws, lambda n: int(rng.integers(0, n)))
     return node
 
 
@@ -546,41 +544,35 @@ def reconstruction_success_probability(
 ) -> float:
     """The exact per-attempt success probability of ``randomized_reconstruction``.
 
-    Enumerates every branch of the walk, (slot count) x (count + 2) per
-    step, and sums the weights of the successful ones; a step weighs
-    1 / (slot count * (count + 2)).  One walk runs per branch, and branches
-    multiply along the path, so this suits small fixtures.
+    Sums the weights of the successful leaves of the branch tree that
+    attempts descend, depth first; a step weighs 1 / (slot count *
+    (count + 2)).  A node not yet in the tree is filled by one walk that
+    takes draw 0 past it, so the tree is left complete on ``t_prime`` and
+    one walk runs per branch.  Branches multiply along the path, so this
+    suits small fixtures.
     """
-    try:  # index() takes numpy ints, refuses what int() would truncate
-        ref_path = tuple((index(l), index(p)) for l, p in reference_path)
-    except TypeError as exc:
-        raise ValueError(f"path coordinates must be integers: {exc}") from None
+    key, table = _branches(t_prime, reference, reference_path, count)
     wins: list[float] = []
-    pending: list[Draws] = [()]
+    pending: list[tuple[Draws, float]] = [((), 1.0)]
     while pending:
-        forced = pending.pop()
-        weight = 1.0
-
-        def pick(prefix: Draws, n: int) -> int:
-            # follow ``forced``, then take 0 and leave the siblings for later
-            nonlocal weight
-            weight /= n
-            if len(prefix) < len(forced):
-                return forced[len(prefix)]
-            pending.extend(prefix + (v,) for v in range(1, n))
-            return 0
-
-        _, result = _walk(t_prime, reference.canonical_key, ref_path, count, pick)
-        if result.success:
+        draws, weight = pending.pop()
+        if draws not in table:
+            _walk(t_prime, *key, table, draws, lambda n: 0)
+        node = table[draws]
+        if isinstance(node, int):  # one child per slot and option
+            pending += [(draws + (s, c), weight / node / (key[2] + 2))
+                        for s in range(node) for c in range(key[2] + 2)]
+        elif node.success:
             wins.append(weight)
     return math.fsum(wins)
 
 
 def reconstruction_probability_bound(degrees, count: int = INSERT_COUNT) -> float:
     """The guaranteed per-attempt success probability for a known pair:
-    prod_j 1 / ((count + 2) * (d_j + count)) over the path degrees."""
+    prod_j 1 / ((count + 2) * (d_j + count)) over the path degrees, each
+    at least 2 (a vertex's two horizontal slots)."""
     count = _checked_int(count, "count", 1)
     p = 1.0
     for d in degrees:
-        p /= (count + 2) * (d + count)
+        p /= (count + 2) * (_checked_int(d, "path degrees", 2) + count)
     return p

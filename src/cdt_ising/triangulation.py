@@ -420,10 +420,11 @@ def triangulation_to_forest(t: Triangulation) -> LevelForest:
 
 def rotate_level(t: Triangulation, level: int, shift: int) -> Triangulation:
     """Relabel positions q -> (q + shift) mod k at one level (same triangulation)."""
+    level = _checked_int(level, "level", 0)
     if not 1 <= level <= t.top_level:
         raise ValueError("only levels above the root can be rotated")
     fans = list(t.fans)
-    _rotate_fans(t.level_sizes, fans, level, shift)
+    _rotate_fans(t.level_sizes, fans, level, _checked_int(shift, "shift"))
     return Triangulation(t.level_sizes, fans)
 
 

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from cdt_ising.branching import sample_spine_forest
 from cdt_ising.cli import main
 from cdt_ising.reports import ExperimentReport
+from cdt_ising.rng import stream
+from cdt_ising.triangulation import forest_to_triangulation, from_text
 
 
 def data_rows(path) -> list[str]:
@@ -24,8 +27,10 @@ def test_sample_report(tmp_path, capsys):
     assert rc == 0
     rows = data_rows(out)
     assert rows[0] == "level,size,count"
-    assert (out.with_suffix(".t0.lt")).exists()
-    assert (out.with_suffix(".t1.lt")).exists()
+    # each saved file decodes to the triangulation of its trial's stream
+    for i in range(2):
+        saved = from_text(out.with_suffix(f".t{i}.lt").read_text())
+        assert saved == forest_to_triangulation(sample_spine_forest(stream(3, i), 3))
 
 
 def test_stats_report_and_determinism(tmp_path):

@@ -548,6 +548,10 @@ def test_survivors_domain():
         survivors_statistic(forest, 1, 2)
     with pytest.raises(ValueError):
         survivors_statistic(forest, 5, 3)
+    # the first three raised TypeError from inside
+    for r_level, n in ((1.5, 0), (3, 1.0), ("3", 1), (3, -1)):
+        with pytest.raises(ValueError):
+            survivors_statistic(forest, r_level, n)
 
 
 def test_survivors_survival_rate_bound():

@@ -368,6 +368,13 @@ def test_root_plus_probability_rejects_negative_burn_in():
         root_plus_probability(WIDE, 0.5, "minus", sweeps=64, replicas=1, seed=9, burn_in=-1)
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, "3"])
+def test_root_plus_probability_rejects_bad_seeds(seed):
+    # 1.5 raised numpy's TypeError, -1 numpy's own message, "3" a TypeError
+    with pytest.raises(ValueError, match="seed"):
+        root_plus_probability(WIDE, 0.5, "minus", sweeps=64, replicas=1, seed=seed)
+
+
 def test_root_plus_probability_deterministic():
     a = root_plus_probability(CHAIN, 0.5, "minus", sweeps=1000, replicas=2, seed=9)
     b = root_plus_probability(CHAIN, 0.5, "minus", sweeps=1000, replicas=2, seed=9)

@@ -341,6 +341,13 @@ FIVE_MARKS = forest_to_triangulation(((2,), (1, 1), (1, 1)))  # levels 0..2 hold
         lambda: max_open_reach(FIVE_MARKS, OpenSet(0.5, np.ones(40, dtype=bool))),
         lambda: max_open_reach(FIVE_MARKS, OpenSet(0.5, np.ones(1, dtype=bool))),
         lambda: max_open_reach(FIVE_MARKS, OpenSet(0.5, np.ones(0, dtype=bool))),
+        lambda: max_open_reach(FIVE_MARKS, OpenSet(0.5, np.full(5, 0.5))),
+        lambda: max_open_reach(FIVE_MARKS, OpenSet(0.5, [True] * 5)),
+        lambda: max_open_reach(FIVE_MARKS, OpenSet(0.5, np.ones(5, dtype=int))),
+        lambda: open_set_from_uniforms(FIVE_MARKS, 0.5, [0.5] * 4),
+        lambda: open_set_from_uniforms(FIVE_MARKS, 0.5, np.full((5, 1), 0.5)),
+        lambda: open_set_from_uniforms(FIVE_MARKS, 0.5, np.zeros(5, dtype=int)),
+        lambda: open_set_from_uniforms(FIVE_MARKS, 0.5, ["0.5"] * 5),
         lambda: count_salg_paths(FIVE_MARKS, 2.5),
         lambda: count_salg_paths(FIVE_MARKS, "2"),
     ],
@@ -352,6 +359,8 @@ FIVE_MARKS = forest_to_triangulation(((2,), (1, 1), (1, 1)))  # levels 0..2 hold
         "probability-trials-zero", "probability-seed-float", "curve-no-beta", "curve-beta-string",
         "curve-levels-string", "curve-trials-float", "curve-seed-negative",
         "reach-marks-too-many", "reach-marks-too-few", "reach-marks-none",
+        "reach-marks-float", "reach-marks-list", "reach-marks-int",
+        "uniforms-too-few", "uniforms-column", "uniforms-int", "uniforms-strings",
         "salg-length-float", "salg-length-string",
     ],
 )
@@ -398,6 +407,8 @@ def test_open_set_from_uniforms_couples():
     small = open_set_from_uniforms(t, 0.05, u)
     large = open_set_from_uniforms(t, 0.5, u)
     assert not (small.marks & ~large.marks).any()
+    # a sequence of floats reads as the array it lists
+    assert open_set_from_uniforms(t, 0.05, u.tolist()).marks.tolist() == small.marks.tolist()
 
 
 @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])

@@ -52,6 +52,24 @@ def test_trial_keys_reject_bad_seeds(seed):
         TrialKeys(seed)
 
 
+@pytest.mark.parametrize("args, what", [
+    ((1.5,), "seed"), ((-1,), "seed"), (("3",), "seed"), ((None,), "seed"),
+    ((1, 1.5), "stream key"), ((1, "2"), "stream key"), ((1, -1), "stream key"),
+    ((1, 0, 2.0), "stream key"),
+], ids=["float_seed", "negative_seed", "str_seed", "none_seed",
+        "float_key", "str_key", "negative_key", "float_second_key"])
+def test_stream_rejects_bad_seeds_and_keys(args, what):
+    # int() read 1.5 and "2" as 1 and 2; a float or negative seed failed
+    # inside numpy with a TypeError or its own message
+    with pytest.raises(ValueError, match=what):
+        stream(*args)
+
+
+def test_stream_takes_numpy_integers():
+    want = stream(2**63 + 1, 4, 2**40).random(5).tolist()
+    assert stream(np.uint64(2**63 + 1), np.int32(4), np.int64(2**40)).random(5).tolist() == want
+
+
 def test_trial_keys_take_numpy_integers():
     assert TrialKeys(np.uint64(2**63)).key(np.int64(4)) == TrialKeys(2**63).key(4)
 

@@ -320,14 +320,35 @@ def test_surgery_rejects_missing_vertex_or_level(call):
     lambda t: Insertion(1, 0, ((0, 1, 2),)),  # the third slot was ignored
     lambda t: Insertion(1, 0, (5,)),
     lambda t: reconstruction_probability_bound([3], count=-2),
+    lambda t: reconstruction_probability_bound([-10, 3]),
+    lambda t: reconstruction_probability_bound([2.5, 3]),
+    lambda t: reconstruction_probability_bound([1, 3]),
+    lambda t: apply_modification(FIXTURE, FIX_PATH, FIX_PLAN, threshold=8, count=2.5),
+    lambda t: apply_modification(FIXTURE, FIX_PATH, FIX_PLAN, threshold=8, count=10.0),
+    lambda t: apply_modification(FIXTURE, FIX_PATH, FIX_PLAN, threshold=8.5, count=10),
+    lambda t: apply_modification(FIXTURE, FIX_PATH, {1: ((5.0,) * 10, (1,) * 10)}, threshold=8, count=10),
+    lambda t: modified_indices(FIX_PATH, "x"),
+    lambda t: modified_indices(FIX_PATH, -1),
+    lambda t: reconstruction_success_probability(CHAIN, CHAIN, CHAIN_PATH, count=0),
+    lambda t: reconstruction_success_probability(CHAIN, CHAIN, CHAIN_PATH, count=2.0),
+    lambda t: randomized_reconstruction(FIX_MOD, FIXTURE, FIX_PATH.path, stream(98), count=0),
+    lambda t: randomized_reconstruction(FIX_MOD, FIXTURE, FIX_PATH.path, stream(98), count=10.0),
 ], ids=["enumerate_plans_level_0", "enumerate_plans_top_level", "enumerate_plans_float_count",
         "path_neighborhood_empty", "collapse_run_float_level", "collapse_run_float_start",
         "collapse_run_float_count", "insertion_float_level", "insertion_float_slot",
         "insertion_one_slot", "insertion_three_slots", "insertion_pair_not_a_sequence",
-        "probability_bound_negative_count"])
+        "probability_bound_negative_count", "probability_bound_negative_degree",
+        "probability_bound_float_degree", "probability_bound_degree_below_two",
+        "modification_float_count", "modification_integral_float_count",
+        "modification_float_threshold", "modification_float_slot",
+        "modified_indices_string_threshold", "modified_indices_negative_threshold",
+        "success_probability_zero_count", "success_probability_float_count",
+        "reconstruction_zero_count", "reconstruction_float_count"])
 def test_surgery_rejects_bad_arguments_at_the_boundary(call):
-    # each raised TypeError, IndexError or ZeroDivisionError from inside, or
-    # (the three-slot pair) was accepted
+    # each raised TypeError, IndexError or ZeroDivisionError from inside, was
+    # accepted (the three-slot pair, integral float counts, count 0, float or
+    # negative thresholds, float or small degrees), or (count 2.5) asked for
+    # 2.5 pairs
     t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
     with pytest.raises(ValueError):
         call(t)
@@ -654,6 +675,91 @@ def test_branch_table_matches_plain_walk(calls):
         successes += got.success
     assert successes > 0
     assert memo_rng.random() == plain_rng.random()
+
+
+class ScriptedDraws:
+    """A stand-in generator: ``integers(0, n)`` returns the next draw of the
+    script, 0 past its end, and records n."""
+
+    def __init__(self, script):
+        self.script = script
+        self.ranges = []
+
+    def integers(self, low, high):
+        assert low == 0
+        i = len(self.ranges)
+        self.ranges.append(high)
+        return self.script[i] if i < len(self.script) else 0
+
+
+def enumerated_success_probability(t_prime, reference, path, count):
+    """Sum over every draw sequence of ``plain_reconstruction``, depth first:
+    a run follows its script, then draws 0 and leaves each nonzero sibling
+    of those draws for a later run.  A sequence weighs prod 1 / n over the
+    ranges it drew from."""
+    wins = []
+    pending = [()]
+    while pending:
+        script = pending.pop()
+        rng = ScriptedDraws(script)
+        result = plain_reconstruction(t_prime, reference, path, rng, count)
+        for i in range(len(script), len(rng.ranges)):
+            zeros = (0,) * (i - len(script))
+            pending += [script + zeros + (v,) for v in range(1, rng.ranges[i])]
+        if result.success:
+            weight = 1.0
+            for n in rng.ranges:
+                weight /= n
+            wins.append(weight)
+    return math.fsum(wins)
+
+
+def _distinct(calls):
+    """Each (t_prime, reference, path, count) once, in first-seen order."""
+    return list({(id(t_prime), id(ref), path, count): (t_prime, ref, path, count)
+                 for t_prime, ref, path, count in calls}.values())
+
+
+@pytest.mark.parametrize("calls", [
+    lambda: [(FIX_MOD, FIXTURE, FIX_PATH.path, 10), (CHAIN, CHAIN, CHAIN_PATH, 10)],
+    lambda: _distinct(_count_two_calls()),
+], ids=["fixtures", "count_two"])
+def test_exact_success_probability_matches_enumerated_plain_walks(calls):
+    # an oracle that runs no _walk and reads no branch table
+    wins = 0
+    for t_prime, reference, path, count in calls():
+        want = enumerated_success_probability(t_prime, reference, path, count)
+        got = reconstruction_success_probability(t_prime, reference, path, count)
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
+        wins += want > 0
+    assert wins > 0
+
+
+@pytest.mark.parametrize("t_prime, reference, path", [
+    (FIX_MOD, FIXTURE, FIX_PATH.path),
+    (CHAIN, CHAIN, CHAIN_PATH),
+], ids=["modified", "chain"])
+def test_exact_enumeration_fills_the_tree_attempts_descend(monkeypatch, t_prime, reference, path):
+    # fresh copies, so no table of another test is read
+    exact_first = Triangulation(t_prime.level_sizes, t_prime.fans)
+    attempts_first = Triangulation(t_prime.level_sizes, t_prime.fans)
+    exact = reconstruction_success_probability(exact_first, reference, path)
+    assert list(exact_first.__dict__["_reconstruction_branches"]) == [
+        (reference.canonical_key, tuple(path), INSERT_COUNT)]
+    # attempts on the exact enumeration's copy run no walk
+    memo_rng, plain_rng = stream(99), stream(99)
+    with monkeypatch.context() as m:
+        m.setattr(surgery, "_walk", lambda *args: pytest.fail("a walk ran"))
+        for _ in range(2000):
+            got = randomized_reconstruction(exact_first, reference, path, memo_rng)
+            assert got == plain_reconstruction(exact_first, reference, path, plain_rng)
+        assert reconstruction_success_probability(exact_first, reference, path) == exact
+    assert memo_rng.random() == plain_rng.random()
+    # attempts first, then the exact value: the same float
+    rng = stream(99)
+    for _ in range(2000):
+        randomized_reconstruction(attempts_first, reference, path, rng)
+    assert reconstruction_success_probability(attempts_first, reference, path) == exact
 
 
 def test_reconstruction_success_rebuilds_reference():

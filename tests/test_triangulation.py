@@ -596,9 +596,22 @@ def test_canonical_key_matches_forest_key():
             assert r.canonical_key == reference_canonical_key(r)
 
 
+@pytest.mark.parametrize("level, shift, what", [
+    (1, 1.5, "shift"), (1, "1", "shift"), (1, None, "shift"), (1.0, 1, "level"), ("1", 1, "level"),
+])
+def test_rotate_level_rejects_non_integer_arguments(level, shift, what):
+    # each raised TypeError from tuple indexing
+    t = forest_to_triangulation(((2,), (5, 1), (1,) * 6))
+    with pytest.raises(ValueError, match=f"{what} must be an integer"):
+        rotate_level(t, level, shift)
+    # numpy integers are integers, and a shift may be negative
+    assert rotate_level(t, np.int64(2), np.int32(-2)) == rotate_level(t, 2, 4)
+
+
 def test_serialization_roundtrip():
-    for i in range(100):
-        t = forest_to_triangulation(sample_spine_forest(stream(24, i), 4))
+    # the root alone, with no strip, then sampled triangulations
+    sampled = (forest_to_triangulation(sample_spine_forest(stream(24, i), 4)) for i in range(100))
+    for t in (Triangulation((1,), ()), *sampled):
         text = to_text(t)
         assert from_text(text) == t
         assert to_text(from_text(text)) == text
@@ -611,6 +624,19 @@ def test_text_roundtrip_gives_canonical_form(lists, data):
     for level in range(1, t.top_level + 1):
         t = rotate_level(t, level, data.draw(st.integers(0, t.level_sizes[level] - 1)))
     assert from_text(to_text(t)) == t.canonical()
+
+
+def test_root_alone_round_trips_through_the_codec():
+    # the forest of the root alone has no levels; the codec and the text
+    # format refused it as "not exactly one root"
+    t = Triangulation((1,), ())
+    assert LevelForest(()).level_sizes == (1,)
+    assert forest_to_triangulation(LevelForest(())) == forest_to_triangulation(()) == t
+    assert triangulation_to_forest(t) == LevelForest(())
+    assert t.canonical() == t
+    assert to_text(t) == "0 1\n" and from_text("0 1\n") == t
+    with pytest.raises(ValueError, match="one root"):
+        LevelForest(((1, 1),))  # two roots
 
 
 def test_serialization_rejects_malformed():
