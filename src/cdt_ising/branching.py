@@ -31,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from operator import index
 
 import numpy as np
 
-from .rng import TrialKeys, _checked_int
+from .rng import TrialKeys, _checked_int, _checked_ints
 
 
 def offspring_pmf(k: int) -> float:
@@ -212,11 +211,7 @@ class LevelForest:
     out_degrees: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        try:  # index() takes numpy ints, refuses what int() would truncate or parse
-            degrees = tuple(tuple(map(index, lst)) for lst in self.out_degrees)
-        except TypeError as exc:
-            raise ValueError(f"out-degrees must be integers: {exc}") from None
-        object.__setattr__(self, "out_degrees", degrees)
+        object.__setattr__(self, "out_degrees", _checked_ints(self.out_degrees, "out-degrees", 2))
         if self.out_degrees and len(self.out_degrees[0]) != 1:
             raise ValueError("forest must have exactly one root at level 0")
         sizes = self.level_sizes

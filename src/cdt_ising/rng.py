@@ -129,3 +129,14 @@ def _checked_int(value, what: str, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ValueError(f"{what} must be >= {least}, got {value}")
     return value
+
+
+def _checked_ints(values, what: str, depth: int = 1) -> tuple:
+    """``values`` as a tuple of ints, or with ``depth`` > 1 as tuples nested
+    that deep; ValueError for anything else, a non-sequence included."""
+    try:
+        if depth == 1:
+            return tuple(map(index, values))
+        return tuple(_checked_ints(v, what, depth - 1) for v in values)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be integers: {exc}") from None

@@ -36,6 +36,12 @@ pass (``insert_pairs`` and ``apply_modification`` run it), and
 ``collapse_horizontal_edge`` and the reconstruction walk run it).  ``_walk``
 is the reconstruction walk: it takes its draws from a known prefix and then
 from a callback, and writes its branch into the tree.
+
+Arguments are checked once, at the public boundary: vertices, counts, paths,
+insertion plans and slots are read as integers there, and ``_insert_run`` is
+the one place that checks a slot's range.  The triangulations built here
+come from a checked host and checked slots, so they are built through
+``Triangulation._trusted``, with no second check of their fans.
 """
 
 from __future__ import annotations
@@ -44,13 +50,12 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from operator import index
 from typing import Callable
 
 import numpy as np
 
 from .percolation import is_locally_geodesic
-from .rng import _checked_int
+from .rng import _checked_int, _checked_ints
 from .triangulation import Triangulation, _down_slot_entries, _rotate_fans
 
 Vertex = tuple[int, int]
@@ -187,7 +192,9 @@ class Insertion:
     """A k-fold insertion plan at one vertex.
 
     ``pairs`` lists (up slot, down slot) with both coordinates nondecreasing
-    across the list; repeated slots mean repeated use of the same edge.
+    across the list; repeated slots mean repeated use of the same edge.  The
+    fields are stored as ints (numpy integers are read as ints); whether the
+    slots exist at the vertex is checked when the plan is applied.
     """
 
     level: int
@@ -195,18 +202,18 @@ class Insertion:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        try:
-            pairs_ok = all(len(pair) == 2 for pair in self.pairs)
-        except TypeError:  # a pair that is not a sequence
-            pairs_ok = False
-        if not pairs_ok:
+        level = _checked_int(self.level, "insertion level", 0)
+        pos = _checked_int(self.pos, "insertion position", 0)
+        pairs = _checked_ints(self.pairs, "insertion slots", 2)
+        if any(len(pair) != 2 for pair in pairs):
             raise ValueError("each insertion pair must be (up slot, down slot)")
-        ups = [p[0] for p in self.pairs]
-        downs = [p[1] for p in self.pairs]
-        for x in (self.level, self.pos, *ups, *downs):
-            _checked_int(x, "insertion levels, positions and slots", 0)
+        ups, downs = [p[0] for p in pairs], [p[1] for p in pairs]
+        if min(ups + downs, default=0) < 0:
+            raise ValueError("insertion slots must be >= 0")
         if ups != sorted(ups) or downs != sorted(downs):
             raise ValueError("slot lists must be nondecreasing (left to right)")
+        for name, value in (("level", level), ("pos", pos), ("pairs", pairs)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -232,7 +239,7 @@ def insert_pairs(t: Triangulation, insertion: Insertion) -> InsertResult:
     level, pos = _check_internal(t, insertion.level, insertion.pos)
     sizes, fans = _thaw(t)
     _insert_run(sizes, fans, level, pos, insertion.pairs)
-    return InsertResult(Triangulation(sizes, fans), level, pos + 1, len(insertion.pairs))
+    return InsertResult(Triangulation._trusted(sizes, fans), level, pos + 1, len(insertion.pairs))
 
 
 def collapse_horizontal_edge(t: Triangulation, level: int, left_pos: int) -> Triangulation:
@@ -258,7 +265,7 @@ def collapse_run(t: Triangulation, level: int, start: int, count: int) -> Triang
         raise ValueError("level too small for the requested run")
     sizes, fans = _thaw(t)
     _collapse_run(sizes, fans, level, start, count, [])
-    return Triangulation(sizes, fans)
+    return Triangulation._trusted(sizes, fans)
 
 
 # -- path neighborhoods and the modification map ------------------------------
@@ -380,8 +387,12 @@ def apply_modification(
     of the path toward the root; slot tuples refer to the vertex's slots at
     application time, and positions of path vertices are remapped as earlier
     insertions stretch their levels.  The insertions share one set of thawed
-    fans, and only the result is built and validated.  The host caches its
-    embedding of each ``pn`` (None included) for as long as it lives.
+    fans.  ``count``, ``threshold`` and the plans' keys are checked here, and
+    each plan's slots are read once as integers and sorted; the insertion
+    refuses a slot out of the vertex's range (``_insert_run``).  The result
+    is built from fans made from checked input, so it is not validated
+    again.  The host caches its embedding of each ``pn`` (None included)
+    for as long as it lives.
     """
     count = _checked_int(count, "count", 1)
     embeddings = t.__dict__.setdefault("_embeddings", {})
@@ -396,17 +407,21 @@ def apply_modification(
     shifts: dict[int, list[tuple[int, int]]] = {}  # level -> [(pos, amount)]
     sizes, fans = _thaw(t)
     for j in reversed(eligible):
-        ups, downs = plans[j]
+        try:
+            ups, downs = plans[j]
+        except TypeError:  # not a pair of slot lists
+            raise ValueError(f"the plan for path index {j} must be (up slots, down slots)") from None
+        ups = sorted(_checked_ints(ups, "plan slots"))
+        downs = sorted(_checked_ints(downs, "plan slots"))
         if len(ups) != count or len(downs) != count:
             raise ValueError(f"vertex at path index {j} needs exactly {count} pairs")
         lvl, pos = trace[j]
         for at, amount in shifts.get(lvl, []):
             if pos > at:
                 pos += amount
-        insertion = Insertion(lvl, pos, tuple(zip(sorted(ups), sorted(downs))))
-        _insert_run(sizes, fans, lvl, pos, insertion.pairs)
+        _insert_run(sizes, fans, lvl, pos, tuple(zip(ups, downs)))
         shifts.setdefault(lvl, []).append((pos, count))
-    return Triangulation(sizes, fans)
+    return Triangulation._trusted(sizes, fans)
 
 
 def enumerate_plans(t: Triangulation, vertex: Vertex, count: int):
@@ -479,7 +494,7 @@ def _walk(
         cur = walk[-1]
     else:
         if tuple(walk) == path:
-            result = Triangulation(sizes, fans)
+            result = Triangulation._trusted(sizes, fans)
     ok = result is not None and result.canonical_key == reference_key
     table[draws] = node = ReconstructionResult(ok, tuple(walk), result, tuple(contractions))
     return node
@@ -487,10 +502,10 @@ def _walk(
 
 def _checked_path(path) -> tuple[Vertex, ...]:
     """``path`` as a tuple of (level, pos) ints; ValueError for other coordinates."""
-    try:  # index() takes numpy ints, refuses what int() would truncate
-        return tuple((index(l), index(p)) for l, p in path)
-    except TypeError as exc:
-        raise ValueError(f"path coordinates must be integers: {exc}") from None
+    path = _checked_ints(path, "path coordinates", 2)
+    if any(len(v) != 2 for v in path):
+        raise ValueError("path vertices must be (level, pos) pairs")
+    return path
 
 
 def _branches(t_prime: Triangulation, reference: Triangulation, reference_path, count):

@@ -20,6 +20,14 @@ Multigraph corner cases are real and intended: a level with a single vertex
 has a horizontal self-loop, and a strip over a single vertex produces a pair
 of parallel diagonal edges.
 
+Checks.  User input is checked once, at the public boundary: the
+constructor reads every size and fan entry as an integer and runs
+``_validate``, and ``LevelForest`` checks the lists ``forest_to_triangulation``
+and ``from_text`` decode.  Fans the library builds from checked input are
+trusted: every producer (the codec, ``rotate_level`` and the surgery
+operations) builds its result through ``Triangulation._trusted``, which
+only freezes them to tuples.
+
 The derived graph tables live on the instance, each built once and cached,
 and address vertices by flat id (``flat_index``, inverted by ``vertex_at``).
 ``edges`` holds the endpoints of every edge, read off the fan lengths and each
@@ -45,13 +53,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from operator import index
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .branching import LevelForest, SpineForest, offspring_pmf
-from .rng import _checked_int
+from .rng import _checked_int, _checked_ints
 
 MU_CRITICAL = math.log(2.0)
 
@@ -121,14 +128,21 @@ class Triangulation:
         level_sizes: Sequence[int],
         fans: Sequence[Sequence[Sequence[int]]],
     ) -> None:
-        try:  # index() takes numpy ints, refuses what int() would truncate or parse
-            self.level_sizes: tuple[int, ...] = tuple(map(index, level_sizes))
-            self.fans: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
-                tuple(tuple(map(index, fan)) for fan in strip) for strip in fans
-            )
-        except TypeError as exc:
-            raise ValueError(f"level sizes and fans must be integers: {exc}") from None
+        what = "level sizes and fans"
+        self.level_sizes: tuple[int, ...] = _checked_ints(level_sizes, what)
+        self.fans: tuple[tuple[tuple[int, ...], ...], ...] = _checked_ints(fans, what, 3)
         self._validate()
+
+    @classmethod
+    def _trusted(cls, level_sizes: Sequence[int], fans) -> "Triangulation":
+        """A triangulation from sizes and fans of Python ints that the library
+        built from checked input: frozen to tuples, with no integer pass and
+        no ``_validate``.  Every producer in the package builds its result
+        here; user input goes through ``__init__``."""
+        t = cls.__new__(cls)
+        t.level_sizes = tuple(level_sizes)
+        t.fans = tuple(tuple(map(tuple, strip)) for strip in fans)
+        return t
 
     def _validate(self) -> None:
         if not self.level_sizes or any(k < 1 for k in self.level_sizes):
@@ -192,10 +206,11 @@ class Triangulation:
 
     def vertex_at(self, flat: int) -> tuple[int, int]:
         """(level, pos) of a flat vertex id; the inverse of ``flat_index``."""
-        try:  # as in __init__: numpy ints in, no float or string truncated
-            flat = index(flat)
-        except TypeError as exc:
-            raise ValueError(f"flat vertex ids must be integers: {exc}") from None
+        # Plain ints skip the parse: small-exact makes ~1,800 of these calls
+        # and ``flat_index`` calls per op, and parsing every one cost it ~4%
+        # of units/s.  Anything else, int subclasses included, is parsed.
+        if type(flat) is not int:
+            (flat,) = _checked_ints((flat,), "flat vertex ids")
         if not 0 <= flat < self.level_offsets[-1]:
             raise ValueError(f"no vertex with flat id {flat} in levels {self.level_sizes}")
         level = bisect_right(self.level_offsets, flat) - 1
@@ -204,10 +219,8 @@ class Triangulation:
     def _check_vertex(self, level: int, pos: int) -> tuple[int, int]:
         """(level, pos) read as ``vertex_at`` reads a flat id; ValueError
         unless it is a vertex."""
-        try:
-            level, pos = index(level), index(pos)
-        except TypeError as exc:
-            raise ValueError(f"vertex coordinates must be integers: {exc}") from None
+        if type(level) is not int or type(pos) is not int:  # as in ``vertex_at``
+            level, pos = _checked_ints((level, pos), "vertex coordinates")
         if not (0 <= level <= self.top_level and 0 <= pos < self.level_sizes[level]):
             raise ValueError(f"no vertex ({level}, {pos}) in levels {self.level_sizes}")
         return level, pos
@@ -403,8 +416,8 @@ def forest_to_triangulation(forest: ForestLike) -> Triangulation:
             else:  # the last fans reach k_top, which wraps to 0
                 strip.append(tuple(q % k_top for q in range(s, end)))
             s += d
-        fans.append(tuple(strip))
-    return Triangulation(sizes, tuple(fans))
+        fans.append(strip)
+    return Triangulation._trusted(sizes, fans)
 
 
 def triangulation_to_forest(t: Triangulation) -> LevelForest:
@@ -425,7 +438,7 @@ def rotate_level(t: Triangulation, level: int, shift: int) -> Triangulation:
         raise ValueError("only levels above the root can be rotated")
     fans = list(t.fans)
     _rotate_fans(t.level_sizes, fans, level, _checked_int(shift, "shift"))
-    return Triangulation(t.level_sizes, fans)
+    return Triangulation._trusted(t.level_sizes, fans)
 
 
 def _rotate_fans(sizes: Sequence[int], fans: list, level: int, shift: int) -> None:

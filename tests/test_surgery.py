@@ -270,6 +270,60 @@ def test_collapse_run_matches_single_edge_collapses(lists, data):
         assert (sizes, fans, walk) == want
 
 
+def assert_checked_like_user_input(t):
+    """A library-built triangulation passes every check of the public
+    constructor, and equals and hashes like the checked copy."""
+    t._validate()
+    assert all(type(x) is int for x in (*t.level_sizes, *(q for s in t.fans for f in s for q in f)))
+    checked = Triangulation(t.level_sizes, t.fans)
+    assert checked == t and hash(checked) == hash(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lists=out_degree_lists(), data=st.data())
+def test_library_built_triangulations_pass_the_public_checks(lists, data):
+    # every producer builds its result unchecked, from input it has checked
+    t = forest_to_triangulation(lists)
+    level = data.draw(st.integers(1, t.top_level))
+    built = [t, rotate_level(t, level, data.draw(st.integers(-5, 5)))]
+    if t.top_level >= 2:
+        level, pos = internal_vertex(data, t)
+        d = t.vertex_degree(level, pos)
+        k = data.draw(st.integers(1, 3))
+        ups = sorted(data.draw(st.lists(st.integers(0, d.up - 1), min_size=k, max_size=k)))
+        downs = sorted(data.draw(st.lists(st.integers(0, d.down - 1), min_size=k, max_size=k)))
+        res = insert_pairs(t, Insertion(level, pos, tuple(zip(ups, downs))))
+        built += [res.triangulation, collapse_run(res.triangulation, *res.new_horizontal_run)]
+        size = t.level_sizes[level]
+        if size >= 2:
+            start = data.draw(st.integers(0, size - 1))
+            built += [collapse_horizontal_edge(t, level, start),
+                      collapse_run(t, level, start, data.draw(st.integers(1, min(3, size - 1))))]
+        # a path that climbs one level per step, modified at its eligible
+        # vertices, and every walk that undoes the modification
+        path = [(0, 0)]
+        for _ in range(data.draw(st.integers(1, min(2, t.top_level)))):
+            path.append((path[-1][0] + 1, data.draw(st.sampled_from(t.fans[path[-1][0]][path[-1][1]]))))
+        pn = path_neighborhood(t, path)
+        threshold, count = data.draw(st.integers(0, 8)), data.draw(st.integers(1, 2))
+        plans = {}
+        for j in modified_indices(pn, threshold):
+            d = t.vertex_degree(*path[j])  # degrees only grow as farther vertices are modified
+            plans[j] = tuple(sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=count,
+                                                       max_size=count))) for n in (d.up, d.down))
+        t_prime = apply_modification(t, pn, plans, threshold, count)
+        built.append(t_prime)
+        if len(plans) <= 1:  # a few thousand walks at most
+            reconstruction_success_probability(t_prime, t, path, count)
+            table = next(iter(t_prime.__dict__["_reconstruction_branches"].values()))
+            walked = [node.triangulation for node in table.values()
+                      if isinstance(node, ReconstructionResult) and node.triangulation is not None]
+            assert walked
+            built += walked
+    for out in built:
+        assert_checked_like_user_input(out)
+
+
 def test_collapse_decreases_f_by_two():
     t = forest_to_triangulation(((3,), (1, 2, 0), (2, 1, 1)))
     for pos in range(t.level_sizes[1]):
@@ -327,6 +381,9 @@ def test_surgery_rejects_missing_vertex_or_level(call):
     lambda t: apply_modification(FIXTURE, FIX_PATH, FIX_PLAN, threshold=8, count=10.0),
     lambda t: apply_modification(FIXTURE, FIX_PATH, FIX_PLAN, threshold=8.5, count=10),
     lambda t: apply_modification(FIXTURE, FIX_PATH, {1: ((5.0,) * 10, (1,) * 10)}, threshold=8, count=10),
+    lambda t: apply_modification(FIXTURE, FIX_PATH, {1: ((-1,) + (5,) * 9, (1,) * 10)}, threshold=8, count=10),
+    lambda t: apply_modification(FIXTURE, FIX_PATH, {1: ((5,) * 10, (1,) * 9 + (2,))}, threshold=8, count=10),
+    lambda t: apply_modification(FIXTURE, FIX_PATH, {1: 5}, threshold=8, count=10),
     lambda t: modified_indices(FIX_PATH, "x"),
     lambda t: modified_indices(FIX_PATH, -1),
     lambda t: reconstruction_success_probability(CHAIN, CHAIN, CHAIN_PATH, count=0),
@@ -341,6 +398,7 @@ def test_surgery_rejects_missing_vertex_or_level(call):
         "probability_bound_float_degree", "probability_bound_degree_below_two",
         "modification_float_count", "modification_integral_float_count",
         "modification_float_threshold", "modification_float_slot",
+        "modification_negative_slot", "modification_slot_past_edges", "modification_plan_not_a_pair",
         "modified_indices_string_threshold", "modified_indices_negative_threshold",
         "success_probability_zero_count", "success_probability_float_count",
         "reconstruction_zero_count", "reconstruction_float_count"])
@@ -352,6 +410,14 @@ def test_surgery_rejects_bad_arguments_at_the_boundary(call):
     t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
     with pytest.raises(ValueError):
         call(t)
+
+
+def test_apply_modification_takes_numpy_integer_slots():
+    # (1, 0) of the fixture has up slots 0..5 and down slots 0..1
+    plan = {1: (np.full(10, 5, dtype=np.int64), tuple(np.int32(1) for _ in range(10)))}
+    out = apply_modification(FIXTURE, FIX_PATH, plan, threshold=8, count=10)
+    assert out == FIX_MOD
+    assert all(type(q) is int for strip in out.fans for fan in strip for q in fan)
 
 
 def test_insertions_build_no_degree_table(monkeypatch):

@@ -491,6 +491,18 @@ def test_numpy_integer_forest_accepted():
     assert all(type(d) is int for lst in triangulation_to_forest(t).out_degrees for d in lst)
 
 
+def test_public_constructor_checks_after_a_trusted_instance_of_the_same_shape():
+    t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
+    assert Triangulation._trusted(t.level_sizes, t.fans) == t
+    fans = [[list(fan) for fan in strip] for strip in t.fans]
+    fans[1][1][0] += 1  # the fan no longer starts where the one before it ends
+    with pytest.raises(ValueError, match="not contiguous|do not tile"):
+        Triangulation(t.level_sizes, fans)
+    fans[1][1][0] -= 0.5
+    with pytest.raises(ValueError, match="must be integers"):
+        Triangulation(t.level_sizes, fans)
+
+
 def test_numpy_integers_accepted():
     t = Triangulation(np.array([1, 2]), [np.array([[0, 1, 0]])])
     assert t == forest_to_triangulation(((2,),))
