@@ -26,14 +26,21 @@ count): attempts descend it with their draws and run the walk only where it
 has no branch yet, and ``reconstruction_success_probability`` sums the
 weights of its successful leaves, filling in every branch it lacks.  Results
 are shared frozen objects, and the tree lives as long as the triangulation.
+The modified triangulation also records its last checked target, so a run
+of attempts with the same reference, path items and count checks them and
+hashes the reference's key once, not once per attempt.
 
 Private routines carry the graph work.  ``_slots`` lists a vertex's edge
-slots by side, on a triangulation's tuples and on thawed lists alike; the
+slots by side, on a triangulation's tuples and on thawed fans alike; the
 path encoding, the embedding, the insertion sites and the walk's steps all
-read it.  On thawed lists, ``_insert_run`` makes a k-fold insertion in one
-pass (``insert_pairs`` and ``apply_modification`` run it), and
-``_collapse_run`` collapses a horizontal run in one pass (``collapse_run``,
-``collapse_horizontal_edge`` and the reconstruction walk run it).  ``_walk``
+read it.  ``_thaw`` copies a triangulation's list of strips and no strip:
+``_insert_run`` makes a k-fold insertion in one pass (``insert_pairs`` and
+``apply_modification`` run it), and ``_collapse_run`` collapses a
+horizontal run in one pass (``collapse_run``, ``collapse_horizontal_edge``
+and the reconstruction walk run it); each turns a strip it writes into
+lists of lists on its first write (``_writable``), or rebuilds it whole, so
+a surgery on level n copies strips n-1 and n and shares the rest with the
+host, whose tuples nothing writes.  ``_walk``
 is the reconstruction walk: it takes its draws from a known prefix and then
 from a callback, and writes its branch into the tree.
 
@@ -47,6 +54,7 @@ come from a checked host and checked slots, so they are built through
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -64,13 +72,23 @@ Vertex = tuple[int, int]
 # -- mutable fan scaffolding --------------------------------------------------
 
 
-def _thaw(t: Triangulation) -> tuple[list[int], list[list[list[int]]]]:
-    return list(t.level_sizes), [[list(f) for f in strip] for strip in t.fans]
+def _thaw(t: Triangulation) -> tuple[list[int], list]:
+    """Scratch sizes and fans of ``t``: the strips stay ``t``'s own tuples
+    until a routine writes to one (``_writable``)."""
+    return list(t.level_sizes), list(t.fans)
+
+
+def _writable(fans: list, n: int) -> list[list[int]]:
+    """Strip ``n`` of thawed fans as lists of lists, copied on its first write."""
+    strip = fans[n]
+    if type(strip) is tuple:
+        fans[n] = strip = [list(f) for f in strip]
+    return strip
 
 
 def _insert_run(
     sizes: list[int],
-    fans: list[list[list[int]]],
+    fans: list,
     level: int,
     pos: int,
     pairs: tuple[tuple[int, int], ...],
@@ -85,17 +103,16 @@ def _insert_run(
     """
     ups = [iu for iu, _ in pairs]
     downs = [jd for _, jd in pairs]
-    fan = fans[level][pos]
+    strip = _writable(fans, level)
+    fan = strip[pos]
     down = _down_slot_entries(fans, sizes, level, pos)
     for iu, jd in pairs:
         if not (0 <= iu < len(fan) and 0 <= jd < len(down)):
             raise ValueError(f"slot pair ({iu}, {jd}) out of range for degree split")
     k = len(pairs)
     cuts = [0, *ups, len(fan) - 1]
-    fans[level][pos:pos + 1] = [fan[a:b + 1] for a, b in zip(cuts, cuts[1:])]
-    below = fans[level - 1]
-    for i, lower in enumerate(below):
-        below[i] = [q + k if q > pos else q for q in lower]
+    strip[pos:pos + 1] = [fan[a:b + 1] for a, b in zip(cuts, cuts[1:])]
+    fans[level - 1] = below = [[q + k if q > pos else q for q in lower] for lower in fans[level - 1]]
     # right to left, so that a widened entry leaves the indices before it valid
     for (i, idx), r in sorted(((entry, r) for r, entry in enumerate(down)), reverse=True):
         below[i][idx:idx + 1] = range(pos + bisect_left(downs, r), pos + bisect_right(downs, r) + 1)
@@ -122,15 +139,15 @@ def _collapse_run(
     end = start + count
     # labels up to start stay, the run's take start, the rest move down by count
     relabel = [*range(start + 1), *[start] * count, *range(start + 1, k - count)]
-    run = fans[level][start:end + 1]
+    strip = _writable(fans, level)
+    run = strip[start:end + 1]
     assert all(a[-1] == b[0] for a, b in zip(run, run[1:])), "fans must share their boundary"
-    fans[level][start:end + 1] = [run[0] + [q for f in run[1:] for q in f[1:]]]
+    strip[start:end + 1] = [run[0] + [q for f in run[1:] for q in f[1:]]]
     below = fans[level - 1]
     edges = sum(map(len, below))
-    for i, lower in enumerate(below):
-        # drop the edge to q under each removed triangle (q-1, q)
-        below[i] = [relabel[q] for a, q in zip((None, *lower), lower)
-                    if not (a == q - 1 and start < q <= end)]
+    # drop the edge to q under each removed triangle (q-1, q)
+    fans[level - 1] = below = [[relabel[q] for a, q in zip((None, *lower), lower)
+                                if not (a == q - 1 and start < q <= end)] for lower in below]
     assert sum(map(len, below)) == edges - count, "no triangle below a collapsed edge"
     walk[:] = [(lvl, relabel[p] if lvl == level else p) for lvl, p in walk]
     sizes[level] -= count
@@ -396,9 +413,9 @@ def apply_modification(
     """
     count = _checked_int(count, "count", 1)
     embeddings = t.__dict__.setdefault("_embeddings", {})
-    if pn not in embeddings:
-        embeddings[pn] = embed(pn, t)
-    trace = embeddings[pn]
+    trace = embeddings.get(pn, False)
+    if trace is False:
+        trace = embeddings[pn] = embed(pn, t)
     if trace is None:
         raise ValueError("path neighborhood does not embed in the host")
     eligible = modified_indices(pn, threshold)
@@ -539,8 +556,30 @@ def randomized_reconstruction(
     new branch in.  ``reconstruction_success_probability`` fills the whole
     tree, so attempts after it run no walk.  Results are shared frozen
     objects (their ``triangulation`` too).
+
+    ``t_prime`` keeps a record of its last target that passed the checks
+    (the reference object, the path items, the key and the branch table),
+    so a run of attempts on one target checks it once.  A call reuses the
+    record only for the same ``reference`` object, a plain int ``count``
+    equal to the key's, and a list or tuple path whose items are, one for
+    one, the very objects recorded; a record is kept only when every item
+    is a plain ``(int, int)`` tuple.  Those are immutable and the reference
+    is frozen, so a reused target is the one that was checked; any other
+    call is checked again (``_branches``).  The record holds the reference
+    for as long as ``t_prime`` lives or until the next target replaces it.
     """
-    key, table = _branches(t_prime, reference, reference_path, count)
+    last = t_prime.__dict__.get("_reconstruction_last")  # (reference, items, key, table)
+    if (last is not None and last[0] is reference and type(count) is int
+            and count == last[2][2] and type(reference_path) in (list, tuple)
+            and len(reference_path) == len(last[1])
+            and all(map(operator.is_, reference_path, last[1]))):
+        key, table = last[2], last[3]
+    else:
+        key, table = _branches(t_prime, reference, reference_path, count)
+        if type(reference_path) in (list, tuple) and all(
+                type(v) is tuple and len(v) == 2 and type(v[0]) is int and type(v[1]) is int
+                for v in reference_path):
+            t_prime.__dict__["_reconstruction_last"] = (reference, tuple(reference_path), key, table)
     draws: Draws = ()
     node = table.get(draws)
     while isinstance(node, int):  # the slot count of the next step

@@ -444,8 +444,8 @@ def rotate_level(t: Triangulation, level: int, shift: int) -> Triangulation:
 def _rotate_fans(sizes: Sequence[int], fans: list, level: int, shift: int) -> None:
     """Rotate one level's labels by ``shift`` in a list of strips, in place.
 
-    The strip below gets retargeted fans and the strip above (if any) its
-    fans reordered; untouched fans are kept as they are, lists or tuples.
+    The strip below gets retargeted fans, as lists; the strip above (if any)
+    is reordered by slicing, so it stays a tuple or a list and keeps its fans.
     """
     k = sizes[level]
     shift %= k
@@ -454,7 +454,7 @@ def _rotate_fans(sizes: Sequence[int], fans: list, level: int, shift: int) -> No
     fans[level - 1] = [[(q + shift) % k for q in fan] for fan in fans[level - 1]]
     if level < len(sizes) - 1:
         old = fans[level]
-        fans[level] = [old[(i - shift) % k] for i in range(k)]
+        fans[level] = old[k - shift:] + old[:k - shift]
 
 
 def _ends(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -46,6 +46,12 @@ from test_triangulation import csr_rows, out_degree_lists
 # -- reference surgery: one edge at a time --------------------------------------
 
 
+def thaw_lists(t):
+    """Sizes and fans of ``t`` as lists all the way down, for the references,
+    which edit fans in place."""
+    return list(t.level_sizes), [[list(f) for f in strip] for strip in t.fans]
+
+
 def reference_insert_one(sizes, fans, level, pos, iu, jd):
     """Elementary insertion at (level, pos) with up slot iu and down slot jd.
 
@@ -77,7 +83,7 @@ def reference_insert_pairs(t, insertion):
     deg = t.vertex_degree(level, pos)
     assert not deg.boundary
     assert all(0 <= iu < deg.up and 0 <= jd < deg.down for iu, jd in insertion.pairs)
-    sizes, fans = _thaw(t)
+    sizes, fans = thaw_lists(t)
     for iu, jd in sorted(insertion.pairs, reverse=True):
         reference_insert_one(sizes, fans, level, pos, iu, jd)
     return Triangulation(sizes, fans)
@@ -261,13 +267,18 @@ def test_collapse_run_matches_single_edge_collapses(lists, data):
             ref = collapse_horizontal_edge(ref, level, 0)
         assert collapse_run(t, level, start, count).canonical_key == ref.canonical_key
         # exact sizes, fans and walk against single-edge collapses, with a
-        # walk holding every vertex of every level
-        sizes, fans = _thaw(t)
+        # walk holding every vertex of every level, on scratch fans that are
+        # lists throughout and on ones whose strips are still t's tuples
+        sizes, fans = thaw_lists(t)
         walk = [(n, p) for n, size in enumerate(sizes) for p in range(size)]
         want = copy.deepcopy((sizes, fans, walk))
         reference_collapse_run(*want[:2], level, start, count, want[2])
         _collapse_run(sizes, fans, level, start, count, walk)
         assert (sizes, fans, walk) == want
+        sizes, fans = _thaw(t)
+        walk = [(n, p) for n, size in enumerate(sizes) for p in range(size)]
+        _collapse_run(sizes, fans, level, start, count, walk)
+        assert (sizes, [[list(f) for f in strip] for strip in fans], walk) == want
 
 
 def assert_checked_like_user_input(t):
@@ -282,8 +293,10 @@ def assert_checked_like_user_input(t):
 @settings(max_examples=100, deadline=None)
 @given(lists=out_degree_lists(), data=st.data())
 def test_library_built_triangulations_pass_the_public_checks(lists, data):
-    # every producer builds its result unchecked, from input it has checked
+    # every producer builds its result unchecked, from input it has checked,
+    # and writes only to its own copies of the strips it changes
     t = forest_to_triangulation(lists)
+    host = host_record(t)
     level = data.draw(st.integers(1, t.top_level))
     built = [t, rotate_level(t, level, data.draw(st.integers(-5, 5)))]
     if t.top_level >= 2:
@@ -322,6 +335,20 @@ def test_library_built_triangulations_pass_the_public_checks(lists, data):
             built += walked
     for out in built:
         assert_checked_like_user_input(out)
+    assert_host_unchanged(t, host)
+
+
+def host_record(t):
+    """``t``'s sizes, strips and fans as objects, and the strips' values."""
+    return t.level_sizes, t.fans, copy.deepcopy(t.fans), [f for s in t.fans for f in s]
+
+
+def assert_host_unchanged(t, host):
+    """``t`` holds the very sizes, strips and fans of ``host_record``, with
+    the recorded values."""
+    level_sizes, fans, value, fan_objects = host
+    assert t.level_sizes is level_sizes and t.fans is fans and t.fans == value
+    assert all(a is b for a, b in zip((f for s in t.fans for f in s), fan_objects, strict=True))
 
 
 def test_collapse_decreases_f_by_two():
@@ -559,17 +586,21 @@ def test_apply_modification_f_increase_and_measure_inequality():
 
 
 def test_apply_modification_two_vertices():
+    # eligible vertices on levels 1 and 2: both insertions write strip 1
     t = forest_to_triangulation(((3,), (2, 2, 2), (1, 1, 1, 1, 1, 1)))
+    host = host_record(t)
     pn = path_neighborhood(t, [(0, 0), (1, 0), (2, 1)])
     eligible = modified_indices(pn, threshold=5)
     assert eligible == [1, 2]
-    plans = {}
-    for j in eligible:
-        lvl, pos = pn.path[j]
-        d = t.vertex_degree(lvl, pos)
-        plans[j] = ((d.up - 1,) * 2, (d.down - 1,) * 2)
-    out = apply_modification(t, pn, plans, threshold=5, count=2)
-    assert out.triangle_count == t.triangle_count + 2 * 2 * 2
+    for near in enumerate_plans(t, (1, 0), 2):
+        for far in enumerate_plans(t, (2, 1), 2):
+            out = apply_modification(t, pn, {1: near, 2: far}, threshold=5, count=2)
+            assert out.triangle_count == t.triangle_count + 2 * 2 * 2
+            assert_checked_like_user_input(out)
+            # the far vertex first; its level-2 insertion moves no level-1 label
+            ref = reference_insert_pairs(t, Insertion(2, 1, tuple(zip(*far))))
+            assert out == reference_insert_pairs(ref, Insertion(1, 0, tuple(zip(*near))))
+    assert_host_unchanged(t, host)
 
 
 @pytest.mark.parametrize("host_index", [0, 88])
@@ -826,6 +857,54 @@ def test_exact_enumeration_fills_the_tree_attempts_descend(monkeypatch, t_prime,
     for _ in range(2000):
         randomized_reconstruction(attempts_first, reference, path, rng)
     assert reconstruction_success_probability(attempts_first, reference, path) == exact
+
+
+def test_reconstruction_checks_a_repeated_target_once(monkeypatch):
+    # attempts with the same reference, path and count objects pass through
+    # _branches once and return the very nodes of attempts checked on every
+    # call; a fresh copy of t_prime returns equal results
+    t_prime = Triangulation(FIX_MOD.level_sizes, FIX_MOD.fans)
+    fresh = Triangulation(FIX_MOD.level_sizes, FIX_MOD.fans)
+    path = list(FIX_PATH.path)
+    exact = reconstruction_success_probability(t_prime, FIXTURE, path)
+    branches, checked = surgery._branches, []
+    monkeypatch.setattr(surgery, "_branches", lambda *args: checked.append(args) or branches(*args))
+    rng = stream(98)
+    got = [randomized_reconstruction(t_prime, FIXTURE, path, rng) for _ in range(5000)]
+    assert len(checked) == 1 and sum(r.success for r in got) > 0
+    rng = stream(98)  # new path items on every call: each one is checked
+    again = [randomized_reconstruction(t_prime, FIXTURE, [(lvl, pos) for lvl, pos in path], rng)
+             for _ in range(5000)]
+    assert len(checked) == 5001
+    assert all(a is b for a, b in zip(got, again, strict=True))
+    rng = stream(98)
+    assert [randomized_reconstruction(fresh, FIXTURE, path, rng) for _ in range(5000)] == got
+    # the exact value reads the same tree, before attempts and after them
+    assert reconstruction_success_probability(t_prime, FIXTURE, path) == exact
+    assert reconstruction_success_probability(fresh, FIXTURE, path) == exact
+
+
+def test_reconstruction_record_keeps_the_boundary():
+    t_prime = Triangulation(FIX_MOD.level_sizes, FIX_MOD.fans)
+    path = list(FIX_PATH.path)
+    rng = stream(98)
+    randomized_reconstruction(t_prime, FIXTURE, path, rng)
+    good = path[1]
+    path[1] = (1.9, 0)  # the recorded list, edited in place
+    with pytest.raises(ValueError, match="integers"):
+        randomized_reconstruction(t_prime, FIXTURE, path, rng)
+    path[1] = good
+    for count in (10.0, 0):
+        with pytest.raises(ValueError, match="count"):
+            randomized_reconstruction(t_prime, FIXTURE, path, rng, count)
+    # a numpy path reads as the tuple path and descends the same tree
+    array_rng, tuple_rng = stream(99), stream(99)
+    wins = 0
+    for _ in range(2000):
+        got = randomized_reconstruction(t_prime, FIXTURE, np.array(FIX_PATH.path), array_rng)
+        assert got is randomized_reconstruction(t_prime, FIXTURE, FIX_PATH.path, tuple_rng)
+        wins += got.success
+    assert wins > 0
 
 
 def test_reconstruction_success_rebuilds_reference():
