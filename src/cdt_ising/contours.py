@@ -222,6 +222,35 @@ def peierls_series(counts: Mapping[int, int], beta: float) -> ContourSeries:
     return ContourSeries(float(beta), tuple(rows), tail_from)
 
 
+def _root_side_tables(t: Triangulation) -> tuple[list, list[tuple[int, int]]]:
+    """Per flat vertex id, its (edge index, other endpoint) pairs in
+    ``primal_adjacency`` order, and its (level, pos).  Built on a
+    triangulation's first contour flip and kept in its ``__dict__``."""
+    tables = t.__dict__.get("_root_side_tables")
+    if tables is None:
+        offsets, other, edge = (x.tolist() for x in t.primal_adjacency)
+        pairs = list(zip(edge, other))
+        rows = [pairs[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+        where = [(n, p) for n, k in enumerate(t.level_sizes) for p in range(k)]
+        tables = t.__dict__["_root_side_tables"] = rows, where
+    return tables
+
+
+def _root_side(t: Triangulation, contour: Contour) -> set[int]:
+    """Flat ids of the root's component once the crossed edges are deleted."""
+    removed = set(contour.crossed)
+    rows, _ = _root_side_tables(t)
+    seen = {0}  # the root, flat id 0
+    stack = [0]
+    while stack:
+        for e, u in rows[stack.pop()]:
+            if e in removed or u in seen:
+                continue
+            seen.add(u)
+            stack.append(u)
+    return seen
+
+
 def below_vertices(t: Triangulation, contour: Contour) -> set[tuple[int, int]]:
     """Vertices on the root side of the contour.
 
@@ -229,19 +258,8 @@ def below_vertices(t: Triangulation, contour: Contour) -> set[tuple[int, int]]:
     crossed primal edges; a winding contour leaves the top level entirely on
     the other side.
     """
-    removed = set(contour.crossed)
-    offsets, other, edge = (x.tolist() for x in t.primal_adjacency)
-    root = t.flat_index(0, 0)
-    seen = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for i in range(offsets[v], offsets[v + 1]):
-            if edge[i] in removed or other[i] in seen:
-                continue
-            seen.add(other[i])
-            stack.append(other[i])
-    return {t.vertex_at(flat) for flat in seen}
+    where = _root_side_tables(t)[1]
+    return {where[v] for v in _root_side(t, contour)}
 
 
 def flip_inside(t: Triangulation, state: SpinState, contour: Contour) -> SpinState:
@@ -250,13 +268,11 @@ def flip_inside(t: Triangulation, state: SpinState, contour: Contour) -> SpinSta
     Raises if the contour fails to separate the root from the boundary (it
     always does for winding-one contours).
     """
-    below = below_vertices(t, contour)
-    top = t.top_level
-    if any(level == top for level, _ in below):
+    below = _root_side(t, contour)
+    if max(below) >= t.level_offsets[t.top_level]:  # a top-level vertex
         raise ValueError("contour does not separate the root from the boundary")
     new = state.copy()
-    for level, pos in below:
-        idx = t.flat_index(level, pos)
+    for idx in below:
         new.spins[idx] = -new.spins[idx]
     return new
 

@@ -28,19 +28,30 @@ with |s| <= W = ``FreeGraph.max_degree``, so p(+1) is read from a table of
 stays the only definition of p.  A site turns + iff its uniform is below
 its table entry.
 
+Both kernels read that table in one layout, built by ``_Sweep.setup``: its
+even entries, then its odd ones, and per site an offset half_v such that a
+site with `count` plus neighbours reads its entry at half_v + count.  With
+deg_v neighbours (parallel edges repeated) the local field is field_v +
+2 * count - deg_v, which sits at base_v + 2 * count in the table, base_v =
+field_v + W - deg_v >= 0; in the split table that is half_v + count, half_v
+= base_v // 2 + (base_v % 2) * (W + 1).
+
 Everything a sweep reads beyond the graph lives in one ``_Sweep`` per free
 graph, built on its first sweep and kept as the only entry of
-``FreeGraph.sweep_memo``: the visit order, the boundary field and table of
-the last beta and boundary (so a chain builds them once), and each
-kernel's layout, built on that kernel's first use.  ``glauber_sweep``'s is
-one straight-line function with one line per site; compiling it costs
-50-80 us per site (0.7 s at 8,700 sites), so ``glauber_sweep`` serves long
-chains on small graphs.  Large graphs go through ``root_plus_probability``, which updates a whole colour
-class at once (``_ClassKernel``) with the same comparison: no two sites of
-a class are neighbours, so updating them together is the sequential sweep.
-It sums neighbour counts in uint8 below 256 rows and reads a parity-split
-table at one add per class; a call builds only its table offsets.  Both
-give the same chain, bit for bit.  Spins and boundary values pass one +-1
+``FreeGraph.sweep_memo``: the visit order, the table and offsets of the
+last beta and boundary (so a chain builds them once), and each kernel's
+layout, built on that kernel's first use.  ``glauber_sweep``'s is one
+straight-line function with one line per site, over one local 0/1 per
+spin; compiling it costs 20-35 us per site (0.3 s at 8,700 sites), so
+``glauber_sweep`` serves long chains on small graphs.  Its spins cross
+as bytes: an int8 array's bytes are checked and turned into 0/1 with two
+``bytes.translate`` calls, and the kernel's 0/1 bytes turn back into a new
+int8 array with one more.  Large graphs go through
+``root_plus_probability``, which updates a whole colour class at once
+(``_ClassKernel``) with the same comparison: no two sites of a class are
+neighbours, so updating them together is the sequential sweep.  It sums
+neighbour counts in uint8 below 256 rows, one add per class.  Both give
+the same chain, bit for bit.  Spins and boundary values pass one +-1
 check, ``_checked_pm1``, at every entry point.  beta must be finite and
 >= 0 (the ferromagnet) everywhere; that is the API's rule, as neither
 kernel needs the table to be ordered.
@@ -71,7 +82,7 @@ def boundary_vector(t: Triangulation, bc) -> np.ndarray:
         if bc == "minus":
             return -np.ones(k, dtype=np.int8)
         raise ValueError(f"unknown boundary condition {bc!r}")
-    return np.array(_checked_pm1(bc, k, "boundary"), dtype=np.int8)
+    return np.frombuffer(bytearray(_checked_pm1(bc, k, "boundary")), _INT8)
 
 
 @dataclass
@@ -99,26 +110,36 @@ class SpinState:
 
 _PM1 = frozenset((-1, 1))
 _INT8 = np.dtype(np.int8)
+# +1 and -1 as int8 bytes, and translations of those bytes to 0/1 (1 for +),
+# back, and to the digits "1"/"0"
+_PM1_BYTES = b"\x01\xff"
+_PLUS_BITS = bytes.maketrans(_PM1_BYTES, b"\x01\x00")
+_BITS_PM1 = bytes.maketrans(b"\x01\x00", _PM1_BYTES)
+_PLUS_DIGITS = bytes.maketrans(_PM1_BYTES, b"10")
 
 
-def _checked_pm1(values, n: int, what: str) -> list[int]:
-    """``values`` as a list of n ints, after checking that each is +-1.
+def _checked_pm1(values, n: int, what: str) -> bytes:
+    """``values`` as n int8 bytes, after checking that each is +-1.
 
     Numbers only: a string or an object array fails even where it compares
-    equal to +-1.  An int8 array of n spins takes a short path.
+    equal to +-1.  An int8 array of n spins takes a short path: one
+    ``bytes.translate`` that deletes every +-1 byte must leave nothing.
     """
     if type(values) is np.ndarray and values.dtype is _INT8 and values.shape == (n,):
-        s = values.tolist()
-        if _PM1.issuperset(s):
-            return s
+        raw = values.tobytes()
+        if not raw.translate(None, _PM1_BYTES):
+            return raw
     a = np.asarray(values)
     if a.shape != (n,):
         raise ValueError(f"{what} spins: shape {a.shape} does not fit {n} sites")
-    s = a.tolist()
-    if a.dtype.kind not in "biuf" or not _PM1.issuperset(s):
+    if a.dtype.kind not in "biuf" or not _PM1.issuperset(a.tolist()):
         raise ValueError(f"{what} spins must be +-1")
-    # a float 1.0 passes as +-1 but cannot index the heat-bath table
-    return s if a.dtype.kind in "biu" else [int(x) for x in s]
+    return a.astype(np.int8).tobytes()
+
+
+def _pm1_list(values, n: int, what: str) -> list[int]:
+    """``values`` as a list of n ints, after ``_checked_pm1``."""
+    return np.frombuffer(_checked_pm1(values, n, what), _INT8).tolist()
 
 
 def _boundary_field(fg: FreeGraph, boundary: list[int], offset: int = 0) -> list[int]:
@@ -142,8 +163,8 @@ def _checked_beta(beta: float) -> float:
 def energy(t: Triangulation, state: SpinState) -> float:
     """H(sigma | boundary) under the ferromagnetic convention."""
     fg = t.free_graph
-    s = _checked_pm1(state.spins, fg.n_free, "free")
-    b = _checked_pm1(state.boundary, t.level_sizes[-1], "boundary")
+    s = _pm1_list(state.spins, fg.n_free, "free")
+    b = _pm1_list(state.boundary, t.level_sizes[-1], "boundary")
     h = -fg.n_loops - sum(s[v] * b[p] for v, p in zip(fg.bv.tolist(), fg.bpos.tolist()))
     return float(h - sum(s[i] * s[j] for i, j in zip(fg.ia.tolist(), fg.ib.tolist())))
 
@@ -206,8 +227,10 @@ class GibbsExact:
         self.probs = w / w.sum()
 
     def _config_index(self, spins: np.ndarray) -> int:
-        s = _checked_pm1(spins, self.n_free, "free")
-        return sum(1 << v for v, x in enumerate(s) if x > 0)
+        """The index whose bit v is set where spin v is +: spin v is digit v
+        of a binary numeral, read from the last spin down."""
+        digits = _checked_pm1(spins, self.n_free, "free").translate(_PLUS_DIGITS)
+        return int(digits[::-1] or b"0", 2)
 
     def prob_of(self, spins: np.ndarray) -> float:
         return float(self.probs[self._config_index(spins)])
@@ -232,22 +255,35 @@ def _heat_bath_table(beta: float, w: int) -> tuple[float, ...]:
     return tuple(conditional_spin_prob(s, beta) for s in range(-w, w + 1))
 
 
+def _split_offset(base: int, w: int) -> int:
+    """Where entry ``base`` of a ``_heat_bath_table(beta, w)`` sits once the
+    table is stored as its even entries, then its odd ones."""
+    return base // 2 + base % 2 * (w + 1)
+
+
 class _Sweep:
     """The heat-bath sweep of one free graph, kept in its ``sweep_memo``.
 
     Built on the graph's first sweep (``_Sweep.of``), it holds the visit
     order, colour class by colour class, each vertex's position in it (the
-    root's is ``position[0]``) and the boundary field and table of the last
-    beta and boundary.  Each kernel's layout is built on that kernel's first
-    use: ``classes`` for ``_ClassKernel``, ``kernel`` for ``glauber_sweep``.
+    root's is ``position[0]``), each vertex's table offset under a zero
+    field and the table and offsets of the last beta and boundary.  Each
+    kernel's layout is built on that kernel's first use: ``classes`` for
+    ``_ClassKernel``, ``kernel`` for ``glauber_sweep``.
     """
 
     def __init__(self, t: Triangulation) -> None:
         fg = self.fg = t.free_graph
-        self.k_top = t.level_sizes[-1]
-        self.last = None
+        self.n_free, self.k_top = fg.n_free, t.level_sizes[-1]
+        self.last = None, None  # (key, (table, offsets)) of the last setup
         self.order = np.array([v for c in fg.colour_classes for v in c], dtype=np.intp)
         self.position = np.argsort(self.order)  # visit position of each vertex
+        # base_v of the module docstring less field_v, and its split offset:
+        # only the vertices joined to the boundary have a field to add
+        w = fg.max_degree
+        self.base = [w - d for d in np.diff(fg.neighbors[0]).tolist()]
+        self.half = [_split_offset(b, w) for b in self.base]
+        self.joined = sorted(set(fg.bv.tolist()))
 
     @staticmethod
     def of(t: Triangulation) -> _Sweep:
@@ -257,29 +293,36 @@ class _Sweep:
             sweep = memo["sweep"] = _Sweep(t)
         return sweep
 
-    def setup(self, beta, boundary) -> tuple[list[int], tuple[float, ...]]:
-        """The boundary field offset by ``max_degree``, and the heat-bath table.
+    def setup(self, beta, boundary) -> tuple[tuple[float, ...], list[int]]:
+        """The heat-bath table split by parity, and each vertex's offset in it.
 
-        Kept under one key, beta's type and value and the boundary's values,
-        so a chain checks and builds them once and an array changed in place
-        between two sweeps misses.  Only checked values are kept, so a hit
-        needs no check.  The key holds beta's type: a float32 beta computes
-        its table in float32.
+        The table is ``_heat_bath_table(beta, max_degree)``'s even entries,
+        then its odd ones; offset half_v, in flat order, is where vertex v
+        reads its entry with no plus neighbour (the module docstring derives
+        it), so with `count` plus neighbours it reads ``table[half_v +
+        count]``.  Kept under one key, beta's type and value and the
+        boundary's values, so a chain checks and builds them once and an
+        array changed in place between two sweeps misses.  Only checked
+        values are kept, so a hit needs no check.  The key holds beta's
+        type: a float32 beta computes its table in float32.
         """
-        key = (type(beta), beta, np.asarray(boundary).tolist())
-        if self.last is None or self.last[0] != key:
+        key = type(beta), beta, np.asarray(boundary).tolist()
+        if self.last[0] != key:
             w = self.fg.max_degree
             table = _heat_bath_table(_checked_beta(beta), w)
-            values = _checked_pm1(boundary, self.k_top, "boundary")
-            self.last = key, (_boundary_field(self.fg, values, w), table)
+            field = _boundary_field(self.fg, _pm1_list(boundary, self.k_top, "boundary"))
+            half = self.half.copy()
+            for v in self.joined:
+                half[v] = _split_offset(self.base[v] + field[v], w)
+            self.last = key, (table[0::2] + table[1::2], half)
         return self.last[1]
 
     @cached_property
     def classes(self) -> list[tuple]:
         """Per colour class: its slice of the visit order, a padded (width,
         size) array whose column j lists the neighbours of the class's j-th
-        vertex by visit position (padded with n_free), each vertex's
-        neighbour count and the narrowest dtype of a column sum."""
+        vertex by visit position (padded with n_free), and the narrowest
+        dtype of a column sum."""
         n, offsets, other = self.fg.n_free, *self.fg.neighbors
         counts, nbrs = np.diff(offsets), self.position[other]
         # each row entry's vertex, by visit position, and its index in the row
@@ -290,8 +333,7 @@ class _Sweep:
             mine = (lo <= owner) & (owner < lo + size)
             table = np.full((slot[mine].max(initial=-1) + 1, size), n, dtype=np.intp)
             table[slot[mine], owner[mine] - lo] = nbrs[mine]
-            deg = np.count_nonzero(table < n, axis=0)
-            classes.append((slice(lo, lo + size), table, deg, np.min_scalar_type(len(table))))
+            classes.append((slice(lo, lo + size), table, np.min_scalar_type(len(table))))
             lo += size
         return classes
 
@@ -299,20 +341,26 @@ class _Sweep:
     def kernel(self):
         """``glauber_sweep``'s kernel: the sweep as one straight-line function.
 
-        ``sweep(s, u, t, f)`` has one line per site v, in visit order:
-        ``s[v] = 1 if u[v] < t[f[v] + s[j1] + s[j2] + ...] else -1`` over its
-        ``neighbors``, parallel edges repeated.  Sums of more than 100 terms
-        are nested in parenthesised groups: a flat chain of a few thousand
+        ``sweep(xs, us, t, hs)`` takes the spins as bytes in flat order, 1
+        for + and 0 for -, and the table and offsets of ``setup``.  It
+        unpacks the spins into one local x<v> per site, has one line per site
+        v, in visit order: ``x<v> = 1 if us[v] < t[hs[v] + x<j1> + x<j2> +
+        ...] else 0`` over its ``neighbors``, parallel edges repeated, and
+        returns the spins as bytes again.  Sums of more than 100 terms are
+        nested in parenthesised groups: a flat chain of a few thousand
         overflows the compiler's recursion limit.
         """
         offsets, other = (x.tolist() for x in self.fg.neighbors)
-        lines = ["def sweep(s, u, t, f):", "    pass"]  # a graph may have no free vertex
+        names = [f"x{v}" for v in range(self.fg.n_free)]
+        # a list target and display also hold a graph with no free vertex
+        lines = ["def sweep(xs, us, t, hs):", f"    [{', '.join(names)}] = xs"]
         for v in self.order.tolist():
-            terms = [f"f[{v}]", *(f"s[{j}]" for j in other[offsets[v] : offsets[v + 1]])]
+            terms = [f"hs[{v}]", *(names[j] for j in other[offsets[v] : offsets[v + 1]])]
             while len(terms) > 100:
                 terms = ["(" + " + ".join(terms[i : i + 100]) + ")"
                          for i in range(0, len(terms), 100)]
-            lines.append(f"    s[{v}] = 1 if u[{v}] < t[{' + '.join(terms)}] else -1")
+            lines.append(f"    x{v} = 1 if us[{v}] < t[{' + '.join(terms)}] else 0")
+        lines.append(f"    return bytes([{', '.join(names)}])")
         scope: dict = {}
         exec("\n".join(lines), scope)
         return scope["sweep"]
@@ -325,14 +373,16 @@ def glauber_sweep(t: Triangulation, state: SpinState, rng: np.random.Generator) 
     array of ``state``.  Each single-site update draws from the exact
     conditional, so detailed balance holds update by update.  The pass draws
     one ``rng.random(n_free)`` and reads each site's p(+1) from a table of
-    ``conditional_spin_prob`` over the local fields the graph allows.
+    ``conditional_spin_prob`` over the local fields the graph allows.  The
+    returned spins are a new writable int8 array.
     """
     sweep = _Sweep.of(t)
-    field, table = sweep.setup(state.beta, state.boundary)
-    n = sweep.fg.n_free
-    spins = _checked_pm1(state.spins, n, "free")
-    sweep.kernel(spins, rng.random(n).tolist(), table, field)
-    return SpinState(np.array(spins, dtype=np.int8), state.boundary, state.beta)
+    table, half = sweep.setup(state.beta, state.boundary)
+    n = sweep.n_free
+    plus = _checked_pm1(state.spins, n, "free").translate(_PLUS_BITS)
+    plus = sweep.kernel(plus, rng.random(n).tolist(), table, half)
+    spins = np.frombuffer(bytearray(plus.translate(_BITS_PM1)), _INT8)
+    return SpinState(spins, state.boundary, state.beta)
 
 
 class _ClassKernel:
@@ -342,27 +392,21 @@ class _ClassKernel:
     slot that stays False, so one gather through the class's neighbour array
     in ``_Sweep.classes`` and one column sum count each site's plus
     neighbours, summed in uint8 below 256 rows: a column of 0/1 bytes cannot
-    exceed its height.  With
-    deg_v neighbours the sum of their spins is 2 * count - deg_v, so the
-    site's entry is ``table[base_v + 2 * count]``, base_v = field_v - deg_v
-    >= 0.  Stored as its even entries, then its odd ones, the table holds it
-    at half_v + count, half_v = base_v // 2 + (base_v % 2) * len(even): one
-    add.  The site turns + iff its uniform is below that entry, the test of
-    ``glauber_sweep``.  Only half_v and the table depend on beta and the
-    boundary, so they are all a call builds; the rest is the ``_Sweep``.
-    Nothing here needs the table to be ordered; beta >= 0 stays the rule of
-    the API, not of the kernel.
+    exceed its height.  The site's entry is ``table[half_v + count]`` in the
+    table and offsets of ``_Sweep.setup``, the layout ``glauber_sweep``
+    reads: one add.  The site turns + iff its uniform is below that entry,
+    the test of ``glauber_sweep``.  Only the offsets and the table depend on
+    beta and the boundary; the rest is the ``_Sweep``.  Nothing here needs
+    the table to be ordered; beta >= 0 stays the rule of the API, not of
+    the kernel.
     """
 
     def __init__(self, sweep: _Sweep, beta, boundary) -> None:
-        field, table = sweep.setup(beta, boundary)
+        table, half = sweep.setup(beta, boundary)
         self.order, self.root = sweep.order, int(sweep.position[0])
-        field = np.asarray(field, dtype=np.intp)[self.order]
-        self.table, even = np.array(table[0::2] + table[1::2]), len(table[0::2])
-        self.classes = []
-        for sites, nbrs, deg, dtype in sweep.classes:
-            base = field[sites] - deg
-            self.classes.append((sites, nbrs, base // 2 + base % 2 * even, dtype))
+        half = np.array(half, dtype=np.intp)[self.order]
+        self.table = np.array(table)
+        self.classes = [(sites, nbrs, half[sites], dtype) for sites, nbrs, dtype in sweep.classes]
 
     def start(self, spins: np.ndarray) -> np.ndarray:
         """The kernel's state for flat-order ``spins``, + where positive."""

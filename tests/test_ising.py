@@ -85,11 +85,15 @@ def test_boundary_vector_forms():
         boundary_vector(CHAIN, "up")
 
 
-# WIDE has 3 free spins and 3 boundary spins, so each of these fits either
-NOT_PM1 = [[1.5, -1, 1], ["1", "-1", "1"], ["1", 1, 1], [255, 1, 1], [1, None, -1]]
+# WIDE has 3 free spins and 3 boundary spins, so each of these fits either;
+# the int8 arrays miss the short path of the +-1 check by one value
+NOT_PM1 = [[1.5, -1, 1], ["1", "-1", "1"], ["1", 1, 1], [255, 1, 1], [1, None, -1],
+           *(np.array([1, -1, x], dtype=np.int8) for x in (0, 2, 127, -128))]
+NOT_PM1_IDS = ["float", "str", "mixed", "255", "None",
+               "int8_0", "int8_2", "int8_127", "int8_-128"]
 
 
-@pytest.mark.parametrize("values", NOT_PM1, ids=["float", "str", "mixed", "255", "None"])
+@pytest.mark.parametrize("values", NOT_PM1, ids=NOT_PM1_IDS)
 def test_every_entry_point_rejects_values_that_are_not_pm1(values):
     ok = SpinState.constant(WIDE, 1, "plus", 0.5)
     g = gibbs_exact(WIDE, 0.5, "plus")
@@ -108,13 +112,37 @@ def test_every_entry_point_rejects_values_that_are_not_pm1(values):
             call()
 
 
+def strided_int8(values):
+    """An int8 view of every other entry of a twice-as-long array."""
+    a = np.zeros(2 * len(values), dtype=np.int8)
+    view = a[::2]
+    view[:] = values
+    return view
+
+
+def read_only_int8(values):
+    a = np.array(values, dtype=np.int8)
+    a.flags.writeable = False
+    return a
+
+
+PM1_FORMS = {
+    "int8": lambda x: np.array(x, dtype=np.int8),
+    "int64": lambda x: np.array(x, dtype=np.int64),
+    "float": lambda x: np.array(x, dtype=float),
+    "list": list,
+    "strided_int8": strided_int8,
+    "read_only_int8": read_only_int8,
+}
+
+
 def test_pm1_check_accepts_lists_and_floats():
     spins, boundary = [1, -1, -1], [1, -1, 1]
     ref = SpinState(np.array(spins, dtype=np.int8), np.array(boundary, dtype=np.int8), 0.5)
     g = gibbs_exact(WIDE, 0.5, ref.boundary)
     swept = glauber_sweep(WIDE, ref, stream(51)).spins.tolist()
     est = root_plus_probability(WIDE, 0.5, ref.boundary, sweeps=32, replicas=1, seed=9)
-    for form in (list, lambda x: [float(v) for v in x], lambda x: np.array(x, dtype=float)):
+    for form in (lambda x: [float(v) for v in x], *PM1_FORMS.values()):
         state = SpinState(form(spins), form(boundary), 0.5)
         assert boundary_vector(WIDE, form(boundary)).tolist() == boundary
         assert energy(WIDE, state) == energy(WIDE, ref)
@@ -605,7 +633,7 @@ def test_root_plus_probability_reuses_the_cached_class_layout(monkeypatch):
     for bc in ("plus", "minus"):
         root_plus_probability(t, 0.5, bc, sweeps=8, replicas=1, seed=9, burn_in=0, batches=2)
     (sweep,) = t.free_graph.sweep_memo.values()
-    layout = [nbrs for _, nbrs, _, _ in sweep.classes]
+    layout = [nbrs for _, nbrs, _ in sweep.classes]
     assert len(seen) == 2
     assert all(a is b for run in seen for a, b in zip(run, layout, strict=True))
 
@@ -646,14 +674,13 @@ def test_class_neighbors_list_each_vertex_in_visit_order(lists):
     rows = csr_rows(*fg.neighbors)
     assert len(sweep.classes) == len(fg.colour_classes)
     lo = 0
-    for members, (sites, nbrs, deg, _) in zip(fg.colour_classes, sweep.classes):
+    for members, (sites, nbrs, _) in zip(fg.colour_classes, sweep.classes):
         assert sites == slice(lo, lo + len(members))
         width = max(len(rows[v]) for v in members)
         assert nbrs.shape == (width, len(members))
         for j, v in enumerate(members):
             column = [position[u] for u in rows[v]]
             assert nbrs[:, j].tolist() == column + [fg.n_free] * (width - len(column))
-            assert deg[j] == len(column)
         lo += len(members)
 
 
@@ -780,3 +807,62 @@ def test_glauber_sweep_boundary_field_memo_cannot_go_stale():
             glauber_sweep(GLAUBER_T, SpinState(spins[GLAUBER_T], bad, beta), rng)
         with pytest.raises(ValueError):
             glauber_sweep(GLAUBER_T, SpinState(spins[GLAUBER_T], mixed, math.nan), rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lists=out_degree_lists(), data=st.data())
+def test_glauber_sweep_equals_the_table_loop_for_every_input_form(lists, data):
+    # every form of spins and boundary gives the reference chain bit for bit,
+    # as a new writable int8 array that shares no memory with the input
+    t = forest_to_triangulation(lists)
+    et = t.free_graph
+    n, k_top = et.n_free, t.level_sizes[-1]
+    beta = data.draw(st.sampled_from(HEAT_BATH_BETAS))
+    spins = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    boundary = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=k_top, max_size=k_top))
+    spin_form = data.draw(st.sampled_from(sorted(PM1_FORMS)))
+    boundary_form = data.draw(st.sampled_from(sorted(PM1_FORMS)))
+    field = ising._boundary_field(et, boundary, et.max_degree)
+    table = _heat_bath_table(beta, et.max_degree)
+    rng, ref_rng = stream(58), stream(58)
+    expected = list(spins)
+    state = SpinState(PM1_FORMS[spin_form](spins), PM1_FORMS[boundary_form](boundary), beta)
+    for _ in range(3):
+        before = state.spins
+        state = glauber_sweep(t, state, rng)
+        table_sweep(expected, csr_rows(*et.neighbors), field, table,
+                    ref_rng.random(n).tolist(), visit_order(et))
+        assert state.spins.tolist() == expected
+        assert type(state.spins) is np.ndarray and state.spins.dtype == np.int8
+        assert state.spins.flags.writeable
+        assert not np.shares_memory(state.spins, np.asarray(before))
+        state = SpinState(PM1_FORMS[spin_form](state.spins.tolist()), state.boundary, beta)
+    assert rng.random() == ref_rng.random()
+
+
+# for WIDE's 3 free and 3 boundary spins: int8 arrays of the wrong shape,
+# refused with a shape message rather than a +-1 one
+INT8_MISSHAPEN = {
+    "short": np.ones(2, dtype=np.int8),
+    "long": np.ones(4, dtype=np.int8),
+    "2d_row": np.ones((1, 3), dtype=np.int8),
+    "2d_column": np.ones((3, 1), dtype=np.int8),
+}
+
+
+@pytest.mark.parametrize("bad", INT8_MISSHAPEN.values(), ids=INT8_MISSHAPEN.keys())
+def test_int8_arrays_of_the_wrong_shape_are_refused(bad):
+    # a good sweep first puts the all-plus boundary in the setup memo
+    ok = SpinState.constant(WIDE, 1, "plus", 0.5)
+    g = gibbs_exact(WIDE, 0.5, "plus")
+    glauber_sweep(WIDE, ok, stream(59))
+    for call in (
+        lambda: glauber_sweep(WIDE, SpinState(bad, ok.boundary, 0.5), stream(59)),
+        lambda: glauber_sweep(WIDE, SpinState(ok.spins, bad, 0.5), stream(59)),
+        lambda: energy(WIDE, SpinState(bad, ok.boundary, 0.5)),
+        lambda: energy(WIDE, SpinState(ok.spins, bad, 0.5)),
+        lambda: g.prob_of(bad),
+        lambda: boundary_vector(WIDE, bad),
+    ):
+        with pytest.raises(ValueError, match="shape"):
+            call()
