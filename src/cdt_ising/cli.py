@@ -15,7 +15,6 @@ import argparse
 import math
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -30,6 +29,10 @@ def _run_all(fn, calls: list[tuple], workers: int) -> list:
     """fn(*c) for every argument tuple c, serially or in a process pool."""
     if workers <= 1:
         return [fn(*c) for c in calls]
+    # imported here: every serial run, and each import of this module, skips
+    # loading concurrent.futures and multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *c) for c in calls]
         return [f.result() for f in futures]

@@ -44,6 +44,19 @@ def _words(n: int) -> list[int]:
     return words
 
 
+def _steps(h: int, mult: int) -> tuple[tuple[int, int], ...]:
+    """The hash constant before and after each of ``_POOL`` steps from h:
+    the pairs a run of ``hashmix`` calls xors with and multiplies by."""
+    pairs = []
+    for _ in range(_POOL):
+        pairs.append((h, h := h * mult & _MASK))
+    return tuple(pairs)
+
+
+# the four output hashes of ``generate_state``, which start from _INIT_B
+_OUT_STEPS = _steps(_INIT_B, _MULT_B)
+
+
 def _absorb(pool: list[int], h: int, words: list[int]) -> tuple[list[int], int]:
     """Mix each word into every pool word, as ``SeedSequence`` does with the
     entropy words past the pool size; returns the pool and hash constant.
@@ -64,7 +77,8 @@ class TrialKeys:
     ``SeedSequence(seed, spawn_key=(i,))`` hashes the seed's words (padded
     to the pool size), then i's words, into a four-word pool, and Philox
     takes its key from the pool.  The seed's part is done once here; each
-    key mixes in i's words only.
+    key mixes in i's words only, and for a one-word i (below 2^32) the hash
+    constants it meets are precomputed too, so only its mixing is left.
     """
 
     def __init__(self, seed: int) -> None:
@@ -81,16 +95,28 @@ class TrialKeys:
                     r = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _MASK
                     pool[dst] = r ^ r >> 16
         self._pool, self._hash = _absorb(pool, h, entropy[_POOL:])
+        # per pool word: the word, and the hash constants that a one-word
+        # index and then the output meet there, whatever the index
+        self._one_word = tuple((p, *hm, *out) for p, hm, out in
+                               zip(self._pool, _steps(self._hash, _MULT_A), _OUT_STEPS))
         self._bits = np.random.Philox(0)
         self.generator = np.random.Generator(self._bits)
 
     def key(self, i: int) -> tuple[int, int]:
         """``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``."""
-        pool, _ = _absorb(self._pool, self._hash, _words(_checked_int(i, "trial index", 0)))
-        h, out = _INIT_B, []
-        for w in pool:  # four uint32 words, two little-endian uint64s
-            v = (w ^ h) * (h := h * _MULT_B & _MASK) & _MASK
-            out.append(v ^ v >> 16)
+        i, out = _checked_int(i, "trial index", 0), []
+        if i >> 32:
+            pool, _ = _absorb(self._pool, self._hash, _words(i))
+            for w, (h, m) in zip(pool, _OUT_STEPS):
+                v = (w ^ h) * m & _MASK
+                out.append(v ^ v >> 16)
+        else:  # ``_absorb`` of one word and the output hash, word by word
+            for p, h, m, h_out, m_out in self._one_word:
+                v = (i ^ h) * m & _MASK
+                r = (_MIX_L * p - _MIX_R * (v ^ v >> 16)) & _MASK
+                v = (r ^ r >> 16 ^ h_out) * m_out & _MASK
+                out.append(v ^ v >> 16)
+        # four uint32 words, two little-endian uint64s
         return out[0] | out[1] << 32, out[2] | out[3] << 32
 
     def stream(self, i: int, skip: int = 0) -> np.random.Generator:

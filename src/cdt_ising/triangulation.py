@@ -24,9 +24,10 @@ Checks.  User input is checked once, at the public boundary: the
 constructor reads every size and fan entry as an integer and runs
 ``_validate``, and ``LevelForest`` checks the lists ``forest_to_triangulation``
 and ``from_text`` decode.  Fans the library builds from checked input are
-trusted: every producer (the codec, ``rotate_level`` and the surgery
-operations) builds its result through ``Triangulation._trusted``, which
-only freezes them to tuples.
+trusted: every producer (the codec, ``enumerate_triangulations``,
+``rotate_level`` and the surgery operations) builds its result through
+``Triangulation._trusted``, which only freezes them to tuples and keeps a
+strip that is already one, so results share strips.
 
 The derived graph tables live on the instance, each built once and cached,
 and address vertices by flat id (``flat_index``, inverted by ``vertex_at``).
@@ -138,10 +139,15 @@ class Triangulation:
         """A triangulation from sizes and fans of Python ints that the library
         built from checked input: frozen to tuples, with no integer pass and
         no ``_validate``.  Every producer in the package builds its result
-        here; user input goes through ``__init__``."""
+        here; user input goes through ``__init__``.
+
+        A strip that is already a tuple is kept as it is, not copied: in
+        every producer it is a frozen strip of tuples (one the codec built,
+        or a host's strip that a surgery or rotation left untouched), so
+        results share such strips with their hosts and with each other."""
         t = cls.__new__(cls)
         t.level_sizes = tuple(level_sizes)
-        t.fans = tuple(tuple(map(tuple, strip)) for strip in fans)
+        t.fans = tuple(s if type(s) is tuple else tuple(map(tuple, s)) for s in fans)
         return t
 
     def _validate(self) -> None:
@@ -404,20 +410,23 @@ def forest_to_triangulation(forest: ForestLike) -> Triangulation:
     """
     f = _as_forest(forest)
     sizes = f.level_sizes
-    fans = []
-    for n, degs in enumerate(f.out_degrees):
-        k_top = sizes[n + 1]
-        strip = []
-        s = 0
-        for d in degs:
-            end = s + d + 1
-            if end <= k_top:
-                strip.append(tuple(range(s, end)))
-            else:  # the last fans reach k_top, which wraps to 0
-                strip.append(tuple(q % k_top for q in range(s, end)))
-            s += d
-        fans.append(strip)
-    return Triangulation._trusted(sizes, fans)
+    return Triangulation._trusted(
+        sizes, [_strip(degs, sizes[n + 1]) for n, degs in enumerate(f.out_degrees)])
+
+
+def _strip(degs: Sequence[int], k_top: int) -> tuple[tuple[int, ...], ...]:
+    """The frozen fans of one strip from its lower level's out-degrees,
+    which sum to ``k_top``: fan i runs from S_i to S_{i+1} (mod k_top)."""
+    strip = []
+    s = 0
+    for d in degs:
+        end = s + d + 1
+        if end <= k_top:
+            strip.append(tuple(range(s, end)))
+        else:  # the last fans reach k_top, which wraps to 0
+            strip.append(tuple(q % k_top for q in range(s, end)))
+        s += d
+    return tuple(strip)
 
 
 def triangulation_to_forest(t: Triangulation) -> LevelForest:
@@ -569,6 +578,13 @@ def enumerate_triangulations(levels: int, width_cap: int) -> list[tuple[Triangul
     """All rooted triangulations with the given level count and k_n <= width_cap,
     each paired with its unnormalized critical weight exp(-ln 2 * F).
 
+    The order is that of the out-degree lists: level by level, k_{n+1}
+    increasing, then the compositions of k_{n+1} into k_n parts in
+    ``_compositions`` order.  Each strip is built once per level pair
+    (k_n, k_{n+1}) and composition, and every output holding it shares that
+    frozen strip; the recursion carries the sizes, strips and triangle count
+    down, so no output is re-parsed or re-checked.
+
     Guarded against combinatorial explosion: levels <= 3, width_cap <= 5.
     """
     levels = _checked_int(levels, "levels", 1)
@@ -579,19 +595,25 @@ def enumerate_triangulations(levels: int, width_cap: int) -> list[tuple[Triangul
         raise ValueError(f"width_cap must be in 1..{MAX_ENUM_WIDTH}")
 
     results: list[tuple[Triangulation, float]] = []
+    strips: dict[tuple[int, int], list] = {}  # (k_n, k_{n+1}) -> strip per composition
+    trusted = Triangulation._trusted
 
-    def extend(partial: list[tuple[int, ...]], k_cur: int, level: int) -> None:
-        if level == levels:
-            t = forest_to_triangulation(tuple(partial))
-            results.append((t, math.exp(-MU_CRITICAL * t.triangle_count)))
-            return
+    def extend(sizes: tuple[int, ...], fans: tuple, f: int) -> None:
+        k_cur, last = sizes[-1], len(sizes) == levels
         for k_next in range(1, width_cap + 1):
-            for comp in _compositions(k_next, k_cur):
-                partial.append(comp)
-                extend(partial, k_next, level + 1)
-                partial.pop()
+            row = strips.get((k_cur, k_next))
+            if row is None:
+                row = strips[k_cur, k_next] = [
+                    _strip(c, k_next) for c in _compositions(k_next, k_cur)]
+            up, f_up = (*sizes, k_next), f + k_cur + k_next
+            if last:
+                w = math.exp(-MU_CRITICAL * f_up)
+                results.extend((trusted(up, (*fans, s)), w) for s in row)
+            else:
+                for s in row:
+                    extend(up, (*fans, s), f_up)
 
-    extend([], 1, 0)
+    extend((1,), (), 0)
     return results
 
 

@@ -1,6 +1,9 @@
 """Tests for the experiment driver: determinism, schemas, worker invariance."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -74,6 +77,19 @@ def assert_worker_invariant(tmp_path, *argv):
         reports.append([ln for ln in lines if not ln.startswith("# generated_at:")])
     assert reports[0] == reports[1]
     assert any(ln.startswith("# config: ") for ln in reports[0])
+
+
+def test_a_serial_run_loads_no_process_pool(tmp_path):
+    # the pool is imported in the --workers > 1 branch only, so importing
+    # the CLI module and running it serially load neither concurrent.futures
+    # nor multiprocessing
+    code = ("import sys; from cdt_ising.cli import main; "
+            f"main(['sample', '--levels', '2', '--trials', '5', '--out', {str(tmp_path / 's.csv')!r}]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_stats_worker_invariance(tmp_path):

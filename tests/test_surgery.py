@@ -40,7 +40,7 @@ from cdt_ising.triangulation import (
     forest_to_triangulation,
     rotate_level,
 )
-from test_triangulation import csr_rows, out_degree_lists
+from test_triangulation import assert_checked_like_user_input, csr_rows, out_degree_lists
 
 
 # -- reference surgery: one edge at a time --------------------------------------
@@ -281,15 +281,6 @@ def test_collapse_run_matches_single_edge_collapses(lists, data):
         assert (sizes, [[list(f) for f in strip] for strip in fans], walk) == want
 
 
-def assert_checked_like_user_input(t):
-    """A library-built triangulation passes every check of the public
-    constructor, and equals and hashes like the checked copy."""
-    t._validate()
-    assert all(type(x) is int for x in (*t.level_sizes, *(q for s in t.fans for f in s for q in f)))
-    checked = Triangulation(t.level_sizes, t.fans)
-    assert checked == t and hash(checked) == hash(t)
-
-
 @settings(max_examples=100, deadline=None)
 @given(lists=out_degree_lists(), data=st.data())
 def test_library_built_triangulations_pass_the_public_checks(lists, data):
@@ -349,6 +340,47 @@ def assert_host_unchanged(t, host):
     level_sizes, fans, value, fan_objects = host
     assert t.level_sizes is level_sizes and t.fans is fans and t.fans == value
     assert all(a is b for a, b in zip((f for s in t.fans for f in s), fan_objects, strict=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lists=out_degree_lists(), data=st.data())
+def test_rotations_and_insertions_share_the_untouched_strips(lists, data):
+    t = forest_to_triangulation(lists)
+    level, shift = data.draw(st.integers(1, t.top_level)), data.draw(st.integers(-5, 5))
+    rotated = rotate_level(t, level, shift)
+    # the strip below is retargeted and the one above reordered, unless the
+    # shift is a whole turn
+    written = {level - 1, level} if shift % t.level_sizes[level] else set()
+    assert all(rotated.fans[n] is strip for n, strip in enumerate(t.fans) if n not in written)
+    if t.top_level >= 2:
+        level = data.draw(st.integers(1, t.top_level - 1))
+        pos = data.draw(st.integers(0, t.level_sizes[level] - 1))
+        d = t.vertex_degree(level, pos)
+        out = insert_pairs(t, Insertion(level, pos, ((0, 0), (d.up - 1, d.down - 1)))).triangulation
+        assert all(out.fans[n] is strip for n, strip in enumerate(t.fans) if n not in (level - 1, level))
+
+
+def test_surgery_on_an_enumerated_host_writes_to_no_other_output():
+    # enumerated triangulations share their strips, so a surgery on one of
+    # them must leave every other one as it was
+    enum = [t for t, _ in enumerate_triangulations(3, 4)]
+    checked = [Triangulation(t.level_sizes, t.fans) for t in enum]
+    base = forest_to_triangulation(((2,), (3, 1), (1,) * 4))
+    pn = path_neighborhood(base, [(0, 0), (1, 0)])
+    assert modified_indices(pn, threshold=5) == [1]
+    hosts = [t for t in enum if embed(pn, t) is not None][::10]
+    assert len(hosts) == 11
+    for host in hosts:
+        record = host_record(host)
+        for level in (1, 2):
+            for pos in range(host.level_sizes[level]):
+                d = host.vertex_degree(level, pos)
+                insert_pairs(host, Insertion(level, pos, ((0, 0), (d.up - 1, d.down - 1))))
+        vertex = embed(pn, host)[1]
+        for plan in enumerate_plans(host, vertex, 2)[::5]:
+            apply_modification(host, pn, {1: plan}, threshold=5, count=2)
+        assert_host_unchanged(host, record)
+    assert all(t == c for t, c in zip(enum, checked, strict=True))
 
 
 def test_collapse_decreases_f_by_two():

@@ -3,6 +3,7 @@ exhaustive enumeration."""
 
 import math
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -32,6 +33,15 @@ def csr_rows(offsets, *columns) -> tuple[tuple, ...]:
     offsets = offsets.tolist()
     cells = columns[0].tolist() if len(columns) == 1 else list(zip(*(c.tolist() for c in columns)))
     return tuple(tuple(cells[lo:hi]) for lo, hi in zip(offsets, offsets[1:]))
+
+
+def assert_checked_like_user_input(t: Triangulation) -> None:
+    """A library-built triangulation passes every check of the public
+    constructor, and equals and hashes like the checked copy."""
+    t._validate()
+    assert all(type(x) is int for x in (*t.level_sizes, *(q for s in t.fans for f in s for q in f)))
+    checked = Triangulation(t.level_sizes, t.fans)
+    assert checked == t and hash(checked) == hash(t)
 
 
 def dual_rows(t: Triangulation) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -741,6 +751,40 @@ def test_enumerate_minimal_class():
     t, w = ts[0]
     assert t.triangle_count == 2
     assert abs(w - math.exp(-MU_CRITICAL * 2)) < 1e-15
+
+
+def reference_enumeration(levels: int, width_cap: int) -> list[Triangulation]:
+    """Every out-degree list set in enumeration order, each decoded by the
+    public codec: compositions read off ``itertools.product`` (no code shared
+    with the library's), k_{n+1} before the lists of level n."""
+    out = []
+
+    def grow(lists: list, k: int) -> None:
+        if len(lists) == levels:
+            out.append(forest_to_triangulation(lists))
+            return
+        for k_next in range(1, width_cap + 1):
+            for degs in product(range(k_next + 1), repeat=k):
+                if sum(degs) == k_next:
+                    grow([*lists, degs], k_next)
+
+    grow([], 1)
+    return out
+
+
+@pytest.mark.parametrize("levels, width_cap", [
+    *((levels, cap) for levels in (1, 2, 3) for cap in (1, 2, 3, 4)), (2, 5)])
+def test_enumeration_equals_the_public_codec(levels, width_cap):
+    enum = enumerate_triangulations(levels, width_cap)
+    ref = reference_enumeration(levels, width_cap)
+    assert len(enum) == len(ref)
+    for (t, w), r in zip(enum, ref):
+        assert t == r and hash(t) == hash(r)
+        assert w == math.exp(-MU_CRITICAL * r.triangle_count)  # bit for bit
+        assert_checked_like_user_input(t)
+    # each strip is built once: equal strips are one object
+    strips = [s for t, _ in enum for s in t.fans]
+    assert len({id(s) for s in strips}) == len(set(strips))
 
 
 def test_enumerate_counts_match_recursive_oracle():
