@@ -32,10 +32,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .branching import LevelForest
-from .ising import SpinState, _checked_beta
+import numpy as np
+
+from .ising import SpinState, _checked_beta, _checked_pm1
 from .rng import _checked_int
-from .triangulation import Triangulation
+from .triangulation import ForestLike, Triangulation, _as_forest
 
 MAX_EXHAUSTIVE_TRIANGLES = 40
 MAX_BOUNDED_LENGTH = 14
@@ -265,20 +266,26 @@ def below_vertices(t: Triangulation, contour: Contour) -> set[tuple[int, int]]:
 def flip_inside(t: Triangulation, state: SpinState, contour: Contour) -> SpinState:
     """Invert all spins on the root side of the contour; an involution.
 
-    Raises if the contour fails to separate the root from the boundary (it
-    always does for winding-one contours).
+    The state's spins must be +-1, one per free vertex of t.  Raises if the
+    contour fails to separate the root from the boundary (it always does for
+    winding-one contours).
     """
+    n_free = t.level_offsets[t.top_level]
+    spins = np.frombuffer(bytearray(_checked_pm1(state.spins, n_free, "free")), np.int8)
     below = _root_side(t, contour)
-    if max(below) >= t.level_offsets[t.top_level]:  # a top-level vertex
+    if max(below) >= n_free:  # a top-level vertex
         raise ValueError("contour does not separate the root from the boundary")
-    new = state.copy()
-    for idx in below:
-        new.spins[idx] = -new.spins[idx]
-    return new
+    spins[list(below)] *= -1
+    return SpinState(spins, state.boundary.copy(), state.beta)
 
 
-def survivors_statistic(forest: LevelForest, r_level: int, n: int) -> int:
-    """Number of level (r_level - n) vertices with a descendant at level (r_level + n)."""
+def survivors_statistic(forest: ForestLike, r_level: int, n: int) -> int:
+    """Number of level (r_level - n) vertices with a descendant at level (r_level + n).
+
+    The forest is read as the codec reads one: a ``LevelForest``, a
+    ``SpineForest`` or per-level out-degree lists.
+    """
+    forest = _as_forest(forest)
     n = _checked_int(n, "n", 0)
     r_level = _checked_int(r_level, "r_level", n)  # the window starts at level 0 or above
     lo, hi = r_level - n, r_level + n

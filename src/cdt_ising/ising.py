@@ -217,7 +217,7 @@ class GibbsExact:
                 f"{et.n_free} free spins exceed the exact-enumeration cap {MAX_EXACT_SPINS}"
             )
         self.t = t
-        self.beta = _checked_beta(float(beta))
+        self.beta = float(_checked_beta(beta))
         self.boundary = boundary_vector(t, bc)
         self.n_free = et.n_free
         self.energies = _energies(et, _boundary_field(et, self.boundary.tolist()))

@@ -4,7 +4,7 @@ All Monte Carlo drivers derive one stream per (master seed, trial index)
 so results do not depend on how trials are chunked across workers.
 ``stream`` builds a ``SeedSequence`` and a ``Philox`` per call, about
 17 us.  Philox is counter-based, so a stream is fixed by its key alone:
-``TrialKeys`` mixes the seed into numpy's ``SeedSequence`` pool once and,
+``TrialKeys`` takes the seed's pool from numpy's ``SeedSequence`` once and,
 per trial index, mixes in only that index and re-keys one generator, which
 then yields exactly the draws of ``stream(seed, i)``.
 """
@@ -58,10 +58,10 @@ _OUT_STEPS = _steps(_INIT_B, _MULT_B)
 
 
 def _absorb(pool: list[int], h: int, words: list[int]) -> tuple[list[int], int]:
-    """Mix each word into every pool word, as ``SeedSequence`` does with the
-    entropy words past the pool size; returns the pool and hash constant.
-    numpy's ``hashmix`` (xor with the hash constant, step it, multiply) and
-    ``mix`` are written out inline, here and in ``TrialKeys``."""
+    """Mix each word into every pool word, as ``SeedSequence`` does with a
+    spawn key's words; returns the pool and hash constant.  numpy's
+    ``hashmix`` (xor with the hash constant, step it, multiply) and ``mix``
+    are written out inline, here and in ``TrialKeys.key``, and nowhere else."""
     pool = list(pool)
     for w in words:
         for dst in range(_POOL):
@@ -76,30 +76,23 @@ class TrialKeys:
 
     ``SeedSequence(seed, spawn_key=(i,))`` hashes the seed's words (padded
     to the pool size), then i's words, into a four-word pool, and Philox
-    takes its key from the pool.  The seed's part is done once here; each
-    key mixes in i's words only, and for a one-word i (below 2^32) the hash
-    constants it meets are precomputed too, so only its mixing is left.
+    takes its key from the pool.  The seed's part is ``SeedSequence(seed)``'s
+    pool, after a hash constant that depends on the seed's word count alone;
+    each key mixes in i's words only, and for a one-word i (below 2^32) the
+    hash constants it meets are precomputed too, so only its mixing is left.
     """
 
     def __init__(self, seed: int) -> None:
-        entropy = _words(_checked_int(seed, "seed", 0))
-        entropy += [0] * (_POOL - len(entropy))  # padded, as with any spawn key
-        h, pool = _INIT_A, []
-        for w in entropy[:_POOL]:
-            v = (w ^ h) * (h := h * _MULT_A & _MASK) & _MASK
-            pool.append(v ^ v >> 16)
-        for src in range(_POOL):
-            for dst in range(_POOL):
-                if src != dst:
-                    v = (pool[src] ^ h) * (h := h * _MULT_A & _MASK) & _MASK
-                    r = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _MASK
-                    pool[dst] = r ^ r >> 16
-        self._pool, self._hash = _absorb(pool, h, entropy[_POOL:])
+        seed = _checked_int(seed, "seed", 0)
+        seq = np.random.SeedSequence(seed)
+        self._pool = seq.pool.tolist()
+        steps = _POOL * max(_POOL, len(_words(seed)))
+        self._hash = _INIT_A * pow(_MULT_A, steps, _MASK + 1) & _MASK
         # per pool word: the word, and the hash constants that a one-word
         # index and then the output meet there, whatever the index
         self._one_word = tuple((p, *hm, *out) for p, hm, out in
                                zip(self._pool, _steps(self._hash, _MULT_A), _OUT_STEPS))
-        self._bits = np.random.Philox(0)
+        self._bits = np.random.Philox(seq)  # ``keyed`` sets its key before every use
         self.generator = np.random.Generator(self._bits)
 
     def key(self, i: int) -> tuple[int, int]:

@@ -159,20 +159,21 @@ class Triangulation:
             raise ValueError("need one fan table per strip")
         for n, strip in enumerate(self.fans):
             k_bot, k_top = self.level_sizes[n], self.level_sizes[n + 1]
-            if len(strip) == k_bot and all(strip) and _tiles(strip, k_top):
-                continue
-            # the per-fan checks below name the first fault of a rejected strip
             if len(strip) != k_bot:
                 raise ValueError(f"strip {n} needs {k_bot} fans")
             if sum(len(f) - 1 for f in strip) != k_top:
                 raise ValueError(f"strip {n} out-degrees must sum to {k_top}")
             if not all(strip):
                 raise ValueError("every vertex has at least its fan-start edge")
-            for i, fan in enumerate(strip):
-                for a, b in zip(fan, fan[1:]):
+            # contiguous fans, each ending where the next starts, whose
+            # out-degrees sum to k_top: their tails run once round the level
+            for i, (fan, after) in enumerate(zip(strip, strip[1:] + strip[:1])):
+                a = fan[0]
+                for b in fan[1:]:
                     if (a + 1) % k_top != b:
                         raise ValueError(f"fan of vertex ({n},{i}) is not contiguous")
-                if fan[-1] != strip[(i + 1) % k_bot][0]:
+                    a = b
+                if a != after[0]:
                     raise ValueError(f"fans of strip {n} do not tile the upper level")
 
     # -- basic queries ---------------------------------------------------
@@ -492,19 +493,6 @@ def _anchor_chain(fans) -> list[int]:
         anchors.append(a)
         a = strip[a][0]
     return anchors
-
-
-def _tiles(strip, k_top: int) -> bool:
-    """One-pass check of a strip of non-empty fans: True when the fans'
-    tails, read in order, run once round the upper level from s0+1 to s0,
-    and every fan starts where the one before it (cyclically) ends.  Such a
-    strip passes every per-fan check of ``Triangulation._validate``."""
-    tails = [q for fan in strip for q in fan[1:]]
-    s0 = tails[-1] if tails else -1
-    if not (0 <= s0 < k_top and tails == [*range(s0 + 1, k_top), *range(s0 + 1)]):
-        return False
-    starts = [fan[0] for fan in strip]
-    return [fan[-1] for fan in strip] == starts[1:] + starts[:1]
 
 
 def _down_slot_entries(fans, sizes: Sequence[int], level: int, pos: int) -> list[tuple[int, int]]:

@@ -522,7 +522,34 @@ def test_inversion_map_injective():
             assert np.array_equal(recovered.spins, spins)
 
 
+@pytest.mark.parametrize("spins", [
+    [1] * 9, [1] * 4, [1, 0, -1, 1, 1], [1, 3, -1, 1, 1], [1.5, 1, -1, 1, 1], ["1"] * 5,
+], ids=["too_many", "too_few", "zero", "three", "float", "str"])
+def test_flip_inside_checks_the_spins(spins):
+    # it returned 9 spins for a 9-spin state and negated 0s and 3s
+    t = forest_to_triangulation(((2,), (1, 1), (2, 1)))
+    assert t.level_offsets[t.top_level] == 5
+    c = enumerate_contours(t).contours[0]
+    state = SpinState(np.array(spins), np.ones(t.level_sizes[-1], dtype=np.int8), 0.5)
+    with pytest.raises(ValueError, match="free spins"):
+        flip_inside(t, state, c)
+
+
 # -- survivor statistic -------------------------------------------------------
+
+
+def test_survivors_read_any_forest_form():
+    # out-degree lists raised AttributeError; they now read as the codec reads them
+    sf = sample_spine_forest(stream(63, 0), 6)
+    forest = sf.to_forest()
+    for r_level, n in ((1, 1), (3, 2), (4, 0)):
+        want = survivors_statistic(forest, r_level, n)
+        assert survivors_statistic(sf, r_level, n) == want
+        assert survivors_statistic(forest.out_degrees, r_level, n) == want
+    assert survivors_statistic(((1,), (2,), (1, 1)), 1, 1) == 1
+    for garbage in (None, 5, "abc", ((1,), (1, 1)), ((1,), (-1,))):
+        with pytest.raises(ValueError):
+            survivors_statistic(garbage, 1, 0)
 
 
 def test_survivors_zero_window():

@@ -419,16 +419,28 @@ def test_ising_entry_points_reject_non_finite_beta(beta):
         gibbs_exact(WIDE, beta, "minus")
 
 
-@pytest.mark.parametrize("entry_point", [
+BETA_ENTRY_POINTS = pytest.mark.parametrize("entry_point", [
     lambda beta: glauber_sweep(WIDE, SpinState.constant(WIDE, 1, "minus", beta), stream(37)),
     lambda beta: root_plus_probability(WIDE, beta, "minus", sweeps=64, replicas=1, seed=9),
     lambda beta: gibbs_exact(WIDE, beta, "minus"),
 ], ids=["glauber_sweep", "root_plus_probability", "gibbs_exact"])
+
+
+@BETA_ENTRY_POINTS
 def test_ising_entry_points_reject_negative_beta(entry_point):
     # beta >= 0 (the ferromagnet) is the rule of every entry point
     with pytest.raises(ValueError, match=">= 0"):
         entry_point(-0.5)
     entry_point(-0.0)  # equal to 0
+
+
+@BETA_ENTRY_POINTS
+@pytest.mark.parametrize("beta", ["0.5", None], ids=["str", "none"])
+def test_ising_entry_points_reject_beta_that_is_not_a_number(entry_point, beta):
+    # gibbs_exact parsed beta with float() before checking it, so it took
+    # "0.5" and raised TypeError on None
+    with pytest.raises(ValueError, match="beta"):
+        entry_point(beta)
 
 
 def test_root_plus_probability_needs_a_free_root():

@@ -5,8 +5,9 @@ import pytest
 
 from cdt_ising.rng import TrialKeys, stream
 
-# seeds of 1, 1, 2, 2, 4 and 5 uint32 words
-SEEDS = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**100 + 3, 2**130 + 7]
+# seeds of 1, 1, 2, 2, 4, 5, 4, 5 and 9 uint32 words: the hash constant
+# TrialKeys starts from counts max(pool size, words) of them
+SEEDS = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**100 + 3, 2**130 + 7, 2**128 - 1, 2**128, 2**256 + 1]
 # trial indices of one, two and three words, on both sides of 2^32
 TRIALS = [0, 1, 17, 2**32 - 1, 2**32, 2**32 + 5, 2**63 + 9, 2**64, 2**70 + 1]
 
