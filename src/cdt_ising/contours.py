@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ising import SpinState, _checked_beta, _checked_pm1
+from .ising import SpinState, _checked_beta, _checked_pm1, boundary_vector
 from .rng import _checked_int
 from .triangulation import ForestLike, Triangulation, _as_forest
 
@@ -266,17 +266,20 @@ def below_vertices(t: Triangulation, contour: Contour) -> set[tuple[int, int]]:
 def flip_inside(t: Triangulation, state: SpinState, contour: Contour) -> SpinState:
     """Invert all spins on the root side of the contour; an involution.
 
-    The state's spins must be +-1, one per free vertex of t.  Raises if the
-    contour fails to separate the root from the boundary (it always does for
-    winding-one contours).
+    The state's spins must be +-1, one per free vertex of t, and its
+    boundary and beta are read as ``glauber_sweep`` reads them: the boundary
+    through ``boundary_vector`` (the result holds a copy), beta as a finite
+    number >= 0.  Raises if the contour fails to separate the root from the
+    boundary (it always does for winding-one contours).
     """
     n_free = t.level_offsets[t.top_level]
     spins = np.frombuffer(bytearray(_checked_pm1(state.spins, n_free, "free")), np.int8)
+    boundary, beta = boundary_vector(t, state.boundary), _checked_beta(state.beta)
     below = _root_side(t, contour)
     if max(below) >= n_free:  # a top-level vertex
         raise ValueError("contour does not separate the root from the boundary")
     spins[list(below)] *= -1
-    return SpinState(spins, state.boundary.copy(), state.beta)
+    return SpinState(spins, boundary, beta)
 
 
 def survivors_statistic(forest: ForestLike, r_level: int, n: int) -> int:

@@ -31,24 +31,26 @@ of attempts with the same reference, path items and count checks them and
 hashes the reference's key once, not once per attempt.
 
 Private routines carry the graph work.  ``_slots`` lists a vertex's edge
-slots by side, on a triangulation's tuples and on thawed fans alike; the
+slots by side, on a triangulation's strips and on scratch ones alike; the
 path encoding, the embedding, the insertion sites and the walk's steps all
 read it.  ``_thaw`` copies a triangulation's list of strips and no strip:
 ``_insert_run`` makes a k-fold insertion in one pass (``insert_pairs`` and
 ``apply_modification`` run it), and ``_collapse_run`` collapses a
 horizontal run in one pass (``collapse_run``, ``collapse_horizontal_edge``
-and the reconstruction walk run it); each turns a strip it writes into
-lists of lists on its first write (``_writable``), or rebuilds it whole, so
-a surgery on level n copies strips n-1 and n and shares the rest with the
-host, whose tuples nothing writes.  ``_walk``
-is the reconstruction walk: it takes its draws from a known prefix and then
-from a callback, and writes its branch into the tree.
+and the reconstruction walk run it).  Each builds the two strips it changes
+once, as the tuples of tuples a result keeps, and puts them in the list in
+place of the old ones: the split or merged strip is cut from tuple slices
+that share every fan it leaves untouched, and the strip below is rebuilt
+with its relabel.  Every other strip stays the host's, which nothing
+writes.  ``_walk`` is the reconstruction walk: it takes its draws from a
+known prefix and then from a callback, and writes its branch into the tree.
 
 Arguments are checked once, at the public boundary: vertices, counts, paths,
 insertion plans and slots are read as integers there, and ``_insert_run`` is
-the one place that checks a slot's range.  The triangulations built here
-come from a checked host and checked slots, so they are built through
-``Triangulation._trusted``, with no second check of their fans.
+the one place that checks a slot's range, at the ends of the sorted slot
+lists.  The triangulations built here come from a checked host and checked
+slots, so they are built through ``Triangulation._trusted``, with no second
+check of their fans.
 """
 
 from __future__ import annotations
@@ -69,53 +71,43 @@ from .triangulation import Triangulation, _down_slot_entries, _rotate_fans
 Vertex = tuple[int, int]
 
 
-# -- mutable fan scaffolding --------------------------------------------------
+# -- scratch strips ------------------------------------------------------------
 
 
 def _thaw(t: Triangulation) -> tuple[list[int], list]:
-    """Scratch sizes and fans of ``t``: the strips stay ``t``'s own tuples
-    until a routine writes to one (``_writable``)."""
+    """Scratch sizes and fans of ``t``: a list of ``t``'s own strips, which a
+    surgery replaces, never edits."""
     return list(t.level_sizes), list(t.fans)
 
 
-def _writable(fans: list, n: int) -> list[list[int]]:
-    """Strip ``n`` of thawed fans as lists of lists, copied on its first write."""
-    strip = fans[n]
-    if type(strip) is tuple:
-        fans[n] = strip = [list(f) for f in strip]
-    return strip
-
-
 def _insert_run(
-    sizes: list[int],
-    fans: list,
-    level: int,
-    pos: int,
-    pairs: tuple[tuple[int, int], ...],
+    sizes: list[int], fans: list, level: int, pos: int, ups: list[int], downs: list[int]
 ) -> None:
-    """k-fold insertion at (level, pos) with nondecreasing (up, down) slot pairs.
+    """k-fold insertion at (level, pos) with nondecreasing up and down slot lists.
 
     The new vertices land at pos+1..pos+k.  With ups u_1..u_k, vertex pos+j
     takes the up fan slots u_j..u_{j+1} (u_0 = 0, u_{k+1} = the last slot),
     so a chosen up edge is shared by two neighbouring fans.  A down slot of
     rank r becomes the edges to pos+a..pos+b, a = #{down < r} and
     b = #{down <= r}: one edge, or a run of duplicates when r was chosen.
+    Both strips are built once, as tuples; the split one shares the fans
+    around ``pos``.  Sorted lists are in range when their ends are.
     """
-    ups = [iu for iu, _ in pairs]
-    downs = [jd for _, jd in pairs]
-    strip = _writable(fans, level)
+    strip = fans[level]
     fan = strip[pos]
     down = _down_slot_entries(fans, sizes, level, pos)
-    for iu, jd in pairs:
-        if not (0 <= iu < len(fan) and 0 <= jd < len(down)):
-            raise ValueError(f"slot pair ({iu}, {jd}) out of range for degree split")
-    k = len(pairs)
+    if ups and not (0 <= ups[0] and ups[-1] < len(fan) and 0 <= downs[0] and downs[-1] < len(down)):
+        end = 0 if min(ups[0], downs[0]) < 0 else -1
+        raise ValueError(f"slot pair ({ups[end]}, {downs[end]}) out of range for degree split")
+    k = len(ups)
     cuts = [0, *ups, len(fan) - 1]
-    strip[pos:pos + 1] = [fan[a:b + 1] for a, b in zip(cuts, cuts[1:])]
-    fans[level - 1] = below = [[q + k if q > pos else q for q in lower] for lower in fans[level - 1]]
+    fans[level] = strip[:pos] + tuple([fan[a:b + 1] for a, b in zip(cuts, cuts[1:])]) + strip[pos + 1:]
+    below = [tuple([q + k if q > pos else q for q in lower]) for lower in fans[level - 1]]
     # right to left, so that a widened entry leaves the indices before it valid
-    for (i, idx), r in sorted(((entry, r) for r, entry in enumerate(down)), reverse=True):
-        below[i][idx:idx + 1] = range(pos + bisect_left(downs, r), pos + bisect_right(downs, r) + 1)
+    for (i, idx), r in sorted(zip(down, range(len(down))), reverse=True):
+        widened = tuple(range(pos + bisect_left(downs, r), pos + bisect_right(downs, r) + 1))
+        below[i] = below[i][:idx] + widened + below[i][idx + 1:]
+    fans[level - 1] = tuple(below)
     sizes[level] += k
 
 
@@ -128,7 +120,8 @@ def _collapse_run(
     the wrap edge (k-1, 0) is first relabelled to start at position 0, so
     the merged vertex lands at 0.  In the strip below, the edge to q under
     each removed triangle (q-1, q) is dropped; then one map relabels the
-    level, in the fans and in ``walk`` alike.
+    level, in the fans and in ``walk`` alike.  Both strips are built once,
+    as tuples; the merged one shares the fans outside the run.
     """
     k = sizes[level]
     start %= k
@@ -139,15 +132,17 @@ def _collapse_run(
     end = start + count
     # labels up to start stay, the run's take start, the rest move down by count
     relabel = [*range(start + 1), *[start] * count, *range(start + 1, k - count)]
-    strip = _writable(fans, level)
+    strip = fans[level]
+    if type(strip) is not tuple:  # scratch fans given as lists are frozen
+        strip = tuple(map(tuple, strip))
     run = strip[start:end + 1]
     assert all(a[-1] == b[0] for a, b in zip(run, run[1:])), "fans must share their boundary"
-    strip[start:end + 1] = [run[0] + [q for f in run[1:] for q in f[1:]]]
+    fans[level] = strip[:start] + (run[0] + tuple([q for f in run[1:] for q in f[1:]]),) + strip[end + 1:]
     below = fans[level - 1]
     edges = sum(map(len, below))
     # drop the edge to q under each removed triangle (q-1, q)
-    fans[level - 1] = below = [[relabel[q] for a, q in zip((None, *lower), lower)
-                                if not (a == q - 1 and start < q <= end)] for lower in below]
+    fans[level - 1] = below = tuple(tuple([relabel[q] for a, q in zip((None, *lower), lower)
+                                           if not (a == q - 1 and start < q <= end)]) for lower in below)
     assert sum(map(len, below)) == edges - count, "no triangle below a collapsed edge"
     walk[:] = [(lvl, relabel[p] if lvl == level else p) for lvl, p in walk]
     sizes[level] -= count
@@ -255,8 +250,9 @@ def insert_pairs(t: Triangulation, insertion: Insertion) -> InsertResult:
     """
     level, pos = _check_internal(t, insertion.level, insertion.pos)
     sizes, fans = _thaw(t)
-    _insert_run(sizes, fans, level, pos, insertion.pairs)
-    return InsertResult(Triangulation._trusted(sizes, fans), level, pos + 1, len(insertion.pairs))
+    pairs = insertion.pairs
+    _insert_run(sizes, fans, level, pos, [iu for iu, _ in pairs], [jd for _, jd in pairs])
+    return InsertResult(Triangulation._trusted(sizes, fans), level, pos + 1, len(pairs))
 
 
 def collapse_horizontal_edge(t: Triangulation, level: int, left_pos: int) -> Triangulation:
@@ -406,10 +402,10 @@ def apply_modification(
     insertions stretch their levels.  The insertions share one set of thawed
     fans.  ``count``, ``threshold`` and the plans' keys are checked here, and
     each plan's slots are read once as integers and sorted; the insertion
-    refuses a slot out of the vertex's range (``_insert_run``).  The result
-    is built from fans made from checked input, so it is not validated
-    again.  The host caches its embedding of each ``pn`` (None included)
-    for as long as it lives.
+    takes the two sorted lists as they are and refuses a slot out of the
+    vertex's range (``_insert_run``).  The result is built from fans made
+    from checked input, so it is not validated again.  The host caches its
+    embedding of each ``pn`` (None included) for as long as it lives.
     """
     count = _checked_int(count, "count", 1)
     embeddings = t.__dict__.setdefault("_embeddings", {})
@@ -436,7 +432,7 @@ def apply_modification(
         for at, amount in shifts.get(lvl, []):
             if pos > at:
                 pos += amount
-        _insert_run(sizes, fans, lvl, pos, tuple(zip(ups, downs)))
+        _insert_run(sizes, fans, lvl, pos, ups, downs)
         shifts.setdefault(lvl, []).append((pos, count))
     return Triangulation._trusted(sizes, fans)
 

@@ -143,8 +143,10 @@ class Triangulation:
 
         A strip that is already a tuple is kept as it is, not copied: in
         every producer it is a frozen strip of tuples (one the codec built,
-        or a host's strip that a surgery or rotation left untouched), so
-        results share such strips with their hosts and with each other."""
+        a host's strip that a surgery or rotation left untouched, or one a
+        surgery wrote, which it builds as tuples), so results share such
+        strips with their hosts and with each other.  Only ``rotate_level``
+        hands in a strip of lists, the retargeted one below its level."""
         t = cls.__new__(cls)
         t.level_sizes = tuple(level_sizes)
         t.fans = tuple(s if type(s) is tuple else tuple(map(tuple, s)) for s in fans)

@@ -209,6 +209,13 @@ def test_surgery_selftest(tmp_path):
     assert rc == 0
     rows = data_rows(out)[1:]
     assert all(r.split(",")[-1] == "1" for r in rows)
+    # the rows, byte for byte: how surgery lays out its strips or checks its
+    # slots moves no draw and no result
+    assert data_rows(out) == [
+        "check,value,bound,passed",
+        "roundtrip_failures,0.0,0.0,1",
+        "reconstruction_frequency,0.060333333333333336,2.314814814814815e-05,1",
+    ]
 
 
 def test_invalid_config_exits_nonzero(tmp_path):

@@ -535,6 +535,19 @@ def test_flip_inside_checks_the_spins(spins):
         flip_inside(t, state, c)
 
 
+@pytest.mark.parametrize("boundary, beta, message", [
+    ([7] * 9, 0.5, "boundary spins"), ([1, 1], "hot", "beta"),
+], ids=["boundary", "beta"])
+def test_flip_inside_checks_the_boundary_and_beta(boundary, beta, message):
+    # both came back in the flipped state; they are read as glauber_sweep reads them
+    t = forest_to_triangulation(((2,), (1, 1)))
+    assert t.level_sizes[t.top_level] == 2
+    c = enumerate_contours(t).contours[0]
+    state = SpinState(np.ones(t.level_offsets[t.top_level], dtype=np.int8), boundary, beta)
+    with pytest.raises(ValueError, match=message):
+        flip_inside(t, state, c)
+
+
 # -- survivor statistic -------------------------------------------------------
 
 

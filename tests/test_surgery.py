@@ -3,6 +3,7 @@ randomized reconstruction walk."""
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -269,12 +270,13 @@ def test_collapse_run_matches_single_edge_collapses(lists, data):
         # exact sizes, fans and walk against single-edge collapses, with a
         # walk holding every vertex of every level, on scratch fans that are
         # lists throughout and on ones whose strips are still t's tuples
+        # (the strips a collapse writes come back as tuples)
         sizes, fans = thaw_lists(t)
         walk = [(n, p) for n, size in enumerate(sizes) for p in range(size)]
         want = copy.deepcopy((sizes, fans, walk))
         reference_collapse_run(*want[:2], level, start, count, want[2])
         _collapse_run(sizes, fans, level, start, count, walk)
-        assert (sizes, fans, walk) == want
+        assert (sizes, [[list(f) for f in strip] for strip in fans], walk) == want
         sizes, fans = _thaw(t)
         walk = [(n, p) for n, size in enumerate(sizes) for p in range(size)]
         _collapse_run(sizes, fans, level, start, count, walk)
@@ -285,7 +287,8 @@ def test_collapse_run_matches_single_edge_collapses(lists, data):
 @given(lists=out_degree_lists(), data=st.data())
 def test_library_built_triangulations_pass_the_public_checks(lists, data):
     # every producer builds its result unchecked, from input it has checked,
-    # and writes only to its own copies of the strips it changes
+    # and writes only to its own copies of the strips it changes, which it
+    # builds as tuples all the way down
     t = forest_to_triangulation(lists)
     host = host_record(t)
     level = data.draw(st.integers(1, t.top_level))
@@ -301,8 +304,18 @@ def test_library_built_triangulations_pass_the_public_checks(lists, data):
         size = t.level_sizes[level]
         if size >= 2:
             start = data.draw(st.integers(0, size - 1))
-            built += [collapse_horizontal_edge(t, level, start),
-                      collapse_run(t, level, start, data.draw(st.integers(1, min(3, size - 1))))]
+            count = data.draw(st.integers(1, min(3, size - 1)))
+            built += [collapse_horizontal_edge(t, level, start), collapse_run(t, level, start, count),
+                      collapse_run(t, level, size - 1, count)]  # through the wrap edge
+        # scratch collapses through the wrap edge at level n + 1, whose
+        # rotation turns strip n into lists, and then at level n
+        for n in range(1, t.top_level - 1):
+            if t.level_sizes[n] >= 2 and t.level_sizes[n + 1] >= 2:
+                sizes, fans = _thaw(t)
+                _collapse_run(sizes, fans, n + 1, sizes[n + 1] - 1, 1, [])
+                _collapse_run(sizes, fans, n, 0, 1, [])
+                assert all(type(s) is tuple and all(type(f) is tuple for f in s) for s in fans)
+                built.append(Triangulation._trusted(sizes, fans))
         # a path that climbs one level per step, modified at its eligible
         # vertices, and every walk that undoes the modification
         path = [(0, 0)]
@@ -442,6 +455,7 @@ def test_surgery_rejects_missing_vertex_or_level(call):
     lambda t: apply_modification(FIXTURE, FIX_PATH, {1: ((5.0,) * 10, (1,) * 10)}, threshold=8, count=10),
     lambda t: apply_modification(FIXTURE, FIX_PATH, {1: ((-1,) + (5,) * 9, (1,) * 10)}, threshold=8, count=10),
     lambda t: apply_modification(FIXTURE, FIX_PATH, {1: ((5,) * 10, (1,) * 9 + (2,))}, threshold=8, count=10),
+    lambda t: apply_modification(FIXTURE, FIX_PATH, {1: ((5,) * 9 + (6,), (1,) * 10)}, threshold=8, count=10),
     lambda t: apply_modification(FIXTURE, FIX_PATH, {1: 5}, threshold=8, count=10),
     lambda t: modified_indices(FIX_PATH, "x"),
     lambda t: modified_indices(FIX_PATH, -1),
@@ -457,7 +471,8 @@ def test_surgery_rejects_missing_vertex_or_level(call):
         "probability_bound_float_degree", "probability_bound_degree_below_two",
         "modification_float_count", "modification_integral_float_count",
         "modification_float_threshold", "modification_float_slot",
-        "modification_negative_slot", "modification_slot_past_edges", "modification_plan_not_a_pair",
+        "modification_negative_slot", "modification_slot_past_edges", "modification_up_slot_past_fan",
+        "modification_plan_not_a_pair",
         "modified_indices_string_threshold", "modified_indices_negative_threshold",
         "success_probability_zero_count", "success_probability_float_count",
         "reconstruction_zero_count", "reconstruction_float_count"])
@@ -469,6 +484,18 @@ def test_surgery_rejects_bad_arguments_at_the_boundary(call):
     t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
     with pytest.raises(ValueError):
         call(t)
+
+
+@pytest.mark.parametrize("ups, downs, named", [
+    ((-1,) + (5,) * 9, (1,) * 10, "(-1, 1)"),
+    ((5,) * 9 + (6,), (1,) * 10, "(6, 1)"),
+    ((5,) * 10, (0,) * 9 + (2,), "(5, 2)"),
+], ids=["low_end", "up_high_end", "down_high_end"])
+def test_slot_range_is_checked_at_the_ends_of_the_sorted_lists(ups, downs, named):
+    # (1, 0) of the fixture has up slots 0..5 and down slots 0..1; the
+    # refusal names the pair at the end that is out of range
+    with pytest.raises(ValueError, match=f"slot pair {re.escape(named)} out of range"):
+        apply_modification(FIXTURE, FIX_PATH, {1: (ups, downs)}, threshold=8, count=10)
 
 
 def test_apply_modification_takes_numpy_integer_slots():
@@ -606,6 +633,9 @@ def test_apply_modification_empty_when_below_threshold():
     assert apply_modification(t, pn, {}, threshold=100, count=10) == t
     with pytest.raises(ValueError):
         apply_modification(t, pn, {1: ((0,), (0,))}, threshold=100, count=1)
+    # an empty insertion has no slot list ends to check, and changes nothing
+    res = insert_pairs(t, Insertion(1, 0, ()))
+    assert res.triangulation == t and res.count == 0
 
 
 def test_apply_modification_f_increase_and_measure_inequality():

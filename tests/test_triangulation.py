@@ -37,8 +37,11 @@ def csr_rows(offsets, *columns) -> tuple[tuple, ...]:
 
 def assert_checked_like_user_input(t: Triangulation) -> None:
     """A library-built triangulation passes every check of the public
-    constructor, and equals and hashes like the checked copy."""
+    constructor, holds tuples all the way down, and equals and hashes like
+    the checked copy."""
     t._validate()
+    assert type(t.level_sizes) is tuple and type(t.fans) is tuple
+    assert all(type(s) is tuple and all(type(f) is tuple for f in s) for s in t.fans)
     assert all(type(x) is int for x in (*t.level_sizes, *(q for s in t.fans for f in s for q in f)))
     checked = Triangulation(t.level_sizes, t.fans)
     assert checked == t and hash(checked) == hash(t)
