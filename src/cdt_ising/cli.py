@@ -211,9 +211,9 @@ def cmd_surgery_selftest(args) -> ExperimentReport:
     rows.append(("roundtrip_failures", float(fails), 0.0, int(fails == 0)))
 
     t, pn, t_mod = _reconstruction_fixture()
-    wins = 0
-    for i in range(args.attempts):
-        r = surgery.randomized_reconstruction(t_mod, t, pn.path, stream(args.seed, i))
+    keys, wins = TrialKeys(args.seed), 0
+    for i in range(args.attempts):  # attempt i draws from stream(seed, i)
+        r = surgery.randomized_reconstruction(t_mod, t, pn.path, keys.stream(i))
         wins += r.success
     freq = wins / args.attempts
     bound = surgery.reconstruction_probability_bound(pn.degrees())

@@ -7,11 +7,20 @@ so results do not depend on how trials are chunked across workers.
 ``TrialKeys`` takes the seed's pool from numpy's ``SeedSequence`` once and,
 per trial index, mixes in only that index and re-keys one generator, which
 then yields exactly the draws of ``stream(seed, i)``.
+
+``_below`` draws bounded integers straight from a generator's bit
+generator: numpy's ``Generator.integers`` spends most of a scalar draw on
+its per-call cost, and the reconstruction walk's attempts make a few small
+draws each.  It runs numpy's own bounded draw, Lemire's multiply-and-reject
+(ACM TOMACS 29 (2019) 3), on the bit generator's ``next_uint32`` (or
+``next_uint64`` past 2^32), so its draws and the generator state it leaves
+are those of ``integers``.
 """
 
 from __future__ import annotations
 
 from operator import index
+from typing import Callable
 
 import numpy as np
 
@@ -136,6 +145,49 @@ class TrialKeys:
         if skip % 4:
             self._bits.random_raw(skip % 4)
         return self.generator
+
+
+_U32 = 1 << 32
+_U63 = 1 << 63
+_U64 = 1 << 64
+
+
+def _below(rng: np.random.Generator) -> Callable[[int], int]:
+    """``below(n)``, which draws ``int(rng.integers(0, n))`` for an int
+    1 <= n <= 2^63, draw for draw, and leaves ``rng`` in the same state;
+    for n > 2^63 it raises ValueError and draws nothing, as ``integers`` does.
+
+    As numpy does, a draw multiplies one word of the bit generator (32 bits
+    for n <= 2^32, else 64) by n and keeps the product's high word; it draws
+    again while the low word falls below 2^32 mod n (2^64 mod n), and a
+    range of one draws nothing.  ``below`` holds the bit generator, whose
+    state it calls into, and takes no lock: a caller that shares ``rng``
+    across threads holds ``rng.bit_generator.lock`` while it draws.
+    """
+    bits = rng.bit_generator.ctypes
+    next32, next64, state = bits.next_uint32, bits.next_uint64, bits.state
+
+    def below(n: int) -> int:
+        if n <= _U32:
+            if n == 1:
+                return 0
+            m = next32(state) * n
+            if m & _MASK < n:  # may be biased: reject low words below 2^32 mod n
+                low = _U32 % n
+                while m & _MASK < low:
+                    m = next32(state) * n
+            return m >> 32
+        if n > _U63:
+            raise ValueError(f"range {n} is out of bounds for int64 draws")
+        m = next64(state) * n
+        if m % _U64 < n:
+            low = _U64 % n
+            while m % _U64 < low:
+                m = next64(state) * n
+        return m >> 64
+
+    below.bit_generator = rng.bit_generator  # owns the memory ``state`` points to
+    return below
 
 
 def _checked_int(value, what: str, least: int | None = None) -> int:

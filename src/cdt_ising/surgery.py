@@ -24,7 +24,10 @@ current vertex, or nothing.  An attempt's result is a function of its draws,
 so a modified triangulation keeps one branch tree per (reference, path,
 count): attempts descend it with their draws and run the walk only where it
 has no branch yet, and ``reconstruction_success_probability`` sums the
-weights of its successful leaves, filling in every branch it lacks.  Results
+weights of its successful leaves, filling in every branch it lacks.  An
+attempt draws straight from its generator's bit generator with the bounded
+draw numpy's ``Generator.integers`` runs (``_below`` in ``rng``), so its
+draws are those of ``integers`` without numpy's per-call cost.  Results
 are shared frozen objects, and the tree lives as long as the triangulation.
 The modified triangulation also records its last checked target, so a run
 of attempts with the same reference, path items and count checks them and
@@ -65,7 +68,7 @@ from typing import Callable
 import numpy as np
 
 from .percolation import is_locally_geodesic
-from .rng import _checked_int, _checked_ints
+from .rng import _below, _checked_int, _checked_ints
 from .triangulation import Triangulation, _down_slot_entries, _rotate_fans
 
 Vertex = tuple[int, int]
@@ -553,6 +556,12 @@ def randomized_reconstruction(
     tree, so attempts after it run no walk.  Results are shared frozen
     objects (their ``triangulation`` too).
 
+    ``rng`` must be a ``np.random.Generator``.  Each draw equals
+    ``int(rng.integers(0, n))`` and leaves ``rng`` where that call would,
+    but is taken from the bit generator's ``next_uint32`` by the ``rng``
+    module's ``_below``; the attempt holds ``rng.bit_generator.lock``
+    throughout, as numpy's own methods hold it per call.
+
     ``t_prime`` keeps a record of its last target that passed the checks
     (the reference object, the path items, the key and the branch table),
     so a run of attempts on one target checks it once.  A call reuses the
@@ -564,6 +573,8 @@ def randomized_reconstruction(
     call is checked again (``_branches``).  The record holds the reference
     for as long as ``t_prime`` lives or until the next target replaces it.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     last = t_prime.__dict__.get("_reconstruction_last")  # (reference, items, key, table)
     if (last is not None and last[0] is reference and type(count) is int
             and count == last[2][2] and type(reference_path) in (list, tuple)
@@ -576,13 +587,15 @@ def randomized_reconstruction(
                 type(v) is tuple and len(v) == 2 and type(v[0]) is int and type(v[1]) is int
                 for v in reference_path):
             t_prime.__dict__["_reconstruction_last"] = (reference, tuple(reference_path), key, table)
+    below, options = _below(rng), key[2] + 2
     draws: Draws = ()
-    node = table.get(draws)
-    while isinstance(node, int):  # the slot count of the next step
-        draws += (int(rng.integers(0, node)), int(rng.integers(0, key[2] + 2)))
+    with rng.bit_generator.lock:
         node = table.get(draws)
-    if node is None:
-        node = _walk(t_prime, *key, table, draws, lambda n: int(rng.integers(0, n)))
+        while isinstance(node, int):  # the slot count of the next step
+            draws += (below(node), below(options))
+            node = table.get(draws)
+        if node is None:
+            node = _walk(t_prime, *key, table, draws, below)
     return node
 
 

@@ -426,6 +426,24 @@ def test_series_takes_numpy_integers():
     assert type(s.rows[0][0]) is int and type(s.rows[0][1]) is int
 
 
+def test_peierls_series_bounds_the_minus_root_marginal():
+    # the paper's Peierls bound on a finite instance with a frozen minus top:
+    # P-(root +) <= sum_n C_n exp(-2 beta n), on every instance of (2, 4) and
+    # (3, 3) and each rotation by one of a level of two or more vertices
+    checks = 0
+    for levels, width_cap in [(2, 4), (3, 3)]:
+        for t, _ in enumerate_triangulations(levels, width_cap):
+            for inst in [t] + [rotate_level(t, level, 1)
+                               for level, size in enumerate(t.level_sizes) if size > 1]:
+                counts = enumerate_contours(inst).counts
+                for beta in [0.05, 0.3, 1.0, 2.0]:
+                    lhs = gibbs_exact(inst, beta, "minus").root_plus()
+                    rhs = peierls_series(counts, beta).total
+                    assert lhs <= rhs + 1e-12, (inst.level_sizes, inst.fans, beta, lhs - rhs)
+                    checks += 1
+    assert checks == 7204
+
+
 # -- spin inversion -----------------------------------------------------------
 
 

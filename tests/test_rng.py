@@ -1,9 +1,10 @@
-"""Tests for the seeded trial streams and their key schedule."""
+"""Tests for the seeded trial streams, their key schedule and the bounded
+draw taken straight from a bit generator."""
 
 import numpy as np
 import pytest
 
-from cdt_ising.rng import TrialKeys, stream
+from cdt_ising.rng import TrialKeys, _below, stream
 
 # seeds of 1, 1, 2, 2, 4, 5, 4, 5 and 9 uint32 words: the hash constant
 # TrialKeys starts from counts max(pool size, words) of them
@@ -79,3 +80,43 @@ def test_trial_keys_take_numpy_integers():
 def test_trial_keys_reject_bad_trial_indices(i):
     with pytest.raises(ValueError, match="trial index"):
         TrialKeys(1).key(i)
+
+
+# four 64-bit draws past 2^32; 3 * 2^30 and 2^31 + 1 reject a quarter and
+# about half of their 32-bit words, and 3 * 2^61 a quarter of its 64-bit
+# words, so both rejection loops run
+BELOW_RANGES = [1, 2, 7, 3 * 2**30, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3,
+                3 * 2**61, 2**63 - 1]
+
+
+def _plain(state):
+    """A bit generator state with its arrays as lists, to compare with ==."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@pytest.mark.parametrize("make", [lambda: stream(11, 4), lambda: np.random.default_rng(11)],
+                         ids=["philox_stream", "default_rng"])
+def test_below_draws_what_integers_draws(make):
+    rng, ref = make(), make()
+    below = _below(rng)
+    for k in range(3000):
+        n = BELOW_RANGES[k % len(BELOW_RANGES)]
+        assert below(n) == int(ref.integers(0, n)), (k, n)
+        # the generator's own draws go on from where ``below`` left it
+        if k % 7 == 0:
+            assert rng.random() == ref.random(), k
+        if k % 11 == 0:
+            assert rng.integers(2**40) == ref.integers(2**40), k
+    assert _plain(rng.bit_generator.state) == _plain(ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("n", [2**63 + 1, 2**64, 2**64 + 2])
+def test_below_refuses_what_integers_refuses(n):
+    rng, ref = stream(11, 4), stream(11, 4)
+    with pytest.raises(ValueError):
+        ref.integers(0, n)
+    with pytest.raises(ValueError):
+        _below(rng)(n)
+    assert _plain(rng.bit_generator.state) == _plain(ref.bit_generator.state)

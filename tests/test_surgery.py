@@ -463,6 +463,10 @@ def test_surgery_rejects_missing_vertex_or_level(call):
     lambda t: reconstruction_success_probability(CHAIN, CHAIN, CHAIN_PATH, count=2.0),
     lambda t: randomized_reconstruction(FIX_MOD, FIXTURE, FIX_PATH.path, stream(98), count=0),
     lambda t: randomized_reconstruction(FIX_MOD, FIXTURE, FIX_PATH.path, stream(98), count=10.0),
+    lambda t: randomized_reconstruction(FIX_MOD, FIXTURE, FIX_PATH.path, 98),
+    lambda t: randomized_reconstruction(FIX_MOD, FIXTURE, FIX_PATH.path, np.random.RandomState(98)),
+    lambda t: randomized_reconstruction(FIX_MOD, FIXTURE, FIX_PATH.path, stream(98), count=2**63 - 1),
+    lambda t: randomized_reconstruction(FIX_MOD, FIXTURE, FIX_PATH.path, stream(98), count=2**64),
 ], ids=["enumerate_plans_level_0", "enumerate_plans_top_level", "enumerate_plans_float_count",
         "path_neighborhood_empty", "collapse_run_float_level", "collapse_run_float_start",
         "collapse_run_float_count", "insertion_float_level", "insertion_float_slot",
@@ -475,12 +479,16 @@ def test_surgery_rejects_missing_vertex_or_level(call):
         "modification_plan_not_a_pair",
         "modified_indices_string_threshold", "modified_indices_negative_threshold",
         "success_probability_zero_count", "success_probability_float_count",
-        "reconstruction_zero_count", "reconstruction_float_count"])
+        "reconstruction_zero_count", "reconstruction_float_count",
+        "reconstruction_seed_for_rng", "reconstruction_legacy_random_state",
+        "reconstruction_count_past_int64_draws", "reconstruction_count_past_uint64"])
 def test_surgery_rejects_bad_arguments_at_the_boundary(call):
-    # each raised TypeError, IndexError or ZeroDivisionError from inside, was
-    # accepted (the three-slot pair, integral float counts, count 0, float or
-    # negative thresholds, float or small degrees), or (count 2.5) asked for
-    # 2.5 pairs
+    # each raised TypeError, IndexError, AttributeError (an rng that is not
+    # a Generator) or ZeroDivisionError from inside, was accepted (the
+    # three-slot pair, integral float counts, count 0, float or negative
+    # thresholds, float or small degrees), or (count 2.5) asked for 2.5 pairs;
+    # a count whose range of count + 2 is past int64 draws is refused as
+    # ``Generator.integers`` refuses that range
     t = forest_to_triangulation(((2,), (1, 2), (1, 1, 1)))
     with pytest.raises(ValueError):
         call(t)
