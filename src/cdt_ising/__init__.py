@@ -46,6 +46,7 @@ from .percolation import (
     OpenSet,
     annealed_reach_probability,
     count_salg_paths,
+    exact_reach_probability,
     is_locally_geodesic,
     max_open_reach,
     open_probability,

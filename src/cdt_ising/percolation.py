@@ -136,6 +136,53 @@ def max_open_reach(t: Triangulation, open_set: OpenSet) -> ReachResult:
     return ReachResult(best_level, tuple(t.vertex_at(f) for f in path))
 
 
+MAX_EXACT_MARKS = 20
+
+
+def exact_reach_probability(t: Triangulation, beta: float, level: int) -> float:
+    """The probability that the root's open cluster reaches ``level``, under
+    the marks of ``sample_open_set``: each vertex of levels 0..top-1 open
+    with probability tanh(beta * d_v), independently.
+
+    ``max_open_reach(t, open_set).reach >= level`` summed exactly over the
+    open sets, as bitmasks of the marked vertices grown from the root: each
+    branch decides the lowest undecided neighbour of the open cluster, open
+    or closed, and ends once the cluster holds a vertex of ``level`` or has
+    no undecided neighbour, so it fixes only the marks the cluster meets.
+    ``level`` is one of the marked levels 0..top-1; level 0 is reached
+    whether or not the root is open, as in ``max_open_reach``.  Capped at
+    ``MAX_EXACT_MARKS`` marked vertices.
+    """
+    _checked_beta(beta)
+    level = _checked_int(level, "level", 0)
+    if level >= t.top_level:
+        raise ValueError(f"level must be a marked level, 0..{t.top_level - 1}")
+    p = np.tanh(beta * t.mark_degrees).tolist()
+    n = len(p)
+    if n > MAX_EXACT_MARKS:
+        raise ValueError(f"exact reach is capped at {MAX_EXACT_MARKS} marked vertices, got {n}")
+    if level == 0:
+        return 1.0
+    offsets, other = (x.tolist() for x in t.neighbors)
+    nbrs = [sum(1 << u for u in other[offsets[v]:offsets[v + 1]] if u < n) for v in range(n)]
+    target = (1 << n) - (1 << t.level_offsets[level])  # the marked vertices of levels >= level
+    wins = []
+    pending = [(nbrs[0] & ~1, 1, p[0])]  # (undecided frontier, decided, weight), root open
+    while pending:
+        frontier, decided, w = pending.pop()
+        if not frontier:
+            continue
+        bit = frontier & -frontier
+        v = bit.bit_length() - 1
+        decided |= bit
+        pending.append((frontier ^ bit, decided, w * (1.0 - p[v])))
+        if bit & target:
+            wins.append(w * p[v])
+        else:
+            pending.append(((frontier | nbrs[v]) & ~decided, decided, w * p[v]))
+    return math.fsum(wins)
+
+
 @dataclass(frozen=True)
 class ReachEstimate:
     beta: float

@@ -31,7 +31,11 @@ draws are those of ``integers`` without numpy's per-call cost.  Results
 are shared frozen objects, and the tree lives as long as the triangulation.
 The modified triangulation also records its last checked target, so a run
 of attempts with the same reference, path items and count checks them and
-hashes the reference's key once, not once per attempt.
+hashes the reference's key once, not once per attempt; a tuple path that is
+the very tuple recorded is taken at once.  Beside that record it keeps the
+draw function of its last attempt, rebuilt only when an attempt's generator
+has another bit generator, so a run of attempts on one generator (or on one
+re-keyed ``TrialKeys`` generator) builds it once.
 
 Private routines carry the graph work.  ``_slots`` lists a vertex's edge
 slots by side, on a triangulation's strips and on scratch ones alike; the
@@ -566,30 +570,44 @@ def randomized_reconstruction(
     (the reference object, the path items, the key and the branch table),
     so a run of attempts on one target checks it once.  A call reuses the
     record only for the same ``reference`` object, a plain int ``count``
-    equal to the key's, and a list or tuple path whose items are, one for
-    one, the very objects recorded; a record is kept only when every item
-    is a plain ``(int, int)`` tuple.  Those are immutable and the reference
-    is frozen, so a reused target is the one that was checked; any other
-    call is checked again (``_branches``).  The record holds the reference
-    for as long as ``t_prime`` lives or until the next target replaces it.
+    equal to the key's, and a path that is the recorded tuple itself or a
+    list or tuple whose items are, one for one, the very objects recorded
+    (a list edited in place is read item by item again); a record is kept
+    only when every item is a plain ``(int, int)`` tuple.  Those are
+    immutable and the reference is frozen, so a reused target is the one
+    that was checked; any other call is checked again (``_branches``).  The
+    record holds the reference for as long as ``t_prime`` lives or until
+    the next target replaces it.
+
+    Beside the record, ``t_prime`` keeps the last attempt's draw function,
+    which holds its bit generator; an attempt rebuilds it only when
+    ``rng.bit_generator`` is another one.  It draws through a pointer to
+    the bit generator's state, which a ``state`` assignment (as
+    ``TrialKeys.keyed`` makes) rewrites in place, so a re-keyed generator
+    keeps it.  It is not pickled with ``t_prime``.
     """
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy Generator, got {type(rng).__name__}")
-    last = t_prime.__dict__.get("_reconstruction_last")  # (reference, items, key, table)
-    if (last is not None and last[0] is reference and type(count) is int
-            and count == last[2][2] and type(reference_path) in (list, tuple)
-            and len(reference_path) == len(last[1])
-            and all(map(operator.is_, reference_path, last[1]))):
+    kept = t_prime.__dict__
+    last = kept.get("_reconstruction_last")  # (reference, items, key, table)
+    if (last is not None and last[0] is reference and type(count) is int and count == last[2][2]
+            and (reference_path is last[1]
+                 or type(reference_path) in (list, tuple) and len(reference_path) == len(last[1])
+                 and all(map(operator.is_, reference_path, last[1])))):
         key, table = last[2], last[3]
     else:
         key, table = _branches(t_prime, reference, reference_path, count)
         if type(reference_path) in (list, tuple) and all(
                 type(v) is tuple and len(v) == 2 and type(v[0]) is int and type(v[1]) is int
                 for v in reference_path):
-            t_prime.__dict__["_reconstruction_last"] = (reference, tuple(reference_path), key, table)
-    below, options = _below(rng), key[2] + 2
+            kept["_reconstruction_last"] = (reference, tuple(reference_path), key, table)
+    bits = rng.bit_generator
+    below = kept.get("_reconstruction_below")
+    if below is None or below.bit_generator is not bits:
+        below = kept["_reconstruction_below"] = _below(rng)
+    options = key[2] + 2
     draws: Draws = ()
-    with rng.bit_generator.lock:
+    with bits.lock:
         node = table.get(draws)
         while isinstance(node, int):  # the slot count of the next step
             draws += (below(node), below(options))

@@ -26,8 +26,8 @@ constructor reads every size and fan entry as an integer and runs
 and ``from_text`` decode.  Fans the library builds from checked input are
 trusted: every producer (the codec, ``enumerate_triangulations``,
 ``rotate_level`` and the surgery operations) builds its result through
-``Triangulation._trusted``, which only freezes them to tuples and keeps a
-strip that is already one, so results share strips.
+``Triangulation._trusted``, which takes strips that are already tuples of
+tuples and keeps them as they are, so results share strips.
 
 The derived graph tables live on the instance, each built once and cached,
 and address vertices by flat id (``flat_index``, inverted by ``vertex_at``).
@@ -141,16 +141,22 @@ class Triangulation:
         no ``_validate``.  Every producer in the package builds its result
         here; user input goes through ``__init__``.
 
-        A strip that is already a tuple is kept as it is, not copied: in
-        every producer it is a frozen strip of tuples (one the codec built,
-        a host's strip that a surgery or rotation left untouched, or one a
-        surgery wrote, which it builds as tuples), so results share such
-        strips with their hosts and with each other.  Only ``rotate_level``
-        hands in a strip of lists, the retargeted one below its level."""
+        Every strip must already be a frozen strip of tuples (one the codec
+        built, a host's strip that a surgery or rotation left untouched, or
+        one a surgery or rotation wrote, which it freezes itself); strips
+        are kept as they are, not copied, so results share them with their
+        hosts and with each other."""
         t = cls.__new__(cls)
         t.level_sizes = tuple(level_sizes)
-        t.fans = tuple(s if type(s) is tuple else tuple(map(tuple, s)) for s in fans)
+        t.fans = tuple(fans)
         return t
+
+    def __getstate__(self) -> tuple[dict, dict]:
+        # surgery keeps the draw function of its last reconstruction attempt
+        # here, which calls into a generator by pointer and cannot be
+        # pickled; an unpickled copy builds its own on its first attempt
+        kept = {k: v for k, v in self.__dict__.items() if k != "_reconstruction_below"}
+        return kept, {"level_sizes": self.level_sizes, "fans": self.fans}
 
     def _validate(self) -> None:
         if not self.level_sizes or any(k < 1 for k in self.level_sizes):
@@ -450,6 +456,8 @@ def rotate_level(t: Triangulation, level: int, shift: int) -> Triangulation:
         raise ValueError("only levels above the root can be rotated")
     fans = list(t.fans)
     _rotate_fans(t.level_sizes, fans, level, _checked_int(shift, "shift"))
+    if fans[level - 1] is not t.fans[level - 1]:  # retargeted, as lists
+        fans[level - 1] = tuple(map(tuple, fans[level - 1]))
     return Triangulation._trusted(t.level_sizes, fans)
 
 

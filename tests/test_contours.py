@@ -24,6 +24,7 @@ from cdt_ising.contours import (
     survivors_statistic,
 )
 from cdt_ising.ising import SpinState, energy, gibbs_exact
+from cdt_ising.percolation import exact_reach_probability
 from cdt_ising.rng import stream
 from cdt_ising.triangulation import (
     Triangulation,
@@ -426,21 +427,42 @@ def test_series_takes_numpy_integers():
     assert type(s.rows[0][0]) is int and type(s.rows[0][1]) is int
 
 
-def test_peierls_series_bounds_the_minus_root_marginal():
-    # the paper's Peierls bound on a finite instance with a frozen minus top:
-    # P-(root +) <= sum_n C_n exp(-2 beta n), on every instance of (2, 4) and
-    # (3, 3) and each rotation by one of a level of two or more vertices
-    checks = 0
+def theorem_instances():
+    """Every instance of (2, 4) and (3, 3), and each rotation by one of a
+    level of two or more vertices."""
     for levels, width_cap in [(2, 4), (3, 3)]:
         for t, _ in enumerate_triangulations(levels, width_cap):
-            for inst in [t] + [rotate_level(t, level, 1)
-                               for level, size in enumerate(t.level_sizes) if size > 1]:
-                counts = enumerate_contours(inst).counts
-                for beta in [0.05, 0.3, 1.0, 2.0]:
-                    lhs = gibbs_exact(inst, beta, "minus").root_plus()
-                    rhs = peierls_series(counts, beta).total
-                    assert lhs <= rhs + 1e-12, (inst.level_sizes, inst.fans, beta, lhs - rhs)
-                    checks += 1
+            yield t
+            yield from (rotate_level(t, level, 1) for level, size in enumerate(t.level_sizes) if size > 1)
+
+
+def test_peierls_series_bounds_the_minus_root_marginal():
+    # the paper's Peierls bound on a finite instance with a frozen minus top:
+    # P-(root +) <= sum_n C_n exp(-2 beta n)
+    checks = 0
+    for inst in theorem_instances():
+        counts = enumerate_contours(inst).counts
+        for beta in [0.05, 0.3, 1.0, 2.0]:
+            lhs = gibbs_exact(inst, beta, "minus").root_plus()
+            rhs = peierls_series(counts, beta).total
+            assert lhs <= rhs + 1e-12, (inst.level_sizes, inst.fans, beta, lhs - rhs)
+            checks += 1
+    assert checks == 7204
+
+
+def test_disagreement_percolation_bounds_the_root_marginal_gap():
+    # the paper's disagreement-percolation bound on a finite instance with a
+    # frozen top: a disagreement between the plus and minus measures at the
+    # root needs an open path from the root to level top - 1, each vertex
+    # open with probability tanh(beta d_v), so
+    # P+(root +) - P-(root +) <= P(the root's open cluster reaches top - 1)
+    checks = 0
+    for inst in theorem_instances():
+        for beta in [0.05, 0.3, 1.0, 2.0]:
+            lhs = gibbs_exact(inst, beta, "plus").root_plus() - gibbs_exact(inst, beta, "minus").root_plus()
+            rhs = exact_reach_probability(inst, beta, inst.top_level - 1)
+            assert lhs <= rhs + 1e-12, (inst.level_sizes, inst.fans, beta, lhs - rhs)
+            checks += 1
     assert checks == 7204
 
 

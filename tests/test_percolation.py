@@ -1,5 +1,6 @@
 """Tests for degree-dependent site percolation and locally geodesic paths."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from cdt_ising.percolation import (
     annealed_reach_curve,
     annealed_reach_probability,
     count_salg_paths,
+    exact_reach_probability,
     is_locally_geodesic,
     max_open_reach,
     open_probability,
@@ -28,7 +30,7 @@ from cdt_ising.percolation import (
     shortcut_to_locally_geodesic,
 )
 from cdt_ising.rng import TrialKeys, stream
-from cdt_ising.triangulation import Triangulation, forest_to_triangulation
+from cdt_ising.triangulation import Triangulation, enumerate_triangulations, forest_to_triangulation
 
 
 def count_self_avoiding_paths(t, length: int) -> int:
@@ -134,6 +136,61 @@ def test_max_open_reach_monotone_in_marks():
         more = opens.marks.copy()
         more[v] = True
         assert max_open_reach(t, OpenSet(opens.beta, more)).reach >= base
+
+
+def brute_force_reach_probability(t, beta, level):
+    """Sum over all 2^n open sets of the marked vertices: the probability of
+    each open set on which ``max_open_reach`` reaches ``level``."""
+    p = np.tanh(beta * t.mark_degrees)
+    wins = []
+    for bits in itertools.product((False, True), repeat=len(p)):
+        marks = np.array(bits)
+        if max_open_reach(t, OpenSet(beta, marks)).reach >= level:
+            wins.append(math.prod(np.where(marks, p, 1.0 - p).tolist()))
+    return math.fsum(wins)
+
+
+def test_exact_reach_equals_brute_force():
+    # every 8th instance of (3, 3), up to 7 marks, and sampled ones up to 10
+    instances = [t for t, _ in enumerate_triangulations(3, 3)][::8]
+    for i in range(60):
+        t = forest_to_triangulation(sample_spine_forest(stream(77, i), 4))
+        if len(t.mark_degrees) <= 10:
+            instances.append(t)
+    assert len(instances) == 67
+    for t in instances:
+        for beta in [0.0, 0.05, 0.3, 1.0]:
+            for level in range(t.top_level):
+                want = brute_force_reach_probability(t, beta, level)
+                got = exact_reach_probability(t, beta, level)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (t.level_sizes, beta, level)
+
+
+def test_exact_reach_matches_sampled_open_sets():
+    # 17 marks on six levels; each level's hit frequency within 4 sigma
+    t = forest_to_triangulation(sample_spine_forest(stream(77, 4), 6))
+    assert len(t.mark_degrees) == 17
+    beta, trials = 0.15, 4000
+    rng = stream(78)
+    reach = [max_open_reach(t, sample_open_set(t, beta, rng)).reach for _ in range(trials)]
+    for level in range(1, t.top_level):
+        exact = exact_reach_probability(t, beta, level)
+        assert 0.0 < exact < 1.0
+        freq = sum(r >= level for r in reach) / trials
+        assert abs(freq - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials), (level, freq, exact)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: exact_reach_probability(CHAIN4, 0.3, 3),
+    lambda: exact_reach_probability(CHAIN4, 0.3, -1),
+    lambda: exact_reach_probability(CHAIN4, 0.3, 1.0),
+    lambda: exact_reach_probability(CHAIN4, -0.3, 1),
+    lambda: exact_reach_probability(CHAIN4, math.nan, 1),
+    lambda: exact_reach_probability(forest_to_triangulation(((1,),) * 21), 0.3, 1),
+], ids=["level-top", "level-negative", "level-float", "beta-negative", "beta-nan", "marks-past-cap"])
+def test_exact_reach_refuses_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_annealed_reach_beta_zero():

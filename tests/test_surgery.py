@@ -3,6 +3,7 @@ randomized reconstruction walk."""
 
 import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdt_ising import surgery
-from cdt_ising.rng import stream
+from cdt_ising.rng import TrialKeys, stream
 from cdt_ising.surgery import (
     INSERT_COUNT,
     Insertion,
@@ -41,6 +42,7 @@ from cdt_ising.triangulation import (
     forest_to_triangulation,
     rotate_level,
 )
+from test_rng import _plain
 from test_triangulation import assert_checked_like_user_input, csr_rows, out_degree_lists
 
 
@@ -975,6 +977,101 @@ def test_reconstruction_record_keeps_the_boundary():
         assert got is randomized_reconstruction(t_prime, FIXTURE, FIX_PATH.path, tuple_rng)
         wins += got.success
     assert wins > 0
+
+
+def integers_descent(t_prime, reference, path, rng, count=INSERT_COUNT):
+    """The node of ``t_prime``'s branch tree that draws of
+    ``rng.integers(0, n)`` reach, as attempts draw them: per step the slot,
+    then the option."""
+    table = t_prime.__dict__["_reconstruction_branches"][(reference.canonical_key, tuple(path), count)]
+    draws = ()
+    node = table[draws]
+    while isinstance(node, int):
+        draws += (int(rng.integers(0, node)), int(rng.integers(0, count + 2)))
+        node = table[draws]
+    return node
+
+
+@pytest.mark.parametrize("t_prime, reference, path", [
+    (FIX_MOD, FIXTURE, FIX_PATH.path),
+    (CHAIN, CHAIN, CHAIN_PATH),
+], ids=["modified", "chain"])
+def test_reconstruction_keeps_its_draw_function_across_generators(t_prime, reference, path):
+    # t_prime keeps its last attempt's draw function and must rebuild it
+    # whenever the generator changes; each attempt, on a fresh copy whose
+    # walks still run, lands on the node that integers() draws reach in the
+    # tree it wrote, and each generator ends where integers() leaves it
+    t_prime = Triangulation(t_prime.level_sizes, t_prime.fans)
+    gens, refs = (stream(98), stream(99)), (stream(98), stream(99))
+    leaves = set()
+    for i in range(3000):
+        side = (i // 3 + i) % 2  # runs of one and of two attempts per generator
+        got = randomized_reconstruction(t_prime, reference, path, gens[side])
+        assert got is integers_descent(t_prime, reference, path, refs[side])
+        leaves.add(id(got))
+    assert len(leaves) > 100
+    assert [_plain(g.bit_generator.state) for g in gens] == [_plain(r.bit_generator.state) for r in refs]
+    assert [g.random() for g in gens] == [r.random() for r in refs]
+
+
+def test_reconstruction_keeps_its_draw_function_across_rekeying():
+    # surgery-selftest re-keys one TrialKeys generator per attempt: a state
+    # assignment rewrites the bit generator's state in place, so the kept
+    # draw function stays valid; another generator between re-keyings makes
+    # the attempt rebuild it and the next re-keyed one rebuild it again
+    t_prime = Triangulation(FIX_MOD.level_sizes, FIX_MOD.fans)
+    keys, other, other_ref = TrialKeys(23), stream(97), stream(97)
+    wins = 0
+    for i in range(3000):
+        rng, ref = keys.stream(i), stream(23, i)
+        got = randomized_reconstruction(t_prime, FIXTURE, FIX_PATH.path, rng)
+        assert got is integers_descent(t_prime, FIXTURE, FIX_PATH.path, ref)
+        assert _plain(rng.bit_generator.state) == _plain(ref.bit_generator.state)
+        wins += got.success
+        if i % 5 == 0:
+            got = randomized_reconstruction(t_prime, FIXTURE, FIX_PATH.path, other)
+            assert got is integers_descent(t_prime, FIXTURE, FIX_PATH.path, other_ref)
+    assert wins > 0
+    assert _plain(other.bit_generator.state) == _plain(other_ref.bit_generator.state)
+
+
+def test_reconstruction_identity_hit_keeps_the_boundary(monkeypatch):
+    # a tuple path that is the recorded tuple skips the item scan, but a
+    # changed count or another reference object still goes through _branches
+    t_prime = Triangulation(FIX_MOD.level_sizes, FIX_MOD.fans)
+    path = FIX_PATH.path
+    branches, checked = surgery._branches, []
+    monkeypatch.setattr(surgery, "_branches", lambda *args: checked.append(args) or branches(*args))
+    rng = stream(98)
+    first = [randomized_reconstruction(t_prime, FIXTURE, path, rng) for _ in range(50)]
+    assert len(checked) == 1 and t_prime.__dict__["_reconstruction_last"][1] is path
+    for count in (10.0, 0, 2**64):
+        with pytest.raises(ValueError, match="count|range"):
+            randomized_reconstruction(t_prime, FIXTURE, path, rng, count)
+    assert len(checked) == 4
+    want_rng = stream(99)
+    got = randomized_reconstruction(t_prime, FIXTURE, path, stream(99), 2)
+    assert got == plain_reconstruction(t_prime, FIXTURE, path, want_rng, 2)
+    assert len(checked) == 5
+    twin = Triangulation(FIXTURE.level_sizes, FIXTURE.fans)
+    rng = stream(98)
+    again = [randomized_reconstruction(t_prime, twin, path, rng) for _ in range(50)]
+    assert len(checked) == 6 and t_prime.__dict__["_reconstruction_last"][0] is twin
+    assert all(a is b for a, b in zip(first, again, strict=True))  # an equal key: the same tree
+
+
+def test_reconstruction_target_pickles_without_its_draw_function():
+    # the kept draw function calls into a generator by pointer; a pickled
+    # t_prime leaves it out and its copy draws what the original draws
+    t_prime = Triangulation(FIX_MOD.level_sizes, FIX_MOD.fans)
+    randomized_reconstruction(t_prime, FIXTURE, FIX_PATH.path, stream(98))
+    assert "_reconstruction_below" in t_prime.__dict__
+    copy_ = pickle.loads(pickle.dumps(t_prime))
+    assert copy_ == t_prime and "_reconstruction_below" not in copy_.__dict__
+    a, b = stream(99), stream(99)
+    for _ in range(500):
+        assert (randomized_reconstruction(t_prime, FIXTURE, FIX_PATH.path, a)
+                == randomized_reconstruction(copy_, FIXTURE, FIX_PATH.path, b))
 
 
 def test_reconstruction_success_rebuilds_reference():
