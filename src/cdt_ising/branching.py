@@ -285,20 +285,35 @@ def _walk(c, levels: int, sizes: list[int], spine: list[int], o: int) -> int:
     return o
 
 
-def _degrees(g: np.ndarray, c, sizes: list[int], spine: list[int]) -> np.ndarray:
-    """The flat out-degrees of the walked levels: each level's counts in
-    ``g`` past its spine pair, the spine's entry set to its total (g is
-    overwritten there)."""
-    o, pairs, spots, totals = 0, [], [], []
-    for k, p in zip(sizes, spine[:-1]):
-        pairs += (o, o + 1)
-        spots.append(o + 2 + p)
-        totals.append(c[o + 2] - c[o] + 1)
-        o += 2 + k
-    g[spots] = totals
+def _pass_degrees(trees, pads) -> np.ndarray:
+    """The flat out-degrees of the walked levels of each (g, c, sizes,
+    spine) in ``trees``, in one array between the entries of ``pads``:
+    pads[0] first, pads[i + 1] after tree i.  Each level's counts in ``g``
+    past its spine pair, the spine's entry set to its total: one
+    concatenation of the used part of every ``g``, one assignment of the
+    spine totals and one mask dropping the spine pairs.  No ``g`` is
+    written."""
+    o, pieces, pairs, spots, totals = len(pads[0]), [pads[0]], [], [], []
+    for (g, c, sizes, spine), pad in zip(trees, pads[1:]):
+        r = 0  # the level's spine pair in g, at o + r in the concatenation
+        for k, p in zip(sizes, spine[:-1]):
+            pairs += (o + r, o + r + 1)
+            spots.append(o + r + 2 + p)
+            totals.append(c[r + 2] - c[r] + 1)
+            r += 2 + k
+        pieces += (g[:r], pad)
+        o += r + len(pad)
+    flat = np.concatenate(pieces)
+    flat[spots] = totals
     keep = np.ones(o, bool)
     keep[pairs] = False
-    return g[:o][keep]
+    return flat[keep]
+
+
+def _degrees(g: np.ndarray, c, sizes: list[int], spine: list[int]) -> np.ndarray:
+    """The flat out-degrees of the walked levels of one tree: the one-tree
+    case of ``_pass_degrees``."""
+    return _pass_degrees([(g, c, sizes, spine)], (g[:0], g[:0]))
 
 
 def _first_block(levels: int) -> int:

@@ -20,14 +20,21 @@ builds a triangulation.  Its trials come from ``branching._spine_passes``,
 the trial driver that ``sample`` and ``stats`` read too: a trial's forest
 comes from one row of uniforms, grown from the trial's key when the forest
 outgrows it, and its marks read on from the forest's end, past the row from
-the same key.  A trial whose root is open at some beta builds flat tables
-of the forest (first children, parents, arriving fan starts, degrees) and
-one rank per vertex, the number of betas that close it, and runs one search
-that answers every beta and stops at the first vertex it meets on the
-target level.  The draws are those of the full build: the depth-(levels+1)
-forest first, then one uniform per marked vertex in flat order, so each
-trial's verdict equals ``max_open_reach`` on ``forest_to_triangulation`` of
-the same forest with the same uniforms.
+the same key.  The trials of a pass whose root is open at some beta share one
+index space, each forest in its own range (``_pass_layout``), and one build
+over all of them gives the flat tables of the forests (first children,
+parents, arriving fan starts, degrees) and one rank per vertex, the number
+of betas that close it (``_pass_tables``, ``_ranks``).  Over 200 bench ops
+per cell at seed 1 (2-core Xeon) the build costs 18-28 us per open-root
+trial at depth 10, against 35-50 us when each trial built its own.  At
+depth 30 a bench op has 1-3 of them, and the build costs 56-71 us against
+68-87 us at beta 0.2; at beta 0.05, where a pass mostly holds one, it costs
+as much as a trial's own build.  Each trial then runs one search
+(``_search``) that answers every beta and stops at the first vertex it
+meets on the target level.  The draws are those of the full build: the
+depth-(levels+1) forest first, then one uniform per marked vertex in flat
+order, so each trial's verdict equals ``max_open_reach`` on
+``forest_to_triangulation`` of the same forest with the same uniforms.
 
 The search reads neighbours lazily (``_neighbours``), not from the edge
 arrays of a ``Triangulation``: it stops on the target level after a small
@@ -48,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .branching import _degrees, _spine_passes
+from .branching import _pass_degrees, _spine_passes
 from .ising import _checked_beta
 from .rng import TrialKeys, _checked_int
 from .triangulation import Triangulation
@@ -200,36 +207,85 @@ class ReachEstimate:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
-def _fan_tables(degrees: np.ndarray):
-    """Flat tables of the triangulation of the forest whose flat (level, then
-    planar) out-degrees of levels 0..H-1 are ``degrees``.
+def _pass_layout(level_sizes):
+    """Lay the forests with ``level_sizes`` (each from level 0 to one level
+    past the marked ones) one after another in one index space.
 
-    Returns (off, first, parent, arriving, deg): the H + 2 level starts;
-    memoryviews of the first-child indices (1 + out-degree prefix sums), of
-    ``parent[f - 1]``, the parent of f, and of the fan starts arriving at
-    each vertex; and the degrees d + a + 4, d + 3 at the root, of the full
-    build.  Fan starts and ends on the start of level n+2 wrap onto level
-    n+1's.
+    Returns (offs, pads, fills).  Per forest, ``offs`` holds its H + 2
+    level starts in that space, led by its root's index, its base.  ``pads``
+    are what ``_pass_tables`` reads around the forests' degrees: a 1 before
+    the first, and after each, k zeros for the k vertices of its top level
+    and a 2.  The zeros keep the fans of its last marked level, which end
+    on the start of level H + 1, inside its range; the 2 moves the next
+    forest's first child to one past that forest's root.  ``fills`` are the
+    uniforms, all 1.0, that close the same k + 1 slots at every beta after
+    each forest's marks.
+    """
+    width = max(sizes[-1] for sizes in level_sizes) + 1
+    pad = np.zeros(width + 1, np.int64)
+    pad[0], pad[-1] = 1, 2
+    fill = np.ones(width)
+    offs, pads, fills, base = [], [pad[:1]], [], 0
+    for sizes in level_sizes:
+        off = [*accumulate(sizes, initial=base)]
+        k = sizes[-1]
+        offs.append(off)
+        pads.append(pad[-k - 1 :])
+        fills.append(fill[: k + 1])
+        base = off[-1] + 1
+    return offs, pads, fills
+
+
+def _pass_tables(counts: np.ndarray, offs: list[list[int]]):
+    """Flat tables of the triangulations of the forests laid out by
+    ``_pass_layout``: ``counts`` holds their flat (level, then planar)
+    out-degrees of levels 0..H-1 between the layout's ``pads``, and each
+    forest has as many levels (its ``offs`` entries are one length).
+
+    Returns (first, parent, arriving, deg): memoryviews of the first-child
+    indices (1 + out-degree prefix sums), of the parent of each vertex
+    (the index before it at a root), and of the fan starts arriving at each
+    vertex; and the degrees d + a + 4, d + 3 at a root, of the full build.
+    Fan starts and ends on the start of level n+2 wrap onto level n+1's.
+    One cumsum, one bincount, whose prefix sums are the parents, and one
+    searchsorted serve every forest.
+    """
+    first = counts.cumsum()
+    degrees = counts[1:]
+    n = len(degrees)
+    arriving = np.bincount(first[:n], minlength=n)
+    # the vertices whose first child is f or before it number its parent + 1
+    parent = arriving.cumsum()
+    parent -= 1
+    # the trailing zero-child vertices of level m start their fans on the
+    # start of level m+2, which wraps onto the start of level m+1
+    starts = np.array(offs)
+    lo, hi = starts[:, 1:-1], starts[:, 2:]
+    trailing = lo - first.searchsorted(hi)
+    arriving[lo] += trailing
+    arriving[hi] -= trailing
+    deg = degrees + arriving + 4
+    deg[starts[:, 0]] -= 1
+    return memoryview(first), memoryview(parent), memoryview(arriving), deg
+
+
+def _fan_tables(degrees: np.ndarray):
+    """Flat tables of the triangulation of one forest whose flat (level,
+    then planar) out-degrees of levels 0..H-1 are ``degrees``: the
+    one-forest case of ``_pass_tables``.
+
+    Returns (off, first, parent, arriving, deg): the H + 2 level starts and
+    the tables of ``_pass_tables`` cut to the forest's own vertices.
     """
     n = len(degrees)
-    first = np.concatenate(([1], degrees)).cumsum()
-    view = memoryview(first)
+    view = memoryview(np.concatenate(([1], degrees)).cumsum())
     off = [0]
     while off[-1] < n:
         off.append(view[off[-1]])
     off.append(view[n])
-    starts = np.array(off)
-    # the trailing zero-child vertices of level m start their fans on the
-    # start of level m+2, which wraps onto the start of level m+1
-    arriving = np.bincount(first[:n], minlength=off[-1] + 1)
-    trailing = starts[1:-1] - first.searchsorted(starts[2:])
-    arriving[starts[1:-1]] += trailing
-    arriving[starts[2:]] -= trailing
-    arriving = arriving[:n]
-    deg = degrees + arriving + 4
-    deg[0] -= 1
-    parent = np.arange(n).repeat(degrees)
-    return off, view, memoryview(parent), memoryview(arriving), deg
+    (off,), (lead, pad), _ = _pass_layout([[b - a for a, b in zip(off, off[1:])]])
+    first, parent, arriving, deg = _pass_tables(np.concatenate((lead, degrees, pad)), [off])
+    return off, first[: n + 1], parent[: off[-1]], arriving[:n], deg[:n]
 
 
 def _neighbours(f: int, off, first, parent, arriving) -> list[int]:
@@ -240,7 +296,7 @@ def _neighbours(f: int, off, first, parent, arriving) -> list[int]:
     lo, hi = off[n], off[n + 1]
     nbrs = [f - 1 if f > lo else hi - 1, f + 1 if f + 1 < hi else lo] if hi - lo > 1 else []
     if n:
-        g = parent[f - 1]
+        g = parent[f]
         j = g - arriving[f]
         if j < off[n - 1]:  # position 0 also meets the fans that wrap onto it
             nbrs.extend(range(j + lo - off[n - 1], lo))
@@ -252,29 +308,30 @@ def _neighbours(f: int, off, first, parent, arriving) -> list[int]:
     return nbrs
 
 
-def _reach_rank(degrees: np.ndarray, uniforms: np.ndarray, betas: np.ndarray, levels: int) -> int:
-    """The least j at which the root's open cluster reaches ``levels`` at
-    the ascending betas[j]; len(betas) if at none.
-
-    ``degrees`` are flat out-degrees of levels 0..levels or more, with one
-    uniform per vertex.  As in ``open_set_from_uniforms``, v is open iff its
-    uniform is below tanh(beta * d_v), i.e. at betas[j] iff j >= its rank,
-    the count of betas closing it.  A depth-first search, up fans popped
-    first, takes vertices by bottleneck rank, least first; the first vertex
-    it meets on the level has the least bottleneck.
-    """
-    m = len(betas)
-    if levels == 0:
-        return 0
-    off, first, parent, arriving, deg = _fan_tables(degrees)
+def _ranks(uniforms: np.ndarray, betas: np.ndarray, deg: np.ndarray) -> memoryview:
+    """Per vertex, the count of the ascending ``betas`` that close it: as in
+    ``open_set_from_uniforms``, v is open at beta iff its uniform is below
+    tanh(beta * d_v), so at betas[j] iff j >= its rank."""
     closed = uniforms >= np.tanh(np.multiply.outer(betas, deg))
-    rank = memoryview(closed.sum(axis=0, dtype=np.min_scalar_type(m)))  # m once seen
-    if rank[0] == m:
+    return memoryview(closed.sum(axis=0, dtype=np.min_scalar_type(len(betas))))
+
+
+def _search(off: list[int], levels: int, first, parent, arriving, rank, m: int) -> int:
+    """The least j < m at which the open cluster of the root at off[0]
+    reaches ``levels``; m if at none.
+
+    A depth-first search, up fans popped first, takes vertices by
+    bottleneck rank, least first; the first vertex it meets on the level
+    has the least bottleneck.  Marks each vertex it meets seen by setting
+    its rank to m.
+    """
+    root = off[0]
+    if rank[root] == m:
         return m  # the root is closed at every beta
     top = off[levels]
     buckets: list[list[int]] = [[] for _ in range(m)]
-    buckets[rank[0]].append(0)
-    rank[0] = m
+    buckets[rank[root]].append(root)
+    rank[root] = m
     for c in range(m):
         stack = buckets[c]
         while stack:
@@ -292,6 +349,20 @@ def _reach_rank(degrees: np.ndarray, uniforms: np.ndarray, betas: np.ndarray, le
                     else:
                         stack.append(w)
     return m
+
+
+def _reach_rank(degrees: np.ndarray, uniforms: np.ndarray, betas: np.ndarray, levels: int) -> int:
+    """The least j at which the root's open cluster reaches ``levels`` at
+    the ascending betas[j]; len(betas) if at none: the one-forest case of
+    the pass build in ``reach_hits``.
+
+    ``degrees`` are flat out-degrees of levels 0..levels or more, with one
+    uniform per vertex (``_ranks``).
+    """
+    if levels == 0:
+        return 0
+    off, first, parent, arriving, deg = _fan_tables(degrees)
+    return _search(off, levels, first, parent, arriving, _ranks(uniforms, betas, deg), len(betas))
 
 
 def _checked_betas(betas) -> list[float]:
@@ -317,17 +388,20 @@ def reach_hits(
     per marked vertex in flat order.  Every beta thresholds the same
     uniforms, so within a trial the reach indicator is monotone in beta,
     and the result does not depend on how trials are split into chunks.
-    One search of flat tables built from the draws answers every beta
-    (``_reach_rank``); it builds no ``Triangulation`` and equals
+    One search of flat tables built from the draws answers every beta;
+    it builds no ``Triangulation`` and equals
     ``max_open_reach(t, open_set_from_uniforms(t, beta, uniforms)).reach
     >= levels`` on ``t = forest_to_triangulation(forest)``.
 
     Trials come from ``branching._spine_passes``, the trial driver that
     the level-size histograms of ``sample`` and ``stats`` also read, each
     stream re-keyed from one ``TrialKeys``.  Per pass, one test finds the
-    trials whose root is closed at every beta; the rest extract their
-    degrees and search, their marks read on from the end of the forest in
-    the trial's row and then from its Philox key past the row.
+    trials whose root is closed at every beta.  The rest share one build
+    of tables and ranks, their degrees read from the used part of each
+    trial's row and their marks read on from the end of the forest in the
+    row, then from the trial's Philox key past the row; one search per
+    trial follows.  At depth 10 the shared build costs about half of a
+    per-trial one: 18-28 against 35-50 us per open-root trial.
     """
     levels = _checked_int(levels, "levels", 0)
     seed = _checked_int(seed, "seed", 0)
@@ -349,15 +423,23 @@ def reach_hits(
             root_u.append(u[end] if end < len(u) else keys.keyed(key, end).random())
             root_k.append(sizes[1])
         root_open = np.array(root_u) < np.tanh(ascending[-1] * (np.array(root_k) + 3))
-        for (sizes, spine, key, u, g, c, end), is_open in zip(walks, root_open.tolist()):
-            if not is_open:
-                per_rank[m] += 1
-                continue
-            n = sum(sizes[:-1])  # one mark per vertex of levels 0..levels
-            marks = u[end : end + n]
+        opened = [w for w, is_open in zip(walks, root_open.tolist()) if is_open]
+        per_rank[m] += len(walks) - len(opened)
+        if not opened:
+            continue
+        offs, pads, fills = _pass_layout([w[0] for w in opened])
+        marks = []
+        for (_, _, key, u, _, _, end), off, fill in zip(opened, offs, fills):
+            n = off[-2] - off[0]  # one mark per vertex of levels 0..levels
+            marks.append(u[end : end + n])
             if end + n > len(u):
-                marks = np.concatenate((marks, keys.keyed(key, len(u)).random(end + n - len(u))))
-            per_rank[_reach_rank(_degrees(g, c, sizes, spine), marks, ascending, levels)] += 1
+                marks.append(keys.keyed(key, len(u)).random(end + n - len(u)))
+            marks.append(fill)
+        counts = _pass_degrees(((g, c, sizes, spine) for sizes, spine, _, _, g, c, _ in opened), pads)
+        first, parent, arriving, deg = _pass_tables(counts, offs)
+        rank = _ranks(np.concatenate(marks), ascending, deg)
+        for off in offs:
+            per_rank[_search(off, levels, first, parent, arriving, rank, m)] += 1
     hits = [0] * len(betas)
     for j, h in zip(order, accumulate(per_rank)):
         hits[j] = h

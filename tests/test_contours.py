@@ -26,6 +26,7 @@ from cdt_ising.contours import (
 from cdt_ising.ising import SpinState, energy, gibbs_exact
 from cdt_ising.percolation import exact_reach_probability
 from cdt_ising.rng import stream
+from cdt_ising.surgery import Insertion, insert_pairs, insertion_sites
 from cdt_ising.triangulation import (
     Triangulation,
     enumerate_triangulations,
@@ -464,6 +465,37 @@ def test_disagreement_percolation_bounds_the_root_marginal_gap():
             assert lhs <= rhs + 1e-12, (inst.level_sizes, inst.fans, beta, lhs - rhs)
             checks += 1
     assert checks == 7204
+
+
+def inserted_instances():
+    """Every instance of (2, 4) and (3, 3) with one pair inserted at a vertex
+    of levels 1..top-1, through the vertex's first insertion site: one
+    instance per such vertex."""
+    for levels, width_cap in [(2, 4), (3, 3)]:
+        for t, _ in enumerate_triangulations(levels, width_cap):
+            for level in range(1, t.top_level):
+                for pos in range(t.level_sizes[level]):
+                    site = insertion_sites(t, level, pos)[0]
+                    pairs = ((site.up_slot, site.down_slot),)
+                    yield insert_pairs(t, Insertion(level, pos, pairs)).triangulation
+
+
+def test_peierls_and_disagreement_bounds_hold_on_inserted_instances():
+    # both bounds above on instances that surgery builds, off the grid that
+    # enumerate_triangulations walks: a longer level with the new vertex
+    # between two of the old ones
+    checks = 0
+    for inst in inserted_instances():
+        counts = enumerate_contours(inst).counts
+        for beta in [0.05, 0.3, 1.0, 2.0]:
+            plus = gibbs_exact(inst, beta, "plus").root_plus()
+            minus = gibbs_exact(inst, beta, "minus").root_plus()
+            pe = peierls_series(counts, beta).total
+            assert minus <= pe + 1e-12, (inst.level_sizes, inst.fans, beta, minus - pe)
+            dp = exact_reach_probability(inst, beta, inst.top_level - 1)
+            assert plus - minus <= dp + 1e-12, (inst.level_sizes, inst.fans, beta, plus - minus - dp)
+            checks += 1
+    assert checks == 9884
 
 
 # -- spin inversion -----------------------------------------------------------

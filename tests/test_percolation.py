@@ -16,7 +16,11 @@ from cdt_ising.percolation import (
     OpenSet,
     _fan_tables,
     _neighbours,
+    _pass_layout,
+    _pass_tables,
+    _ranks,
     _reach_rank,
+    _search,
     annealed_reach_curve,
     annealed_reach_probability,
     count_salg_paths,
@@ -307,6 +311,53 @@ def test_rank_search_matches_full_build_on_any_beta_grid(lists, seed, betas):
         )
 
 
+@st.composite
+def reach_passes(draw):
+    """1-5 forests cut to one depth, as a pass of ``reach_hits`` holds them,
+    each with its uniforms; a forest's root may be closed at every beta."""
+    forests = draw(st.lists(out_degree_lists(), min_size=1, max_size=5))
+    depth = min(map(len, forests))
+    closed = draw(st.lists(st.booleans(), min_size=len(forests), max_size=len(forests)))
+    return [f[:depth] for f in forests], closed, draw(st.integers(0, 2**32 - 1))
+
+
+PASS_BETAS = np.array([0.1, 0.2, 0.35, 1.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(reach_pass=reach_passes())
+# the first forest's last level ends in a zero run, whose fans wrap onto its
+# position 0, with another forest right after it
+@example(reach_pass=([((3,), (0, 0, 3), (2, 0, 0)), ((1,), (2,), (1, 1))], [False, False], 1))
+@example(reach_pass=([((2,), (0, 2)), ((3,), (1, 0, 0)), ((1,), (1,))], [False, True, False], 2))
+@example(reach_pass=([((1,), (1,), (1,))] * 2, [True, False], 0))
+def test_pass_tables_equal_each_forest_alone(reach_pass):
+    forests, closed, seed = reach_pass
+    rng = np.random.default_rng(seed)
+    degrees = [np.concatenate(lists) for lists in forests]
+    uniforms = [rng.random(len(d)) for d in degrees]
+    for u, shut in zip(uniforms, closed):
+        if shut:
+            u[0] = 1.0  # at or above tanh(beta * d) at every beta
+    offs, pads, fills = _pass_layout([(1, *map(sum, lists)) for lists in forests])
+    counts = np.concatenate([pads[0], *(x for d, pad in zip(degrees, pads[1:]) for x in (d, pad))])
+    first, parent, arriving, deg = _pass_tables(counts, offs)
+    marks = np.concatenate([x for u, fill in zip(uniforms, fills) for x in (u, fill)])
+    for off, d in zip(offs, degrees):
+        base, n = off[0], len(d)
+        own = _fan_tables(d)
+        assert off == [base + o for o in own[0]]
+        assert list(first[base : base + n + 1]) == [base + f for f in own[1]]
+        assert list(parent[base : off[-1]]) == [base + p for p in own[2]]
+        assert list(arriving[base : base + n]) == list(own[3])
+        assert deg[base : base + n].tolist() == own[4].tolist()
+    for levels in range(1, len(forests[0])):
+        rank = _ranks(marks, PASS_BETAS, deg)  # the search marks what it meets
+        got = [_search(off, levels, first, parent, arriving, rank, len(PASS_BETAS)) for off in offs]
+        assert got == [_reach_rank(d, u, PASS_BETAS, levels) for d, u in zip(degrees, uniforms)]
+        assert all(r == len(PASS_BETAS) for r, shut in zip(got, closed) if shut)
+
+
 def test_reach_hits_on_an_unsorted_grid_equals_each_beta_alone():
     betas = [0.2, 0.0, 50.0, 0.05, 0.2]
     hits = reach_hits(8, betas, 87, 3, 80)
@@ -444,6 +495,23 @@ def test_reach_entry_points_take_numpy_integers():
 def test_reach_hits_pinned_at_criterion_7b():
     # the counts of the full-triangulation trial loop this search replaced
     assert reach_hits(10, [0.02, 0.05, 0.1, 0.2], 1009, 0, 2000) == [0, 27, 665, 1494]
+
+
+@pytest.mark.parametrize(
+    "levels, betas, trials, want",
+    [
+        (10, [0.05], 4800, [56]),
+        (30, [0.05], 600, [0]),
+        (30, [0.2], 600, [467]),
+        (10, [0.02, 0.05, 0.1, 0.2], 2800, [0, 29, 858, 2087]),
+    ],
+)
+def test_reach_hits_pinned_at_the_bench_cells(levels, betas, trials, want):
+    # the four (levels, betas) cells of the reach benchmark, each with 200
+    # ops' worth of its trials at one seed (the bench derives a seed per op),
+    # so that a moved draw fails here and not only in the bench's digest; at
+    # (30, 0.05) a root's cluster is never seen to reach
+    assert reach_hits(levels, betas, 1, 0, trials) == want
 
 
 def test_annealed_reach_builds_no_triangulation(monkeypatch):
