@@ -17,6 +17,9 @@ draws these trees per trial: it walks the tree of ``stream(seed, i)`` for
 many trials at once, one row of uniforms per trial, and grows a row, from
 the trial's Philox key, when its tree outgrows it.  ``percolation``'s reach
 estimator and the level-size histograms of ``sample`` and ``stats`` read it.
+The sampler and the reach estimator turn walked trees into flat out-degrees
+through one rule, ``_pass_degrees``: each level's counts past its spine
+pair, the spine's entry set to the pair's sum + 1.
 
 Two exact laws are exposed for validation:
 
@@ -44,8 +47,9 @@ def offspring_pmf(k: int) -> float:
 
 
 def offspring_gf(s: float) -> float:
-    """Generating function sum_k (1/2)^(k+1) s^k = 1 / (2 - s)."""
-    return 1.0 / (2.0 - s)
+    """Generating function sum_k (1/2)^(k+1) s^k = 1 / (2 - s), s in [0, 1]:
+    ``psi_n`` at n = 1."""
+    return psi_n(1, s)
 
 
 def psi_n(n: int, s: float) -> float:
@@ -56,8 +60,12 @@ def psi_n(n: int, s: float) -> float:
     probability of extinction by generation n.
     """
     n = _checked_int(n, "generation index", 1)
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"argument must lie in [0, 1], got {s}")
+    try:
+        ok = 0.0 <= s <= 1.0  # False for NaN
+    except TypeError:  # not a real number
+        ok = False
+    if not ok:
+        raise ValueError(f"argument must be a number in [0, 1], got {s!r}")
     return (n - (n - 1) * s) / (n + 1 - n * s)
 
 
@@ -286,34 +294,28 @@ def _walk(c, levels: int, sizes: list[int], spine: list[int], o: int) -> int:
 
 
 def _pass_degrees(trees, pads) -> np.ndarray:
-    """The flat out-degrees of the walked levels of each (g, c, sizes,
-    spine) in ``trees``, in one array between the entries of ``pads``:
-    pads[0] first, pads[i + 1] after tree i.  Each level's counts in ``g``
-    past its spine pair, the spine's entry set to its total: one
+    """The flat out-degrees of the walked levels of each (g, sizes, spine)
+    in ``trees``, in one array between the entries of ``pads``: pads[0]
+    first, pads[i + 1] after tree i.  Each level's counts in ``g`` past its
+    spine pair, the spine's entry set to its total, the pair's sum + 1: one
     concatenation of the used part of every ``g``, one assignment of the
     spine totals and one mask dropping the spine pairs.  No ``g`` is
     written."""
-    o, pieces, pairs, spots, totals = len(pads[0]), [pads[0]], [], [], []
-    for (g, c, sizes, spine), pad in zip(trees, pads[1:]):
+    o, pieces, pairs, spots = len(pads[0]), [pads[0]], [], []
+    for (g, sizes, spine), pad in zip(trees, pads[1:]):
         r = 0  # the level's spine pair in g, at o + r in the concatenation
         for k, p in zip(sizes, spine[:-1]):
-            pairs += (o + r, o + r + 1)
+            pairs.append(o + r)
             spots.append(o + r + 2 + p)
-            totals.append(c[r + 2] - c[r] + 1)
             r += 2 + k
         pieces += (g[:r], pad)
         o += r + len(pad)
     flat = np.concatenate(pieces)
-    flat[spots] = totals
+    pairs = np.array(pairs)
+    flat[spots] = flat[pairs] + flat[pairs + 1] + 1
     keep = np.ones(o, bool)
-    keep[pairs] = False
+    keep[pairs] = keep[pairs + 1] = False
     return flat[keep]
-
-
-def _degrees(g: np.ndarray, c, sizes: list[int], spine: list[int]) -> np.ndarray:
-    """The flat out-degrees of the walked levels of one tree: the one-tree
-    case of ``_pass_degrees``."""
-    return _pass_degrees([(g, c, sizes, spine)], (g[:0], g[:0]))
 
 
 def _first_block(levels: int) -> int:
@@ -327,14 +329,14 @@ def _grow(rng: np.random.Generator, levels: int, u, sizes: list[int], spine: lis
     """Walk the tree of ``sample_spine_forest`` on to ``levels`` from index
     o of the block ``u``, ``sizes`` and ``spine`` holding the levels walked
     so far.  ``rng`` continues the block, which is at least doubled whenever
-    a level runs past it.  Returns (u, g, c, end): the block, its counts and
-    prefix sums, and the count of doubles the forest read."""
+    a level runs past it.  Returns (u, g, end): the block, its counts and
+    the count of doubles the forest read."""
     while True:
         g, c = _prefix_sums(u)
         c = memoryview(c)
         o = _walk(c, levels, sizes, spine, o)
         if len(sizes) > levels:
-            return u, g, c, o
+            return u, g, o
         u = np.concatenate((u, rng.random(max(len(u), o + 2 + sizes[-1] - len(u)))))
 
 
@@ -351,7 +353,7 @@ def _spine_passes(keys: TrialKeys, trials: range, levels: int):
     ``_walk`` reads the tree from each row; a tree that outgrows its row is
     grown from the trial's Philox key at the row's end.  A pass holds at
     most ``_PASS`` doubles in each of its three arrays: about 1.5 MiB.
-    Yields per pass a list of (sizes, spine, key, u, g, c, end) per trial,
+    Yields per pass a list of (sizes, spine, key, u, g, end) per trial,
     as ``_grow`` returns them, the row ``u`` continuing the stream past the
     forest.
     """
@@ -368,8 +370,8 @@ def _spine_passes(keys: TrialKeys, trials: range, levels: int):
             sizes, spine = [1], [0]
             end = _walk(ct, levels, sizes, spine, 0)
             if len(sizes) <= levels:
-                r, gt, ct, end = _grow(keys.keyed(key, row), levels, r, sizes, spine, end)
-            walks.append((sizes, spine, key, r, gt, ct, end))
+                r, gt, end = _grow(keys.keyed(key, row), levels, r, sizes, spine, end)
+            walks.append((sizes, spine, key, r, gt, end))
         yield walks
 
 
@@ -395,15 +397,10 @@ def sample_spine_forest(rng: np.random.Generator, levels: int) -> SpineForest:
     levels = _checked_int(levels, "levels", 1)
     state = rng.bit_generator.state
     sizes, spine = [1], [0]
-    _, g, _, end = _grow(rng, levels, rng.random(_first_block(levels)), sizes, spine, 0)
+    _, g, end = _grow(rng, levels, rng.random(_first_block(levels)), sizes, spine, 0)
     rng.bit_generator.state = state
     rng.random(end)
-    flat = g[:end].tolist()
-    out = []
-    o = 0
-    for k, p in zip(sizes, spine[:-1]):  # level n: spine pair at o, then k_n counts
-        level = flat[o + 2 : o + 2 + k]
-        level[p] = flat[o] + flat[o + 1] + 1
-        out.append(tuple(level))
-        o += 2 + k
-    return SpineForest(levels, tuple(out), tuple(spine))
+    flat = _pass_degrees([(g, sizes, spine)], (g[:0], g[:0])).tolist()
+    cuts = [*accumulate(sizes[:-1], initial=0)]
+    out = tuple(tuple(flat[a:b]) for a, b in zip(cuts, cuts[1:]))
+    return SpineForest(levels, out, tuple(spine))

@@ -24,12 +24,12 @@ the same key.  The trials of a pass whose root is open at some beta share one
 index space, each forest in its own range (``_pass_layout``), and one build
 over all of them gives the flat tables of the forests (first children,
 parents, arriving fan starts, degrees) and one rank per vertex, the number
-of betas that close it (``_pass_tables``, ``_ranks``).  Over 200 bench ops
-per cell at seed 1 (2-core Xeon) the build costs 18-28 us per open-root
-trial at depth 10, against 35-50 us when each trial built its own.  At
-depth 30 a bench op has 1-3 of them, and the build costs 56-71 us against
-68-87 us at beta 0.2; at beta 0.05, where a pass mostly holds one, it costs
-as much as a trial's own build.  Each trial then runs one search
+of betas that close it (``_pass_tables``, ``_ranks``); the forests'
+out-degrees come from ``branching._pass_degrees``, the rule
+``sample_spine_forest`` reads its trees through.  Over 200 bench ops per
+cell at seed 1 (2-core Xeon) the build costs 18-28 us per open-root trial
+at depth 10 and 56-71 us at depth 30 and beta 0.2, where a bench op has
+1-3 of them.  Each trial then runs one search
 (``_search``) that answers every beta and stops at the first vertex it
 meets on the target level.  The draws are those of the full build: the
 depth-(levels+1) forest first, then one uniform per marked vertex in flat
@@ -269,27 +269,9 @@ def _pass_tables(counts: np.ndarray, offs: list[list[int]]):
     return memoryview(first), memoryview(parent), memoryview(arriving), deg
 
 
-def _fan_tables(degrees: np.ndarray):
-    """Flat tables of the triangulation of one forest whose flat (level,
-    then planar) out-degrees of levels 0..H-1 are ``degrees``: the
-    one-forest case of ``_pass_tables``.
-
-    Returns (off, first, parent, arriving, deg): the H + 2 level starts and
-    the tables of ``_pass_tables`` cut to the forest's own vertices.
-    """
-    n = len(degrees)
-    view = memoryview(np.concatenate(([1], degrees)).cumsum())
-    off = [0]
-    while off[-1] < n:
-        off.append(view[off[-1]])
-    off.append(view[n])
-    (off,), (lead, pad), _ = _pass_layout([[b - a for a, b in zip(off, off[1:])]])
-    first, parent, arriving, deg = _pass_tables(np.concatenate((lead, degrees, pad)), [off])
-    return off, first[: n + 1], parent[: off[-1]], arriving[:n], deg[:n]
-
-
 def _neighbours(f: int, off, first, parent, arriving) -> list[int]:
-    """Flat neighbours of f below the top level of ``_fan_tables``: the
+    """Flat neighbours of f below the top level of the tables of
+    ``_pass_tables``, ``off`` holding the level starts of f's forest: the
     horizontal pair; the arriving[f] + 1 lower vertices ending at its
     parent, cyclically; then the up fan.  Parallel edges may repeat one."""
     n = bisect_right(off, f) - 1
@@ -351,20 +333,6 @@ def _search(off: list[int], levels: int, first, parent, arriving, rank, m: int) 
     return m
 
 
-def _reach_rank(degrees: np.ndarray, uniforms: np.ndarray, betas: np.ndarray, levels: int) -> int:
-    """The least j at which the root's open cluster reaches ``levels`` at
-    the ascending betas[j]; len(betas) if at none: the one-forest case of
-    the pass build in ``reach_hits``.
-
-    ``degrees`` are flat out-degrees of levels 0..levels or more, with one
-    uniform per vertex (``_ranks``).
-    """
-    if levels == 0:
-        return 0
-    off, first, parent, arriving, deg = _fan_tables(degrees)
-    return _search(off, levels, first, parent, arriving, _ranks(uniforms, betas, deg), len(betas))
-
-
 def _checked_betas(betas) -> list[float]:
     """``betas`` read once as a list: non-empty, each a valid beta."""
     try:
@@ -400,8 +368,7 @@ def reach_hits(
     of tables and ranks, their degrees read from the used part of each
     trial's row and their marks read on from the end of the forest in the
     row, then from the trial's Philox key past the row; one search per
-    trial follows.  At depth 10 the shared build costs about half of a
-    per-trial one: 18-28 against 35-50 us per open-root trial.
+    trial follows.
     """
     levels = _checked_int(levels, "levels", 0)
     seed = _checked_int(seed, "seed", 0)
@@ -419,7 +386,7 @@ def reach_hits(
         # the root's mark is the first double past its forest; its degree is
         # its child count + 3
         root_u, root_k = [], []
-        for sizes, _, key, u, _, _, end in walks:
+        for sizes, _, key, u, _, end in walks:
             root_u.append(u[end] if end < len(u) else keys.keyed(key, end).random())
             root_k.append(sizes[1])
         root_open = np.array(root_u) < np.tanh(ascending[-1] * (np.array(root_k) + 3))
@@ -429,13 +396,13 @@ def reach_hits(
             continue
         offs, pads, fills = _pass_layout([w[0] for w in opened])
         marks = []
-        for (_, _, key, u, _, _, end), off, fill in zip(opened, offs, fills):
+        for (_, _, key, u, _, end), off, fill in zip(opened, offs, fills):
             n = off[-2] - off[0]  # one mark per vertex of levels 0..levels
             marks.append(u[end : end + n])
             if end + n > len(u):
                 marks.append(keys.keyed(key, len(u)).random(end + n - len(u)))
             marks.append(fill)
-        counts = _pass_degrees(((g, c, sizes, spine) for sizes, spine, _, _, g, c, _ in opened), pads)
+        counts = _pass_degrees(((g, sizes, spine) for sizes, spine, _, _, g, _ in opened), pads)
         first, parent, arriving, deg = _pass_tables(counts, offs)
         rank = _ranks(np.concatenate(marks), ascending, deg)
         for off in offs:

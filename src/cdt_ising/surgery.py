@@ -127,8 +127,9 @@ def _collapse_run(
     the wrap edge (k-1, 0) is first relabelled to start at position 0, so
     the merged vertex lands at 0.  In the strip below, the edge to q under
     each removed triangle (q-1, q) is dropped; then one map relabels the
-    level, in the fans and in ``walk`` alike.  Both strips are built once,
-    as tuples; the merged one shares the fans outside the run.
+    level, in the fans and in ``walk`` alike.  ``fans`` holds tuple strips,
+    as ``_thaw`` gives them.  Both strips are built once, as tuples; the
+    merged one shares the fans outside the run.
     """
     k = sizes[level]
     start %= k
@@ -140,8 +141,6 @@ def _collapse_run(
     # labels up to start stay, the run's take start, the rest move down by count
     relabel = [*range(start + 1), *[start] * count, *range(start + 1, k - count)]
     strip = fans[level]
-    if type(strip) is not tuple:  # scratch fans given as lists are frozen
-        strip = tuple(map(tuple, strip))
     run = strip[start:end + 1]
     assert all(a[-1] == b[0] for a, b in zip(run, run[1:])), "fans must share their boundary"
     fans[level] = strip[:start] + (run[0] + tuple([q for f in run[1:] for q in f[1:]]),) + strip[end + 1:]
@@ -446,7 +445,8 @@ def apply_modification(
 
 def enumerate_plans(t: Triangulation, vertex: Vertex, count: int):
     """All k-fold insertion plans at one vertex of the given triangulation."""
-    deg = t.vertex_degree(*_check_internal(t, *vertex))
+    ((level, pos),) = _checked_path((vertex,))
+    deg = t.vertex_degree(*_check_internal(t, level, pos))
     count = _checked_int(count, "count", 1)
     ups = combinations_with_replacement(range(deg.up), count)
     return [

@@ -1,5 +1,6 @@
 """Tests for the critical branching core: exact laws and samplers."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -11,10 +12,9 @@ from cdt_ising.branching import (
     FiniteTree,
     LevelForest,
     SpineForest,
-    _degrees,
     _first_block,
     _geometric_half,
-    _grow,
+    _pass_degrees,
     _spine_passes,
     level_size_pmf,
     offspring_gf,
@@ -104,6 +104,12 @@ def test_psi_n_domain():
         psi_n(1, 1.1)
     with pytest.raises(ValueError):
         psi_n(0, 0.5)
+    # offspring_gf is psi_n at n = 1 and reads s through the same check:
+    # 3.0 gave -1.0, 2.0 a ZeroDivisionError and "a" a TypeError
+    for s in (-0.1, 1.1, 2.0, 3.0, math.nan, math.inf, "a", None, 0.5j):
+        for call in (lambda s: psi_n(2, s), offspring_gf):
+            with pytest.raises(ValueError, match="in \\[0, 1\\]"):
+                call(s)
 
 
 def test_psi_n_semigroup():
@@ -321,13 +327,20 @@ def test_block_sampler_equals_per_level_reference():
             assert forest == reference_spine_forest(b, levels), (levels, i)
             # the generator is left where the per-level calls leave it
             assert np.array_equal(a.random(3), b.random(3))
-            # the core grows a one-double first block as the forest needs
-            rng, sizes, spine = stream(36, levels, i), [1], [0]
-            _, g, c, end = _grow(rng, levels, rng.random(1), sizes, spine, 0)
-            degrees = _degrees(g, c, sizes, spine)
-            assert degrees.tolist() == [d for lst in forest.out_degrees for d in lst]
-            assert (tuple(sizes), tuple(spine)) == (forest.level_sizes, forest.spine_positions)
-            outgrown += end > _first_block(levels)  # the default first block
+        # the trial driver's trees through the sampler's degree rule, every
+        # pass at once, between pads of 0-2 entries that no tree holds
+        trials = iter(range(40))
+        for walks in _spine_passes(TrialKeys(36), range(40), levels):
+            pads = [np.full(j % 3, -1 - j) for j in range(len(walks) + 1)]
+            got = _pass_degrees([(g, sizes, spine) for sizes, spine, _, _, g, _ in walks], pads)
+            want = [*pads[0]]
+            for (sizes, spine, _, _, _, end), pad in zip(walks, pads[1:]):
+                forest = sample_spine_forest(stream(36, next(trials)), levels)
+                want += [d for lst in forest.out_degrees for d in lst] + [*pad]
+                assert (tuple(sizes), tuple(spine)) == (forest.level_sizes, forest.spine_positions)
+                outgrown += end > _first_block(levels)  # grown past its row
+            assert got.tolist() == want, levels
+        assert next(trials, None) is None
     assert outgrown > 0
 
 
@@ -342,7 +355,7 @@ def test_spine_passes_equal_per_trial_samples(monkeypatch, block, levels):
     hist = Counter()
     walks = [w for ws in _spine_passes(TrialKeys(61), trials, levels) for w in ws]
     assert len(walks) == len(trials)
-    for i, (sizes, spine, key, u, g, c, end) in zip(trials, walks):
+    for i, (sizes, spine, key, u, g, end) in zip(trials, walks):
         forest = sample_spine_forest(stream(61, i), levels)
         assert (tuple(sizes), tuple(spine)) == (forest.level_sizes, forest.spine_positions)
         assert end <= len(u) and np.array_equal(u, stream(61, i).random(len(u)))

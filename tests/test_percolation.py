@@ -14,12 +14,10 @@ from cdt_ising.branching import sample_spine_forest
 from cdt_ising.ising import conditional_spin_prob
 from cdt_ising.percolation import (
     OpenSet,
-    _fan_tables,
     _neighbours,
     _pass_layout,
     _pass_tables,
     _ranks,
-    _reach_rank,
     _search,
     annealed_reach_curve,
     annealed_reach_probability,
@@ -230,11 +228,26 @@ def full_build_verdicts(out_degrees, uniforms, betas, levels) -> list[bool]:
     return [max_open_reach(t, open_set_from_uniforms(t, b, uniforms)).reach >= levels for b in betas]
 
 
+def pass_build(forests, uniforms):
+    """``reach_hits``'s build over one pass of ``forests`` (out-degree lists
+    of levels 0..H-1, one H for all), each with its array of ``uniforms``:
+    each forest's level starts, the tables of ``_pass_tables`` and the
+    marks, fills included."""
+    offs, pads, fills = _pass_layout([(1, *map(sum, lists)) for lists in forests])
+    counts = np.concatenate([pads[0], *(x for lists, pad in zip(forests, pads[1:]) for x in (*lists, pad))])
+    marks = np.concatenate([x for u, fill in zip(uniforms, fills) for x in (u, fill)])
+    return (offs, *_pass_tables(counts, offs), marks)
+
+
 def rank_verdicts(out_degrees, uniforms, betas, levels) -> list[bool]:
     """Per beta, whether the root's open cluster reaches ``levels``, from one
-    rank search: the j-th smallest beta reaches iff j >= the rank."""
+    rank search over a pass of this forest alone: the j-th smallest beta
+    reaches iff j >= the rank."""
+    if levels == 0:  # the root is on level 0, open or not
+        return [True] * len(betas)
     ascending = sorted(betas)
-    rank = _reach_rank(np.concatenate(out_degrees), uniforms, np.array(ascending), levels)
+    (off,), first, parent, arriving, deg, marks = pass_build([out_degrees], [uniforms])
+    rank = _search(off, levels, first, parent, arriving, _ranks(marks, np.array(ascending), deg), len(betas))
     return [ascending.index(b) >= rank for b in betas]
 
 
@@ -281,8 +294,9 @@ def test_lazy_reach_matches_full_build_on_any_forest(lists, seed):
 @example(lists=((3,), (0, 0, 3), (2, 0, 0)))
 @example(lists=((2,), (0, 2), (1, 0)))
 def test_lazy_neighbours_match_triangulation(lists):
+    # a pass of this forest alone: its tables are the forest's own, unshifted
     t = forest_to_triangulation(lists)
-    off, first, parent, arriving, deg = _fan_tables(np.concatenate(lists))
+    (off,), first, parent, arriving, deg, _ = pass_build([lists], [np.zeros(len(t.mark_degrees))])
     nbrs = csr_rows(*t.neighbors)
     assert tuple(off) == t.level_offsets
     for n in range(t.top_level):
@@ -290,7 +304,7 @@ def test_lazy_neighbours_match_triangulation(lists):
             want = {t.vertex_at(u) for u in nbrs[t.flat_index(n, p)]}
             got = _neighbours(t.flat_index(n, p), off, first, parent, arriving)
             assert {t.vertex_at(w) for w in got} == want
-    assert deg.tolist() == t.mark_degrees.tolist()
+    assert deg[: len(t.mark_degrees)].tolist() == t.mark_degrees.tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -332,29 +346,28 @@ PASS_BETAS = np.array([0.1, 0.2, 0.35, 1.0])
 @example(reach_pass=([((2,), (0, 2)), ((3,), (1, 0, 0)), ((1,), (1,))], [False, True, False], 2))
 @example(reach_pass=([((1,), (1,), (1,))] * 2, [True, False], 0))
 def test_pass_tables_equal_each_forest_alone(reach_pass):
+    # each forest's slice of the pass is the triangulation of that forest,
+    # shifted by the forest's base
     forests, closed, seed = reach_pass
     rng = np.random.default_rng(seed)
-    degrees = [np.concatenate(lists) for lists in forests]
-    uniforms = [rng.random(len(d)) for d in degrees]
+    uniforms = [rng.random(sum(map(len, lists))) for lists in forests]
     for u, shut in zip(uniforms, closed):
         if shut:
             u[0] = 1.0  # at or above tanh(beta * d) at every beta
-    offs, pads, fills = _pass_layout([(1, *map(sum, lists)) for lists in forests])
-    counts = np.concatenate([pads[0], *(x for d, pad in zip(degrees, pads[1:]) for x in (d, pad))])
-    first, parent, arriving, deg = _pass_tables(counts, offs)
-    marks = np.concatenate([x for u, fill in zip(uniforms, fills) for x in (u, fill)])
-    for off, d in zip(offs, degrees):
-        base, n = off[0], len(d)
-        own = _fan_tables(d)
-        assert off == [base + o for o in own[0]]
-        assert list(first[base : base + n + 1]) == [base + f for f in own[1]]
-        assert list(parent[base : off[-1]]) == [base + p for p in own[2]]
-        assert list(arriving[base : base + n]) == list(own[3])
-        assert deg[base : base + n].tolist() == own[4].tolist()
+    offs, first, parent, arriving, deg, marks = pass_build(forests, uniforms)
+    for off, lists in zip(offs, forests):
+        t = forest_to_triangulation(lists)
+        base, n = off[0], len(t.mark_degrees)
+        assert off == [base + o for o in t.level_offsets]
+        assert deg[base : base + n].tolist() == t.mark_degrees.tolist()
+        for f, row in enumerate(csr_rows(*t.neighbors)[:n]):
+            got = _neighbours(base + f, off, first, parent, arriving)
+            assert {t.vertex_at(w - base) for w in got} == {t.vertex_at(u) for u in row}
     for levels in range(1, len(forests[0])):
         rank = _ranks(marks, PASS_BETAS, deg)  # the search marks what it meets
         got = [_search(off, levels, first, parent, arriving, rank, len(PASS_BETAS)) for off in offs]
-        assert got == [_reach_rank(d, u, PASS_BETAS, levels) for d, u in zip(degrees, uniforms)]
+        want = [full_build_verdicts(lists, u, PASS_BETAS, levels) for lists, u in zip(forests, uniforms)]
+        assert [[j >= r for j in range(len(PASS_BETAS))] for r in got] == want
         assert all(r == len(PASS_BETAS) for r, shut in zip(got, closed) if shut)
 
 
